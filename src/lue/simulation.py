@@ -7,8 +7,9 @@ adds a direct-by-interference term that breaks additivity by a controlled
 amount, and the dilated model makes all parameters perfectly correlated with
 the baseline.  Integrated MSE is the squared error of the per-allocation
 estimate against each draw's true average effect, averaged over parameter
-draws, with the allocation expectation taken exactly (full enumeration) or
-over a shared Monte-Carlo sample.
+draws, with the allocation expectation taken exactly (from the pairwise joint
+exposure pmf, enumerated once per setting) or over a shared Monte-Carlo
+sample.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ _STREAM_COMMON = 0
 _STREAM_INTERACTION = 1
 _STREAM_ALLOCATIONS = 2
 _STREAM_NETWORK = 3
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -348,39 +351,113 @@ class ImseReport:
 CSV_HEADER = "estimator,n,k_or_p,distribution,mu1_or_eta1,delta1,imse,bias2,variance,se,seed"
 
 
-def _family_tables(families, units, width):
-    """Per-family (unit x exposure-slot) weight tables; slot index is 2d + z."""
-    tables = {}
-    for name, family in families.items():
-        table = np.zeros((len(units), width))
+def _weight_tables(families, units, width):
+    """(family x unit x exposure-slot) weights in family order; slot index is 2d + z."""
+    tables = np.zeros((len(families), len(units), width))
+    for table, family in zip(tables, families.values()):
         for row, unit in enumerate(units):
             for (d, z), w in family[unit].weights.items():
                 table[row, 2 * d + z] = w
-        tables[name] = table
     return tables
 
 
 def _outcome_table(params, units, width):
+    """(unit x exposure-slot) potential outcomes, bit-identical to :func:`potential_outcome`.
+
+    Even slots hold z = 0 and odd slots z = 1, with d >= 1 from slot 2 on;
+    each entry is summed in the same order, ((alpha + direct z) + interference_d)
+    + interaction_d.
+    """
+    unit_params = [params[i] for i in units]
+    degrees = np.array([p.degree for p in unit_params], dtype=np.intp)
+    alpha = np.array([p.alpha for p in unit_params])
+    direct = np.array([p.direct for p in unit_params])
     table = np.zeros((len(units), width))
-    for row, unit in enumerate(units):
-        p = params[unit]
-        for d in range(p.degree + 1):
-            for z in (0, 1):
-                table[row, 2 * d + z] = potential_outcome(p, (d, z))
+    table[:, 0] = alpha + direct * 0
+    table[:, 1] = alpha + direct * 1
+    rows = np.repeat(np.arange(len(units)), degrees)
+    first = np.repeat(np.cumsum(degrees) - degrees, degrees)
+    cols = 2 * (np.arange(len(rows)) - first + 1)
+    interference = np.concatenate([p.interference for p in unit_params])
+    table[rows, cols] = table[rows, 0] + interference
+    treated = table[rows, 1] + interference
+    has_interaction = np.array([p.interaction is not None for p in unit_params])
+    if has_interaction.any():
+        interaction = np.concatenate([
+            np.zeros(p.degree) if p.interaction is None else p.interaction
+            for p in unit_params
+        ])
+        mask = np.repeat(has_interaction, degrees)
+        treated[mask] += interaction[mask]
+    table[rows, cols + 1] = treated
     return table
+
+
+def slot_coefficients(network: Network, units) -> np.ndarray:
+    """(n x units) float matrix C = (2A + I)[:, units], so that z @ C gives every slot 2d + z."""
+    coefficients = 2 * network.adjacency + np.eye(network.n, dtype=np.int64)
+    return coefficients[:, units].astype(float)
+
+
+def exposure_slots(alloc: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """Exposure slot of every (allocation, unit) pair as integers.
+
+    The float product goes through BLAS and is exact: every partial sum is an
+    integer far below 2**53.  Rows go in blocks of about 64k allocation
+    entries, so the float temporaries stay small and cache-resident.
+    """
+    slots = np.empty((len(alloc), coefficients.shape[1]), dtype=np.intp)
+    block = max(1, 2**16 // coefficients.shape[0])
+    for start in range(0, len(alloc), block):
+        slots[start:start + block] = alloc[start:start + block] @ coefficients
+    return slots
+
+
+def joint_exposure_pmf(network: Network, units, width: int, p_treat: float) -> np.ndarray:
+    """Pairwise joint pmf of the units' exposure slots under a Bernoulli design.
+
+    Entry ``[a * width + s, b * width + t]`` is P(slot of ``units[a]`` is s and
+    slot of ``units[b]`` is t); diagonal blocks are diagonal, so the diagonal
+    of the result is each unit's own slot pmf.  A unit's slot depends only on
+    its closed in-neighbourhood, so block (a, b) enumerates just the
+    allocations of the union of the two neighbourhoods.
+    """
+    coefficients = slot_coefficients(network, units)
+    neighbourhoods = [np.flatnonzero(column) for column in coefficients.T]
+    joint = np.zeros((len(units) * width, len(units) * width))
+    enumerations = {}
+    for a in range(len(units)):
+        for b in range(a, len(units)):
+            members = np.union1d(neighbourhoods[a], neighbourhoods[b])
+            if len(members) not in enumerations:
+                alloc, probs = allocation_matrix(
+                    BernoulliDesign(len(members), p_treat), "exhaustive")
+                # Cast once per size: casting each block is slower than the product.
+                enumerations[len(members)] = (alloc.astype(float), probs)
+            alloc, probs = enumerations[len(members)]
+            slots = exposure_slots(alloc, coefficients[np.ix_(members, [a, b])])
+            block = np.bincount(slots[:, 0] * width + slots[:, 1], weights=probs,
+                                minlength=width * width).reshape(width, width)
+            joint[a * width:(a + 1) * width, b * width:(b + 1) * width] = block
+            joint[b * width:(b + 1) * width, a * width:(a + 1) * width] = block.T
+    return joint
 
 
 def compute_imse(config: ExperimentConfig) -> ImseReport:
     """Integrated MSE of each requested estimator family under one setting.
 
     Per parameter draw, the estimator mean and second moment are taken over
-    allocations (all of them, or a sampled batch shared by every estimator
-    in the draw) and the squared error is formed against that draw's true
-    average effect; draws are then averaged.  Fully deterministic given the
-    master seed, and independent of the interaction level for families that
-    never read treated outcomes.
+    allocations and the squared error is formed against that draw's true
+    average effect; draws are then averaged.  The average estimate is linear
+    in a (unit, exposure-slot) value vector v, so in exhaustive mode its
+    exact moments are v . p and v' G v, with G from
+    :func:`joint_exposure_pmf` built once per setting and p its diagonal.
+    Sample mode averages over a batch of allocations drawn per draw and
+    shared by every estimator.  Fully deterministic given the master seed,
+    and independent of the interaction level for families that never read
+    treated outcomes.
     """
-    start = time.time()
+    start = time.perf_counter()
     network = config.network.build(
         np.random.SeedSequence([config.master_seed, _STREAM_NETWORK])
     )
@@ -389,66 +466,86 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     if not units:
         raise ValueError("every unit has in-degree 0; the average estimand is undefined")
     if len(units) < network.n:
-        logging.getLogger(__name__).info(
+        logger.info(
             "excluding %d degree-0 unit(s) from the average estimand",
             network.n - len(units),
         )
     width = 2 * (int(network.in_degrees.max()) + 1)
+    stages = {"network": time.perf_counter() - start}
+
+    mark = time.perf_counter()
     families = {
         name: build_estimator_family(name, network, design)
         for name in config.estimators
     }
-    weight_tables = _family_tables(families, units, width)
-    unit_rows = np.arange(len(units))
+    weight_tables = _weight_tables(families, units, width)
+    stages["families"] = time.perf_counter() - mark
 
-    if config.allocation_mode == "exhaustive":
-        alloc, alloc_weights = allocation_matrix(design, "exhaustive")
+    mark = time.perf_counter()
+    exhaustive = config.allocation_mode == "exhaustive"
+    if exhaustive:
+        joint = joint_exposure_pmf(network, units, width, config.p_treat)
+        pmf = joint.diagonal()
+    else:
+        coefficients = slot_coefficients(network, units)
+        unit_rows = np.arange(len(units))
+        alloc_weights = np.full(config.allocation_count, 1.0 / config.allocation_count)
+    stages["joint_pmf"] = time.perf_counter() - mark
 
+    mark = time.perf_counter()
     n_draws = config.num_draws
-    mse = {name: np.zeros(n_draws) for name in config.estimators}
-    means = {name: np.zeros(n_draws) for name in config.estimators}
-    second = {name: np.zeros(n_draws) for name in config.estimators}
+    mse = np.zeros((len(families), n_draws))
+    means = np.zeros((len(families), n_draws))
+    second = np.zeros((len(families), n_draws))
     theta_bars = np.zeros(n_draws)
 
     for draw in range(n_draws):
         params = sample_parameters(network, config.outcome, [config.master_seed, draw])
         theta_bar = true_average_effect(network, params)
         theta_bars[draw] = theta_bar
-        outcome_table = _outcome_table(params, units, width)
-        if config.allocation_mode == "sample":
+        value_tables = weight_tables * _outcome_table(params, units, width)
+        if exhaustive:
+            values = value_tables.reshape(len(families), -1) / len(units)
+            first_moment = values @ pmf
+            second_moment = np.einsum("fa,fa->f", values @ joint, values)
+        else:
             rng = np.random.default_rng(
                 np.random.SeedSequence([config.master_seed, draw, _STREAM_ALLOCATIONS])
             )
-            alloc = design.sample(rng, config.allocation_count)
-            alloc_weights = np.full(config.allocation_count, 1.0 / config.allocation_count)
-        slots = (2 * (alloc @ network.adjacency) + alloc)[:, units]
-        for name in config.estimators:
-            value_table = weight_tables[name] * outcome_table
-            estimates = value_table[unit_rows, slots].mean(axis=1)
-            first_moment = float(alloc_weights @ estimates)
-            second_moment = float(alloc_weights @ (estimates * estimates))
-            means[name][draw] = first_moment
-            second[name][draw] = second_moment
-            mse[name][draw] = second_moment - 2.0 * theta_bar * first_moment + theta_bar**2
+            slots = exposure_slots(design.sample(rng, config.allocation_count), coefficients)
+            first_moment = np.zeros(len(families))
+            second_moment = np.zeros(len(families))
+            for row, value_table in enumerate(value_tables):
+                estimates = value_table[unit_rows, slots].mean(axis=1)
+                first_moment[row] = alloc_weights @ estimates
+                second_moment[row] = alloc_weights @ (estimates * estimates)
+        means[:, draw] = first_moment
+        second[:, draw] = second_moment
+        mse[:, draw] = second_moment - 2.0 * theta_bar * first_moment + theta_bar**2
+    stages["draws"] = time.perf_counter() - mark
 
     results = {}
-    for name in config.estimators:
-        bias2 = (means[name] - theta_bars) ** 2
-        variance = second[name] - means[name] ** 2
-        se = float(np.std(mse[name], ddof=1) / np.sqrt(n_draws)) if n_draws > 1 else 0.0
+    for row, name in enumerate(config.estimators):
+        bias2 = (means[row] - theta_bars) ** 2
+        variance = second[row] - means[row] ** 2
+        se = float(np.std(mse[row], ddof=1) / np.sqrt(n_draws)) if n_draws > 1 else 0.0
         results[name] = EstimatorImse(
             name=name,
-            imse=float(np.mean(mse[name])),
+            imse=float(np.mean(mse[row])),
             bias_squared=float(np.mean(bias2)),
             variance=float(np.mean(variance)),
             standard_error=se,
-            per_draw_mse=mse[name],
-            per_draw_mean=means[name],
+            per_draw_mse=mse[row],
+            per_draw_mean=means[row],
         )
+    digest = config_hash(config)
+    logger.info("setting %s stage seconds: %s", digest,
+                " ".join(f"{stage}={seconds:.4f}" for stage, seconds in stages.items()))
     metadata = {
-        "config_hash": config_hash(config),
+        "config_hash": digest,
         "seed": config.master_seed,
-        "runtime_seconds": time.time() - start,
+        "runtime_seconds": time.perf_counter() - start,
+        "stage_seconds": stages,
         "excluded_degree_zero_units": network.n - len(units),
         "allocations_shared_across_estimators": True,
     }

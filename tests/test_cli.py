@@ -1,10 +1,14 @@
 """CLI subcommands: weight solving, basis listing, sweeps, self-checks."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lue
 from lue.cli import main
 from lue.design import bernoulli_exposure_distribution, uniform_distribution
 from lue.estimators import build_four_term_alue, build_malue_set
@@ -191,6 +195,23 @@ class TestSimulateCommand:
         rows = [l for l in open(produced).read().splitlines()
                 if l and not l.startswith(("#", "estimator"))]
         assert len(rows) == 2 * 5  # the two feasible settings survived
+
+    def test_verbose_logs_stage_timings(self, tmp_path):
+        """-v logs each setting's stage timings; without it nothing is logged."""
+        config = write_json(tmp_path / "sweep.json", self.sweep_config())
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lue.__file__)))
+        logs = {}
+        for flags in ([], ["-v"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "lue.cli", *flags, "simulate", "--config", config,
+                 "--out-dir", str(tmp_path / "out"), "--seed", "3"],
+                capture_output=True, text=True, env=env, timeout=120, check=True)
+            logs[bool(flags)] = proc.stderr
+        assert "stage seconds" not in logs[False]
+        timed = [line for line in logs[True].splitlines() if "stage seconds" in line]
+        assert len(timed) == 4  # one per setting of the 2 x 2 grid
+        for stage in ("network=", "families=", "joint_pmf=", "draws="):
+            assert all(stage in line for line in timed)
 
 
 class TestVerifyCommand:

@@ -3,23 +3,39 @@
 import numpy as np
 import pytest
 
+import lue.simulation
 from lue.design import BernoulliDesign, allocation_matrix
 from lue.estimators import check_unbiased
-from lue.networks import Network, gen_k_regular_directed
+from lue.networks import Network, gen_erdos_renyi_directed, gen_k_regular_directed
 from lue.simulation import (
+    ESTIMATOR_NAMES,
     ExperimentConfig,
     NetworkConfig,
     OutcomeModel,
     UnitParameters,
+    _outcome_table,
     build_estimator_family,
     compute_imse,
     config_hash,
     estimate_average_effect,
+    exposure_slots,
+    included_units,
+    joint_exposure_pmf,
     potential_outcome,
     sample_parameters,
+    slot_coefficients,
     true_average_effect,
     unit_exposure_distribution,
 )
+
+OUTCOME_MODELS = [
+    OutcomeModel("independent", mu1=1.0),
+    OutcomeModel("dilated", eta1=1.5),
+    OutcomeModel("interaction", mu1=2.0, delta1=3.0),
+]
+# k_regular, and an Erdos-Renyi graph whose seed gives in-degrees 0 to 4
+EXACT_NETWORKS = [(NetworkConfig("k_regular", 8, k=2), 17),
+                  (NetworkConfig("erdos_renyi", 8, p_edge=0.2), 4)]
 
 
 def three_cycle():
@@ -100,6 +116,77 @@ class TestPotentialOutcome:
         params = UnitParameters(0.0, 0.0, np.array([1.0]))
         with pytest.raises(ValueError, match="out of range"):
             potential_outcome(params, (2, 1))
+
+
+class TestOutcomeTable:
+    @pytest.mark.parametrize("model", OUTCOME_MODELS, ids=lambda m: m.kind)
+    def test_equals_potential_outcome_bitwise(self, model):
+        """Vectorised table entries equal the scalar outcomes exactly, mixed degrees included."""
+        net = gen_erdos_renyi_directed(12, 0.3, seed=3)
+        assert len(set(net.in_degrees.tolist())) > 2
+        units = included_units(net)
+        width = 2 * (int(net.in_degrees.max()) + 1)
+        params = sample_parameters(net, model, [6, 1])
+        table = _outcome_table(params, units, width)
+        for row, unit in enumerate(units):
+            p = params[unit]
+            for d in range(p.degree + 1):
+                for z in (0, 1):
+                    assert table[row, 2 * d + z] == potential_outcome(p, (d, z))
+            assert not table[row, 2 * (p.degree + 1):].any()
+
+    def test_interaction_only_where_present(self):
+        params = [UnitParameters(0.5, 1.25, np.array([2.0, 3.0]), np.array([4.0, 8.0])),
+                  UnitParameters(-1.0, 0.75, np.array([5.0]))]
+        table = _outcome_table(params, [0, 1], 6)
+        expected = [[potential_outcome(params[0], (d, z)) for d in range(3) for z in (0, 1)],
+                    [potential_outcome(params[1], (d, z)) for d in range(2) for z in (0, 1)]
+                    + [0.0, 0.0]]
+        np.testing.assert_array_equal(table, expected)
+
+
+class TestExposureSlots:
+    def test_float_product_equals_integer_product(self):
+        net = gen_k_regular_directed(200, 8, seed=9)
+        units = included_units(net)
+        # 1000 rows span several row blocks, the last one partial
+        alloc = BernoulliDesign(200, 0.5).sample(np.random.default_rng(2), 1000)
+        slots = exposure_slots(alloc, slot_coefficients(net, units))
+        assert slots.dtype == np.intp
+        np.testing.assert_array_equal(slots, (2 * (alloc @ net.adjacency) + alloc)[:, units])
+
+
+class TestJointExposurePmf:
+    @staticmethod
+    def global_enumeration(net, units, width, p_treat):
+        alloc, probs = allocation_matrix(BernoulliDesign(net.n, p_treat), "exhaustive")
+        slots = (2 * (alloc @ net.adjacency) + alloc)[:, units]
+        joint = np.zeros((len(units) * width,) * 2)
+        for a in range(len(units)):
+            for b in range(len(units)):
+                cells = np.bincount(slots[:, a] * width + slots[:, b], weights=probs,
+                                    minlength=width * width)
+                joint[a * width:(a + 1) * width, b * width:(b + 1) * width] = (
+                    cells.reshape(width, width))
+        return joint
+
+    @pytest.mark.parametrize("p_treat", [0.5, 0.3])
+    @pytest.mark.parametrize("config,seed", EXACT_NETWORKS)
+    def test_equals_global_enumeration(self, config, seed, p_treat):
+        net = config.build(np.random.SeedSequence([seed, 3]))
+        units = included_units(net)
+        width = 2 * (int(net.in_degrees.max()) + 1)
+        joint = joint_exposure_pmf(net, units, width, p_treat)
+        expected = self.global_enumeration(net, units, width, p_treat)
+        if p_treat == 0.5:  # dyadic masses: both sums are exact
+            np.testing.assert_array_equal(joint, expected)
+        else:
+            np.testing.assert_allclose(joint, expected, rtol=0, atol=1e-15)
+        for row, unit in enumerate(units):
+            marginal = unit_exposure_distribution(BernoulliDesign(net.n, p_treat), net, unit)
+            own = joint.diagonal()[row * width:(row + 1) * width]
+            for (d, z), prob in marginal.probs.items():
+                assert own[2 * d + z] == pytest.approx(prob, rel=1e-13)
 
 
 class TestBuildEstimatorFamily:
@@ -293,6 +380,62 @@ class TestComputeImse:
             np.random.SeedSequence([2, 3]))
         isolated = int((network.in_degrees == 0).sum())
         assert report.metadata["excluded_degree_zero_units"] == isolated
+
+    @pytest.mark.parametrize("p_treat", [0.5, 0.3])
+    @pytest.mark.parametrize("model", OUTCOME_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("network,seed", EXACT_NETWORKS)
+    def test_exhaustive_moments_match_brute_force(self, network, seed, model, p_treat):
+        """Per-draw mean and MSE of every family equal a direct pass over all allocations.
+
+        The MSE is the second moment centred at the draw's true effect, so
+        matching it next to the mean matches the second moment.
+        """
+        config = self.small_config(network=network, outcome=model, p_treat=p_treat,
+                                   num_draws=2, master_seed=seed)
+        report = compute_imse(config)
+        net = network.build(np.random.SeedSequence([seed, 3]))
+        design = BernoulliDesign(net.n, p_treat)
+        allocs, probs = allocation_matrix(design, "exhaustive")
+        for name in ESTIMATOR_NAMES:
+            family = build_estimator_family(name, net, design)
+            for draw in range(config.num_draws):
+                params = sample_parameters(net, model, [seed, draw])
+                theta = true_average_effect(net, params)
+                estimates = np.array([estimate_average_effect(family, net, z, params)
+                                      for z in allocs])
+                mean = probs @ estimates
+                mse = probs @ (estimates - theta) ** 2
+                scale = np.sqrt(probs @ estimates**2)
+                result = report.results[name]
+                assert result.per_draw_mean[draw] == pytest.approx(
+                    mean, rel=1e-12, abs=1e-12 * scale)
+                assert result.per_draw_mse[draw] == pytest.approx(
+                    mse, rel=1e-12, abs=1e-12 * scale**2)
+
+    def test_exhaustive_never_enumerates_the_whole_network(self, monkeypatch):
+        """The joint pmf enumerates only unions of two closed in-neighbourhoods."""
+        config = self.small_config(network=NetworkConfig("k_regular", 10, k=2))
+        original = lue.simulation.allocation_matrix
+        requested = []
+
+        def guarded(design, *args, **kwargs):
+            if 2**design.n > 2 ** (config.network.n - 1):
+                raise AssertionError(f"asked for all 2^{design.n} allocations")
+            requested.append(design.n)
+            return original(design, *args, **kwargs)
+
+        monkeypatch.setattr(lue.simulation, "allocation_matrix", guarded)
+        report = compute_imse(config)
+        assert requested
+        for result in report.results.values():
+            assert np.isfinite(result.imse) and result.bias_squared < 1e-20
+
+    def test_metadata_times_every_stage(self):
+        report = compute_imse(self.small_config(num_draws=3))
+        stages = report.metadata["stage_seconds"]
+        assert list(stages) == ["network", "families", "joint_pmf", "draws"]
+        assert all(seconds >= 0.0 for seconds in stages.values())
+        assert report.metadata["runtime_seconds"] >= sum(stages.values())
 
     def test_reports_are_deterministic(self):
         a = compute_imse(self.small_config())
