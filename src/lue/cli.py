@@ -28,8 +28,9 @@ from .estimators import (
     zero_count,
 )
 from .exposure import ExposureSpec, enumerate_exposures
-from .mivlue import PriorSpec, outcome_variance, six_term_alpha_weights, solve_mivlue
-from .simulation import CSV_HEADER, ExperimentConfig, compute_imse
+from .mivlue import (SIX_TERM_EXPOSURES, PriorSpec, outcome_variance, six_term_alpha_weights,
+                     solve_mivlue)
+from .simulation import CSV_HEADER, ExperimentConfig, compute_imse, payload_hash
 from .verify import run_verify
 
 SIX_TERM_LEVELS = (2, 1)
@@ -45,11 +46,6 @@ GRID_FIELDS = (
 
 class InputError(ValueError):
     """Bad CLI input; the message carries the offending field path."""
-
-
-def _hash_payload(payload: dict) -> str:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def _header_lines(config_digest: str, seed) -> list[str]:
@@ -128,13 +124,12 @@ def run_weights(args) -> int:
     data = _load_json(args.input, "input")
     spec, probs, prior = _parse_weights_input(data)
     solution = solve_mivlue(spec, probs, prior)
-    lines = _header_lines(_hash_payload(data), args.seed)
+    lines = _header_lines(payload_hash(data), args.seed)
     for warning in solution.warnings:
         lines.append(f"# warning={warning}")
     if spec.levels == SIX_TERM_LEVELS:
-        order = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
-        p6 = [probs[e] for e in order]
-        v6 = [outcome_variance(prior, spec, e) for e in order]
+        p6 = [probs[e] for e in SIX_TERM_EXPOSURES]
+        v6 = [outcome_variance(prior, spec, e) for e in SIX_TERM_EXPOSURES]
         a1, a2, a3 = six_term_alpha_weights(p6, v6)
         lines.append(f"# alpha1={a1!r} alpha2={a2!r} alpha3={a3!r}")
     lines.append("exposure,weight,variance,probability")
@@ -152,7 +147,7 @@ def run_basis(args) -> int:
         raise InputError(f"--k={args.k} disagrees with --m which has {len(levels)} components")
     spec = ExposureSpec(levels)
     basis = build_affine_basis(spec)
-    lines = _header_lines(_hash_payload({"levels": list(levels)}), args.seed)
+    lines = _header_lines(payload_hash({"levels": list(levels)}), args.seed)
     lines.append("# weights materialized under the uniform exposure distribution")
     lines.append(
         f"malue={malue_count(spec)} zero={zero_count(spec)} "
@@ -198,7 +193,7 @@ def run_simulate(args) -> int:
     settings = _expand_grid(data)
     for index, setting in enumerate(settings):
         setting["master_seed"] = _setting_seed(args.seed, index)
-    digest = _hash_payload({"config": data, "seed": args.seed})
+    digest = payload_hash({"config": data, "seed": args.seed})
     workers = int(os.environ.get("LUE_THREADS", "1"))
     rows: dict[int, list[str]] = {}
     failures = []

@@ -21,6 +21,7 @@ from .exposure import (
     Exposure,
     ExposureSpec,
     ParameterIndex,
+    canonical_grid,
     enumerate_exposures,
     exposure_positions,
     indicator_matrix,
@@ -53,6 +54,14 @@ class LinearEstimator:
         if self.target is None:
             self.target = ParameterIndex("effect", 1, self.spec.levels[0])
 
+    @classmethod
+    def _trusted(cls, spec: ExposureSpec, weights: dict[Exposure, float], name: str,
+                 target: ParameterIndex) -> "LinearEstimator":
+        """Skip validation: ``weights`` is keyed by valid exposures, with nonzero floats."""
+        est = cls.__new__(cls)
+        est.spec, est.weights, est.name, est.target = spec, weights, name, target
+        return est
+
     def support(self) -> set[Exposure]:
         return set(self.weights)
 
@@ -61,14 +70,7 @@ class LinearEstimator:
 
     def as_vector(self, exposures=None) -> np.ndarray:
         """Dense weight vector in canonical (or given) exposure order."""
-        if exposures is None:
-            positions = exposure_positions(self.spec)
-        else:
-            positions = {e: j for j, e in enumerate(exposures)}
-        vec = np.zeros(len(positions))
-        for e, w in self.weights.items():
-            vec[positions[e]] = w
-        return vec
+        return basis_matrix([self], exposures)[0]
 
     def to_text(self) -> str:
         """One ``e1,...,eK<TAB>weight`` line per support exposure, canonical order."""
@@ -136,28 +138,104 @@ def check_zero_expectation(est: LinearEstimator, probs: ExposureDistribution) ->
     return float(np.abs(c.matrix @ est.as_vector(c.exposures)).max())
 
 
-@lru_cache(maxsize=None)
-def _target_parameter(spec: ExposureSpec) -> ParameterIndex:
-    return ParameterIndex("effect", 1, spec.levels[0])
+@lru_cache(maxsize=4)
+def _layout(levels: tuple[int, ...]):
+    """Which exposures and signs make up each basis member, free of probabilities.
 
-
-def _ht_combination(spec, probs, terms, name) -> LinearEstimator:
-    """Materialize signed inverse-probability terms into an estimator.
-
-    The builders construct term exposures in range and pairwise distinct, so
-    this skips the constructor's re-validation.
+    Returns (ids, atomic, rows, cols, signs): each member's identifier column,
+    atomic members first; their number; each term's member, column and sign,
+    grouped by member.  The member identified by e has the terms: two-term
+    (e_1 = m_1) +(m_1, tail) -(0, tail); four-term (0 < e_1 < m_1) +(m_1, tail)
+    -e +e' -(0, e'_tail), where e' zeroes the first nonzero tail component of e;
+    zero (e_1 = 0) +e -(that component alone) -e' +baseline.  A row-major flat
+    index is linear in the components, so each term's index is a shift of e's.
+    Read-only, and cached because a build and its certificate share a spec.
     """
-    if probs is None:
-        probs = uniform_distribution(spec)
-    weights: dict[Exposure, float] = {}
-    for sign, e in terms:
-        weights[e] = sign / probs[e]
-    est = object.__new__(LinearEstimator)
-    est.spec = spec
-    est.weights = weights
-    est.name = name
-    est.target = _target_parameter(spec)
-    return est
+    grid = canonical_grid(levels)
+    first = grid[:, 0]
+    tail_nonzero = np.count_nonzero(grid[:, 1:], axis=1)
+    atomic = (first == levels[0]) | ((first > 0) & (tail_nonzero >= 1))
+    ids = np.flatnonzero(atomic | ((first == 0) & (tail_nonzero >= 2)))
+    strides = np.cumprod([1] + [m + 1 for m in levels[:0:-1]])[::-1]
+    column = np.argsort(grid @ strides)  # canonical column of each flat index
+    e = grid[ids]
+    first = e[:, 0]
+    flat = e @ strides
+    top = flat + (levels[0] - first) * strides[0]
+    bottom = flat - first * strides[0]
+    # Rows without a nonzero tail component are two-term and never use ``drop``.
+    tail = e != 0
+    tail[:, 0] = False
+    lead = tail.argmax(axis=1)
+    drop = e[np.arange(len(e)), lead] * strides[lead]
+    two, zero = first == levels[0], first == 0
+    # Four term slots per member, in the order above; two-term members use two.
+    slots = np.stack([
+        np.where(zero, flat, top),
+        np.where(zero, drop, np.where(two, bottom, flat)),
+        flat - drop,
+        np.where(zero, 0, bottom - drop),
+    ], axis=1)
+    signs = np.where(zero[:, None], (1.0, -1.0, -1.0, 1.0), (1.0, -1.0, 1.0, -1.0))
+    rows, slot = np.nonzero(~two[:, None] | (np.arange(4) < 2))
+    cols, signs = column[slots[rows, slot]], signs[rows, slot]
+    for array in (ids, rows, cols, signs):
+        array.setflags(write=False)
+    return ids, np.count_nonzero(atomic), rows, cols, signs
+
+
+def basis_identifiers(spec: ExposureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical columns of the exposures identifying the basis members, as (atomic, zero).
+
+    Atomic: first component at its maximum, or intermediate with a nonzero tail.
+    Zero: first component 0 and at least two nonzero tail components.  Both are
+    read-only.
+    """
+    ids, atomic, *_ = _layout(spec.levels)
+    return ids[:atomic], ids[atomic:]
+
+
+def _entries(spec: ExposureSpec, start: int, stop: int, probs):
+    """(member - start, column, weight) of every nonzero weight of members start..stop-1."""
+    _, _, rows, cols, signs = _layout(spec.levels)
+    first, last = np.searchsorted(rows, (start, stop))
+    n = spec.num_exposures
+    p = np.full(n, 1.0 / n) if probs is None else probs.vector()
+    return rows[first:last] - start, cols[first:last], signs[first:last] / p[cols[first:last]]
+
+
+def basis_weights(spec: ExposureSpec,
+                  probs: ExposureDistribution | None = None) -> np.ndarray:
+    """The affine basis as a (members x exposures) weight array.
+
+    Rows are the members of :func:`basis_identifiers`, atomic then zero;
+    columns are exposures in canonical order.  Each term of a member weighs
+    +-1/p of its exposure, with uniform p when ``probs`` is omitted.
+    """
+    members = len(_layout(spec.levels)[0])
+    rows, cols, values = _entries(spec, 0, members, probs)
+    weights = np.zeros((members, spec.num_exposures))
+    weights[rows, cols] = values
+    return weights
+
+
+def _as_estimators(spec: ExposureSpec, start: int, stop: int, probs) -> list[LinearEstimator]:
+    """Basis members start..stop-1 as estimators named after their identifying exposures."""
+    rows, cols, values = _entries(spec, start, stop, probs)
+    exposures = enumerate_exposures(spec)
+    m1 = spec.levels[0]
+    target = ParameterIndex("effect", 1, m1)
+    terms = list(zip([exposures[j] for j in cols.tolist()], values.tolist()))
+    stops = np.cumsum(np.bincount(rows, minlength=stop - start)).tolist()
+    names = [f"two_term{e[1:]}" if e[0] == m1 else f"zero{e}" if e[0] == 0 else f"four_term{e}"
+             for e in map(exposures.__getitem__, _layout(spec.levels)[0][start:stop].tolist())]
+    return [LinearEstimator._trusted(spec, dict(terms[begin:end]), name, target)
+            for begin, end, name in zip([0] + stops, stops, names)]
+
+
+def _basis_member(spec: ExposureSpec, e: Exposure, probs) -> LinearEstimator:
+    member = int(np.searchsorted(_layout(spec.levels)[0], exposure_positions(spec)[e]))
+    return _as_estimators(spec, member, member + 1, probs)[0]
 
 
 def build_two_term_alue(spec: ExposureSpec, fixed_tail: tuple[int, ...],
@@ -170,10 +248,8 @@ def build_two_term_alue(spec: ExposureSpec, fixed_tail: tuple[int, ...],
     tail = tuple(int(v) for v in fixed_tail)
     if len(tail) != spec.num_components - 1:
         raise ValueError(f"tail {tail} must fix components 2..{spec.num_components}")
-    m1 = spec.levels[0]
-    spec.validate_exposure((m1,) + tail)
-    terms = [(+1, (m1,) + tail), (-1, (0,) + tail)]
-    return _ht_combination(spec, probs, terms, name=f"two_term{tail}")
+    e = spec.validate_exposure((spec.levels[0],) + tail)
+    return _basis_member(spec, e, probs)
 
 
 def build_four_term_alue(spec: ExposureSpec, e: Exposure,
@@ -188,19 +264,9 @@ def build_four_term_alue(spec: ExposureSpec, e: Exposure,
     m1 = spec.levels[0]
     if not 0 < e[0] < m1:
         raise ValueError(f"first component of {e} must be strictly between 0 and {m1}")
-    nonzero = [k for k in range(1, spec.num_components) if e[k] != 0]
-    if not nonzero:
+    if not any(e[1:]):
         raise ValueError(f"exposure {e} needs a nonzero tail component")
-    reduced = list(e)
-    reduced[nonzero[0]] = 0
-    reduced = tuple(reduced)
-    terms = [
-        (+1, (m1,) + e[1:]),
-        (-1, e),
-        (+1, (e[0],) + reduced[1:]),
-        (-1, (0,) + reduced[1:]),
-    ]
-    return _ht_combination(spec, probs, terms, name=f"four_term{e}")
+    return _basis_member(spec, e, probs)
 
 
 def build_zero_estimator(spec: ExposureSpec, e: Exposure,
@@ -213,75 +279,28 @@ def build_zero_estimator(spec: ExposureSpec, e: Exposure,
     e = spec.validate_exposure(e)
     if e[0] != 0:
         raise ValueError(f"zero estimators need first component 0, got {e}")
-    nonzero = [k for k in range(1, spec.num_components) if e[k] != 0]
-    if len(nonzero) < 2:
+    if sum(1 for v in e[1:] if v != 0) < 2:
         raise ValueError(f"exposure {e} needs at least two nonzero tail components")
-    k_star = nonzero[0]
-    only = [0] * spec.num_components
-    only[k_star] = e[k_star]
-    rest = list(e)
-    rest[k_star] = 0
-    terms = [
-        (+1, e),
-        (-1, tuple(only)),
-        (-1, tuple(rest)),
-        (+1, (0,) * spec.num_components),
-    ]
-    return _ht_combination(spec, probs, terms, name=f"zero{e}")
-
-
-@lru_cache(maxsize=None)
-def identifying_exposures(spec: ExposureSpec) -> tuple[tuple[Exposure, ...], tuple[Exposure, ...]]:
-    """Identifying exposures of the basis in canonical order.
-
-    Returns (malue identifiers, zero identifiers): intermediate-first-component
-    exposures with nonzero tails followed by maximum-first-component
-    exposures, then baseline-first exposures with two or more nonzero tail
-    components.
-    """
-    m1 = spec.levels[0]
-    malue_ids = []
-    zero_ids = []
-    for e in enumerate_exposures(spec):
-        tail_nonzero = sum(1 for v in e[1:] if v != 0)
-        if e[0] == m1:
-            malue_ids.append(e)
-        elif 0 < e[0] < m1 and tail_nonzero >= 1:
-            malue_ids.append(e)
-        elif e[0] == 0 and tail_nonzero >= 2:
-            zero_ids.append(e)
-    return tuple(malue_ids), tuple(zero_ids)
+    return _basis_member(spec, e, probs)
 
 
 def build_malue_set(spec: ExposureSpec,
                     probs: ExposureDistribution | None = None) -> list[LinearEstimator]:
     """The affine-independent monotonic atomic estimators, one per identifying exposure."""
-    if probs is None:
-        probs = uniform_distribution(spec)
-    m1 = spec.levels[0]
-    out = []
-    for e in identifying_exposures(spec)[0]:
-        if e[0] == m1:
-            out.append(build_two_term_alue(spec, e[1:], probs))
-        else:
-            out.append(build_four_term_alue(spec, e, probs))
-    return out
+    return _as_estimators(spec, 0, _layout(spec.levels)[1], probs)
 
 
 def build_zero_estimators(spec: ExposureSpec,
                           probs: ExposureDistribution | None = None) -> list[LinearEstimator]:
     """All zero estimators in canonical order."""
-    if probs is None:
-        probs = uniform_distribution(spec)
-    return [build_zero_estimator(spec, e, probs) for e in identifying_exposures(spec)[1]]
+    ids, atomic, *_ = _layout(spec.levels)
+    return _as_estimators(spec, atomic, len(ids), probs)
 
 
 def build_affine_basis(spec: ExposureSpec,
                        probs: ExposureDistribution | None = None) -> list[LinearEstimator]:
     """Affine basis of the unbiased-estimator set: the atomic family plus zero estimators."""
-    if probs is None:
-        probs = uniform_distribution(spec)
-    return build_malue_set(spec, probs) + build_zero_estimators(spec, probs)
+    return _as_estimators(spec, 0, len(_layout(spec.levels)[0]), probs)
 
 
 def malue_count(spec: ExposureSpec) -> int:
@@ -317,48 +336,37 @@ def basis_matrix(basis: list[LinearEstimator], exposures=None) -> np.ndarray:
     else:
         positions = {e: j for j, e in enumerate(exposures)}
     mat = np.zeros((len(basis), len(positions)))
-    for i, b in enumerate(basis):
+    for row, b in zip(mat, basis):
         for e, w in b.weights.items():
-            mat[i, positions[e]] = w
+            row[positions[e]] = w
     return mat
 
 
-def affine_rank(basis: list[LinearEstimator]) -> int:
-    """Rank of the weight vectors augmented with a constant-1 coefficient column."""
-    mat = basis_matrix(basis)
+def affine_rank(basis) -> int:
+    """Rank of the weights (estimators, or one array row each) with a constant-1 column appended."""
+    mat = basis if isinstance(basis, np.ndarray) else basis_matrix(basis)
     aug = np.hstack([mat, np.ones((mat.shape[0], 1))])
     return int(np.linalg.matrix_rank(aug, rtol=RANK_RTOL))
 
 
-def affine_rank_is_full(basis: list[LinearEstimator]) -> bool:
+def affine_rank_is_full(basis, spec: ExposureSpec | None = None) -> bool:
     """Exact full-rank certificate for a canonically ordered basis.
 
-    Restricted to its identifying exposures, the basis weight matrix must be
-    triangular with nonzero diagonal (each member is the last one whose
-    support contains its identifier), which certifies full affine rank with
-    no floating-point tolerance.  Any other pattern falls back to the SVD
-    rank.
+    ``basis`` is a list of estimators, or an array laid out as by
+    :func:`basis_weights` with its ``spec``.  On the identifying exposures the
+    weights must be zero below a nonzero diagonal (each member is the last one
+    whose support contains its identifier), which certifies full affine rank
+    with no floating-point tolerance; any other pattern falls back to the SVD.
     """
-    spec = basis[0].spec
-    malue_ids, zero_ids = identifying_exposures(spec)
-    ids = malue_ids + zero_ids
+    if not isinstance(basis, np.ndarray):
+        spec = basis[0].spec
+        basis = basis_matrix(basis)
+    ids = np.concatenate(basis_identifiers(spec))
     if len(ids) == len(basis):
-        id_position = {e: i for i, e in enumerate(ids)}
-        triangular = True
-        diagonal_nonzero = 0
-        for j, b in enumerate(basis):
-            for e, w in b.weights.items():
-                i = id_position.get(e)
-                if i is None:
-                    continue
-                if i < j:
-                    triangular = False
-                    break
-                if i == j and w != 0.0:
-                    diagonal_nonzero += 1
-            if not triangular:
-                break
-        if triangular and diagonal_nonzero == len(basis):
+        # Zero below a nonzero diagonal: each row's first nonzero is on it.
+        nonzero = basis[:, ids] != 0
+        diagonal = np.arange(len(ids))
+        if nonzero[diagonal, diagonal].all() and (nonzero.argmax(axis=1) == diagonal).all():
             return True
     return affine_rank(basis) == len(basis)
 
@@ -389,10 +397,8 @@ def decompose_in_basis(est: LinearEstimator, basis: list[LinearEstimator],
             raise ValueError(
                 f"basis member {member.name or i} is neither unbiased nor zero-expectation"
             )
-    exposures = enumerate_exposures(est.spec)
-    mat = basis_matrix(basis, exposures)
-    a = np.vstack([mat.T, normalized])
-    b = np.concatenate([est.as_vector(exposures), [1.0]])
+    a = np.vstack([basis_matrix(basis).T, normalized])
+    b = np.concatenate([est.as_vector(), [1.0]])
     coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
     fit = float(np.abs(a @ coeffs - b).max())
     if fit > DECOMPOSE_TOL:

@@ -9,7 +9,6 @@ what :func:`indicator_vector` encodes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -120,28 +119,18 @@ def target_position(spec: ExposureSpec) -> int:
     return parameter_position(spec, 1, spec.levels[0])
 
 
-def _reflected_key(e: Exposure):
-    # Larger values first, reading components K down to 2; ties broken by
-    # larger first component.
-    return tuple(-v for v in e[:0:-1]) + (-e[0],)
+def canonical_grid(levels: tuple[int, ...]) -> np.ndarray:
+    """Every exposure as one row of an (exposures x components) array, in canonical order."""
+    grid = np.indices([m + 1 for m in levels]).reshape(len(levels), -1).T
+    first = grid[:, 0]
+    group = np.where(first == levels[0], 1, np.where(first == 0, 2, 0))
+    # lexsort reads its last key first: the group, then -e_K, ..., -e_1.
+    return grid[np.lexsort(np.vstack([-grid.T, group]))]
 
 
 @lru_cache(maxsize=None)
 def _canonical_exposures(levels: tuple[int, ...]) -> tuple[Exposure, ...]:
-    m1 = levels[0]
-    everything = itertools.product(*(range(m + 1) for m in levels))
-    groups: tuple[list[Exposure], ...] = ([], [], [])
-    for e in everything:
-        if e[0] == m1:
-            groups[1].append(e)
-        elif e[0] == 0:
-            groups[2].append(e)
-        else:
-            groups[0].append(e)
-    out: list[Exposure] = []
-    for group in groups:
-        out.extend(sorted(group, key=_reflected_key))
-    return tuple(out)
+    return tuple(map(tuple, canonical_grid(levels).tolist()))
 
 
 @lru_cache(maxsize=None)

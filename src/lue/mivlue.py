@@ -320,6 +320,8 @@ def solve_mivlue_limit(spec: ExposureSpec, probs: ExposureDistribution, support,
 # {(0,0), (0,j), (m,0), (m,j), (m1,0), (m1,j)} with m strictly between 0 and
 # m1 and j a fixed nonzero second component.
 SIX_TERM_ORDER = ("(0,0)", "(0,j)", "(m,0)", "(m,j)", "(m1,0)", "(m1,j)")
+# The same six exposures in the (2, 1) spec, where m = 1, m1 = 2 and j = 1.
+SIX_TERM_EXPOSURES = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1))
 
 
 def _six_term_rates(probs, variances) -> np.ndarray:

@@ -307,9 +307,14 @@ class ExperimentConfig:
         )
 
 
+def payload_hash(payload) -> str:
+    """First 12 hex digits of the sha256 of ``payload`` as canonical JSON."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
 def config_hash(config: ExperimentConfig) -> str:
-    payload = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+    return payload_hash(config.to_dict())
 
 
 @dataclass

@@ -24,6 +24,8 @@ from .design import (
 from .estimators import (
     affine_rank_is_full,
     basis_count,
+    basis_identifiers,
+    basis_weights,
     build_affine_basis,
     build_malue_set,
     build_zero_estimators,
@@ -35,7 +37,8 @@ from .estimators import (
     zero_count,
 )
 from .exposure import ExposureSpec, enumerate_exposures
-from .mivlue import PriorSpec, outcome_variance, six_term_alpha_weights, solve_mivlue
+from .mivlue import (SIX_TERM_EXPOSURES, PriorSpec, outcome_variance, six_term_alpha_weights,
+                     solve_mivlue)
 from .networks import gen_erdos_renyi_directed, gen_k_regular_directed
 from .simulation import (
     ExperimentConfig,
@@ -66,9 +69,9 @@ class CheckResult:
 
 
 def _timed(name, fn) -> CheckResult:
-    start = time.time()
+    start = time.perf_counter()
     passed, details = fn()
-    return CheckResult(name, passed, time.time() - start, details)
+    return CheckResult(name, passed, time.perf_counter() - start, details)
 
 
 def verify_estimator_set(spec: ExposureSpec, probs: ExposureDistribution,
@@ -109,16 +112,16 @@ def check_basis_ranks(budget: int = 256) -> CheckResult:
     def body():
         for levels in specs_up_to(budget):
             spec = ExposureSpec(levels)
-            malues = build_malue_set(spec)
-            zeros = build_zero_estimators(spec)
-            if len(malues) != malue_count(spec) or len(zeros) != zero_count(spec):
+            atomic, zeros = basis_identifiers(spec)
+            if len(atomic) != malue_count(spec) or len(zeros) != zero_count(spec):
                 return False, (
-                    f"levels {levels}: enumerated sizes ({len(malues)}, {len(zeros)}) "
+                    f"levels {levels}: enumerated sizes ({len(atomic)}, {len(zeros)}) "
                     f"!= closed forms ({malue_count(spec)}, {zero_count(spec)})"
                 )
-            if len(malues) + len(zeros) != basis_count(spec):
+            weights = basis_weights(spec)
+            if len(weights) != basis_count(spec):
                 return False, f"levels {levels}: basis size mismatch"
-            if not affine_rank_is_full(malues + zeros):
+            if not affine_rank_is_full(weights, spec):
                 return False, f"levels {levels}: basis is affinely dependent"
             if lue_dimension(spec) != basis_count(spec) - 1:
                 return False, f"levels {levels}: dimension identity fails"
@@ -132,7 +135,6 @@ def verify_six_term_closed_form(alpha_fn=six_term_alpha_weights, trials: int = 1
     """Closed-form coefficients must match the numeric optimality solve."""
     rng = np.random.default_rng(seed)
     spec = ExposureSpec((2, 1))
-    order = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
     for trial in range(trials):
         raw = rng.dirichlet(np.ones(6))
         probs = ExposureDistribution(spec, dict(zip(enumerate_exposures(spec), raw)))
@@ -141,8 +143,8 @@ def verify_six_term_closed_form(alpha_fn=six_term_alpha_weights, trials: int = 1
         solution = solve_mivlue(spec, probs, prior)
         basis = build_affine_basis(spec, probs)
         a3_n, a2_n, a1_n = decompose_in_basis(solution.estimator, basis, probs)
-        p6 = [probs[e] for e in order]
-        v6 = [outcome_variance(prior, spec, e) for e in order]
+        p6 = [probs[e] for e in SIX_TERM_EXPOSURES]
+        v6 = [outcome_variance(prior, spec, e) for e in SIX_TERM_EXPOSURES]
         a1, a2, a3 = alpha_fn(p6, v6)
         err = max(abs(a1 - a1_n), abs(a2 - a2_n), abs(a3 - a3_n))
         if err > SIX_TERM_TOL:

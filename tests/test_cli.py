@@ -1,5 +1,6 @@
 """CLI subcommands: weight solving, basis listing, sweeps, self-checks."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -105,6 +106,20 @@ class TestBasisCommand:
     def test_k_mismatch(self, capsys):
         assert main(["basis", "--k", "3", "--m", "2,1"]) == 2
         assert "disagrees" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels, digest", [
+        ("1", "b938773d2bf6ccfc"),
+        ("5", "c7e8df0116c41095"),
+        ("3,1", "28651e7296b36623"),
+        ("2,1,1", "749be51c6bbbf84b"),
+        ("3,2,1", "23d04ccd0a5d0bea"),
+        ("1,1,1,1", "fd09cf124260600e"),
+    ])
+    def test_listing_is_byte_identical(self, capsys, levels, digest):
+        """Pins member names, member order and every weight's repr."""
+        assert main(["basis", "--m", levels]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 class TestSimulateCommand:

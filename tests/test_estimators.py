@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+import lue.estimators
+import lue.verify
 from lue.design import ExposureDistribution, uniform_distribution
 from lue.estimators import (
     LinearEstimator,
     affine_rank,
     affine_rank_is_full,
     basis_count,
+    basis_identifiers,
+    basis_matrix,
+    basis_weights,
     build_affine_basis,
     build_four_term_alue,
     build_malue_set,
@@ -27,12 +32,41 @@ from lue.estimators import (
     zero_count,
 )
 from lue.exposure import ExposureSpec, enumerate_exposures
-from lue.verify import specs_up_to
+from lue.verify import check_basis_ranks, specs_up_to
 
 
 def random_distribution(spec, rng):
     raw = rng.dirichlet(np.ones(spec.num_exposures))
     return ExposureDistribution(spec, dict(zip(enumerate_exposures(spec), raw)))
+
+
+def reference_basis(spec, probs):
+    """Names and weight rows of the basis, built one member at a time from its terms."""
+    m1 = spec.levels[0]
+    exposures = enumerate_exposures(spec)
+    names, rows = [], []
+    for group in ("atomic", "zero"):
+        for e in exposures:
+            nonzero = [k for k in range(1, len(e)) if e[k] != 0]
+            if group == "atomic" and e[0] == m1:
+                name, terms = f"two_term{e[1:]}", [(+1, e), (-1, (0,) + e[1:])]
+            elif group == "atomic" and 0 < e[0] < m1 and nonzero:
+                reduced = tuple(0 if k == nonzero[0] else v for k, v in enumerate(e))
+                name, terms = f"four_term{e}", [(+1, (m1,) + e[1:]), (-1, e),
+                                                (+1, reduced), (-1, (0,) + reduced[1:])]
+            elif group == "zero" and e[0] == 0 and len(nonzero) >= 2:
+                only = tuple(v if k == nonzero[0] else 0 for k, v in enumerate(e))
+                rest = tuple(0 if k == nonzero[0] else v for k, v in enumerate(e))
+                name, terms = f"zero{e}", [(+1, e), (-1, only), (-1, rest),
+                                           (+1, (0,) * len(e))]
+            else:
+                continue
+            row = np.zeros(len(exposures))
+            for sign, t in terms:
+                row[exposures.index(t)] = sign / probs[t]
+            names.append(name)
+            rows.append(row)
+    return names, np.array(rows).reshape(len(rows), len(exposures))
 
 
 class TestConstraintMatrix:
@@ -246,6 +280,104 @@ class TestAffineBasis:
             basis = build_affine_basis(ExposureSpec(levels))
             assert affine_rank_is_full(basis)
             assert affine_rank(basis) == len(basis)
+
+    def test_array_matches_member_by_member_reference(self):
+        """Bit-equal weights, names and order under uniform and random probabilities."""
+        rng = np.random.default_rng(9)
+        for levels in specs_up_to(64):
+            spec = ExposureSpec(levels)
+            for probs in (None, random_distribution(spec, rng)):
+                names, rows = reference_basis(spec, probs or uniform_distribution(spec))
+                weights = basis_weights(spec, probs)
+                assert weights.tobytes() == rows.tobytes(), levels
+                basis = build_affine_basis(spec, probs)
+                assert [b.name for b in basis] == names, levels
+                assert basis_matrix(basis).tobytes() == rows.tobytes(), levels
+                atomic, zero = basis_identifiers(spec)
+                assert (len(atomic), len(zero)) == (malue_count(spec), zero_count(spec))
+
+    def test_single_members_are_rows_of_the_array(self):
+        spec = ExposureSpec((2, 1, 1))
+        basis = build_affine_basis(spec)
+        assert build_two_term_alue(spec, (1, 0)).weights == basis[5].weights
+        assert build_four_term_alue(spec, (1, 0, 1)).weights == basis[1].weights
+        assert build_zero_estimator(spec, (0, 1, 1)).weights == basis[-1].weights
+
+
+class TestRankCertificate:
+    """The certificate must refuse what is not a basis, with the array and the list forms."""
+
+    spec = ExposureSpec((2, 2, 1))
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+
+        def spy(basis):
+            calls.append(len(basis))
+            return affine_rank(basis)
+
+        monkeypatch.setattr(lue.estimators, "affine_rank", spy)
+        return calls
+
+    def forms(self, weights):
+        basis = [LinearEstimator(self.spec, dict(zip(enumerate_exposures(self.spec), row)))
+                 for row in weights]
+        return (weights, self.spec), (basis,)
+
+    def test_full_basis_needs_no_fallback(self, fallbacks):
+        for args in self.forms(basis_weights(self.spec)):
+            assert affine_rank_is_full(*args)
+        assert fallbacks == []
+
+    def test_duplicated_row_is_rejected(self, fallbacks):
+        weights = basis_weights(self.spec)
+        weights[3] = weights[2]
+        for args in self.forms(weights):
+            assert not affine_rank_is_full(*args)
+        assert len(fallbacks) == 2
+
+    def test_zeroed_rows(self, fallbacks):
+        """A zero row fails the triangular test; the SVD then decides.
+
+        The origin is affinely independent of linearly independent rows, so one
+        zero row still leaves full affine rank; two zero rows coincide.
+        """
+        weights = basis_weights(self.spec)
+        weights[0] = 0.0
+        for args in self.forms(weights):
+            assert affine_rank_is_full(*args) == (affine_rank(weights) == len(weights))
+        weights[7] = 0.0
+        for args in self.forms(weights):
+            assert not affine_rank_is_full(*args)
+        assert len(fallbacks) == 4
+
+    def test_nonzero_diagonal_alone_is_not_enough(self, fallbacks):
+        """Row 5 becomes the affine combination 2 w_0 - w_1, nonzero on its diagonal."""
+        weights = basis_weights(self.spec)
+        weights[5] = 2 * weights[0] - weights[1]
+        ids = np.concatenate(basis_identifiers(self.spec))
+        assert np.diagonal(weights[:, ids]).all()
+        for args in self.forms(weights):
+            assert not affine_rank_is_full(*args)
+        assert len(fallbacks) == 2
+
+    def test_permuted_basis_is_accepted_through_the_fallback(self, fallbacks):
+        weights = basis_weights(self.spec)[::-1].copy()
+        for args in self.forms(weights):
+            assert affine_rank_is_full(*args)
+        assert len(fallbacks) == 2
+
+    def test_verify_sweep_certifies_through_the_public_binding(self, monkeypatch):
+        calls = []
+
+        def spy(weights, spec):
+            calls.append(spec.levels)
+            return affine_rank_is_full(weights, spec)
+
+        monkeypatch.setattr(lue.verify, "affine_rank_is_full", spy)
+        assert check_basis_ranks(64).passed
+        assert calls == specs_up_to(64)
 
 
 class TestLueDimension:

@@ -65,6 +65,13 @@ class TestEnumerateExposures:
         assert first_components[6:] == [0, 0]
         assert order[:4] == [(2, 1), (1, 1), (2, 0), (1, 0)]
 
+    def test_three_components(self):
+        assert enumerate_exposures(ExposureSpec((2, 1, 1))) == [
+            (1, 1, 1), (1, 0, 1), (1, 1, 0), (1, 0, 0),
+            (2, 1, 1), (2, 0, 1), (2, 1, 0), (2, 0, 0),
+            (0, 1, 1), (0, 0, 1), (0, 1, 0), (0, 0, 0),
+        ]
+
     def test_bijection_over_family(self):
         """Every spec up to the size budget enumerates each exposure exactly once."""
         for levels in specs_up_to(256):
