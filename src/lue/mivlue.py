@@ -9,8 +9,12 @@ linear system
 with W the diagonal of p(e) Var(Y(e)) and b equal to 1 at the estimand's
 multiplier row.  Each solved weight is an inverse-variance quotient: the sum
 of the multipliers of the parameters active in the exposure, divided by the
-prior variance of its potential outcome.  Degenerate priors are reached
-through a dilation sequence that sends off-support variances to infinity.
+prior variance of its potential outcome.  Because W is diagonal, the system is
+solved by range-space elimination (Nocedal & Wright, Numerical Optimization,
+sec. 16.2): the first component's multipliers have a closed form, leaving a
+system the size of the other components' levels.  Degenerate priors are the
+limit of a dilation that sends off-support variances to infinity; that limit
+is the same solve restricted to the support.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .design import ExposureDistribution
 from .estimators import LinearEstimator, SupportCheck, check_support_condition
@@ -32,8 +35,7 @@ from .exposure import (
 
 PSD_TOL = 1e-10
 CONDITION_WARN = 1e12
-LIMIT_CONVERGENCE_TOL = 1e-8
-DEFAULT_ETA_SCHEDULE = tuple(10.0**k for k in range(13))
+UNBIASED_TOL = 1e-10
 BASE_EPS = 1e-6
 
 
@@ -192,22 +194,6 @@ def assemble_system(spec: ExposureSpec, probs: ExposureDistribution,
     return assemble_from_moments(spec, probs.vector(), outcome_variance_vector(spec, prior))
 
 
-def _lu_solve_refined(matrix: np.ndarray, rhs: np.ndarray, refinements: int = 2):
-    """Pivoted LU with iterative refinement; returns the solution and a condition estimate."""
-    lu, piv = scipy.linalg.lu_factor(matrix)
-    diag = np.abs(np.diagonal(lu))
-    if diag.min() == 0.0:
-        raise SingularSystemError("optimality system is numerically singular")
-    x = scipy.linalg.lu_solve((lu, piv), rhs)
-    for _ in range(refinements):
-        residual = rhs - matrix @ x
-        x = x + scipy.linalg.lu_solve((lu, piv), residual)
-    anorm = np.abs(matrix).sum(axis=1).max()
-    rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="I")
-    condition = np.inf if (info != 0 or rcond == 0.0) else 1.0 / rcond
-    return x, condition
-
-
 @dataclass
 class MivlueSolution:
     """Solved weights, multipliers, and the minimized objective.
@@ -238,14 +224,46 @@ class MivlueSolution:
         return float(np.abs(self.estimator.as_vector(sys.exposures) - quotient).max())
 
 
-def _solve_assembled(system: KktSystem) -> MivlueSolution:
-    solution, condition = _lu_solve_refined(system.matrix, system.rhs)
-    n_e = system.num_exposures
-    w = solution[:n_e]
-    multipliers = -solution[n_e:]
+def _solve_assembled(system: KktSystem, active=True) -> MivlueSolution:
+    """Eliminate the first component in closed form and solve the small tail system.
+
+    A weight is (mu_{e_1} + b_e . theta) / Var(e), where b_e indicates the tail
+    levels of e (components 2..K).  With rates r = p / Var, their sums R_j and
+    the r-weighted tail means mean_j over e_1 = j, the first-component rows
+    give mu_j = t_j / R_j - mean_j . theta (t_0 = -1, t_{m_1} = 1, else 0) and
+    the tail rows the centred system S theta = mean_0 - mean_{m_1}.  Exposures
+    outside ``active`` get rate and weight 0: that is the dilation limit.
+    """
+    m1 = system.spec.levels[0]
+    indicators = indicator_matrix(system.spec, system.exposures)
+    first = (np.arange(1, m1 + 1) @ indicators[1:m1 + 1]).astype(int)
+    tail = indicators[m1 + 1:].T
+    # Row j holds the rates of group e_1 = j, so each group sums only its own
+    # exposures: no group is ever a total minus the others.
+    rate = system.probabilities / system.variances * active
+    member = (first == np.arange(m1 + 1)[:, None]) * rate
+    total = member.sum(axis=1)
+    occupied = total > 0.0
+    mean = np.divide(member @ tail, total[:, None], out=np.zeros((m1 + 1, tail.shape[1])),
+                     where=occupied[:, None])
+    centred = tail - mean[first]
+    # S is singular when the active set omits a tail level; the minimum-norm
+    # theta leaves every active weight unchanged.
+    theta, _, _, singular = np.linalg.lstsq((centred * rate[:, None]).T @ centred,
+                                            mean[0] - mean[m1], rcond=None)
+    t = np.r_[-1.0, np.zeros(m1 - 1), 1.0]
+    mu = np.divide(t, total, out=np.zeros(m1 + 1), where=occupied) - mean @ theta
+    w = (mu[first] + tail @ theta) / system.variances * active
+    c, target = system.constraints, system.rhs[system.num_exposures:]
+    residual = (np.abs(c @ w - target) / np.maximum(1.0, np.abs(c * w).sum(axis=1))).max()
+    if not residual <= UNBIASED_TOL:
+        raise SingularSystemError(
+            f"solved weights miss the unbiasedness constraints by {residual:.2e} relative")
     warnings = []
-    if condition > CONDITION_WARN:
+    if active is True and singular.size and singular[0] > CONDITION_WARN * singular[-1]:
+        condition = singular[0] / singular[-1] if singular[-1] else np.inf
         warnings.append(f"optimality system condition estimate {condition:.2e} exceeds 1e12")
+    multipliers = np.concatenate([mu[:1], mu[1:] - mu[0], theta])
     estimator = LinearEstimator(system.spec, dict(zip(system.exposures, w)), name="mivlue")
     ivar = float(w @ (system.probabilities * system.variances * w))
     return MivlueSolution(estimator, multipliers, ivar, system, warnings)
@@ -264,34 +282,28 @@ def solve_from_moments(spec: ExposureSpec, probabilities, variances) -> MivlueSo
 
 @dataclass
 class LimitSolution:
-    """Terminal point of the dilation schedule, plus how it got there."""
+    """Optimal weights in the dilation limit, with the support they sit on."""
 
     solution: MivlueSolution
     support: tuple
-    eta: float
-    converged_at: int  # schedule index where successive weights settled
-    history: list[np.ndarray]
 
     def off_support_mass(self) -> float:
-        support = set(self.support)
-        return max(
-            (abs(w) for e, w in zip(self.solution.system.exposures,
-                                    self.solution.estimator.as_vector(self.solution.system.exposures))
-             if e not in support),
-            default=0.0,
-        )
+        exposures = self.solution.system.exposures
+        off = [e not in self.support for e in exposures]
+        return float(np.abs(self.solution.estimator.as_vector(exposures)[off]).max(initial=0.0))
 
 
 def solve_mivlue_limit(spec: ExposureSpec, probs: ExposureDistribution, support,
                        sigma: np.ndarray | None = None,
-                       base_perturbation: np.ndarray | None = None,
-                       eta_schedule=DEFAULT_ETA_SCHEDULE) -> LimitSolution:
-    """Follow the dilation sequence toward a degenerate prior concentrated off-support.
+                       base_perturbation: np.ndarray | None = None) -> LimitSolution:
+    """Limit of the optimal weights as the dilation of ``sigma`` grows without bound.
 
-    The support must pass :func:`check_support_condition`; ``sigma`` defaults
-    to the covariance whose null space is the support span.  Convergence is
-    declared when successive weight vectors agree to within 1e-8 in max norm;
-    failing to converge within the schedule raises.
+    Every exposure with positive variance under ``sigma`` then has rate 0; the
+    others keep their base-perturbation variances.  So the limit is one solve
+    with the base variances, restricted to the exposures ``sigma`` leaves
+    variance-free.  The support must pass :func:`check_support_condition`;
+    ``sigma`` defaults to the covariance whose null space is the support span,
+    whose variance-free exposures are exactly the support.
     """
     support = tuple(spec.validate_exposure(e) for e in support)
     check: SupportCheck = check_support_condition(support, spec, probs)
@@ -301,19 +313,9 @@ def solve_mivlue_limit(spec: ExposureSpec, probs: ExposureDistribution, support,
         sigma = support_null_prior(spec, support)
     if base_perturbation is None:
         base_perturbation = default_base_perturbation(spec.num_parameters)
-    history = []
-    previous = None
-    for index, eta in enumerate(eta_schedule):
-        prior = PriorSpec(sigma, base_perturbation=base_perturbation, dilation=float(eta))
-        solution = solve_mivlue(spec, probs, prior)
-        weights = solution.estimator.as_vector(solution.system.exposures)
-        history.append(weights)
-        if previous is not None and np.abs(weights - previous).max() < LIMIT_CONVERGENCE_TOL:
-            return LimitSolution(solution, support, float(eta), index, history)
-        previous = weights
-    raise RuntimeError(
-        f"weights did not settle within the dilation schedule (last eta {eta_schedule[-1]:g})"
-    )
+    active = outcome_variance_vector(spec, PriorSpec(sigma)) == 0.0
+    system = assemble_system(spec, probs, PriorSpec(base_perturbation))
+    return LimitSolution(_solve_assembled(system, active), support)
 
 
 # Canonical ordering of the six-exposure problem: the support

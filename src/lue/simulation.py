@@ -27,7 +27,6 @@ from .design import (
     ExposureDistribution,
     allocation_matrix,
     bernoulli_exposure_distribution,
-    exposure_distribution_exact,
 )
 from .estimators import LinearEstimator
 from .mivlue import PriorSpec, identity_prior, solve_mivlue
@@ -143,9 +142,8 @@ def potential_outcome(params: UnitParameters, e) -> float:
 
 
 def unit_exposure_distribution(design, network: Network, unit: int) -> ExposureDistribution:
-    if isinstance(design, BernoulliDesign):
-        return bernoulli_exposure_distribution(int(network.in_degrees[unit]), design.p_treat)
-    return exposure_distribution_exact(design, "network_interference", network, unit)
+    """Closed-form pmf of ``unit``'s (treated in-degree, own treatment), Bernoulli design."""
+    return bernoulli_exposure_distribution(int(network.in_degrees[unit]), design.p_treat)
 
 
 def included_units(network: Network) -> list[int]:

@@ -264,3 +264,13 @@ class TestCheckInjection:
         ok, details = verify_six_term_closed_form(alpha_fn=broken_alpha, trials=5)
         assert not ok
         assert "closed form" in details
+
+
+class TestPackageImport:
+    def test_import_does_not_load_scipy(self):
+        """The package needs numpy only; importing it pulls in no scipy module."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lue.__file__)))
+        code = "import sys, lue, lue.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        assert proc.stdout.strip() == "False"

@@ -1,14 +1,16 @@
-"""Optimality system assembly, solver, limit sequence, six-term closed forms."""
+"""Optimality system assembly, solver, dilation limit, six-term closed forms."""
 
 import numpy as np
 import pytest
 
 from lue.design import (
+    BernoulliDesign,
     ExposureDistribution,
     bernoulli_exposure_distribution,
     uniform_distribution,
 )
-from lue.estimators import build_affine_basis, decompose_in_basis
+from lue.estimators import (build_affine_basis, check_support_condition, constraint_matrix,
+                            decompose_in_basis)
 from lue.exposure import (ExposureSpec, enumerate_exposures, indicator_vector,
                           target_position)
 from lue.mivlue import (
@@ -24,6 +26,8 @@ from lue.mivlue import (
     solve_mivlue_limit,
     support_null_prior,
 )
+from lue.networks import Network
+from lue.simulation import build_estimator_family
 
 SIX_ORDER = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
 
@@ -242,18 +246,74 @@ class TestSolveMivlueLimit:
         for e in support:
             assert abs(limit.solution.estimator.weight(e)) > 1e-6
 
-    def test_non_convergence_raises(self):
-        with pytest.raises(RuntimeError, match="did not settle"):
-            solve_mivlue_limit(self.spec, self.probs, [(3, 0), (0, 0)], eta_schedule=(1.0,))
-
     def test_extreme_dilation_warns_but_stays_accurate(self):
-        """Badly graded systems carry a condition warning; refinement keeps residuals tiny."""
+        """Only an ill-conditioned tail system warns; residuals stay tiny either way."""
         sigma = support_null_prior(self.spec, [(3, 0), (0, 0)])
         prior = PriorSpec(sigma, base_perturbation=default_base_perturbation(5),
                           dilation=1e12)
         sol = solve_mivlue(self.spec, self.probs, prior)
+        assert sol.constraint_residual() < 1e-9  # its tail system is 1x1: no warning due
+        spec = ExposureSpec((1, 1, 1))
+        sigma = support_null_prior(spec, [(1, 0, 0), (0, 0, 0), (1, 1, 0), (0, 1, 0)])
+        prior = PriorSpec(sigma, base_perturbation=default_base_perturbation(4),
+                          dilation=1e12)
+        sol = solve_mivlue(spec, uniform_distribution(spec), prior)
         assert sol.warnings and "condition" in sol.warnings[0]
         assert sol.constraint_residual() < 1e-9
+
+    def test_limit_is_the_dilated_solve(self):
+        """The restricted solve equals a far-dilated full solve, with exact zeros off support."""
+        rng = np.random.default_rng(10)
+        cases = [(self.spec, self.probs, support) for support in (
+            [(3, 0), (0, 0)], [(3, 1), (0, 1)],
+            [(0, 0), (0, 1), (1, 0), (1, 1), (3, 0), (3, 1)],
+            [(0, 0), (0, 1), (2, 0), (2, 1), (3, 0), (3, 1)],
+            [(3, 0), (3, 1), (0, 0), (0, 1)])]
+        while len(cases) < 60:
+            spec = ExposureSpec(tuple(rng.integers(1, 4, size=rng.integers(1, 4))))
+            probs = random_distribution(spec, rng)
+            exposures = enumerate_exposures(spec)
+            size = int(rng.integers(2, spec.num_exposures + 1))
+            support = [exposures[i] for i in rng.choice(len(exposures), size, replace=False)]
+            if check_support_condition(support, spec, probs):
+                cases.append((spec, probs, support))
+        for spec, probs, support in cases:
+            limit = solve_mivlue_limit(spec, probs, support)
+            base = default_base_perturbation(spec.num_parameters)
+            prior = PriorSpec(support_null_prior(spec, support), base_perturbation=base,
+                              dilation=1e8)
+            dilated = solve_mivlue(spec, probs, prior).estimator.as_vector()
+            weights = limit.solution.estimator.as_vector()
+            assert np.abs(weights - dilated).max() <= 1e-9 * np.abs(dilated).max(), support
+            off = [i for i, e in enumerate(enumerate_exposures(spec)) if e not in support]
+            assert (weights[off] == 0.0).all(), support
+
+
+class TestUnbiasedAtHighDegree:
+    """Weights stay unbiased to machine precision where an LU of the block system did not."""
+
+    @pytest.mark.parametrize("degree", [60, 100, 500])
+    def test_simulation_families(self, degree):
+        """MInd and MDil as the simulation builds them, for a unit with ``degree`` in-neighbours."""
+        adjacency = np.zeros((degree + 1, degree + 1), dtype=int)
+        adjacency[1:, 0] = 1
+        network = Network(adjacency)
+        design = BernoulliDesign(degree + 1, 0.5)
+        dist = bernoulli_exposure_distribution(degree, 0.5)
+        c = constraint_matrix(dist.spec, dist)
+        for name in ("MInd", "MDil"):
+            (est,) = build_estimator_family(name, network, design).values()
+            w = est.as_vector(c.exposures)
+            scale = np.maximum(1.0, np.abs(c.matrix * w).sum(axis=1))
+            assert (np.abs(c.matrix @ w - c.target_vector()) / scale).max() <= 1e-12, name
+
+    def test_missed_constraints_raise(self, monkeypatch):
+        import lue.mivlue as mivlue
+
+        spec = ExposureSpec((3, 1))
+        monkeypatch.setattr(mivlue, "UNBIASED_TOL", -1.0)
+        with pytest.raises(SingularSystemError, match="unbiasedness"):
+            solve_mivlue(spec, uniform_distribution(spec), PriorSpec(np.eye(5)))
 
 
 class TestSixTermClosedForm:
