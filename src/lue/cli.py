@@ -8,7 +8,6 @@ diffable.  Identical config and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -181,50 +180,24 @@ def _setting_seed(seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _run_setting(payload):
-    index, setting = payload
-    config = ExperimentConfig.from_dict(setting)
-    report = compute_imse(config)
-    return index, report.csv_rows()
-
-
 def run_simulate(args) -> int:
     data = _load_json(args.config, "config")
-    settings = _expand_grid(data)
-    for index, setting in enumerate(settings):
-        setting["master_seed"] = _setting_seed(args.seed, index)
     digest = payload_hash({"config": data, "seed": args.seed})
-    workers = int(os.environ.get("LUE_THREADS", "1"))
-    rows: dict[int, list[str]] = {}
-    failures = []
-    jobs = list(enumerate(settings))
-    if workers > 1 and len(jobs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_setting, job): job[0] for job in jobs}
-            for future in concurrent.futures.as_completed(futures):
-                index = futures[future]
-                try:
-                    _, setting_rows = future.result()
-                    rows[index] = setting_rows
-                except Exception as exc:
-                    failures.append((index, str(exc)))
-    else:
-        for job in jobs:
-            try:
-                index, setting_rows = _run_setting(job)
-                rows[index] = setting_rows
-            except Exception as exc:
-                failures.append((job[0], str(exc)))
     lines = _header_lines(digest, args.seed)
     lines.append(CSV_HEADER)
-    for index in sorted(rows):
-        lines.extend(rows[index])
+    failures = []
+    for index, setting in enumerate(_expand_grid(data)):
+        setting["master_seed"] = _setting_seed(args.seed, index)
+        try:
+            lines.extend(compute_imse(ExperimentConfig.from_dict(setting)).csv_rows())
+        except Exception as exc:
+            failures.append((index, str(exc)))
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, f"imse_{digest}.csv")
     with open(out_path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
     print(out_path)
-    for index, message in sorted(failures):
+    for index, message in failures:
         print(f"setting {index} failed: {message}", file=sys.stderr)
     return 1 if failures else 0
 

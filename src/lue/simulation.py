@@ -29,10 +29,13 @@ from .design import (
     bernoulli_exposure_distribution,
 )
 from .estimators import LinearEstimator
+from .exposure import ExposureSpec
 from .mivlue import PriorSpec, identity_prior, solve_mivlue
 from .networks import Network, gen_erdos_renyi_directed, gen_k_regular_directed
 
 ESTIMATOR_NAMES = ("HT0", "HT1", "HTAvg", "MInd", "MDil")
+# Own-treatment levels each two-term family contrasts, at full and zero treated degree.
+_OWN_TREATMENT_LEVELS = {"HT0": (0,), "HT1": (1,), "HTAvg": (0, 1)}
 MDIL_RIDGE = 1e-8
 IMSE_DECOMPOSITION_TOL = 1e-9
 
@@ -151,46 +154,57 @@ def included_units(network: Network) -> list[int]:
     return [i for i in range(network.n) if network.in_degrees[i] >= 1]
 
 
+def family_weights(names, degree: int, p_treat: float, eta1: float = 1.0) -> np.ndarray:
+    """Weights of each named family for a unit of in-degree ``degree``, Bernoulli design.
+
+    Row f, slot 2d + z holds family ``names[f]``'s weight on exposure (d, z);
+    under a Bernoulli design a unit's exposure pmf, and so each of its
+    estimators, depends on the unit only through its in-degree.  HT0/HT1 are
+    the two-term inverse-probability estimators on untreated and treated
+    exposures, HTAvg their mean; MInd solves the optimal-weight problem with
+    independent standard-normal priors and MDil with the dilated prior (rank
+    one plus a small ridge to keep every outcome variance positive).
+    """
+    for name in names:
+        if name not in ESTIMATOR_NAMES:
+            raise ValueError(
+                f"unknown estimator family {name!r}; expected one of {ESTIMATOR_NAMES}")
+    dist = bernoulli_exposure_distribution(degree, p_treat)
+    spec = dist.spec
+    table = np.zeros((len(names), 2 * degree + 2))
+    for row, name in enumerate(names):
+        if name in _OWN_TREATMENT_LEVELS:
+            levels = _OWN_TREATMENT_LEVELS[name]
+            share = 1.0 / len(levels)
+            for z in levels:
+                table[row, 2 * degree + z] = share / dist[(degree, z)]
+                table[row, z] = -share / dist[(0, z)]
+            continue
+        if name == "MInd":
+            prior = identity_prior(spec)
+        else:  # MDil
+            u = np.concatenate([[1.0], np.arange(1, degree + 1) / degree * eta1, [1.0]])
+            prior = PriorSpec(np.outer(u, u) + MDIL_RIDGE * np.eye(spec.num_parameters))
+        for (d, z), w in solve_mivlue(spec, dist, prior).estimator.weights.items():
+            table[row, 2 * d + z] = w
+    return table
+
+
 def build_estimator_family(name: str, network: Network, design,
                            eta1: float = 1.0) -> dict[int, LinearEstimator]:
     """Per-unit estimators for one family; degree-0 units are excluded.
 
-    HT0/HT1 are the two-term inverse-probability estimators on untreated and
-    treated exposures, HTAvg their mean; MInd solves the optimal-weight
-    problem with independent standard-normal priors and MDil with the
-    dilated prior (rank one plus a small ridge to keep every outcome
-    variance positive).
+    The weights are :func:`family_weights` rows, computed once per distinct
+    in-degree.
     """
-    if name not in ESTIMATOR_NAMES:
-        raise ValueError(f"unknown estimator family {name!r}; expected one of {ESTIMATOR_NAMES}")
+    rows = {}
     family = {}
     for unit in included_units(network):
         d_i = int(network.in_degrees[unit])
-        dist = unit_exposure_distribution(design, network, unit)
-        spec = dist.spec
-        if name == "HT0":
-            weights = {(d_i, 0): 1.0 / dist[(d_i, 0)], (0, 0): -1.0 / dist[(0, 0)]}
-            est = LinearEstimator(spec, weights, name=f"HT0[{unit}]")
-        elif name == "HT1":
-            weights = {(d_i, 1): 1.0 / dist[(d_i, 1)], (0, 1): -1.0 / dist[(0, 1)]}
-            est = LinearEstimator(spec, weights, name=f"HT1[{unit}]")
-        elif name == "HTAvg":
-            weights = {
-                (d_i, 0): 0.5 / dist[(d_i, 0)],
-                (0, 0): -0.5 / dist[(0, 0)],
-                (d_i, 1): 0.5 / dist[(d_i, 1)],
-                (0, 1): -0.5 / dist[(0, 1)],
-            }
-            est = LinearEstimator(spec, weights, name=f"HTAvg[{unit}]")
-        elif name == "MInd":
-            est = solve_mivlue(spec, dist, identity_prior(spec)).estimator
-            est.name = f"MInd[{unit}]"
-        else:  # MDil
-            u = np.concatenate([[1.0], np.arange(1, d_i + 1) / d_i * eta1, [1.0]])
-            cov = np.outer(u, u) + MDIL_RIDGE * np.eye(spec.num_parameters)
-            est = solve_mivlue(spec, dist, PriorSpec(cov)).estimator
-            est.name = f"MDil[{unit}]"
-        family[unit] = est
+        if d_i not in rows:
+            rows[d_i] = family_weights((name,), d_i, design.p_treat, eta1)[0]
+        weights = {(d, z): rows[d_i][2 * d + z] for d in range(d_i + 1) for z in (0, 1)}
+        family[unit] = LinearEstimator(ExposureSpec((d_i, 1)), weights, name=f"{name}[{unit}]")
     return family
 
 
@@ -354,16 +368,6 @@ class ImseReport:
 CSV_HEADER = "estimator,n,k_or_p,distribution,mu1_or_eta1,delta1,imse,bias2,variance,se,seed"
 
 
-def _weight_tables(families, units, width):
-    """(family x unit x exposure-slot) weights in family order; slot index is 2d + z."""
-    tables = np.zeros((len(families), len(units), width))
-    for table, family in zip(tables, families.values()):
-        for row, unit in enumerate(units):
-            for (d, z), w in family[unit].weights.items():
-                table[row, 2 * d + z] = w
-    return tables
-
-
 def _outcome_table(params, units, width):
     """(unit x exposure-slot) potential outcomes, bit-identical to :func:`potential_outcome`.
 
@@ -477,11 +481,13 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     stages = {"network": time.perf_counter() - start}
 
     mark = time.perf_counter()
-    families = {
-        name: build_estimator_family(name, network, design)
-        for name in config.estimators
-    }
-    weight_tables = _weight_tables(families, units, width)
+    n_families = len(config.estimators)
+    degrees, degree_rows = np.unique(network.in_degrees[units], return_inverse=True)
+    tables = np.zeros((n_families, len(degrees), width))
+    for row, degree in enumerate(degrees):
+        tables[:, row, :2 * degree + 2] = family_weights(
+            config.estimators, int(degree), config.p_treat)
+    weight_tables = tables[:, degree_rows]
     stages["families"] = time.perf_counter() - mark
 
     mark = time.perf_counter()
@@ -497,9 +503,9 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
 
     mark = time.perf_counter()
     n_draws = config.num_draws
-    mse = np.zeros((len(families), n_draws))
-    means = np.zeros((len(families), n_draws))
-    second = np.zeros((len(families), n_draws))
+    mse = np.zeros((n_families, n_draws))
+    means = np.zeros((n_families, n_draws))
+    second = np.zeros((n_families, n_draws))
     theta_bars = np.zeros(n_draws)
 
     for draw in range(n_draws):
@@ -508,7 +514,7 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
         theta_bars[draw] = theta_bar
         value_tables = weight_tables * _outcome_table(params, units, width)
         if exhaustive:
-            values = value_tables.reshape(len(families), -1) / len(units)
+            values = value_tables.reshape(n_families, -1) / len(units)
             first_moment = values @ pmf
             second_moment = np.einsum("fa,fa->f", values @ joint, values)
         else:
@@ -516,8 +522,8 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
                 np.random.SeedSequence([config.master_seed, draw, _STREAM_ALLOCATIONS])
             )
             slots = exposure_slots(design.sample(rng, config.allocation_count), coefficients)
-            first_moment = np.zeros(len(families))
-            second_moment = np.zeros(len(families))
+            first_moment = np.zeros(n_families)
+            second_moment = np.zeros(n_families)
             for row, value_table in enumerate(value_tables):
                 estimates = value_table[unit_rows, slots].mean(axis=1)
                 first_moment[row] = alloc_weights @ estimates

@@ -144,16 +144,25 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", config, "--out-dir", str(out_dir), "--seed", "5"]) == 0
         assert open(produced).read() == first
 
-    def test_parallel_settings_are_byte_identical(self, tmp_path, capsys, monkeypatch):
-        """Worker count never changes the bytes: settings are independently seeded."""
-        config = write_json(tmp_path / "sweep.json", self.sweep_config())
-        out_dir = tmp_path / "out"
-        assert main(["simulate", "--config", config, "--out-dir", str(out_dir), "--seed", "3"]) == 0
+    @pytest.mark.parametrize("config, digest", [
+        ({"network": {"kind": "erdos_renyi", "n": 40, "p_edge": 0.3},
+          "outcome": {"kind": "independent", "mu1": 1.0},
+          "num_draws": 3, "allocation_mode": "sample", "allocation_count": 200,
+          "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
+         "af4d138f5717ad8193d027b52a070d5039be34998ad1916c1cafeb0ca7f37e13"),
+        ({"network": {"kind": "k_regular", "n": 10, "k": 3},
+          "outcome": {"kind": "dilated", "eta1": 1.5},
+          "num_draws": 3, "allocation_mode": "exhaustive",
+          "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
+         "35980f3fcddf0c1b0735932aa1cd528946199cb5f784a7eb4bb6580b6a9d927c"),
+    ], ids=["erdos_renyi_sample", "k_regular_dilated_exhaustive"])
+    def test_csv_bytes_are_pinned(self, tmp_path, capsys, config, digest):
+        """Pins every digit of one setting's CSV, so a refactor cannot move them."""
+        path = write_json(tmp_path / "setting.json", config)
+        assert main(["simulate", "--config", path, "--out-dir", str(tmp_path), "--seed", "7"]) == 0
         produced = capsys.readouterr().out.strip()
-        serial = open(produced).read()
-        monkeypatch.setenv("LUE_THREADS", "4")
-        assert main(["simulate", "--config", config, "--out-dir", str(out_dir), "--seed", "3"]) == 0
-        assert open(produced).read() == serial
+        with open(produced, "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == digest
 
     def test_seed_changes_output(self, tmp_path, capsys):
         config = write_json(tmp_path / "sweep.json", self.sweep_config())

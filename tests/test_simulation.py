@@ -5,10 +5,12 @@ import pytest
 
 import lue.simulation
 from lue.design import BernoulliDesign, allocation_matrix
-from lue.estimators import check_unbiased
+from lue.estimators import LinearEstimator, check_unbiased
+from lue.mivlue import PriorSpec, identity_prior, solve_mivlue
 from lue.networks import Network, gen_erdos_renyi_directed, gen_k_regular_directed
 from lue.simulation import (
     ESTIMATOR_NAMES,
+    MDIL_RIDGE,
     ExperimentConfig,
     NetworkConfig,
     OutcomeModel,
@@ -189,6 +191,39 @@ class TestJointExposurePmf:
                 assert own[2 * d + z] == pytest.approx(prob, rel=1e-13)
 
 
+def per_unit_family(name, network, design, eta1=1.0):
+    """Reference: one exposure pmf and, for MInd/MDil, one solve per unit."""
+    family = {}
+    for unit in included_units(network):
+        d_i = int(network.in_degrees[unit])
+        dist = unit_exposure_distribution(design, network, unit)
+        spec = dist.spec
+        if name == "HT0":
+            weights = {(d_i, 0): 1.0 / dist[(d_i, 0)], (0, 0): -1.0 / dist[(0, 0)]}
+            est = LinearEstimator(spec, weights, name=f"HT0[{unit}]")
+        elif name == "HT1":
+            weights = {(d_i, 1): 1.0 / dist[(d_i, 1)], (0, 1): -1.0 / dist[(0, 1)]}
+            est = LinearEstimator(spec, weights, name=f"HT1[{unit}]")
+        elif name == "HTAvg":
+            weights = {
+                (d_i, 0): 0.5 / dist[(d_i, 0)],
+                (0, 0): -0.5 / dist[(0, 0)],
+                (d_i, 1): 0.5 / dist[(d_i, 1)],
+                (0, 1): -0.5 / dist[(0, 1)],
+            }
+            est = LinearEstimator(spec, weights, name=f"HTAvg[{unit}]")
+        elif name == "MInd":
+            est = solve_mivlue(spec, dist, identity_prior(spec)).estimator
+            est.name = f"MInd[{unit}]"
+        else:  # MDil
+            u = np.concatenate([[1.0], np.arange(1, d_i + 1) / d_i * eta1, [1.0]])
+            cov = np.outer(u, u) + MDIL_RIDGE * np.eye(spec.num_parameters)
+            est = solve_mivlue(spec, dist, PriorSpec(cov)).estimator
+            est.name = f"MDil[{unit}]"
+        family[unit] = est
+    return family
+
+
 class TestBuildEstimatorFamily:
     def setup_method(self):
         self.net = gen_k_regular_directed(10, 2, seed=5)
@@ -222,6 +257,21 @@ class TestBuildEstimatorFamily:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown estimator family"):
             build_estimator_family("HT2", self.net, self.design)
+
+    @pytest.mark.parametrize("p_treat", [0.5, 0.3])
+    def test_equals_per_unit_reference(self, p_treat):
+        """Weights built once per in-degree equal a per-unit build to the last bit."""
+        net = gen_erdos_renyi_directed(30, 0.15, seed=3)  # in-degrees 0 to 9
+        design = BernoulliDesign(net.n, p_treat)
+        for name in ESTIMATOR_NAMES:
+            for eta1 in ((1.0, 1.5) if name == "MDil" else (1.0,)):
+                family = build_estimator_family(name, net, design, eta1)
+                reference = per_unit_family(name, net, design, eta1)
+                assert list(family) == list(reference)
+                for unit, est in family.items():
+                    assert est.name == reference[unit].name
+                    assert est.spec == reference[unit].spec
+                    assert est.weights == reference[unit].weights
 
 
 class TestEstimateAverageEffect:
@@ -429,6 +479,26 @@ class TestComputeImse:
         assert requested
         for result in report.results.values():
             assert np.isfinite(result.imse) and result.bias_squared < 1e-20
+
+    def test_one_solve_and_pmf_per_distinct_degree(self, monkeypatch):
+        """Weights depend on a unit only through its in-degree, so each degree is solved once."""
+        config = self.small_config(network=NetworkConfig("erdos_renyi", 20, p_edge=0.3),
+                                   allocation_mode="sample", allocation_count=50, num_draws=2)
+        calls = {"solve_mivlue": 0, "bernoulli_exposure_distribution": 0}
+        for name in calls:
+            original = getattr(lue.simulation, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(lue.simulation, name, counted)
+        compute_imse(config)
+        net = config.network.build(np.random.SeedSequence([config.master_seed, 3]))
+        units = included_units(net)
+        distinct = len(set(net.in_degrees[units].tolist()))
+        assert len(units) > distinct  # some degrees repeat
+        assert calls == {"solve_mivlue": 2 * distinct, "bernoulli_exposure_distribution": distinct}
 
     def test_metadata_times_every_stage(self):
         report = compute_imse(self.small_config(num_draws=3))
