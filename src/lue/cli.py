@@ -42,6 +42,8 @@ GRID_FIELDS = (
     ("outcome", "eta1"),
 )
 
+logger = logging.getLogger(__name__)
+
 
 class InputError(ValueError):
     """Bad CLI input; the message carries the offending field path."""
@@ -191,7 +193,8 @@ def run_simulate(args) -> int:
         try:
             lines.extend(compute_imse(ExperimentConfig.from_dict(setting)).csv_rows())
         except Exception as exc:
-            failures.append((index, str(exc)))
+            logger.info("setting %d failed", index, exc_info=exc)
+            failures.append((index, f"{type(exc).__name__}: {exc}"))
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, f"imse_{digest}.csv")
     with open(out_path, "w") as handle:

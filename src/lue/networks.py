@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class Network:
-    """Directed graph on n units; adjacency[i, j] = 1 means an edge i -> j."""
+    """Directed graph on n units; adjacency[i, j] = 1 means an edge i -> j.
+
+    ``in_degrees`` (the column sums) is computed once here and is read-only,
+    like the adjacency it is summed from.
+    """
 
     adjacency: np.ndarray
+    in_degrees: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.adjacency)
@@ -21,15 +26,16 @@ class Network:
             raise ValueError("adjacency entries must be 0 or 1")
         if np.diagonal(a).any():
             raise ValueError("self-loops are not allowed")
-        object.__setattr__(self, "adjacency", a.astype(np.int64))
+        adjacency = a.astype(np.int64)
+        in_degrees = adjacency.sum(axis=0)
+        adjacency.flags.writeable = False
+        in_degrees.flags.writeable = False
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "in_degrees", in_degrees)
 
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
-
-    @property
-    def in_degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=0)
 
     @property
     def out_degrees(self) -> np.ndarray:

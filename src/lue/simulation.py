@@ -100,29 +100,41 @@ def sample_parameters(network: Network, model: OutcomeModel, seed) -> list[UnitP
     with unit variance, degenerate to exactly zero when delta1 is zero.
     Interaction noise comes from a separate stream so the shared parameters
     are bit-identical across interaction levels.
+
+    Each stream is drawn as one vector in unit order: (alpha, direct,
+    interference_1..d_i) per unit from the common stream (alpha alone under
+    dilation), interaction_1..d_i per unit from the interaction stream.
     """
+    n = network.n
     degrees = network.in_degrees
-    rng_common = np.random.default_rng(np.random.SeedSequence([*_as_words(seed), _STREAM_COMMON]))
-    rng_inter = np.random.default_rng(
-        np.random.SeedSequence([*_as_words(seed), _STREAM_INTERACTION])
-    )
-    out = []
-    for i in range(network.n):
-        d_i = int(degrees[i])
-        scale = np.arange(1, d_i + 1) / d_i if d_i else np.zeros(0)
-        if model.kind == "dilated":
-            alpha = rng_common.normal()
-            params = UnitParameters(alpha, alpha, scale * model.eta1 * alpha)
-        else:
-            alpha = rng_common.normal()
-            direct = rng_common.normal()
-            interference = scale * model.mu1 + rng_common.normal(size=d_i)
-            interaction = None
-            if model.kind == "interaction" and model.delta1 > 0:
-                interaction = scale * model.delta1 + rng_inter.normal(size=d_i)
-            params = UnitParameters(alpha, direct, interference, interaction)
-        out.append(params)
-    return out
+    ends = np.cumsum(degrees)
+    starts = ends - degrees
+    total = int(degrees.sum())
+    # Unit owning each entry of the units' concatenated (d = 1..d_i) vectors, and its d / d_i.
+    owner = np.repeat(np.arange(n), degrees)
+    position = np.arange(total)
+    scale = (position - starts[owner] + 1) / degrees[owner]
+    words = _as_words(seed)
+    rng_common = np.random.default_rng(np.random.SeedSequence([*words, _STREAM_COMMON]))
+    if model.kind == "dilated":
+        alpha = rng_common.normal(size=n)
+        direct = alpha
+        interference = scale * model.eta1 * alpha[owner]
+    else:
+        draws = rng_common.normal(size=2 * n + total)
+        first = 2 * np.arange(n) + starts
+        alpha = draws[first]
+        direct = draws[first + 1]
+        interference = scale * model.mu1 + draws[2 * (owner + 1) + position]
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    interaction = [None] * n
+    if model.kind == "interaction" and model.delta1 > 0:
+        rng_inter = np.random.default_rng(
+            np.random.SeedSequence([*words, _STREAM_INTERACTION]))
+        effects = scale * model.delta1 + rng_inter.normal(size=total)
+        interaction = [effects[start:end] for start, end in bounds]
+    return [UnitParameters(a, b, interference[start:end], x) for a, b, (start, end), x in zip(
+        alpha.tolist(), direct.tolist(), bounds, interaction)]
 
 
 def _as_words(seed) -> list[int]:
@@ -151,7 +163,7 @@ def unit_exposure_distribution(design, network: Network, unit: int) -> ExposureD
 
 def included_units(network: Network) -> list[int]:
     """Units whose interference estimand exists: positive in-degree."""
-    return [i for i in range(network.n) if network.in_degrees[i] >= 1]
+    return np.flatnonzero(network.in_degrees >= 1).tolist()
 
 
 def family_weights(names, degree: int, p_treat: float, eta1: float = 1.0) -> np.ndarray:
@@ -162,8 +174,11 @@ def family_weights(names, degree: int, p_treat: float, eta1: float = 1.0) -> np.
     estimators, depends on the unit only through its in-degree.  HT0/HT1 are
     the two-term inverse-probability estimators on untreated and treated
     exposures, HTAvg their mean; MInd solves the optimal-weight problem with
-    independent standard-normal priors and MDil with the dilated prior (rank
-    one plus a small ridge to keep every outcome variance positive).
+    independent standard-normal priors and MDil with the dilated prior, whose
+    interference effects are (d / degree) eta1 times the baseline (rank one
+    plus a small ridge to keep every outcome variance positive).
+    :func:`compute_imse` passes the setting's eta1 under the dilated outcome
+    model and 1 otherwise.
     """
     for name in names:
         if name not in ESTIMATOR_NAMES:
@@ -213,6 +228,10 @@ def true_average_effect(network: Network, params: list[UnitParameters]) -> float
     units = included_units(network)
     if not units:
         raise ValueError("every unit has in-degree 0; the average estimand is undefined")
+    return _mean_full_effect(params, units)
+
+
+def _mean_full_effect(params: list[UnitParameters], units) -> float:
     return float(np.mean([params[i].interference[-1] for i in units]))
 
 
@@ -401,17 +420,20 @@ def _outcome_table(params, units, width):
 
 
 def slot_coefficients(network: Network, units) -> np.ndarray:
-    """(n x units) float matrix C = (2A + I)[:, units], so that z @ C gives every slot 2d + z."""
+    """(n x units) float32 matrix C = (2A + I)[:, units], so that z @ C gives every slot 2d + z."""
     coefficients = 2 * network.adjacency + np.eye(network.n, dtype=np.int64)
-    return coefficients[:, units].astype(float)
+    return coefficients[:, units].astype(np.float32)
 
 
 def exposure_slots(alloc: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """Exposure slot of every (allocation, unit) pair as integers.
 
-    The float product goes through BLAS and is exact: every partial sum is an
-    integer far below 2**53.  Rows go in blocks of about 64k allocation
-    entries, so the float temporaries stay small and cache-resident.
+    The float product goes through BLAS and is exact, in float32 too: every
+    term is 0, 1 or 2, so every partial sum is an integer no larger than the
+    slot itself, at most 2(n - 1) + 1.  That is below 2**24, up to which
+    float32 holds every integer exactly, for any n under 8 million.  Rows go
+    in blocks of about 64k allocation entries, so the float temporaries stay
+    small and cache-resident.
     """
     slots = np.empty((len(alloc), coefficients.shape[1]), dtype=np.intp)
     block = max(1, 2**16 // coefficients.shape[0])
@@ -440,7 +462,7 @@ def joint_exposure_pmf(network: Network, units, width: int, p_treat: float) -> n
                 alloc, probs = allocation_matrix(
                     BernoulliDesign(len(members), p_treat), "exhaustive")
                 # Cast once per size: casting each block is slower than the product.
-                enumerations[len(members)] = (alloc.astype(float), probs)
+                enumerations[len(members)] = (alloc.astype(np.float32), probs)
             alloc, probs = enumerations[len(members)]
             slots = exposure_slots(alloc, coefficients[np.ix_(members, [a, b])])
             block = np.bincount(slots[:, 0] * width + slots[:, 1], weights=probs,
@@ -460,9 +482,18 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     exact moments are v . p and v' G v, with G from
     :func:`joint_exposure_pmf` built once per setting and p its diagonal.
     Sample mode averages over a batch of allocations drawn per draw and
-    shared by every estimator.  Fully deterministic given the master seed,
-    and independent of the interaction level for families that never read
-    treated outcomes.
+    shared by every estimator: one float32 BLAS product gives every
+    (allocation, unit) slot, offset in place into a flat index of the
+    (unit x slot) value table, and each family is one ``take`` of it.
+    Everything that does not change between draws (units, weights, slot
+    coefficients) is built before the draw loop.  Fully deterministic given
+    the master seed, and independent of the interaction level for families
+    that never read treated outcomes.
+
+    ``metadata["stage_seconds"]`` times the setting-level stages (network,
+    families, joint_pmf) and, summed over draws, the per-draw ones: params,
+    outcome_table, allocations, slots, gather and moments (the sample-mode
+    allocations, slots and gather read 0 in exhaustive mode).
     """
     start = time.perf_counter()
     network = config.network.build(
@@ -482,11 +513,13 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
 
     mark = time.perf_counter()
     n_families = len(config.estimators)
+    # MDil's prior is the dilated model itself, at the setting's eta1 when it is dilated.
+    eta1 = config.outcome.eta1 if config.outcome.kind == "dilated" else 1.0
     degrees, degree_rows = np.unique(network.in_degrees[units], return_inverse=True)
     tables = np.zeros((n_families, len(degrees), width))
     for row, degree in enumerate(degrees):
         tables[:, row, :2 * degree + 2] = family_weights(
-            config.estimators, int(degree), config.p_treat)
+            config.estimators, int(degree), config.p_treat, eta1)
     weight_tables = tables[:, degree_rows]
     stages["families"] = time.perf_counter() - mark
 
@@ -497,22 +530,32 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
         pmf = joint.diagonal()
     else:
         coefficients = slot_coefficients(network, units)
-        unit_rows = np.arange(len(units))
+        # Start of each unit's row in a flattened (unit x slot) table.
+        row_offsets = np.arange(len(units)) * width
         alloc_weights = np.full(config.allocation_count, 1.0 / config.allocation_count)
     stages["joint_pmf"] = time.perf_counter() - mark
 
-    mark = time.perf_counter()
     n_draws = config.num_draws
     mse = np.zeros((n_families, n_draws))
     means = np.zeros((n_families, n_draws))
     second = np.zeros((n_families, n_draws))
     theta_bars = np.zeros(n_draws)
+    timers = dict.fromkeys(
+        ("params", "outcome_table", "allocations", "slots", "gather", "moments"), 0.0)
+
+    def lap(stage, since):
+        now = time.perf_counter()
+        timers[stage] += now - since
+        return now
 
     for draw in range(n_draws):
+        mark = time.perf_counter()
         params = sample_parameters(network, config.outcome, [config.master_seed, draw])
-        theta_bar = true_average_effect(network, params)
+        theta_bar = _mean_full_effect(params, units)
         theta_bars[draw] = theta_bar
+        mark = lap("params", mark)
         value_tables = weight_tables * _outcome_table(params, units, width)
+        mark = lap("outcome_table", mark)
         if exhaustive:
             values = value_tables.reshape(n_families, -1) / len(units)
             first_moment = values @ pmf
@@ -521,17 +564,23 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
             rng = np.random.default_rng(
                 np.random.SeedSequence([config.master_seed, draw, _STREAM_ALLOCATIONS])
             )
-            slots = exposure_slots(design.sample(rng, config.allocation_count), coefficients)
-            first_moment = np.zeros(n_families)
-            second_moment = np.zeros(n_families)
+            alloc = design.sample(rng, config.allocation_count).astype(np.float32)
+            mark = lap("allocations", mark)
+            slots = exposure_slots(alloc, coefficients)
+            slots += row_offsets
+            mark = lap("slots", mark)
+            estimates = np.empty((n_families, config.allocation_count))
             for row, value_table in enumerate(value_tables):
-                estimates = value_table[unit_rows, slots].mean(axis=1)
-                first_moment[row] = alloc_weights @ estimates
-                second_moment[row] = alloc_weights @ (estimates * estimates)
+                estimates[row] = value_table.take(slots).mean(axis=1)
+            mark = lap("gather", mark)
+            # One dot per family: a matrix-vector product may sum in another order.
+            first_moment = np.array([alloc_weights @ e for e in estimates])
+            second_moment = np.array([alloc_weights @ (e * e) for e in estimates])
         means[:, draw] = first_moment
         second[:, draw] = second_moment
         mse[:, draw] = second_moment - 2.0 * theta_bar * first_moment + theta_bar**2
-    stages["draws"] = time.perf_counter() - mark
+        lap("moments", mark)
+    stages.update(timers)
 
     results = {}
     for row, name in enumerate(config.estimators):

@@ -154,8 +154,13 @@ class TestSimulateCommand:
           "outcome": {"kind": "dilated", "eta1": 1.5},
           "num_draws": 3, "allocation_mode": "exhaustive",
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
-         "35980f3fcddf0c1b0735932aa1cd528946199cb5f784a7eb4bb6580b6a9d927c"),
-    ], ids=["erdos_renyi_sample", "k_regular_dilated_exhaustive"])
+         "a0eb2678e23ff108eecd13018c2fc84cb559ff6d8a9d851cec7e243f03d751c6"),
+        ({"network": {"kind": "k_regular", "n": 30, "k": 4},
+          "outcome": {"kind": "interaction", "mu1": 5, "delta1": 2},
+          "num_draws": 3, "allocation_mode": "sample", "allocation_count": 200,
+          "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
+         "f5970aad5bedac98b6627f434f2068543157f8e61f24143d0ff0037e069eca32"),
+    ], ids=["erdos_renyi_sample", "k_regular_dilated_exhaustive", "k_regular_interaction_sample"])
     def test_csv_bytes_are_pinned(self, tmp_path, capsys, config, digest):
         """Pins every digit of one setting's CSV, so a refactor cannot move them."""
         path = write_json(tmp_path / "setting.json", config)
@@ -220,6 +225,26 @@ class TestSimulateCommand:
                 if l and not l.startswith(("#", "estimator"))]
         assert len(rows) == 2 * 5  # the two feasible settings survived
 
+    def test_failed_setting_explains_itself(self, tmp_path):
+        """A failure names its exception type; -v adds the traceback."""
+        config = self.sweep_config()
+        config["network"]["k"] = [2, 9]  # k=9 infeasible on 8 nodes
+        path = write_json(tmp_path / "sweep.json", config)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lue.__file__)))
+        errors = {}
+        for flags in ([], ["-v"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "lue.cli", *flags, "simulate", "--config", path,
+                 "--out-dir", str(tmp_path / "out"), "--seed", "1"],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 1
+            errors[bool(flags)] = proc.stderr
+        for stderr in errors.values():
+            assert "setting 2 failed: ValueError: need 0 < k < n, got k=9, n=8" in stderr
+        assert "Traceback" not in errors[False]
+        assert "Traceback (most recent call last)" in errors[True]
+        assert "gen_k_regular_directed" in errors[True]
+
     def test_verbose_logs_stage_timings(self, tmp_path):
         """-v logs each setting's stage timings; without it nothing is logged."""
         config = write_json(tmp_path / "sweep.json", self.sweep_config())
@@ -234,7 +259,8 @@ class TestSimulateCommand:
         assert "stage seconds" not in logs[False]
         timed = [line for line in logs[True].splitlines() if "stage seconds" in line]
         assert len(timed) == 4  # one per setting of the 2 x 2 grid
-        for stage in ("network=", "families=", "joint_pmf=", "draws="):
+        for stage in ("network=", "families=", "joint_pmf=", "params=", "outcome_table=",
+                      "allocations=", "slots=", "gather=", "moments="):
             assert all(stage in line for line in timed)
 
 

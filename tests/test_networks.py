@@ -31,6 +31,22 @@ class TestNetwork:
         np.testing.assert_array_equal(net.in_degrees, [1, 1, 1])
         np.testing.assert_array_equal(net.out_degrees, [1, 1, 1])
 
+    def test_cached_in_degrees_are_column_sums_and_read_only(self):
+        """Degrees are summed once at construction; neither they nor the edges can drift."""
+        net = gen_erdos_renyi_directed(30, 0.1, seed=4)
+        assert (net.in_degrees == 0).any()
+        np.testing.assert_array_equal(net.in_degrees, net.adjacency.sum(axis=0))
+        with pytest.raises(ValueError, match="read-only"):
+            net.in_degrees[0] = 5
+        with pytest.raises(ValueError, match="read-only"):
+            net.adjacency[0, 1] = 1 - net.adjacency[0, 1]
+
+    def test_caller_array_stays_writable(self):
+        a = np.zeros((3, 3), dtype=np.int64)
+        Network(a)
+        a[0, 1] = 1
+        assert a.flags.writeable
+
     def test_edge_list_roundtrip(self):
         net = gen_erdos_renyi_directed(6, 0.4, seed=3)
         text = net.to_edge_list()

@@ -46,7 +46,54 @@ def three_cycle():
     return Network(a)
 
 
+def sequential_parameters(network, model, seed):
+    """Reference: the per-unit draw loop, one RNG call per parameter block."""
+    words = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    rng_common = np.random.default_rng(np.random.SeedSequence([*words, 0]))
+    rng_inter = np.random.default_rng(np.random.SeedSequence([*words, 1]))
+    out = []
+    for i in range(network.n):
+        d_i = int(network.adjacency[:, i].sum())
+        scale = np.arange(1, d_i + 1) / d_i if d_i else np.zeros(0)
+        if model.kind == "dilated":
+            alpha = rng_common.normal()
+            out.append(UnitParameters(alpha, alpha, scale * model.eta1 * alpha))
+            continue
+        alpha = rng_common.normal()
+        direct = rng_common.normal()
+        interference = scale * model.mu1 + rng_common.normal(size=d_i)
+        interaction = None
+        if model.kind == "interaction" and model.delta1 > 0:
+            interaction = scale * model.delta1 + rng_inter.normal(size=d_i)
+        out.append(UnitParameters(alpha, direct, interference, interaction))
+    return out
+
+
 class TestSampleParameters:
+    @pytest.mark.parametrize("seed", [7, [3, 5], (11, 0, 2)], ids=["int", "list", "tuple"])
+    @pytest.mark.parametrize("model", [
+        *OUTCOME_MODELS,
+        OutcomeModel("interaction", mu1=50, delta1=0),
+        OutcomeModel("dilated", eta1=3),
+    ], ids=["independent", "dilated", "interaction", "interaction_zero", "dilated_int"])
+    @pytest.mark.parametrize("network", [
+        gen_k_regular_directed(20, 4, seed=1),
+        gen_erdos_renyi_directed(30, 0.08, seed=4),  # several degree-0 units
+    ], ids=["k_regular", "erdos_renyi"])
+    def test_batched_equals_sequential_reference(self, network, model, seed):
+        """One vector per stream gives the per-unit loop's parameters bit for bit."""
+        batched = sample_parameters(network, model, seed)
+        reference = sequential_parameters(network, model, seed)
+        assert len(batched) == len(reference) == network.n
+        for p, q in zip(batched, reference):
+            assert type(p.alpha) is type(q.alpha) and p.alpha == q.alpha
+            assert type(p.direct) is type(q.direct) and p.direct == q.direct
+            assert p.interference.tobytes() == q.interference.tobytes()
+            assert (p.interaction is None) == (q.interaction is None)
+            if q.interaction is not None:
+                assert p.interaction.tobytes() == q.interaction.tobytes()
+        assert [p.degree for p in batched] == network.in_degrees.tolist()
+
     def test_dilated_variance_and_correlation(self):
         """Under dilation the top interference effect tracks the baseline exactly."""
         net = gen_k_regular_directed(4, 2, seed=0)
@@ -446,8 +493,9 @@ class TestComputeImse:
         net = network.build(np.random.SeedSequence([seed, 3]))
         design = BernoulliDesign(net.n, p_treat)
         allocs, probs = allocation_matrix(design, "exhaustive")
+        eta1 = model.eta1 if model.kind == "dilated" else 1.0
         for name in ESTIMATOR_NAMES:
-            family = build_estimator_family(name, net, design)
+            family = build_estimator_family(name, net, design, eta1)
             for draw in range(config.num_draws):
                 params = sample_parameters(net, model, [seed, draw])
                 theta = true_average_effect(net, params)
@@ -500,12 +548,47 @@ class TestComputeImse:
         assert len(units) > distinct  # some degrees repeat
         assert calls == {"solve_mivlue": 2 * distinct, "bernoulli_exposure_distribution": distinct}
 
-    def test_metadata_times_every_stage(self):
-        report = compute_imse(self.small_config(num_draws=3))
+    @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+    def test_metadata_times_every_stage(self, mode):
+        report = compute_imse(self.small_config(num_draws=3, allocation_mode=mode,
+                                                allocation_count=50))
         stages = report.metadata["stage_seconds"]
-        assert list(stages) == ["network", "families", "joint_pmf", "draws"]
+        assert list(stages) == ["network", "families", "joint_pmf", "params", "outcome_table",
+                                "allocations", "slots", "gather", "moments"]
         assert all(seconds >= 0.0 for seconds in stages.values())
         assert report.metadata["runtime_seconds"] >= sum(stages.values())
+        sampled = [stages[name] for name in ("allocations", "slots", "gather")]
+        assert all(sampled) if mode == "sample" else not any(sampled)
+
+    @pytest.mark.parametrize("eta1", [0.5, 3.0])
+    def test_mdil_prior_follows_the_setting_eta1(self, eta1):
+        """Under the dilated model, MDil's weights are family_weights(..., eta1).
+
+        MDil is unbiased under any prior, so the mean cannot tell priors apart;
+        the per-draw MSE (the variance here) can.
+        """
+        model = OutcomeModel("dilated", eta1=eta1)
+        config = self.small_config(network=NetworkConfig("k_regular", 6, k=3), outcome=model,
+                                   num_draws=2, estimators=("MDil",))
+        report = compute_imse(config)
+        net = config.network.build(np.random.SeedSequence([config.master_seed, 3]))
+        design = BernoulliDesign(net.n, config.p_treat)
+        allocs, probs = allocation_matrix(design, "exhaustive")
+        family = build_estimator_family("MDil", net, design, eta1)
+        for draw in range(config.num_draws):
+            params = sample_parameters(net, model, [config.master_seed, draw])
+            theta = true_average_effect(net, params)
+            estimates = np.array([estimate_average_effect(family, net, z, params)
+                                  for z in allocs])
+            mse = probs @ (estimates - theta) ** 2
+            assert report.results["MDil"].per_draw_mse[draw] == pytest.approx(mse, rel=1e-12)
+
+    def test_included_units_match_a_scan_of_the_degrees(self):
+        for net in (gen_erdos_renyi_directed(30, 0.08, seed=4), three_cycle(),
+                    Network(np.zeros((4, 4), dtype=int))):
+            units = included_units(net)
+            assert units == [i for i in range(net.n) if net.in_degrees[i] >= 1]
+            assert all(type(unit) is int for unit in units)
 
     def test_reports_are_deterministic(self):
         a = compute_imse(self.small_config())
