@@ -5,7 +5,6 @@ from .design import (
     ExplicitDesign,
     ExposureDistribution,
     allocation_matrix,
-    allocations,
     bernoulli_exposure_distribution,
     bernoulli_exposure_prob,
     exposure_distribution_exact,
@@ -13,6 +12,7 @@ from .design import (
 )
 from .estimators import (
     ConstraintMatrix,
+    EstimatorRows,
     LinearEstimator,
     SupportCheck,
     affine_rank,
@@ -27,7 +27,6 @@ from .estimators import (
     check_zero_expectation,
     constraint_matrix,
     decompose_in_basis,
-    evaluate_estimator,
     lue_dimension,
     malue_count,
     sample_random_lue,
@@ -61,7 +60,6 @@ from .networks import (
     Network,
     gen_erdos_renyi_directed,
     gen_k_regular_directed,
-    treated_degree,
 )
 from .simulation import (
     ExperimentConfig,

@@ -14,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exposure import Exposure, ExposureSpec, apply_exposure_mapping, enumerate_exposures
+from .exposure import (SPEC_CACHE_SIZE, Exposure, ExposureSpec, apply_exposure_mapping,
+                       enumerate_exposures)
 
 PROB_SUM_TOL = 1e-10
 TABLE_SUM_TOL = 1e-12
@@ -57,7 +58,7 @@ class ExposureDistribution:
         return np.array([self.probs[e] for e in enumerate_exposures(self.spec)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def uniform_distribution(spec: ExposureSpec) -> ExposureDistribution:
     p = 1.0 / spec.num_exposures
     return ExposureDistribution(spec, {e: p for e in enumerate_exposures(spec)})
@@ -129,22 +130,14 @@ def all_allocations(n: int) -> np.ndarray:
     return grid.astype(np.int64)
 
 
-def allocations(design: Design, mode: str = "exhaustive", count: int = 1500,
-                seed: int = 0):
-    """Stream of (allocation, probability-or-weight) pairs from the design.
-
-    ``exhaustive`` yields every allocation with its exact design probability
-    (only for n <= 20); ``sample`` yields ``count`` i.i.d. draws each with
-    weight 1/count, deterministic given ``seed``.
-    """
-    mat, w = allocation_matrix(design, mode, count, seed)
-    for row, weight in zip(mat, w):
-        yield row, float(weight)
-
-
 def allocation_matrix(design: Design, mode: str = "exhaustive", count: int = 1500,
                       seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix form of :func:`allocations`: rows of allocations plus a weight vector."""
+    """Allocations from the design as rows, with one probability-or-weight each.
+
+    ``exhaustive`` gives every allocation with its exact design probability
+    (only for n <= 20); ``sample`` gives ``count`` i.i.d. draws each with
+    weight 1/count, deterministic given ``seed``.
+    """
     if mode == "exhaustive":
         mat = all_allocations(design.n)
         if isinstance(design, BernoulliDesign):

@@ -1,17 +1,19 @@
 """Linear unbiased estimators: constraints, atomic constructions, and the affine basis.
 
-A linear estimator is a sparse map from exposures to weights; its value is
-w(e_obs) * Y_obs.  Unbiasedness for the effect of the first component at its
-maximum level is a linear constraint system on the weights (one row per
-parameter), and the whole solution set is spanned affinely by a small family
-of two-term and four-term inverse-probability estimators plus zero
-estimators.  Weights are stored against exposures, never allocations, which
-rules out estimators whose weights depend on other units' exposures.
+A linear estimator is a weight vector over the exposures, in canonical
+order; its value is w(e_obs) * Y_obs.  Unbiasedness for the effect of the
+first component at its maximum level is a linear constraint system on the
+weights (one row per parameter), and the whole solution set is spanned
+affinely by a small family of two-term and four-term inverse-probability
+estimators plus zero estimators.  Weights are stored against exposures,
+never allocations, which rules out estimators whose weights depend on other
+units' exposures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,6 +23,7 @@ from .exposure import (
     Exposure,
     ExposureSpec,
     ParameterIndex,
+    _canonical_exposures,
     canonical_grid,
     enumerate_exposures,
     exposure_positions,
@@ -35,68 +38,94 @@ DECOMPOSE_TOL = 1e-8
 RANK_RTOL = 1e-10
 
 
-@dataclass
 class LinearEstimator:
-    """Sparse exposure->weight map estimating the first component's maximum effect."""
+    """Exposure weights estimating the first component's maximum effect.
 
-    spec: ExposureSpec
-    weights: dict[Exposure, float]
-    name: str = ""
-    target: ParameterIndex = field(default=None)  # defaults to theta_{1,m_1}
+    ``vector`` is the only storage: the read-only weights in canonical
+    exposure order, which is the column order of :class:`ConstraintMatrix`
+    and :func:`basis_weights`.  The constructor takes that vector, or a
+    mapping from exposures to weights in which absent exposures weigh 0.
+    """
 
-    def __post_init__(self):
-        cleaned = {}
-        for e, w in self.weights.items():
-            e = self.spec.validate_exposure(e)
-            if w != 0.0:
-                cleaned[e] = float(w)
-        self.weights = cleaned
-        if self.target is None:
-            self.target = ParameterIndex("effect", 1, self.spec.levels[0])
+    def __init__(self, spec: ExposureSpec, weights, name: str = "",
+                 target: ParameterIndex | None = None):
+        if isinstance(weights, Mapping):
+            positions = exposure_positions(spec)
+            vector = np.zeros(spec.num_exposures)
+            for e, w in weights.items():
+                vector[positions[spec.validate_exposure(e)]] = w
+        else:
+            vector = np.asarray(weights, dtype=float)
+            if vector.shape != (spec.num_exposures,):
+                raise ValueError(f"need {spec.num_exposures} weights, got shape {vector.shape}")
+        # Adding 0.0 copies the weights and stores every zero weight as +0.0.
+        self.vector = vector + 0.0
+        self.vector.setflags(write=False)
+        self.spec, self.name = spec, name
+        self.target = ParameterIndex("effect", 1, spec.levels[0]) if target is None else target
 
-    @classmethod
-    def _trusted(cls, spec: ExposureSpec, weights: dict[Exposure, float], name: str,
-                 target: ParameterIndex) -> "LinearEstimator":
-        """Skip validation: ``weights`` is keyed by valid exposures, with nonzero floats."""
-        est = cls.__new__(cls)
-        est.spec, est.weights, est.name, est.target = spec, weights, name, target
-        return est
+    @property
+    def weights(self) -> dict[Exposure, float]:
+        """The nonzero weights as {exposure: weight}, canonical order, derived from ``vector``."""
+        exposures = _canonical_exposures(self.spec.levels)
+        return {e: w for e, w in zip(exposures, self.vector.tolist()) if w != 0.0}
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.vector, dtype=dtype, copy=copy)
+
+    def __repr__(self):
+        return f"LinearEstimator({self.name!r}, levels={self.spec.levels}, weights={self.weights})"
 
     def support(self) -> set[Exposure]:
         return set(self.weights)
 
     def weight(self, e: Exposure) -> float:
-        return self.weights.get(tuple(e), 0.0)
+        """Weight of exposure ``e``; 0 outside the exposure set."""
+        j = exposure_positions(self.spec).get(tuple(e))
+        return 0.0 if j is None else float(self.vector[j])
 
     def as_vector(self, exposures=None) -> np.ndarray:
-        """Dense weight vector in canonical (or given) exposure order."""
-        return basis_matrix([self], exposures)[0]
+        """Writable copy of the weights in canonical (or the given) exposure order."""
+        if exposures is None:
+            return self.vector.copy()
+        positions = exposure_positions(self.spec)
+        return self.vector[[positions[e] for e in exposures]]
 
     def to_text(self) -> str:
         """One ``e1,...,eK<TAB>weight`` line per support exposure, canonical order."""
-        lines = []
-        for e in enumerate_exposures(self.spec):
-            w = self.weight(e)
-            if w != 0.0:
-                lines.append(f"{','.join(str(v) for v in e)}\t{w!r}")
-        return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, spec: ExposureSpec, text: str, name: str = "") -> "LinearEstimator":
-        weights = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            key, value = line.split("\t")
-            weights[tuple(int(v) for v in key.split(","))] = float(value)
-        return cls(spec, weights, name=name)
+        return "\n".join(f"{','.join(map(str, e))}\t{w!r}" for e, w in self.weights.items())
 
 
-def evaluate_estimator(est: LinearEstimator, observed_exposure: Exposure,
-                       observed_outcome: float) -> float:
-    """w(e_obs) * Y_obs; zero when the observed exposure is outside the support."""
-    return est.weight(observed_exposure) * observed_outcome
+class EstimatorRows(Sequence):
+    """Basis members as a read-only sequence over the rows of one weight array.
+
+    ``np.asarray`` gives the (members x exposures) array in canonical column
+    order; a member's estimator and its name are built only when it is
+    indexed.  ``+`` joins two sequences of one spec.
+    """
+
+    def __init__(self, spec: ExposureSpec, weights: np.ndarray, ids: np.ndarray):
+        weights.setflags(write=False)
+        self.spec, self._weights, self._ids = spec, weights, ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, member: int) -> LinearEstimator:
+        e = _canonical_exposures(self.spec.levels)[self._ids[member]]
+        m1 = self.spec.levels[0]
+        name = f"two_term{e[1:]}" if e[0] == m1 else f"zero{e}" if e[0] == 0 else f"four_term{e}"
+        return LinearEstimator(self.spec, self._weights[member], name)
+
+    def __add__(self, other: "EstimatorRows") -> "EstimatorRows":
+        if other.spec != self.spec:
+            raise ValueError(f"cannot join estimators of levels {self.spec.levels} "
+                             f"and {other.spec.levels}")
+        return EstimatorRows(self.spec, np.concatenate([self._weights, other._weights]),
+                             np.concatenate([self._ids, other._ids]))
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._weights, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -129,13 +158,13 @@ def constraint_matrix(spec: ExposureSpec, probs: ExposureDistribution) -> Constr
 def check_unbiased(est: LinearEstimator, probs: ExposureDistribution) -> float:
     """Max-norm residual of the unbiasedness constraints; 0 means unbiased."""
     c = constraint_matrix(est.spec, probs)
-    return float(np.abs(c.matrix @ est.as_vector(c.exposures) - c.target_vector()).max())
+    return float(np.abs(c.matrix @ est.vector - c.target_vector()).max())
 
 
 def check_zero_expectation(est: LinearEstimator, probs: ExposureDistribution) -> float:
     """Max-norm residual of C w against the all-zero target (zero estimators)."""
     c = constraint_matrix(est.spec, probs)
-    return float(np.abs(c.matrix @ est.as_vector(c.exposures)).max())
+    return float(np.abs(c.matrix @ est.vector).max())
 
 
 @lru_cache(maxsize=4)
@@ -195,13 +224,16 @@ def basis_identifiers(spec: ExposureSpec) -> tuple[np.ndarray, np.ndarray]:
     return ids[:atomic], ids[atomic:]
 
 
-def _entries(spec: ExposureSpec, start: int, stop: int, probs):
-    """(member - start, column, weight) of every nonzero weight of members start..stop-1."""
+def _member_weights(spec: ExposureSpec, start: int, stop: int, probs) -> np.ndarray:
+    """Weight rows of members start..stop-1: each term weighs +-1/p of its exposure."""
     _, _, rows, cols, signs = _layout(spec.levels)
     first, last = np.searchsorted(rows, (start, stop))
     n = spec.num_exposures
     p = np.full(n, 1.0 / n) if probs is None else probs.vector()
-    return rows[first:last] - start, cols[first:last], signs[first:last] / p[cols[first:last]]
+    cols = cols[first:last]
+    weights = np.zeros((stop - start, n))
+    weights[rows[first:last] - start, cols] = signs[first:last] / p[cols]
+    return weights
 
 
 def basis_weights(spec: ExposureSpec,
@@ -212,30 +244,18 @@ def basis_weights(spec: ExposureSpec,
     columns are exposures in canonical order.  Each term of a member weighs
     +-1/p of its exposure, with uniform p when ``probs`` is omitted.
     """
-    members = len(_layout(spec.levels)[0])
-    rows, cols, values = _entries(spec, 0, members, probs)
-    weights = np.zeros((members, spec.num_exposures))
-    weights[rows, cols] = values
-    return weights
+    return _member_weights(spec, 0, len(_layout(spec.levels)[0]), probs)
 
 
-def _as_estimators(spec: ExposureSpec, start: int, stop: int, probs) -> list[LinearEstimator]:
-    """Basis members start..stop-1 as estimators named after their identifying exposures."""
-    rows, cols, values = _entries(spec, start, stop, probs)
-    exposures = enumerate_exposures(spec)
-    m1 = spec.levels[0]
-    target = ParameterIndex("effect", 1, m1)
-    terms = list(zip([exposures[j] for j in cols.tolist()], values.tolist()))
-    stops = np.cumsum(np.bincount(rows, minlength=stop - start)).tolist()
-    names = [f"two_term{e[1:]}" if e[0] == m1 else f"zero{e}" if e[0] == 0 else f"four_term{e}"
-             for e in map(exposures.__getitem__, _layout(spec.levels)[0][start:stop].tolist())]
-    return [LinearEstimator._trusted(spec, dict(terms[begin:end]), name, target)
-            for begin, end, name in zip([0] + stops, stops, names)]
+def _basis_rows(spec: ExposureSpec, start: int, stop: int, probs) -> EstimatorRows:
+    """Basis members start..stop-1, named after their identifying exposures."""
+    ids = _layout(spec.levels)[0]
+    return EstimatorRows(spec, _member_weights(spec, start, stop, probs), ids[start:stop])
 
 
 def _basis_member(spec: ExposureSpec, e: Exposure, probs) -> LinearEstimator:
     member = int(np.searchsorted(_layout(spec.levels)[0], exposure_positions(spec)[e]))
-    return _as_estimators(spec, member, member + 1, probs)[0]
+    return _basis_rows(spec, member, member + 1, probs)[0]
 
 
 def build_two_term_alue(spec: ExposureSpec, fixed_tail: tuple[int, ...],
@@ -285,22 +305,22 @@ def build_zero_estimator(spec: ExposureSpec, e: Exposure,
 
 
 def build_malue_set(spec: ExposureSpec,
-                    probs: ExposureDistribution | None = None) -> list[LinearEstimator]:
+                    probs: ExposureDistribution | None = None) -> EstimatorRows:
     """The affine-independent monotonic atomic estimators, one per identifying exposure."""
-    return _as_estimators(spec, 0, _layout(spec.levels)[1], probs)
+    return _basis_rows(spec, 0, _layout(spec.levels)[1], probs)
 
 
 def build_zero_estimators(spec: ExposureSpec,
-                          probs: ExposureDistribution | None = None) -> list[LinearEstimator]:
+                          probs: ExposureDistribution | None = None) -> EstimatorRows:
     """All zero estimators in canonical order."""
     ids, atomic, *_ = _layout(spec.levels)
-    return _as_estimators(spec, atomic, len(ids), probs)
+    return _basis_rows(spec, atomic, len(ids), probs)
 
 
 def build_affine_basis(spec: ExposureSpec,
-                       probs: ExposureDistribution | None = None) -> list[LinearEstimator]:
+                       probs: ExposureDistribution | None = None) -> EstimatorRows:
     """Affine basis of the unbiased-estimator set: the atomic family plus zero estimators."""
-    return _as_estimators(spec, 0, len(_layout(spec.levels)[0]), probs)
+    return _basis_rows(spec, 0, len(_layout(spec.levels)[0]), probs)
 
 
 def malue_count(spec: ExposureSpec) -> int:
@@ -329,51 +349,37 @@ def lue_dimension(spec: ExposureSpec) -> int:
     return spec.num_exposures - sum(spec.levels) - 1
 
 
-def basis_matrix(basis: list[LinearEstimator], exposures=None) -> np.ndarray:
-    """Stack of basis weight vectors, one row per estimator."""
-    if exposures is None:
-        positions = exposure_positions(basis[0].spec)
-    else:
-        positions = {e: j for j, e in enumerate(exposures)}
-    mat = np.zeros((len(basis), len(positions)))
-    for row, b in zip(mat, basis):
-        for e, w in b.weights.items():
-            row[positions[e]] = w
-    return mat
-
-
 def affine_rank(basis) -> int:
-    """Rank of the weights (estimators, or one array row each) with a constant-1 column appended."""
-    mat = basis if isinstance(basis, np.ndarray) else basis_matrix(basis)
-    aug = np.hstack([mat, np.ones((mat.shape[0], 1))])
+    """Rank of the weight rows (estimators, or an array) with a constant-1 column appended."""
+    weights = np.asarray(basis)
+    aug = np.hstack([weights, np.ones((len(weights), 1))])
     return int(np.linalg.matrix_rank(aug, rtol=RANK_RTOL))
 
 
 def affine_rank_is_full(basis, spec: ExposureSpec | None = None) -> bool:
     """Exact full-rank certificate for a canonically ordered basis.
 
-    ``basis`` is a list of estimators, or an array laid out as by
-    :func:`basis_weights` with its ``spec``.  On the identifying exposures the
-    weights must be zero below a nonzero diagonal (each member is the last one
-    whose support contains its identifier), which certifies full affine rank
-    with no floating-point tolerance; any other pattern falls back to the SVD.
+    ``basis`` is read as its weight array: :class:`EstimatorRows`, or
+    estimators or weight rows with their ``spec``.  On the identifying
+    exposures the weights must be zero below a nonzero diagonal (each member
+    is the last one whose support contains its identifier), which certifies
+    full affine rank with no floating-point tolerance; any other pattern
+    falls back to the SVD.
     """
-    if not isinstance(basis, np.ndarray):
-        spec = basis[0].spec
-        basis = basis_matrix(basis)
-    ids = np.concatenate(basis_identifiers(spec))
-    if len(ids) == len(basis):
+    weights = np.asarray(basis)
+    ids = np.concatenate(basis_identifiers(basis.spec if spec is None else spec))
+    if len(ids) == len(weights):
         # Zero below a nonzero diagonal: each row's first nonzero is on it.
-        nonzero = basis[:, ids] != 0
+        nonzero = weights[:, ids] != 0
         diagonal = np.arange(len(ids))
         if nonzero[diagonal, diagonal].all() and (nonzero.argmax(axis=1) == diagonal).all():
             return True
-    return affine_rank(basis) == len(basis)
+    return affine_rank(weights) == len(weights)
 
 
-def decompose_in_basis(est: LinearEstimator, basis: list[LinearEstimator],
+def decompose_in_basis(est: LinearEstimator, basis,
                        probs: ExposureDistribution | None = None) -> np.ndarray:
-    """Coefficients reproducing ``est`` from the basis.
+    """Coefficients reproducing ``est`` from the basis (estimators, read as their weight array).
 
     The coefficients on the unbiased members must sum to one (they carry the
     estimand), while zero-expectation members enter as free displacements:
@@ -383,22 +389,21 @@ def decompose_in_basis(est: LinearEstimator, basis: list[LinearEstimator],
     """
     if probs is None:
         probs = uniform_distribution(est.spec)
-    residual = check_unbiased(est, probs)
-    if residual > UNBIASED_TOL:
-        raise ValueError(f"estimator is not unbiased (constraint residual {residual:.3e})")
     c = constraint_matrix(est.spec, probs)
     target = c.target_vector()
-    normalized = np.zeros(len(basis))
-    for i, member in enumerate(basis):
-        image = c.matrix @ member.as_vector(c.exposures)
-        if np.abs(image - target).max() < UNBIASED_TOL:
-            normalized[i] = 1.0
-        elif np.abs(image).max() >= UNBIASED_TOL:
-            raise ValueError(
-                f"basis member {member.name or i} is neither unbiased nor zero-expectation"
-            )
-    a = np.vstack([basis_matrix(basis).T, normalized])
-    b = np.concatenate([est.as_vector(), [1.0]])
+    residual = np.abs(c.matrix @ est.vector - target).max()
+    if residual > UNBIASED_TOL:
+        raise ValueError(f"estimator is not unbiased (constraint residual {residual:.3e})")
+    weights = np.asarray(basis)
+    images = c.matrix @ weights.T
+    unbiased = np.abs(images - target[:, None]).max(axis=0) < UNBIASED_TOL
+    stray = ~unbiased & (np.abs(images).max(axis=0) >= UNBIASED_TOL)
+    if stray.any():
+        i = int(stray.argmax())
+        raise ValueError(
+            f"basis member {basis[i].name or i} is neither unbiased nor zero-expectation")
+    a = np.vstack([weights.T, unbiased])
+    b = np.concatenate([est.vector, [1.0]])
     coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
     fit = float(np.abs(a @ coeffs - b).max())
     if fit > DECOMPOSE_TOL:
@@ -415,7 +420,7 @@ def sample_random_lue(spec: ExposureSpec, probs: ExposureDistribution,
     w = w0
     if null.shape[1]:
         w = w0 + null @ rng.normal(scale=scale, size=null.shape[1])
-    return LinearEstimator(spec, dict(zip(c.exposures, w)), name="random_lue")
+    return LinearEstimator(spec, w, name="random_lue")
 
 
 def null_space_basis(matrix: np.ndarray) -> np.ndarray:

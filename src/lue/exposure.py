@@ -128,12 +128,20 @@ def canonical_grid(levels: tuple[int, ...]) -> np.ndarray:
     return grid[np.lexsort(np.vstack([-grid.T, group]))]
 
 
-@lru_cache(maxsize=None)
+# Per-spec caches keep this many specs.  Every cached call for a spec comes
+# in a run of consecutive calls (one in-degree's weight solves, one spec of a
+# sweep), and a dense_er setting solves about 36 distinct in-degrees, so 64
+# never recomputes within a setting while a sweep over thousands of specs
+# holds only the last 64.
+SPEC_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _canonical_exposures(levels: tuple[int, ...]) -> tuple[Exposure, ...]:
     return tuple(map(tuple, canonical_grid(levels).tolist()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def exposure_positions(spec: ExposureSpec) -> dict[Exposure, int]:
     """Column index of each exposure in the canonical order."""
     return {e: j for j, e in enumerate(_canonical_exposures(spec.levels))}
@@ -165,7 +173,7 @@ def indicator_vector(spec: ExposureSpec, e: Exposure) -> np.ndarray:
     return v
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _canonical_indicator_matrix(spec: ExposureSpec) -> np.ndarray:
     exposures = _canonical_exposures(spec.levels)
     mat = np.zeros((spec.num_parameters, len(exposures)))

@@ -212,7 +212,7 @@ class MivlueSolution:
     warnings: list[str] = field(default_factory=list)
 
     def constraint_residual(self) -> float:
-        w = self.estimator.as_vector(self.system.exposures)
+        w = self.estimator.vector
         rhs = self.system.rhs[self.system.num_exposures:]
         return float(np.abs(self.system.constraints @ w - rhs).max())
 
@@ -221,7 +221,7 @@ class MivlueSolution:
         sys = self.system
         indicators = indicator_matrix(sys.spec, sys.exposures)
         quotient = (indicators.T @ self.multipliers) / sys.variances
-        return float(np.abs(self.estimator.as_vector(sys.exposures) - quotient).max())
+        return float(np.abs(self.estimator.vector - quotient).max())
 
 
 def _solve_assembled(system: KktSystem, active=True) -> MivlueSolution:
@@ -264,7 +264,7 @@ def _solve_assembled(system: KktSystem, active=True) -> MivlueSolution:
         condition = singular[0] / singular[-1] if singular[-1] else np.inf
         warnings.append(f"optimality system condition estimate {condition:.2e} exceeds 1e12")
     multipliers = np.concatenate([mu[:1], mu[1:] - mu[0], theta])
-    estimator = LinearEstimator(system.spec, dict(zip(system.exposures, w)), name="mivlue")
+    estimator = LinearEstimator(system.spec, w, name="mivlue")
     ivar = float(w @ (system.probabilities * system.variances * w))
     return MivlueSolution(estimator, multipliers, ivar, system, warnings)
 
@@ -290,7 +290,7 @@ class LimitSolution:
     def off_support_mass(self) -> float:
         exposures = self.solution.system.exposures
         off = [e not in self.support for e in exposures]
-        return float(np.abs(self.solution.estimator.as_vector(exposures)[off]).max(initial=0.0))
+        return float(np.abs(self.solution.estimator.vector[off]).max(initial=0.0))
 
 
 def solve_mivlue_limit(spec: ExposureSpec, probs: ExposureDistribution, support,

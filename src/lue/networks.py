@@ -1,4 +1,4 @@
-"""Directed graphs and treated-degree computation for interference experiments."""
+"""Directed graphs for interference experiments."""
 
 from __future__ import annotations
 
@@ -37,25 +37,6 @@ class Network:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
-    @property
-    def out_degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
-
-    def to_edge_list(self) -> str:
-        """Serialize as one ``i j`` line per edge, 0-indexed."""
-        src, dst = np.nonzero(self.adjacency)
-        return "\n".join(f"{i} {j}" for i, j in zip(src, dst))
-
-    @classmethod
-    def from_edge_list(cls, text: str, n: int) -> "Network":
-        a = np.zeros((n, n), dtype=np.int64)
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            i, j = (int(tok) for tok in line.split())
-            a[i, j] = 1
-        return cls(a)
 
 
 def gen_k_regular_directed(n: int, k: int, seed: int) -> Network:
@@ -83,11 +64,3 @@ def gen_erdos_renyi_directed(n: int, p_edge: float, seed: int) -> Network:
     a = (rng.random((n, n)) < p_edge).astype(np.int64)
     np.fill_diagonal(a, 0)
     return Network(a)
-
-
-def treated_degree(network: Network, allocation) -> np.ndarray:
-    """Number of treated in-neighbors of every unit: A^T z."""
-    z = np.asarray(allocation)
-    if z.shape[0] != network.n:
-        raise ValueError(f"allocation length {z.shape[0]} != network size {network.n}")
-    return network.adjacency.T @ z

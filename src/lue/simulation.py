@@ -29,7 +29,7 @@ from .design import (
     bernoulli_exposure_distribution,
 )
 from .estimators import LinearEstimator
-from .exposure import ExposureSpec
+from .exposure import ExposureSpec, canonical_grid
 from .mivlue import PriorSpec, identity_prior, solve_mivlue
 from .networks import Network, gen_erdos_renyi_directed, gen_k_regular_directed
 
@@ -166,6 +166,11 @@ def included_units(network: Network) -> list[int]:
     return np.flatnonzero(network.in_degrees >= 1).tolist()
 
 
+def _slots(degree: int) -> np.ndarray:
+    """Slot 2d + z of each exposure (d, z) of in-degree ``degree``, in canonical order."""
+    return canonical_grid((degree, 1)) @ (2, 1)
+
+
 def family_weights(names, degree: int, p_treat: float, eta1: float = 1.0) -> np.ndarray:
     """Weights of each named family for a unit of in-degree ``degree``, Bernoulli design.
 
@@ -186,6 +191,7 @@ def family_weights(names, degree: int, p_treat: float, eta1: float = 1.0) -> np.
                 f"unknown estimator family {name!r}; expected one of {ESTIMATOR_NAMES}")
     dist = bernoulli_exposure_distribution(degree, p_treat)
     spec = dist.spec
+    slots = _slots(degree)
     table = np.zeros((len(names), 2 * degree + 2))
     for row, name in enumerate(names):
         if name in _OWN_TREATMENT_LEVELS:
@@ -200,8 +206,7 @@ def family_weights(names, degree: int, p_treat: float, eta1: float = 1.0) -> np.
         else:  # MDil
             u = np.concatenate([[1.0], np.arange(1, degree + 1) / degree * eta1, [1.0]])
             prior = PriorSpec(np.outer(u, u) + MDIL_RIDGE * np.eye(spec.num_parameters))
-        for (d, z), w in solve_mivlue(spec, dist, prior).estimator.weights.items():
-            table[row, 2 * d + z] = w
+        table[row, slots] = solve_mivlue(spec, dist, prior).estimator.vector
     return table
 
 
@@ -210,16 +215,16 @@ def build_estimator_family(name: str, network: Network, design,
     """Per-unit estimators for one family; degree-0 units are excluded.
 
     The weights are :func:`family_weights` rows, computed once per distinct
-    in-degree.
+    in-degree and read in canonical exposure order.
     """
-    rows = {}
+    vectors = {}
     family = {}
     for unit in included_units(network):
         d_i = int(network.in_degrees[unit])
-        if d_i not in rows:
-            rows[d_i] = family_weights((name,), d_i, design.p_treat, eta1)[0]
-        weights = {(d, z): rows[d_i][2 * d + z] for d in range(d_i + 1) for z in (0, 1)}
-        family[unit] = LinearEstimator(ExposureSpec((d_i, 1)), weights, name=f"{name}[{unit}]")
+        if d_i not in vectors:
+            vectors[d_i] = family_weights((name,), d_i, design.p_treat, eta1)[0, _slots(d_i)]
+        family[unit] = LinearEstimator(ExposureSpec((d_i, 1)), vectors[d_i],
+                                       name=f"{name}[{unit}]")
     return family
 
 

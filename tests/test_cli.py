@@ -12,8 +12,8 @@ import pytest
 import lue
 from lue.cli import main
 from lue.design import bernoulli_exposure_distribution, uniform_distribution
-from lue.estimators import build_four_term_alue, build_malue_set
-from lue.exposure import ExposureSpec
+from lue.estimators import LinearEstimator, build_four_term_alue, build_malue_set
+from lue.exposure import ExposureSpec, enumerate_exposures
 from lue.mivlue import max_alpha3
 from lue.verify import verify_estimator_set, verify_six_term_closed_form
 
@@ -278,11 +278,11 @@ class TestCheckInjection:
         """A corrupted four-term estimator fails the constraint check by name."""
         spec = ExposureSpec((3, 1))
         probs = uniform_distribution(spec)
-        estimators = build_malue_set(spec, probs)
-        sabotaged = build_four_term_alue(spec, (1, 1), probs)
-        sabotaged.weights[(1, 0)] = -sabotaged.weights[(1, 0)]
-        sabotaged.name = "four_term(1, 1)"
-        estimators[1] = sabotaged
+        estimators = list(build_malue_set(spec, probs))
+        vector = build_four_term_alue(spec, (1, 1), probs).as_vector()
+        flipped = enumerate_exposures(spec).index((1, 0))
+        vector[flipped] = -vector[flipped]
+        estimators[1] = LinearEstimator(spec, vector, name="four_term(1, 1)")
         ok, details = verify_estimator_set(spec, probs, estimators=estimators)
         assert not ok
         assert "four_term(1, 1)" in details

@@ -11,7 +11,6 @@ from lue.design import (
     ExposureDistribution,
     all_allocations,
     allocation_matrix,
-    allocations,
     bernoulli_exposure_distribution,
     bernoulli_exposure_prob,
     exposure_distribution_exact,
@@ -140,9 +139,9 @@ class TestExactEnumeration:
 
 class TestAllocations:
     def test_exhaustive_uniform(self):
-        pairs = list(allocations(BernoulliDesign(2, 0.5), "exhaustive"))
-        assert len(pairs) == 4
-        assert all(w == pytest.approx(0.25) for _, w in pairs)
+        mat, weights = allocation_matrix(BernoulliDesign(2, 0.5), "exhaustive")
+        assert mat.shape == (4, 2) and len(weights) == 4
+        assert all(w == pytest.approx(0.25) for w in weights)
 
     def test_exhaustive_normalization(self):
         _, weights = allocation_matrix(BernoulliDesign(10, 0.37), "exhaustive")

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from lue.design import uniform_distribution
 from lue.exposure import (
     ExposureSpec,
     ParameterIndex,
+    _canonical_exposures,
+    _canonical_indicator_matrix,
     apply_exposure_mapping,
     enumerate_exposures,
+    exposure_positions,
     indicator_vector,
     parameter_order,
     parameter_position,
@@ -80,6 +84,13 @@ class TestEnumerateExposures:
             assert len(exposures) == spec.num_exposures
             assert len(set(exposures)) == spec.num_exposures
             assert all(spec.contains(e) for e in exposures)
+
+
+def test_per_spec_caches_are_bounded():
+    """A sweep over thousands of specs keeps a bounded number of them cached."""
+    for cached in (_canonical_exposures, exposure_positions, _canonical_indicator_matrix,
+                   uniform_distribution):
+        assert cached.cache_info().maxsize is not None, cached.__name__
 
 
 class TestParameterIndexing:

@@ -1,14 +1,9 @@
-"""Directed graph generation and treated-degree computation."""
+"""Directed graph generation."""
 
 import numpy as np
 import pytest
 
-from lue.networks import (
-    Network,
-    gen_erdos_renyi_directed,
-    gen_k_regular_directed,
-    treated_degree,
-)
+from lue.networks import Network, gen_erdos_renyi_directed, gen_k_regular_directed
 
 
 def three_cycle():
@@ -29,7 +24,6 @@ class TestNetwork:
     def test_degrees(self):
         net = three_cycle()
         np.testing.assert_array_equal(net.in_degrees, [1, 1, 1])
-        np.testing.assert_array_equal(net.out_degrees, [1, 1, 1])
 
     def test_cached_in_degrees_are_column_sums_and_read_only(self):
         """Degrees are summed once at construction; neither they nor the edges can drift."""
@@ -46,12 +40,6 @@ class TestNetwork:
         Network(a)
         a[0, 1] = 1
         assert a.flags.writeable
-
-    def test_edge_list_roundtrip(self):
-        net = gen_erdos_renyi_directed(6, 0.4, seed=3)
-        text = net.to_edge_list()
-        again = Network.from_edge_list(text, 6)
-        np.testing.assert_array_equal(net.adjacency, again.adjacency)
 
 
 class TestKRegular:
@@ -98,29 +86,3 @@ class TestErdosRenyi:
         a = gen_erdos_renyi_directed(20, 0.3, seed=4)
         b = gen_erdos_renyi_directed(20, 0.3, seed=4)
         np.testing.assert_array_equal(a.adjacency, b.adjacency)
-
-
-class TestTreatedDegree:
-    def test_all_zeros(self):
-        net = three_cycle()
-        np.testing.assert_array_equal(treated_degree(net, np.zeros(3, dtype=int)), [0, 0, 0])
-
-    def test_cycle_example(self):
-        net = three_cycle()
-        np.testing.assert_array_equal(treated_degree(net, np.array([1, 1, 0])), [0, 1, 1])
-
-    def test_all_ones_gives_in_degrees(self):
-        net = gen_erdos_renyi_directed(10, 0.5, seed=2)
-        np.testing.assert_array_equal(treated_degree(net, np.ones(10, dtype=int)),
-                                      net.in_degrees)
-
-    def test_bounded_by_in_degree(self):
-        rng = np.random.default_rng(5)
-        net = gen_erdos_renyi_directed(12, 0.4, seed=6)
-        for _ in range(25):
-            z = rng.integers(0, 2, size=12)
-            assert (treated_degree(net, z) <= net.in_degrees).all()
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            treated_degree(three_cycle(), np.array([1, 0]))

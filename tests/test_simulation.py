@@ -325,9 +325,8 @@ class TestEstimateAverageEffect:
     def test_zero_weights_give_zero(self):
         net = three_cycle()
         design = BernoulliDesign(3, 0.5)
-        family = build_estimator_family("HT0", net, design)
-        for est in family.values():
-            est.weights = {}
+        family = {unit: LinearEstimator(est.spec, 0.0 * est.vector, est.name)
+                  for unit, est in build_estimator_family("HT0", net, design).items()}
         params = sample_parameters(net, OutcomeModel("independent"), 0)
         assert estimate_average_effect(family, net, np.array([1, 0, 1]), params) == 0.0
 
