@@ -100,6 +100,27 @@ class TestConstraintMatrix:
             assert np.linalg.matrix_rank(c.matrix) == spec.num_parameters
 
 
+class TestEvaluateEstimator:
+    """An estimator evaluated at an observed (exposure, outcome) is w(e) * Y."""
+
+    def test_weighted_outcome(self):
+        spec = ExposureSpec((1, 1))
+        est = LinearEstimator(spec, {(1, 1): 4.0})
+        assert est.weight((1, 1)) * 2.0 == 8.0
+
+    def test_outside_support_is_zero(self):
+        spec = ExposureSpec((1, 1))
+        est = LinearEstimator(spec, {(1, 1): 4.0})
+        assert est.weight((0, 0)) * 5.0 == 0.0
+        assert est.weight((2, 0)) == 0.0
+
+    def test_baseline_term(self):
+        spec = ExposureSpec((2,))
+        probs = ExposureDistribution(spec, {(2,): 0.125, (1,): 0.75, (0,): 0.125})
+        est = build_two_term_alue(spec, (), probs)
+        assert est.weight((0,)) * 1.0 == pytest.approx(-8.0)
+
+
 class TestCheckUnbiased:
     def test_two_term_is_unbiased(self):
         spec = ExposureSpec((3, 1))
@@ -462,6 +483,17 @@ class TestSupportCondition:
 
 
 class TestSerialization:
+    def test_text_roundtrip(self):
+        """Parsing the text lines gives back every nonzero weight, bit for bit."""
+        spec = ExposureSpec((3, 1))
+        est = build_four_term_alue(spec, (1, 1))
+        again = {}
+        for line in est.to_text().split("\n"):
+            exposure, weight = line.split("\t")
+            again[tuple(int(v) for v in exposure.split(","))] = float(weight)
+        assert again == est.weights
+        assert LinearEstimator(spec, again).vector.tobytes() == est.vector.tobytes()
+
     def test_text_format(self):
         spec = ExposureSpec((1,))
         est = LinearEstimator(spec, {(1,): 2.0, (0,): -2.0})

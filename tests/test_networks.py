@@ -1,15 +1,33 @@
-"""Directed graph generation."""
+"""Directed graph generation and treated-degree computation."""
 
 import numpy as np
 import pytest
 
+from lue.exposure import apply_exposure_mapping
 from lue.networks import Network, gen_erdos_renyi_directed, gen_k_regular_directed
+from lue.simulation import exposure_slots, slot_coefficients
 
 
 def three_cycle():
     a = np.zeros((3, 3), dtype=int)
     a[0, 1] = a[1, 2] = a[2, 0] = 1
     return Network(a)
+
+
+def treated_degree(net, z):
+    """Treated in-neighbors of every unit, read from both places the program computes them.
+
+    The exposure mapping gives (d, z) for one unit; the simulation reads d from
+    the slot 2d + z of the whole allocation.  The two must agree.
+    """
+    z = np.asarray(z)
+    units = np.arange(net.n)
+    mapped = np.array([apply_exposure_mapping("network_interference", net, z, i)[0]
+                       for i in units])
+    slots = exposure_slots(z[None, :], slot_coefficients(net, units))[0]
+    np.testing.assert_array_equal(slots % 2, z)
+    np.testing.assert_array_equal(slots // 2, mapped)
+    return mapped
 
 
 class TestNetwork:
@@ -86,3 +104,29 @@ class TestErdosRenyi:
         a = gen_erdos_renyi_directed(20, 0.3, seed=4)
         b = gen_erdos_renyi_directed(20, 0.3, seed=4)
         np.testing.assert_array_equal(a.adjacency, b.adjacency)
+
+
+class TestTreatedDegree:
+    def test_all_zeros(self):
+        net = three_cycle()
+        np.testing.assert_array_equal(treated_degree(net, np.zeros(3, dtype=int)), [0, 0, 0])
+
+    def test_cycle_example(self):
+        net = three_cycle()
+        np.testing.assert_array_equal(treated_degree(net, np.array([1, 1, 0])), [0, 1, 1])
+
+    def test_all_ones_gives_in_degrees(self):
+        net = gen_erdos_renyi_directed(10, 0.5, seed=2)
+        np.testing.assert_array_equal(treated_degree(net, np.ones(10, dtype=int)),
+                                      net.in_degrees)
+
+    def test_bounded_by_in_degree(self):
+        rng = np.random.default_rng(5)
+        net = gen_erdos_renyi_directed(12, 0.4, seed=6)
+        for _ in range(25):
+            z = rng.integers(0, 2, size=12)
+            assert (treated_degree(net, z) <= net.in_degrees).all()
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length"):
+            treated_degree(three_cycle(), np.array([1, 0]))
