@@ -66,7 +66,7 @@ from .simulation import (
     ImseReport,
     NetworkConfig,
     OutcomeModel,
-    UnitParameters,
+    Parameters,
     build_estimator_family,
     compute_imse,
     estimate_average_effect,

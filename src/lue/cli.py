@@ -26,9 +26,8 @@ from .estimators import (
     malue_count,
     zero_count,
 )
-from .exposure import ExposureSpec, enumerate_exposures
-from .mivlue import (SIX_TERM_EXPOSURES, PriorSpec, outcome_variance, six_term_alpha_weights,
-                     solve_mivlue)
+from .exposure import ExposureSpec, exposure_positions
+from .mivlue import SIX_TERM_EXPOSURES, PriorSpec, six_term_alpha_weights, solve_mivlue
 from .simulation import CSV_HEADER, ExperimentConfig, compute_imse, payload_hash
 from .verify import run_verify
 
@@ -128,15 +127,17 @@ def run_weights(args) -> int:
     lines = _header_lines(payload_hash(data), args.seed)
     for warning in solution.warnings:
         lines.append(f"# warning={warning}")
+    # The prior variance of every outcome, in canonical order, as the solve used them.
+    variances = solution.system.variances.tolist()
     if spec.levels == SIX_TERM_LEVELS:
+        positions = exposure_positions(spec)
         p6 = [probs[e] for e in SIX_TERM_EXPOSURES]
-        v6 = [outcome_variance(prior, spec, e) for e in SIX_TERM_EXPOSURES]
+        v6 = [variances[positions[e]] for e in SIX_TERM_EXPOSURES]
         a1, a2, a3 = six_term_alpha_weights(p6, v6)
         lines.append(f"# alpha1={a1!r} alpha2={a2!r} alpha3={a3!r}")
     lines.append("exposure,weight,variance,probability")
-    for e in enumerate_exposures(spec):
-        weight = solution.estimator.weight(e)
-        variance = outcome_variance(prior, spec, e)
+    weights = solution.estimator.vector.tolist()
+    for e, weight, variance in zip(solution.system.exposures, weights, variances):
         lines.append(f"{' '.join(str(v) for v in e)},{weight!r},{variance!r},{probs[e]!r}")
     _write_output(args.output, lines)
     return 0

@@ -22,14 +22,12 @@ from .design import ExposureDistribution, uniform_distribution
 from .exposure import (
     Exposure,
     ExposureSpec,
-    ParameterIndex,
     _canonical_exposures,
     canonical_grid,
     enumerate_exposures,
     exposure_positions,
     indicator_matrix,
     indicator_vector,
-    parameter_order,
     target_position,
 )
 
@@ -47,8 +45,7 @@ class LinearEstimator:
     mapping from exposures to weights in which absent exposures weigh 0.
     """
 
-    def __init__(self, spec: ExposureSpec, weights, name: str = "",
-                 target: ParameterIndex | None = None):
+    def __init__(self, spec: ExposureSpec, weights, name: str = ""):
         if isinstance(weights, Mapping):
             positions = exposure_positions(spec)
             vector = np.zeros(spec.num_exposures)
@@ -62,7 +59,6 @@ class LinearEstimator:
         self.vector = vector + 0.0
         self.vector.setflags(write=False)
         self.spec, self.name = spec, name
-        self.target = ParameterIndex("effect", 1, spec.levels[0]) if target is None else target
 
     @property
     def weights(self) -> dict[Exposure, float]:
@@ -140,7 +136,6 @@ class ConstraintMatrix:
     spec: ExposureSpec
     matrix: np.ndarray
     exposures: tuple[Exposure, ...]
-    parameters: tuple[ParameterIndex, ...]
 
     def target_vector(self) -> np.ndarray:
         t = np.zeros(self.spec.num_parameters)
@@ -151,8 +146,8 @@ class ConstraintMatrix:
 def constraint_matrix(spec: ExposureSpec, probs: ExposureDistribution) -> ConstraintMatrix:
     """Assemble the unbiasedness constraint system for the given exposure probabilities."""
     exposures = tuple(enumerate_exposures(spec))
-    mat = indicator_matrix(spec, exposures) * probs.vector()
-    return ConstraintMatrix(spec, mat, exposures, tuple(parameter_order(spec)))
+    mat = indicator_matrix(spec) * probs.vector()
+    return ConstraintMatrix(spec, mat, exposures)
 
 
 def check_unbiased(est: LinearEstimator, probs: ExposureDistribution) -> float:

@@ -174,22 +174,13 @@ def indicator_vector(spec: ExposureSpec, e: Exposure) -> np.ndarray:
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
-def _canonical_indicator_matrix(spec: ExposureSpec) -> np.ndarray:
+def indicator_matrix(spec: ExposureSpec) -> np.ndarray:
+    """Read-only stack of indicator vectors, one column per exposure (canonical order)."""
     exposures = _canonical_exposures(spec.levels)
     mat = np.zeros((spec.num_parameters, len(exposures)))
     for j, e in enumerate(exposures):
         mat[:, j] = indicator_vector(spec, e)
     mat.setflags(write=False)
-    return mat
-
-
-def indicator_matrix(spec: ExposureSpec, exposures=None) -> np.ndarray:
-    """Stack of indicator vectors, one column per exposure (canonical order)."""
-    if exposures is None or tuple(exposures) == _canonical_exposures(spec.levels):
-        return _canonical_indicator_matrix(spec)
-    mat = np.zeros((spec.num_parameters, len(exposures)))
-    for j, e in enumerate(exposures):
-        mat[:, j] = indicator_vector(spec, e)
     return mat
 
 

@@ -28,6 +28,7 @@ from .estimators import LinearEstimator, SupportCheck, check_support_condition
 from .exposure import (
     ExposureSpec,
     enumerate_exposures,
+    exposure_positions,
     indicator_matrix,
     indicator_vector,
     target_position,
@@ -112,8 +113,7 @@ def support_null_prior(spec: ExposureSpec, support) -> np.ndarray:
 def outcome_variance(prior: PriorSpec, spec: ExposureSpec, e) -> float:
     """Prior variance of the potential outcome at ``e``: the indicator quadratic form."""
     e = spec.validate_exposure(e)
-    index = enumerate_exposures(spec).index(e)
-    return float(outcome_variance_vector(spec, prior)[index])
+    return float(outcome_variance_vector(spec, prior)[exposure_positions(spec)[e]])
 
 
 @dataclass
@@ -219,7 +219,7 @@ class MivlueSolution:
     def quotient_residual(self) -> float:
         """Max deviation of each weight from its multiplier/variance quotient."""
         sys = self.system
-        indicators = indicator_matrix(sys.spec, sys.exposures)
+        indicators = indicator_matrix(sys.spec)
         quotient = (indicators.T @ self.multipliers) / sys.variances
         return float(np.abs(self.estimator.vector - quotient).max())
 
@@ -235,7 +235,7 @@ def _solve_assembled(system: KktSystem, active=True) -> MivlueSolution:
     outside ``active`` get rate and weight 0: that is the dilation limit.
     """
     m1 = system.spec.levels[0]
-    indicators = indicator_matrix(system.spec, system.exposures)
+    indicators = indicator_matrix(system.spec)
     first = (np.arange(1, m1 + 1) @ indicators[1:m1 + 1]).astype(int)
     tail = indicators[m1 + 1:].T
     # Row j holds the rates of group e_1 = j, so each group sums only its own

@@ -18,7 +18,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -49,29 +49,33 @@ _STREAM_NETWORK = 3
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class UnitParameters:
-    """Potential-outcome parameters of one unit.
+@dataclass(frozen=True)
+class Parameters:
+    """Potential-outcome parameters of every unit, one read-only array per kind.
 
-    ``interference[d - 1]`` is the effect of exactly d treated in-neighbors;
-    ``interaction`` is absent exactly when additivity holds.
+    ``alpha`` and ``direct`` hold one entry per unit.  ``interference`` lays
+    the units' effects of exactly d = 1..d_i treated in-neighbors end to end:
+    unit i owns entries ``offsets[i]:offsets[i + 1]``.  ``interaction`` has the
+    same layout and is absent exactly when additivity holds.
     """
 
-    alpha: float
-    direct: float
+    alpha: np.ndarray
+    direct: np.ndarray
     interference: np.ndarray
+    offsets: np.ndarray
     interaction: np.ndarray | None = None
 
     def __post_init__(self):
-        self.interference = np.asarray(self.interference, dtype=float)
-        if self.interaction is not None:
-            self.interaction = np.asarray(self.interaction, dtype=float)
-            if self.interaction.shape != self.interference.shape:
-                raise ValueError("interaction effects must match the interference length")
-
-    @property
-    def degree(self) -> int:
-        return len(self.interference)
+        for name in ("alpha", "direct", "interference", "offsets", "interaction"):
+            value = getattr(self, name)
+            if value is not None:
+                value = np.array(value, dtype=np.intp if name == "offsets" else float)
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
+        if self.interaction is not None and self.interaction.shape != self.interference.shape:
+            raise ValueError("interaction effects must match the interference length")
+        if len(self.offsets) != len(self.alpha) + 1 or self.offsets[-1] != len(self.interference):
+            raise ValueError("offsets must bound every unit's slice of the interference effects")
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ class OutcomeModel:
             raise ValueError("interaction level must be nonnegative")
 
 
-def sample_parameters(network: Network, model: OutcomeModel, seed) -> list[UnitParameters]:
+def sample_parameters(network: Network, model: OutcomeModel, seed) -> Parameters:
     """Draw parameters for every unit, mutually independent, deterministic in ``seed``.
 
     Independent: baseline and direct effect standard normal, interference
@@ -126,15 +130,12 @@ def sample_parameters(network: Network, model: OutcomeModel, seed) -> list[UnitP
         alpha = draws[first]
         direct = draws[first + 1]
         interference = scale * model.mu1 + draws[2 * (owner + 1) + position]
-    bounds = list(zip(starts.tolist(), ends.tolist()))
-    interaction = [None] * n
+    interaction = None
     if model.kind == "interaction" and model.delta1 > 0:
         rng_inter = np.random.default_rng(
             np.random.SeedSequence([*words, _STREAM_INTERACTION]))
-        effects = scale * model.delta1 + rng_inter.normal(size=total)
-        interaction = [effects[start:end] for start, end in bounds]
-    return [UnitParameters(a, b, interference[start:end], x) for a, b, (start, end), x in zip(
-        alpha.tolist(), direct.tolist(), bounds, interaction)]
+        interaction = scale * model.delta1 + rng_inter.normal(size=total)
+    return Parameters(alpha, direct, interference, np.r_[0, ends], interaction)
 
 
 def _as_words(seed) -> list[int]:
@@ -143,16 +144,17 @@ def _as_words(seed) -> list[int]:
     return [int(seed)]
 
 
-def potential_outcome(params: UnitParameters, e) -> float:
-    """Outcome at exposure (treated degree, own treatment) for one unit."""
+def potential_outcome(params: Parameters, unit: int, e) -> float:
+    """Outcome of ``unit`` at exposure (treated degree, own treatment)."""
     d, z = (int(v) for v in e)
-    if not 0 <= d <= params.degree:
-        raise ValueError(f"treated degree {d} out of range 0..{params.degree}")
-    y = params.alpha + params.direct * z
+    start, end = params.offsets[unit], params.offsets[unit + 1]
+    if not 0 <= d <= end - start:
+        raise ValueError(f"treated degree {d} out of range 0..{end - start}")
+    y = params.alpha[unit] + params.direct[unit] * z
     if d > 0:
-        y += params.interference[d - 1]
+        y += params.interference[start + d - 1]
         if params.interaction is not None and z:
-            y += params.interaction[d - 1]
+            y += params.interaction[start + d - 1]
     return float(y)
 
 
@@ -228,7 +230,7 @@ def build_estimator_family(name: str, network: Network, design,
     return family
 
 
-def true_average_effect(network: Network, params: list[UnitParameters]) -> float:
+def true_average_effect(network: Network, params: Parameters) -> float:
     """Mean full-neighborhood interference effect over units with positive degree."""
     units = included_units(network)
     if not units:
@@ -236,12 +238,12 @@ def true_average_effect(network: Network, params: list[UnitParameters]) -> float
     return _mean_full_effect(params, units)
 
 
-def _mean_full_effect(params: list[UnitParameters], units) -> float:
-    return float(np.mean([params[i].interference[-1] for i in units]))
+def _mean_full_effect(params: Parameters, units) -> float:
+    return float(np.mean(params.interference[params.offsets[1:][units] - 1]))
 
 
 def estimate_average_effect(family: dict[int, LinearEstimator], network: Network,
-                            allocation, params: list[UnitParameters]) -> float:
+                            allocation, params: Parameters) -> float:
     """Average of unit-level estimates over units with positive in-degree."""
     units = included_units(network)
     if not units:
@@ -253,7 +255,7 @@ def estimate_average_effect(family: dict[int, LinearEstimator], network: Network
         e = (int(treated[i]), int(z[i]))
         w = family[i].weight(e)
         if w != 0.0:
-            total += w * potential_outcome(params[i], e)
+            total += w * potential_outcome(params, i, e)
     return total / len(units)
 
 
@@ -306,40 +308,20 @@ class ExperimentConfig:
             raise ValueError("need at least one parameter draw")
 
     def to_dict(self) -> dict:
-        return {
-            "network": {
-                "kind": self.network.kind,
-                "n": self.network.n,
-                "k": self.network.k,
-                "p_edge": self.network.p_edge,
-            },
-            "outcome": {
-                "kind": self.outcome.kind,
-                "mu1": self.outcome.mu1,
-                "eta1": self.outcome.eta1,
-                "delta1": self.outcome.delta1,
-            },
-            "p_treat": self.p_treat,
-            "estimators": list(self.estimators),
-            "num_draws": self.num_draws,
-            "allocation_mode": self.allocation_mode,
-            "allocation_count": self.allocation_count,
-            "master_seed": self.master_seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        network = NetworkConfig(**data["network"])
-        outcome = OutcomeModel(**data["outcome"])
+        """Inverse of :meth:`to_dict`; unknown top-level keys are ignored.
+
+        Absent top-level keys take the field defaults; the nested network and
+        outcome accept only their own fields.
+        """
+        settings = {f.name for f in fields(cls)} - {"network", "outcome"}
         return cls(
-            network=network,
-            outcome=outcome,
-            p_treat=data.get("p_treat", 0.5),
-            estimators=tuple(data.get("estimators", ESTIMATOR_NAMES)),
-            num_draws=data.get("num_draws", 1000),
-            allocation_mode=data.get("allocation_mode", "exhaustive"),
-            allocation_count=data.get("allocation_count", 1500),
-            master_seed=data.get("master_seed", 0),
+            network=NetworkConfig(**data["network"]),
+            outcome=OutcomeModel(**data["outcome"]),
+            **{key: value for key, value in data.items() if key in settings},
         )
 
 
@@ -392,34 +374,30 @@ class ImseReport:
 CSV_HEADER = "estimator,n,k_or_p,distribution,mu1_or_eta1,delta1,imse,bias2,variance,se,seed"
 
 
-def _outcome_table(params, units, width):
+def _outcome_table(params: Parameters, units, width):
     """(unit x exposure-slot) potential outcomes, bit-identical to :func:`potential_outcome`.
 
     Even slots hold z = 0 and odd slots z = 1, with d >= 1 from slot 2 on;
     each entry is summed in the same order, ((alpha + direct z) + interference_d)
     + interaction_d.
     """
-    unit_params = [params[i] for i in units]
-    degrees = np.array([p.degree for p in unit_params], dtype=np.intp)
-    alpha = np.array([p.alpha for p in unit_params])
-    direct = np.array([p.direct for p in unit_params])
+    starts = params.offsets[units]
+    degrees = np.diff(params.offsets)[units]
+    alpha = params.alpha[units]
+    direct = params.direct[units]
     table = np.zeros((len(units), width))
     table[:, 0] = alpha + direct * 0
     table[:, 1] = alpha + direct * 1
     rows = np.repeat(np.arange(len(units)), degrees)
-    first = np.repeat(np.cumsum(degrees) - degrees, degrees)
-    cols = 2 * (np.arange(len(rows)) - first + 1)
-    interference = np.concatenate([p.interference for p in unit_params])
+    # d - 1 of every entry, counted within its unit.
+    level = np.arange(len(rows)) - np.repeat(np.cumsum(degrees) - degrees, degrees)
+    entries = np.repeat(starts, degrees) + level
+    cols = 2 * (level + 1)
+    interference = params.interference[entries]
     table[rows, cols] = table[rows, 0] + interference
     treated = table[rows, 1] + interference
-    has_interaction = np.array([p.interaction is not None for p in unit_params])
-    if has_interaction.any():
-        interaction = np.concatenate([
-            np.zeros(p.degree) if p.interaction is None else p.interaction
-            for p in unit_params
-        ])
-        mask = np.repeat(has_interaction, degrees)
-        treated[mask] += interaction[mask]
+    if params.interaction is not None:
+        treated += params.interaction[entries]
     table[rows, cols + 1] = treated
     return table
 

@@ -50,6 +50,8 @@ from .simulation import (
 
 CONSTRAINT_TOL = 1e-10
 SIX_TERM_TOL = 1e-8
+# Random instances come from one fixed seed, so every run checks the same ones.
+CHECK_SEED = 0
 
 PANEL_SPECS = ((1,), (3, 1), (2, 1), (1, 1, 1), (2, 2), (2, 1, 1), (4, 2), (1, 1, 1, 1))
 
@@ -95,9 +97,9 @@ def verify_estimator_set(spec: ExposureSpec, probs: ExposureDistribution,
     return True, ""
 
 
-def check_constraint_residuals(seed: int = 0) -> CheckResult:
+def check_constraint_residuals() -> CheckResult:
     def body():
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(CHECK_SEED)
         for levels in PANEL_SPECS:
             spec = ExposureSpec(levels)
             for _ in range(5):
@@ -133,10 +135,10 @@ def check_basis_ranks(budget: int = 256) -> CheckResult:
     return _timed("basis_ranks", body)
 
 
-def verify_six_term_closed_form(alpha_fn=six_term_alpha_weights, trials: int = 100,
-                                seed: int = 0) -> tuple[bool, str]:
+def verify_six_term_closed_form(alpha_fn=six_term_alpha_weights,
+                                trials: int = 100) -> tuple[bool, str]:
     """Closed-form coefficients must match the numeric optimality solve."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CHECK_SEED)
     spec = ExposureSpec((2, 1))
     for trial in range(trials):
         raw = rng.dirichlet(np.ones(6))
@@ -160,8 +162,8 @@ def verify_six_term_closed_form(alpha_fn=six_term_alpha_weights, trials: int = 1
     return True, ""
 
 
-def check_six_term_closed_form(seed: int = 0) -> CheckResult:
-    return _timed("six_term_closed_form", lambda: verify_six_term_closed_form(seed=seed))
+def check_six_term_closed_form() -> CheckResult:
+    return _timed("six_term_closed_form", verify_six_term_closed_form)
 
 
 def check_design_oracle() -> CheckResult:

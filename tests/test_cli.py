@@ -87,6 +87,25 @@ class TestWeightsCommand:
                      and not l.startswith("exposure")]
         assert len(data_rows) == 6
 
+    @pytest.mark.parametrize("payload, digest", [
+        ({"spec": {"levels": [2, 1]},
+          "probabilities": {"0,0": 0.125, "0,1": 0.125, "1,0": 0.25, "1,1": 0.25,
+                            "2,0": 0.125, "2,1": 0.125},
+          "prior": {"covariance": [[1.0, 0.5, 0.0, 0.0], [0.5, 2.0, 0.0, 0.0],
+                                   [0.0, 0.0, 1.5, 0.0], [0.0, 0.0, 0.0, 0.75]],
+                    "dilation": 100.0,
+                    "base_perturbation": (1e-3 * (np.eye(4) + 0.1 * np.ones((4, 4)))).tolist()}},
+         "b6ab489af04c0f196bab4183a9e35c4f7aca099eb4bc823fa1661b109bdc2165"),
+        ({"spec": {"levels": [40, 1]}, "prior": {"covariance": np.eye(42).tolist()}},
+         "f02fffd164067b245fe684d3a31ad00ad8db83aad8e750a533775895aed5e676"),
+    ], ids=["six_term_dilated", "identity_40"])
+    def test_weights_bytes_are_pinned(self, tmp_path, capsys, payload, digest):
+        """Pins every weight, variance and alpha digit, so a refactor cannot move them."""
+        path = write_json(tmp_path / "in.json", payload)
+        assert main(["weights", "--input", path]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestBasisCommand:
     def test_header_counts(self, capsys):

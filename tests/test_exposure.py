@@ -8,10 +8,10 @@ from lue.exposure import (
     ExposureSpec,
     ParameterIndex,
     _canonical_exposures,
-    _canonical_indicator_matrix,
     apply_exposure_mapping,
     enumerate_exposures,
     exposure_positions,
+    indicator_matrix,
     indicator_vector,
     parameter_order,
     parameter_position,
@@ -88,7 +88,7 @@ class TestEnumerateExposures:
 
 def test_per_spec_caches_are_bounded():
     """A sweep over thousands of specs keeps a bounded number of them cached."""
-    for cached in (_canonical_exposures, exposure_positions, _canonical_indicator_matrix,
+    for cached in (_canonical_exposures, exposure_positions, indicator_matrix,
                    uniform_distribution):
         assert cached.cache_info().maxsize is not None, cached.__name__
 

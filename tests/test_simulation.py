@@ -14,7 +14,7 @@ from lue.simulation import (
     ExperimentConfig,
     NetworkConfig,
     OutcomeModel,
-    UnitParameters,
+    Parameters,
     _outcome_table,
     build_estimator_family,
     compute_imse,
@@ -46,8 +46,20 @@ def three_cycle():
     return Network(a)
 
 
+def effects(params, unit, kind="interference"):
+    """One unit's d = 1..d_i effects of one kind."""
+    return getattr(params, kind)[params.offsets[unit]:params.offsets[unit + 1]]
+
+
+def one_unit(alpha, direct, interference, interaction=None):
+    return Parameters([alpha], [direct], interference, [0, len(interference)], interaction)
+
+
 def sequential_parameters(network, model, seed):
-    """Reference: the per-unit draw loop, one RNG call per parameter block."""
+    """Reference: the per-unit draw loop, one RNG call per parameter block.
+
+    Returns one (alpha, direct, interference, interaction) tuple per unit.
+    """
     words = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     rng_common = np.random.default_rng(np.random.SeedSequence([*words, 0]))
     rng_inter = np.random.default_rng(np.random.SeedSequence([*words, 1]))
@@ -57,7 +69,7 @@ def sequential_parameters(network, model, seed):
         scale = np.arange(1, d_i + 1) / d_i if d_i else np.zeros(0)
         if model.kind == "dilated":
             alpha = rng_common.normal()
-            out.append(UnitParameters(alpha, alpha, scale * model.eta1 * alpha))
+            out.append((alpha, alpha, scale * model.eta1 * alpha, None))
             continue
         alpha = rng_common.normal()
         direct = rng_common.normal()
@@ -65,7 +77,7 @@ def sequential_parameters(network, model, seed):
         interaction = None
         if model.kind == "interaction" and model.delta1 > 0:
             interaction = scale * model.delta1 + rng_inter.normal(size=d_i)
-        out.append(UnitParameters(alpha, direct, interference, interaction))
+        out.append((alpha, direct, interference, interaction))
     return out
 
 
@@ -84,15 +96,17 @@ class TestSampleParameters:
         """One vector per stream gives the per-unit loop's parameters bit for bit."""
         batched = sample_parameters(network, model, seed)
         reference = sequential_parameters(network, model, seed)
-        assert len(batched) == len(reference) == network.n
-        for p, q in zip(batched, reference):
-            assert type(p.alpha) is type(q.alpha) and p.alpha == q.alpha
-            assert type(p.direct) is type(q.direct) and p.direct == q.direct
-            assert p.interference.tobytes() == q.interference.tobytes()
-            assert (p.interaction is None) == (q.interaction is None)
-            if q.interaction is not None:
-                assert p.interaction.tobytes() == q.interaction.tobytes()
-        assert [p.degree for p in batched] == network.in_degrees.tolist()
+        assert len(reference) == network.n
+        np.testing.assert_array_equal(np.diff(batched.offsets), network.in_degrees)
+        assert batched.alpha.tobytes() == np.array([q[0] for q in reference]).tobytes()
+        assert batched.direct.tobytes() == np.array([q[1] for q in reference]).tobytes()
+        assert (batched.interaction is None) == all(q[3] is None for q in reference)
+        for unit, (_, _, interference, interaction) in enumerate(reference):
+            assert effects(batched, unit).tobytes() == interference.tobytes()
+            if interaction is not None:
+                assert effects(batched, unit, "interaction").tobytes() == interaction.tobytes()
+        assert not any(getattr(batched, kind).flags.writeable
+                       for kind in ("alpha", "direct", "interference", "offsets"))
 
     def test_dilated_variance_and_correlation(self):
         """Under dilation the top interference effect tracks the baseline exactly."""
@@ -101,8 +115,8 @@ class TestSampleParameters:
         alphas, tops = [], []
         for draw in range(10_000):
             params = sample_parameters(net, model, [99, draw])
-            alphas.append(params[0].alpha)
-            tops.append(params[0].interference[-1])
+            alphas.append(params.alpha[0])
+            tops.append(effects(params, 0)[-1])
         alphas, tops = np.array(alphas), np.array(tops)
         assert np.var(tops) == pytest.approx(1.0, abs=0.05)
         assert np.corrcoef(alphas, tops)[0, 1] == pytest.approx(1.0, abs=0.02)
@@ -110,12 +124,12 @@ class TestSampleParameters:
     def test_interaction_zero_level_is_exactly_additive(self):
         net = gen_k_regular_directed(5, 2, seed=1)
         params = sample_parameters(net, OutcomeModel("interaction", mu1=3.0, delta1=0.0), 7)
-        assert all(p.interaction is None for p in params)
+        assert params.interaction is None
 
     def test_independent_zero_mean(self):
         net = gen_k_regular_directed(4, 2, seed=2)
         draws = np.array([
-            sample_parameters(net, OutcomeModel("independent"), [5, d])[1].interference[0]
+            effects(sample_parameters(net, OutcomeModel("independent"), [5, d]), 1)[0]
             for d in range(10_000)
         ])
         assert abs(draws.mean()) < 3 / np.sqrt(len(draws))
@@ -124,7 +138,7 @@ class TestSampleParameters:
         net = gen_k_regular_directed(6, 3, seed=3)
         model = OutcomeModel("independent", mu1=30.0)
         draws = np.array([
-            sample_parameters(net, model, [11, d])[0].interference for d in range(4000)
+            effects(sample_parameters(net, model, [11, d]), 0) for d in range(4000)
         ])
         np.testing.assert_allclose(draws.mean(axis=0), [10.0, 20.0, 30.0], atol=0.2)
 
@@ -133,38 +147,42 @@ class TestSampleParameters:
         net = gen_k_regular_directed(5, 2, seed=4)
         base = sample_parameters(net, OutcomeModel("interaction", mu1=2.0, delta1=0.0), [3, 0])
         bumped = sample_parameters(net, OutcomeModel("interaction", mu1=2.0, delta1=6.0), [3, 0])
-        for p, q in zip(base, bumped):
-            assert p.alpha == q.alpha and p.direct == q.direct
-            np.testing.assert_array_equal(p.interference, q.interference)
-        assert any(q.interaction is not None for q in bumped)
+        for kind in ("alpha", "direct", "interference", "offsets"):
+            np.testing.assert_array_equal(getattr(base, kind), getattr(bumped, kind))
+        assert base.interaction is None and bumped.interaction is not None
 
     def test_deterministic_given_seed(self):
         net = gen_k_regular_directed(5, 2, seed=4)
         a = sample_parameters(net, OutcomeModel("independent"), [8, 1])
         b = sample_parameters(net, OutcomeModel("independent"), [8, 1])
-        for p, q in zip(a, b):
-            assert p.alpha == q.alpha
-            np.testing.assert_array_equal(p.interference, q.interference)
+        for kind in ("alpha", "direct", "interference", "offsets"):
+            np.testing.assert_array_equal(getattr(a, kind), getattr(b, kind))
+
+    def test_inconsistent_layout_rejected(self):
+        with pytest.raises(ValueError, match="match the interference"):
+            one_unit(0.0, 0.0, np.zeros(2), np.zeros(1))
+        with pytest.raises(ValueError, match="offsets"):
+            Parameters([0.0, 1.0], [0.0, 1.0], np.zeros(3), [0, 1])
 
 
 class TestPotentialOutcome:
     def test_direct_effect(self):
-        params = UnitParameters(1.0, 2.0, np.zeros(2))
-        assert potential_outcome(params, (0, 1)) == 3.0
+        params = one_unit(1.0, 2.0, np.zeros(2))
+        assert potential_outcome(params, 0, (0, 1)) == 3.0
 
     def test_baseline(self):
-        params = UnitParameters(1.5, 2.0, np.array([4.0]))
-        assert potential_outcome(params, (0, 0)) == 1.5
+        params = one_unit(1.5, 2.0, np.array([4.0]))
+        assert potential_outcome(params, 0, (0, 0)) == 1.5
 
     def test_interaction_term(self):
-        params = UnitParameters(0.0, 0.0, np.array([0.0, 5.0]), np.array([0.0, 3.0]))
-        assert potential_outcome(params, (2, 1)) == 8.0
-        assert potential_outcome(params, (2, 0)) == 5.0
+        params = one_unit(0.0, 0.0, np.array([0.0, 5.0]), np.array([0.0, 3.0]))
+        assert potential_outcome(params, 0, (2, 1)) == 8.0
+        assert potential_outcome(params, 0, (2, 0)) == 5.0
 
     def test_degree_out_of_range(self):
-        params = UnitParameters(0.0, 0.0, np.array([1.0]))
+        params = one_unit(0.0, 0.0, np.array([1.0]))
         with pytest.raises(ValueError, match="out of range"):
-            potential_outcome(params, (2, 1))
+            potential_outcome(params, 0, (2, 1))
 
 
 class TestOutcomeTable:
@@ -178,18 +196,19 @@ class TestOutcomeTable:
         params = sample_parameters(net, model, [6, 1])
         table = _outcome_table(params, units, width)
         for row, unit in enumerate(units):
-            p = params[unit]
-            for d in range(p.degree + 1):
+            degree = int(net.in_degrees[unit])
+            for d in range(degree + 1):
                 for z in (0, 1):
-                    assert table[row, 2 * d + z] == potential_outcome(p, (d, z))
-            assert not table[row, 2 * (p.degree + 1):].any()
+                    assert table[row, 2 * d + z] == potential_outcome(params, unit, (d, z))
+            assert not table[row, 2 * (degree + 1):].any()
 
-    def test_interaction_only_where_present(self):
-        params = [UnitParameters(0.5, 1.25, np.array([2.0, 3.0]), np.array([4.0, 8.0])),
-                  UnitParameters(-1.0, 0.75, np.array([5.0]))]
+    def test_interaction_with_unequal_degrees(self):
+        """The lower-degree unit's slots past its own degree stay zero."""
+        params = Parameters([0.5, -1.0], [1.25, 0.75], [2.0, 3.0, 5.0], [0, 2, 3],
+                            [4.0, 8.0, 16.0])
         table = _outcome_table(params, [0, 1], 6)
-        expected = [[potential_outcome(params[0], (d, z)) for d in range(3) for z in (0, 1)],
-                    [potential_outcome(params[1], (d, z)) for d in range(2) for z in (0, 1)]
+        expected = [[potential_outcome(params, 0, (d, z)) for d in range(3) for z in (0, 1)],
+                    [potential_outcome(params, 1, (d, z)) for d in range(2) for z in (0, 1)]
                     + [0.0, 0.0]]
         np.testing.assert_array_equal(table, expected)
 
@@ -332,7 +351,7 @@ class TestEstimateAverageEffect:
 
     def test_single_isolated_unit_rejected(self):
         net = Network(np.zeros((1, 1), dtype=int))
-        params = [UnitParameters(0.0, 0.0, np.zeros(0))]
+        params = one_unit(0.0, 0.0, np.zeros(0))
         with pytest.raises(ValueError, match="undefined"):
             estimate_average_effect({}, net, np.array([0]), params)
 
@@ -370,7 +389,11 @@ class TestExperimentConfig:
         )
         again = ExperimentConfig.from_dict(config.to_dict())
         assert again == config
-        assert config_hash(again) == config_hash(config)
+        assert config_hash(again) == config_hash(config) == "98db95ebbb44"
+        assert ExperimentConfig.from_dict({**config.to_dict(), "comment": "ignored"}) == config
+        with pytest.raises(TypeError):
+            ExperimentConfig.from_dict({**config.to_dict(), "network": {
+                "kind": "erdos_renyi", "n": 12, "p_edge": 0.25, "comment": "rejected"}})
 
     def test_network_config_validation(self):
         with pytest.raises(ValueError, match="need k"):
@@ -431,7 +454,8 @@ class TestComputeImse:
         for draw in range(config.num_draws):
             params = sample_parameters(network, config.outcome, [config.master_seed, draw])
             theta_bar = true_average_effect(network, params)
-            expected_bias = np.mean([p.interaction[-1] for p in params])
+            expected_bias = np.mean([effects(params, i, "interaction")[-1]
+                                     for i in range(network.n)])
             observed_bias = report.results["HT1"].per_draw_mean[draw] - theta_bar
             assert observed_bias == pytest.approx(expected_bias, abs=1e-10)
 
@@ -453,7 +477,9 @@ class TestComputeImse:
         perm = rng.permutation(7)
         permuted = Network(net.adjacency[np.ix_(perm, perm)])
         params = sample_parameters(net, OutcomeModel("independent"), 33)
-        params_perm = [params[i] for i in perm]
+        params_perm = Parameters(params.alpha[perm], params.direct[perm],
+                                 np.concatenate([effects(params, i) for i in perm]),
+                                 np.r_[0, np.cumsum(net.in_degrees[perm])])
         family = build_estimator_family("HTAvg", net, design)
         family_perm = build_estimator_family("HTAvg", permuted, design)
         allocs, probs = allocation_matrix(design, "exhaustive")
