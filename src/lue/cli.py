@@ -59,11 +59,14 @@ def _header_lines(config_digest: str, seed) -> list[str]:
 def _load_json(path: str, what: str) -> dict:
     try:
         with open(path) as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except FileNotFoundError:
         raise InputError(f"{what}: file not found: {path}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{what}: malformed JSON: {exc}")
+    if not isinstance(data, dict):
+        raise InputError(f"{what}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _get(data: dict, path: str, expect=None, required: bool = True, default=None):
@@ -137,8 +140,9 @@ def run_weights(args) -> int:
         lines.append(f"# alpha1={a1!r} alpha2={a2!r} alpha3={a3!r}")
     lines.append("exposure,weight,variance,probability")
     weights = solution.estimator.vector.tolist()
-    for e, weight, variance in zip(solution.system.exposures, weights, variances):
-        lines.append(f"{' '.join(str(v) for v in e)},{weight!r},{variance!r},{probs[e]!r}")
+    rows = zip(solution.system.exposures, weights, variances, probs.vector.tolist())
+    for e, weight, variance, probability in rows:
+        lines.append(f"{' '.join(str(v) for v in e)},{weight!r},{variance!r},{probability!r}")
     _write_output(args.output, lines)
     return 0
 
@@ -185,6 +189,8 @@ def _setting_seed(seed: int, index: int) -> int:
 
 def run_simulate(args) -> int:
     data = _load_json(args.config, "config")
+    for section in ("network", "outcome"):
+        _get(data, section, expect=dict)
     digest = payload_hash({"config": data, "seed": args.seed})
     lines = _header_lines(digest, args.seed)
     lines.append(CSV_HEADER)

@@ -9,13 +9,14 @@ closed binomial form, and an exhaustive-enumeration oracle double-checks it.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .exposure import (SPEC_CACHE_SIZE, Exposure, ExposureSpec, apply_exposure_mapping,
-                       enumerate_exposures)
+                       enumerate_exposures, exposure_positions)
 
 PROB_SUM_TOL = 1e-10
 TABLE_SUM_TOL = 1e-12
@@ -27,41 +28,59 @@ LOG_SPACE_DEGREE = 50
 class ExposureDistribution:
     """Probabilities of each exposure in a unit's exposure set.
 
-    Every exposure in the set must have positive probability and masses must
-    sum to one (within ``PROB_SUM_TOL``); solvers rely on both.
+    ``vector`` is the only storage: the read-only probabilities in canonical
+    exposure order, which is the column order of ``ConstraintMatrix`` and of
+    ``LinearEstimator.vector``.  The constructor takes that vector, or a
+    mapping from exposures to probabilities in which absent exposures have
+    probability 0.  Every exposure in the set must have positive probability
+    and masses must sum to one (within ``PROB_SUM_TOL``); solvers rely on both.
     """
 
-    def __init__(self, spec: ExposureSpec, probs: dict[Exposure, float]):
-        self.spec = spec
-        cleaned = {}
-        for e in enumerate_exposures(spec):
-            p = float(probs.get(e, 0.0))
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"exposure {e} needs probability in (0, 1], got {p}")
-            cleaned[e] = p
-        extra = set(probs) - set(cleaned)
-        if extra:
-            raise ValueError(f"probabilities given for exposures outside the set: {sorted(extra)}")
-        total = math.fsum(cleaned.values())
+    def __init__(self, spec: ExposureSpec, probs):
+        exposures = enumerate_exposures(spec)
+        if isinstance(probs, Mapping):
+            extra = set(probs) - set(exposures)
+            if extra:
+                raise ValueError(
+                    f"probabilities given for exposures outside the set: {sorted(extra)}")
+            vector = np.array([float(probs.get(e, 0.0)) for e in exposures])
+        else:
+            vector = np.array(probs, dtype=float)
+            if vector.shape != (spec.num_exposures,):
+                raise ValueError(
+                    f"need {spec.num_exposures} probabilities, got shape {vector.shape}")
+        bad = np.flatnonzero(~((vector > 0.0) & (vector <= 1.0)))
+        if bad.size:
+            raise ValueError(f"exposure {exposures[bad[0]]} needs probability in (0, 1], "
+                             f"got {float(vector[bad[0]])}")
+        total = math.fsum(vector.tolist())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"exposure probabilities sum to {total}, expected 1")
-        self.probs = cleaned
+        vector.setflags(write=False)
+        self.spec, self.vector = spec, vector
 
     def __getitem__(self, e: Exposure) -> float:
-        return self.probs[tuple(e)]
+        return float(self.vector[exposure_positions(self.spec)[tuple(e)]])
 
     def __iter__(self):
-        return iter(self.probs)
+        return iter(exposure_positions(self.spec))
 
-    def vector(self) -> np.ndarray:
-        """Probabilities in canonical exposure order."""
-        return np.array([self.probs[e] for e in enumerate_exposures(self.spec)])
+
+def probability_vector(spec: ExposureSpec, probs: ExposureDistribution) -> np.ndarray:
+    """``probs.vector``, after checking that ``probs`` is a pmf over ``spec``'s exposures.
+
+    Two specs with the same number of exposures would otherwise pair each
+    probability with the wrong exposure without any error.
+    """
+    if probs.spec != spec:
+        raise ValueError(f"exposure probabilities are over levels {probs.spec.levels}, "
+                         f"not {spec.levels}")
+    return probs.vector
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
 def uniform_distribution(spec: ExposureSpec) -> ExposureDistribution:
-    p = 1.0 / spec.num_exposures
-    return ExposureDistribution(spec, {e: p for e in enumerate_exposures(spec)})
+    return ExposureDistribution(spec, np.full(spec.num_exposures, 1.0 / spec.num_exposures))
 
 
 @dataclass(frozen=True)
@@ -77,9 +96,9 @@ class BernoulliDesign:
         if not 0.0 < self.p_treat < 1.0:
             raise ValueError(f"p_treat must be in (0, 1), got {self.p_treat}")
 
-    def allocation_probability(self, z) -> float:
-        z = np.asarray(z)
-        treated = int(z.sum())
+    def allocation_probability(self, z):
+        """Probability of allocation ``z``, or of each row when ``z`` is a matrix."""
+        treated = np.asarray(z).sum(axis=-1)
         return self.p_treat**treated * (1.0 - self.p_treat) ** (self.n - treated)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -110,12 +129,6 @@ class ExplicitDesign:
     def allocation_probability(self, z) -> float:
         return self.table.get(tuple(int(v) for v in np.asarray(z)), 0.0)
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        keys = sorted(self.table)
-        probs = np.array([self.table[k] for k in keys])
-        idx = rng.choice(len(keys), size=count, p=probs / probs.sum())
-        return np.array([keys[i] for i in idx], dtype=np.int64)
-
 
 Design = BernoulliDesign | ExplicitDesign
 
@@ -130,29 +143,12 @@ def all_allocations(n: int) -> np.ndarray:
     return grid.astype(np.int64)
 
 
-def allocation_matrix(design: Design, mode: str = "exhaustive", count: int = 1500,
-                      seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Allocations from the design as rows, with one probability-or-weight each.
-
-    ``exhaustive`` gives every allocation with its exact design probability
-    (only for n <= 20); ``sample`` gives ``count`` i.i.d. draws each with
-    weight 1/count, deterministic given ``seed``.
-    """
-    if mode == "exhaustive":
-        mat = all_allocations(design.n)
-        if isinstance(design, BernoulliDesign):
-            treated = mat.sum(axis=1)
-            weights = design.p_treat**treated * (1.0 - design.p_treat) ** (design.n - treated)
-        else:
-            weights = np.array([design.allocation_probability(z) for z in mat])
-        return mat, weights
-    if mode == "sample":
-        if count < 1:
-            raise ValueError("sample mode needs a positive count")
-        rng = np.random.default_rng(seed)
-        mat = design.sample(rng, count)
-        return mat, np.full(count, 1.0 / count)
-    raise ValueError(f"unknown allocation mode {mode!r}")
+def allocation_matrix(design: Design) -> tuple[np.ndarray, np.ndarray]:
+    """Every allocation of the design as rows (only for n <= 20), with its exact probability."""
+    mat = all_allocations(design.n)
+    if isinstance(design, BernoulliDesign):
+        return mat, design.allocation_probability(mat)
+    return mat, np.array([design.allocation_probability(z) for z in mat])
 
 
 def bernoulli_exposure_prob(degree: int, e: Exposure, p_treat: float) -> float:
@@ -187,11 +183,7 @@ def bernoulli_exposure_distribution(degree: int, p_treat: float) -> ExposureDist
     if degree < 1:
         raise ValueError("degree-0 units have a collapsed exposure set; exclude them")
     spec = ExposureSpec((degree, 1))
-    probs = {
-        (d, z): bernoulli_exposure_prob(degree, (d, z), p_treat)
-        for d in range(degree + 1)
-        for z in (0, 1)
-    }
+    probs = [bernoulli_exposure_prob(degree, e, p_treat) for e in enumerate_exposures(spec)]
     return ExposureDistribution(spec, probs)
 
 
@@ -215,7 +207,7 @@ def exposure_distribution_exact(design: Design, kind: str, network, unit: int
     """Brute-force exposure distribution: accumulate design mass over all allocations."""
     spec = _spec_for_mapping(kind, network, unit)
     acc: dict[Exposure, float] = {}
-    mat, weights = allocation_matrix(design, "exhaustive")
+    mat, weights = allocation_matrix(design)
     for z, p in zip(mat, weights):
         e = apply_exposure_mapping(kind, network, z, unit)
         acc[e] = acc.get(e, 0.0) + p

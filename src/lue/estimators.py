@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .design import ExposureDistribution, uniform_distribution
+from .design import ExposureDistribution, probability_vector, uniform_distribution
 from .exposure import (
     Exposure,
     ExposureSpec,
@@ -146,7 +146,7 @@ class ConstraintMatrix:
 def constraint_matrix(spec: ExposureSpec, probs: ExposureDistribution) -> ConstraintMatrix:
     """Assemble the unbiasedness constraint system for the given exposure probabilities."""
     exposures = tuple(enumerate_exposures(spec))
-    mat = indicator_matrix(spec) * probs.vector()
+    mat = indicator_matrix(spec) * probability_vector(spec, probs)
     return ConstraintMatrix(spec, mat, exposures)
 
 
@@ -224,7 +224,7 @@ def _member_weights(spec: ExposureSpec, start: int, stop: int, probs) -> np.ndar
     _, _, rows, cols, signs = _layout(spec.levels)
     first, last = np.searchsorted(rows, (start, stop))
     n = spec.num_exposures
-    p = np.full(n, 1.0 / n) if probs is None else probs.vector()
+    p = np.full(n, 1.0 / n) if probs is None else probability_vector(spec, probs)
     cols = cols[first:last]
     weights = np.zeros((stop - start, n))
     weights[rows[first:last] - start, cols] = signs[first:last] / p[cols]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import ExposureDistribution
+from .design import ExposureDistribution, probability_vector
 from .estimators import LinearEstimator, SupportCheck, check_support_condition
 from .exposure import (
     ExposureSpec,
@@ -50,7 +50,7 @@ class PriorSpec:
 
     ``dilation`` scales the covariance and adds the small positive
     ``base_perturbation``, which is how degenerate priors are approached
-    without losing full rank.
+    without losing full rank; :func:`outcome_variance_vector` applies it.
     """
 
     covariance: np.ndarray
@@ -79,14 +79,6 @@ class PriorSpec:
     @property
     def num_parameters(self) -> int:
         return self.covariance.shape[0]
-
-    def effective_covariance(self) -> np.ndarray:
-        if self.dilation is None:
-            return self.covariance
-        cov = self.dilation * self.covariance
-        if self.base_perturbation is not None:
-            cov = cov + self.base_perturbation
-        return cov
 
 
 def identity_prior(spec: ExposureSpec) -> PriorSpec:
@@ -191,7 +183,8 @@ def assemble_from_moments(spec: ExposureSpec, probabilities, variances) -> KktSy
 def assemble_system(spec: ExposureSpec, probs: ExposureDistribution,
                     prior: PriorSpec) -> KktSystem:
     """Build the block system for a prior; rejects vanishing variances or probabilities."""
-    return assemble_from_moments(spec, probs.vector(), outcome_variance_vector(spec, prior))
+    return assemble_from_moments(spec, probability_vector(spec, probs),
+                                 outcome_variance_vector(spec, prior))
 
 
 @dataclass

@@ -297,11 +297,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        if not self.estimators:
+            raise ValueError("estimators must name at least one family")
         for name in self.estimators:
             if name not in ESTIMATOR_NAMES:
                 raise ValueError(f"unknown estimator family {name!r}")
         if self.allocation_mode not in ("exhaustive", "sample"):
             raise ValueError(f"unknown allocation mode {self.allocation_mode!r}")
+        count = self.allocation_count
+        if self.allocation_mode == "sample" and not (isinstance(count, int) and count >= 1):
+            raise ValueError(
+                f"allocation_count must be a positive integer in sample mode, got {count!r}")
         if self.allocation_mode == "exhaustive" and self.network.n > 20:
             raise ValueError("exhaustive allocation mode needs n <= 20")
         if self.num_draws < 1:
@@ -442,8 +448,7 @@ def joint_exposure_pmf(network: Network, units, width: int, p_treat: float) -> n
         for b in range(a, len(units)):
             members = np.union1d(neighbourhoods[a], neighbourhoods[b])
             if len(members) not in enumerations:
-                alloc, probs = allocation_matrix(
-                    BernoulliDesign(len(members), p_treat), "exhaustive")
+                alloc, probs = allocation_matrix(BernoulliDesign(len(members), p_treat))
                 # Cast once per size: casting each block is slower than the product.
                 enumerations[len(members)] = (alloc.astype(np.float32), probs)
             alloc, probs = enumerations[len(members)]

@@ -35,7 +35,7 @@ from .estimators import (
     malue_count,
     zero_count,
 )
-from .exposure import ExposureSpec, enumerate_exposures
+from .exposure import ExposureSpec
 from .mivlue import (SIX_TERM_EXPOSURES, PriorSpec, outcome_variance, six_term_alpha_weights,
                      solve_mivlue)
 from .networks import gen_erdos_renyi_directed, gen_k_regular_directed
@@ -104,7 +104,7 @@ def check_constraint_residuals() -> CheckResult:
             spec = ExposureSpec(levels)
             for _ in range(5):
                 raw = rng.dirichlet(np.ones(spec.num_exposures))
-                probs = ExposureDistribution(spec, dict(zip(enumerate_exposures(spec), raw)))
+                probs = ExposureDistribution(spec, raw)
                 ok, details = verify_estimator_set(spec, probs)
                 if not ok:
                     return False, f"levels {levels}: {details}"
@@ -142,7 +142,7 @@ def verify_six_term_closed_form(alpha_fn=six_term_alpha_weights,
     spec = ExposureSpec((2, 1))
     for trial in range(trials):
         raw = rng.dirichlet(np.ones(6))
-        probs = ExposureDistribution(spec, dict(zip(enumerate_exposures(spec), raw)))
+        probs = ExposureDistribution(spec, raw)
         a = rng.normal(size=(4, 4))
         prior = PriorSpec(a @ a.T + 0.1 * np.eye(4))
         solution = solve_mivlue(spec, probs, prior)

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -264,6 +266,37 @@ class TestSimulateCommand:
         assert "Traceback (most recent call last)" in errors[True]
         assert "gen_k_regular_directed" in errors[True]
 
+    @pytest.mark.parametrize("override,message", [
+        ({"allocation_mode": "sample", "allocation_count": 0},
+         "setting 0 failed: ValueError: allocation_count must be a positive integer"),
+        ({"allocation_mode": "sample", "allocation_count": -3},
+         "setting 0 failed: ValueError: allocation_count must be a positive integer"),
+        ({"estimators": []},
+         "setting 0 failed: ValueError: estimators must name at least one family"),
+    ])
+    def test_out_of_range_setting_names_the_field(self, tmp_path, capsys, override, message):
+        config = dict(self.sweep_config(), network={"kind": "k_regular", "n": 8, "k": 2},
+                      outcome={"kind": "independent", "mu1": 0}, **override)
+        path = write_json(tmp_path / "sweep.json", config)
+        code = main(["simulate", "--config", path, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload,message", [
+        ([1, 2], "error: config: expected a JSON object, got list"),
+        ({"network": 5, "outcome": {"kind": "independent"}},
+         "error: network: expected dict, got int"),
+        ({"network": {"kind": "k_regular", "n": 8, "k": 2}},
+         "error: outcome: missing required field"),
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, payload, message):
+        path = write_json(tmp_path / "bad.json", payload)
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == "" and not out_dir.exists()
+
     def test_verbose_logs_stage_timings(self, tmp_path):
         """-v logs each setting's stage timings; without it nothing is logged."""
         config = write_json(tmp_path / "sweep.json", self.sweep_config())
@@ -318,6 +351,16 @@ class TestCheckInjection:
         ok, details = verify_six_term_closed_form(alpha_fn=broken_alpha, trials=5)
         assert not ok
         assert "closed form" in details
+
+
+class TestReadme:
+    def test_library_example_runs(self, capsys):
+        """The README's python block runs as written and prints its four results."""
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], "README.md", "exec"), {})
+        assert len(capsys.readouterr().out.splitlines()) >= 4
 
 
 class TestPackageImport:

@@ -66,6 +66,8 @@ class TestExposureDistribution:
         spec = ExposureSpec((1,))
         with pytest.raises(ValueError, match="probability in"):
             ExposureDistribution(spec, {(1,): 1.0, (0,): 0.0})
+        with pytest.raises(ValueError, match="probability in"):
+            ExposureDistribution(spec, [0.5, float("nan")])
 
     def test_rejects_bad_total(self):
         spec = ExposureSpec((1,))
@@ -77,15 +79,31 @@ class TestExposureDistribution:
         with pytest.raises(ValueError, match="outside the set"):
             ExposureDistribution(spec, {(1,): 0.5, (0,): 0.5, (2,): 0.0})
 
+    def test_rejects_wrong_length(self):
+        spec = ExposureSpec((1,))
+        with pytest.raises(ValueError, match="need 2 probabilities"):
+            ExposureDistribution(spec, [0.25, 0.25, 0.5])
+
     def test_vector_in_canonical_order(self):
         dist = bernoulli_exposure_distribution(2, 0.5)
         order = enumerate_exposures(dist.spec)
-        np.testing.assert_allclose(dist.vector(), [dist[e] for e in order])
+        assert list(dist) == order
+        np.testing.assert_allclose(dist.vector, [dist[e] for e in order])
+
+    def test_vector_and_mapping_agree(self):
+        spec = ExposureSpec((2, 1))
+        raw = np.random.default_rng(0).dirichlet(np.ones(spec.num_exposures))
+        from_vector = ExposureDistribution(spec, raw)
+        from_mapping = ExposureDistribution(spec, dict(zip(enumerate_exposures(spec), raw)))
+        np.testing.assert_array_equal(from_vector.vector, from_mapping.vector)
+        assert not from_vector.vector.flags.writeable
+        raw[0] = 0.0  # the distribution keeps its own copy
+        assert from_vector.vector[0] > 0
 
     def test_uniform(self):
         spec = ExposureSpec((3, 1))
         dist = uniform_distribution(spec)
-        np.testing.assert_allclose(dist.vector(), np.full(8, 0.125))
+        np.testing.assert_allclose(dist.vector, np.full(8, 0.125))
 
 
 class TestExactEnumeration:
@@ -139,34 +157,18 @@ class TestExactEnumeration:
 
 class TestAllocations:
     def test_exhaustive_uniform(self):
-        mat, weights = allocation_matrix(BernoulliDesign(2, 0.5), "exhaustive")
+        mat, weights = allocation_matrix(BernoulliDesign(2, 0.5))
         assert mat.shape == (4, 2) and len(weights) == 4
         assert all(w == pytest.approx(0.25) for w in weights)
 
     def test_exhaustive_normalization(self):
-        _, weights = allocation_matrix(BernoulliDesign(10, 0.37), "exhaustive")
+        _, weights = allocation_matrix(BernoulliDesign(10, 0.37))
         assert len(weights) == 1024
         assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
-
-    def test_sampling_is_deterministic(self):
-        design = BernoulliDesign(40, 0.5)
-        first, w1 = allocation_matrix(design, "sample", count=1500, seed=7)
-        second, w2 = allocation_matrix(design, "sample", count=1500, seed=7)
-        np.testing.assert_array_equal(first, second)
-        np.testing.assert_array_equal(w1, w2)
-        assert w1[0] == pytest.approx(1 / 1500)
 
     def test_enumeration_budget(self):
         with pytest.raises(ValueError, match="refusing to enumerate"):
             all_allocations(21)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError, match="unknown allocation mode"):
-            allocation_matrix(BernoulliDesign(2, 0.5), "bogus")
-
-    def test_sample_count_positive(self):
-        with pytest.raises(ValueError, match="positive count"):
-            allocation_matrix(BernoulliDesign(2, 0.5), "sample", count=0)
 
 
 class TestDesigns:
@@ -179,6 +181,8 @@ class TestDesigns:
     def test_bernoulli_allocation_probability(self):
         design = BernoulliDesign(3, 0.25)
         assert design.allocation_probability((1, 0, 0)) == pytest.approx(0.25 * 0.75**2)
+        mat, weights = allocation_matrix(design)
+        np.testing.assert_array_equal(weights, [design.allocation_probability(z) for z in mat])
 
     def test_explicit_table_sums(self):
         with pytest.raises(ValueError, match="sum to"):
@@ -188,7 +192,7 @@ class TestDesigns:
         design = ExplicitDesign(2, {(0, 0): 0.5, (1, 1): 0.25, (0, 1): 0.25})
         assert design.allocation_probability((1, 1)) == 0.25
         assert design.allocation_probability((1, 0)) == 0.0
-        _, weights = allocation_matrix(design, "exhaustive")
+        _, weights = allocation_matrix(design)
         assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_positivity_under_bernoulli(self):
@@ -196,4 +200,4 @@ class TestDesigns:
         for degree in (1, 3, 6):
             for p in (0.05, 0.5, 0.95):
                 dist = bernoulli_exposure_distribution(degree, p)
-                assert min(dist.probs.values()) > 0
+                assert dist.vector.min() > 0

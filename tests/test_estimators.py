@@ -82,7 +82,7 @@ class TestConstraintMatrix:
             spec = ExposureSpec(levels)
             probs = random_distribution(spec, rng)
             c = constraint_matrix(spec, probs)
-            np.testing.assert_allclose(c.matrix[0], probs.vector())
+            np.testing.assert_allclose(c.matrix[0], probs.vector)
 
     def test_second_component_row(self):
         spec = ExposureSpec((1, 1))

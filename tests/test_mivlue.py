@@ -9,17 +9,19 @@ from lue.design import (
     bernoulli_exposure_distribution,
     uniform_distribution,
 )
-from lue.estimators import (build_affine_basis, check_support_condition, constraint_matrix,
-                            decompose_in_basis)
-from lue.exposure import (ExposureSpec, enumerate_exposures, indicator_vector,
+from lue.estimators import (basis_weights, build_affine_basis, check_support_condition,
+                            check_unbiased, constraint_matrix, decompose_in_basis)
+from lue.exposure import (ExposureSpec, enumerate_exposures, indicator_matrix, indicator_vector,
                           target_position)
 from lue.mivlue import (
     PriorSpec,
     SingularSystemError,
     assemble_system,
     default_base_perturbation,
+    identity_prior,
     max_alpha3,
     outcome_variance,
+    outcome_variance_vector,
     six_term_alpha_weights,
     solve_from_moments,
     solve_mivlue,
@@ -56,9 +58,18 @@ class TestPriorSpec:
             PriorSpec(np.eye(2), base_perturbation=np.eye(2))
 
     def test_dilation_composition(self):
-        base = default_base_perturbation(2)
-        prior = PriorSpec(np.eye(2), base_perturbation=base, dilation=10.0)
-        np.testing.assert_allclose(prior.effective_covariance(), 10.0 * np.eye(2) + base)
+        """Outcome variances under dilation are dilation * qf(covariance) + qf(base)."""
+        spec = ExposureSpec((2,))
+        cov = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]])
+        base = default_base_perturbation(3)
+        indicators = indicator_matrix(spec).T
+        dilated = PriorSpec(cov, base_perturbation=base, dilation=10.0)
+        np.testing.assert_allclose(outcome_variance_vector(spec, dilated),
+                                   [x @ (10.0 * cov + base) @ x for x in indicators])
+        # Without a dilation the base perturbation is not applied.
+        undilated = PriorSpec(cov, base_perturbation=base)
+        np.testing.assert_allclose(outcome_variance_vector(spec, undilated),
+                                   [x @ cov @ x for x in indicators])
 
 
 class TestOutcomeVariance:
@@ -128,6 +139,18 @@ class TestAssembleSystem:
         sigma = support_null_prior(spec, [(0, 0)])
         with pytest.raises(SingularSystemError, match=r"\(0, 0\)"):
             assemble_system(spec, uniform_distribution(spec), PriorSpec(sigma))
+
+    def test_pmf_of_another_spec_rejected(self):
+        """(1, 3) and (3, 1) both have 8 exposures; a pmf of one is not a pmf of the other."""
+        spec = ExposureSpec((1, 3))
+        probs = bernoulli_exposure_distribution(3, 0.3)
+        est = build_affine_basis(spec)[0]
+        for call in (lambda: solve_mivlue(spec, probs, identity_prior(spec)),
+                     lambda: constraint_matrix(spec, probs),
+                     lambda: basis_weights(spec, probs),
+                     lambda: check_unbiased(est, probs)):
+            with pytest.raises(ValueError, match=r"\(3, 1\).*\(1, 3\)"):
+                call()
 
 
 class TestSolveMivlue:
@@ -202,7 +225,7 @@ class TestSolveMivlue:
         mu = rng.normal(size=spec.num_parameters)
         exposures = enumerate_exposures(spec)
         w = sol_zero.estimator.as_vector()
-        p = probs.vector()
+        p = probs.vector
         estimand = target_position(spec)
         for _ in range(10):
             theta = rng.normal(size=spec.num_parameters) + mu
@@ -217,7 +240,7 @@ class TestSolveMivlue:
         probs = random_distribution(spec, rng)
         sol = solve_mivlue(spec, probs, random_pd_prior(4, rng))
         w = sol.estimator.as_vector()
-        expected = w @ (probs.vector() * sol.system.variances * w)
+        expected = w @ (probs.vector * sol.system.variances * w)
         assert sol.integrated_variance == pytest.approx(expected, rel=1e-12)
 
 

@@ -227,7 +227,7 @@ class TestExposureSlots:
 class TestJointExposurePmf:
     @staticmethod
     def global_enumeration(net, units, width, p_treat):
-        alloc, probs = allocation_matrix(BernoulliDesign(net.n, p_treat), "exhaustive")
+        alloc, probs = allocation_matrix(BernoulliDesign(net.n, p_treat))
         slots = (2 * (alloc @ net.adjacency) + alloc)[:, units]
         joint = np.zeros((len(units) * width,) * 2)
         for a in range(len(units)):
@@ -253,7 +253,7 @@ class TestJointExposurePmf:
         for row, unit in enumerate(units):
             marginal = unit_exposure_distribution(BernoulliDesign(net.n, p_treat), net, unit)
             own = joint.diagonal()[row * width:(row + 1) * width]
-            for (d, z), prob in marginal.probs.items():
+            for (d, z), prob in zip(marginal, marginal.vector):
                 assert own[2 * d + z] == pytest.approx(prob, rel=1e-13)
 
 
@@ -361,7 +361,7 @@ class TestEstimateAverageEffect:
         design = BernoulliDesign(3, 0.5)
         family = build_estimator_family("HT0", net, design)
         params = sample_parameters(net, OutcomeModel("independent"), 13)
-        allocs, probs = allocation_matrix(design, "exhaustive")
+        allocs, probs = allocation_matrix(design)
         expectation = sum(
             p * estimate_average_effect(family, net, z, params)
             for z, p in zip(allocs, probs)
@@ -408,6 +408,24 @@ class TestExperimentConfig:
                 outcome=OutcomeModel("independent"),
                 estimators=("HT9",),
             )
+
+    def test_empty_estimators_rejected(self):
+        with pytest.raises(ValueError, match="estimators must name at least one family"):
+            ExperimentConfig(
+                network=NetworkConfig("k_regular", 10, k=2),
+                outcome=OutcomeModel("independent"),
+                estimators=[],
+            )
+
+    @pytest.mark.parametrize("count", [0, -3, 2.5])
+    def test_sample_mode_needs_positive_integer_count(self, count):
+        network, outcome = NetworkConfig("k_regular", 30, k=2), OutcomeModel("independent")
+        with pytest.raises(ValueError, match="allocation_count must be a positive integer"):
+            ExperimentConfig(network=network, outcome=outcome, allocation_mode="sample",
+                             allocation_count=count)
+        # Exhaustive mode never reads the count.
+        small = NetworkConfig("k_regular", 10, k=2)
+        ExperimentConfig(network=small, outcome=outcome, allocation_count=count)
 
 
 class TestComputeImse:
@@ -482,7 +500,7 @@ class TestComputeImse:
                                  np.r_[0, np.cumsum(net.in_degrees[perm])])
         family = build_estimator_family("HTAvg", net, design)
         family_perm = build_estimator_family("HTAvg", permuted, design)
-        allocs, probs = allocation_matrix(design, "exhaustive")
+        allocs, probs = allocation_matrix(design)
         first = sum(p * estimate_average_effect(family, net, z, params) ** 2
                     for z, p in zip(allocs, probs))
         second = sum(p * estimate_average_effect(family_perm, permuted, z[perm], params_perm) ** 2
@@ -517,7 +535,7 @@ class TestComputeImse:
         report = compute_imse(config)
         net = network.build(np.random.SeedSequence([seed, 3]))
         design = BernoulliDesign(net.n, p_treat)
-        allocs, probs = allocation_matrix(design, "exhaustive")
+        allocs, probs = allocation_matrix(design)
         eta1 = model.eta1 if model.kind == "dilated" else 1.0
         for name in ESTIMATOR_NAMES:
             family = build_estimator_family(name, net, design, eta1)
@@ -598,7 +616,7 @@ class TestComputeImse:
         report = compute_imse(config)
         net = config.network.build(np.random.SeedSequence([config.master_seed, 3]))
         design = BernoulliDesign(net.n, config.p_treat)
-        allocs, probs = allocation_matrix(design, "exhaustive")
+        allocs, probs = allocation_matrix(design)
         family = build_estimator_family("MDil", net, design, eta1)
         for draw in range(config.num_draws):
             params = sample_parameters(net, model, [config.master_seed, draw])
