@@ -34,11 +34,9 @@ from .estimators import (
 )
 from .exposure import (
     ExposureSpec,
-    ParameterIndex,
     apply_exposure_mapping,
     enumerate_exposures,
     indicator_vector,
-    parameter_order,
     remap_exposures,
 )
 from .mivlue import (

@@ -149,8 +149,6 @@ def run_weights(args) -> int:
 
 def run_basis(args) -> int:
     levels = tuple(int(tok) for tok in args.m.split(","))
-    if args.k is not None and args.k != len(levels):
-        raise InputError(f"--k={args.k} disagrees with --m which has {len(levels)} components")
     spec = ExposureSpec(levels)
     basis = build_affine_basis(spec)
     lines = _header_lines(payload_hash({"levels": list(levels)}), args.seed)
@@ -171,6 +169,8 @@ def _expand_grid(data: dict) -> list[dict]:
     axes = []
     for section, key in GRID_FIELDS:
         value = data.get(section, {}).get(key)
+        if value == []:
+            raise InputError(f"{section}.{key}: grid list is empty")
         if isinstance(value, list):
             axes.append(((section, key), value))
     settings = []
@@ -248,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     weights.set_defaults(func=run_weights)
 
     basis = sub.add_parser("basis", help="list the affine basis for a spec")
-    basis.add_argument("--k", type=int, default=None, help="number of exposure components")
     basis.add_argument("--m", required=True, help="comma-separated levels m1,..,mK")
     basis.add_argument("--output", default=None)
     basis.add_argument("--seed", type=int, default=0)

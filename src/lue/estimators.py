@@ -27,7 +27,6 @@ from .exposure import (
     enumerate_exposures,
     exposure_positions,
     indicator_matrix,
-    indicator_vector,
     target_position,
 )
 
@@ -150,16 +149,25 @@ def constraint_matrix(spec: ExposureSpec, probs: ExposureDistribution) -> Constr
     return ConstraintMatrix(spec, mat, exposures)
 
 
+def constraint_residuals(matrix: np.ndarray, weights, target) -> np.ndarray:
+    """Absolute unbiasedness residual max_t |(C w - t)_t| of each row w of ``weights``.
+
+    ``target`` is the estimand's target vector, or 0 for zero estimators.
+    """
+    images = matrix @ np.atleast_2d(weights).T
+    return np.abs(images - np.reshape(target, (-1, 1))).max(axis=0)
+
+
 def check_unbiased(est: LinearEstimator, probs: ExposureDistribution) -> float:
     """Max-norm residual of the unbiasedness constraints; 0 means unbiased."""
     c = constraint_matrix(est.spec, probs)
-    return float(np.abs(c.matrix @ est.vector - c.target_vector()).max())
+    return float(constraint_residuals(c.matrix, est.vector, c.target_vector())[0])
 
 
 def check_zero_expectation(est: LinearEstimator, probs: ExposureDistribution) -> float:
     """Max-norm residual of C w against the all-zero target (zero estimators)."""
     c = constraint_matrix(est.spec, probs)
-    return float(np.abs(c.matrix @ est.vector).max())
+    return float(constraint_residuals(c.matrix, est.vector, 0.0)[0])
 
 
 @lru_cache(maxsize=4)
@@ -320,18 +328,13 @@ def build_affine_basis(spec: ExposureSpec,
 
 def malue_count(spec: ExposureSpec) -> int:
     """Closed-form size of the atomic family."""
-    tail = 1
-    for m in spec.levels[1:]:
-        tail *= m + 1
+    tail = spec.num_exposures // (spec.levels[0] + 1)
     return tail + (spec.levels[0] - 1) * (tail - 1)
 
 
 def zero_count(spec: ExposureSpec) -> int:
     """Closed-form number of zero estimators."""
-    tail = 1
-    for m in spec.levels[1:]:
-        tail *= m + 1
-    return tail - 1 - sum(spec.levels[1:])
+    return spec.num_exposures // (spec.levels[0] + 1) - 1 - sum(spec.levels[1:])
 
 
 def basis_count(spec: ExposureSpec) -> int:
@@ -386,13 +389,12 @@ def decompose_in_basis(est: LinearEstimator, basis,
         probs = uniform_distribution(est.spec)
     c = constraint_matrix(est.spec, probs)
     target = c.target_vector()
-    residual = np.abs(c.matrix @ est.vector - target).max()
+    (residual,) = constraint_residuals(c.matrix, est.vector, target)
     if residual > UNBIASED_TOL:
         raise ValueError(f"estimator is not unbiased (constraint residual {residual:.3e})")
     weights = np.asarray(basis)
-    images = c.matrix @ weights.T
-    unbiased = np.abs(images - target[:, None]).max(axis=0) < UNBIASED_TOL
-    stray = ~unbiased & (np.abs(images).max(axis=0) >= UNBIASED_TOL)
+    unbiased = constraint_residuals(c.matrix, weights, target) < UNBIASED_TOL
+    stray = ~unbiased & (constraint_residuals(c.matrix, weights, 0.0) >= UNBIASED_TOL)
     if stray.any():
         i = int(stray.argmax())
         raise ValueError(
@@ -407,14 +409,14 @@ def decompose_in_basis(est: LinearEstimator, basis,
 
 
 def sample_random_lue(spec: ExposureSpec, probs: ExposureDistribution,
-                      rng: np.random.Generator, scale: float = 1.0) -> LinearEstimator:
+                      rng: np.random.Generator) -> LinearEstimator:
     """Random unbiased estimator: particular solution plus constraint-null-space noise."""
     c = constraint_matrix(spec, probs)
     w0, *_ = np.linalg.lstsq(c.matrix, c.target_vector(), rcond=None)
     null = null_space_basis(c.matrix)
     w = w0
     if null.shape[1]:
-        w = w0 + null @ rng.normal(scale=scale, size=null.shape[1])
+        w = w0 + null @ rng.normal(size=null.shape[1])
     return LinearEstimator(spec, w, name="random_lue")
 
 
@@ -442,27 +444,27 @@ def check_support_condition(candidate_support, spec: ExposureSpec,
     Valid iff (a) the constraints restricted to the support are solvable, so
     an unbiased estimator with that support exists, and (b) no indicator
     vector of an exposure outside the support lies in the span of the
-    support's indicator vectors.  Both are rank computations with a relative
-    singular-value threshold.
+    support's indicator vectors.  (a) is a rank computation with a relative
+    singular-value threshold; (b) is one least-squares fit of every outside
+    indicator on the support's, and names the first offender in canonical order.
     """
     support = [spec.validate_exposure(e) for e in candidate_support]
     if not support:
         return SupportCheck(False, "empty support")
     c = constraint_matrix(spec, probs)
-    cols = [c.exposures.index(e) for e in support]
+    cols = [exposure_positions(spec)[e] for e in support]
     restricted = c.matrix[:, cols]
     target = c.target_vector()
     rank = np.linalg.matrix_rank(restricted, rtol=RANK_RTOL)
     rank_aug = np.linalg.matrix_rank(np.hstack([restricted, target[:, None]]), rtol=RANK_RTOL)
     if rank_aug > rank:
         return SupportCheck(False, "no unbiased estimator with this support")
-    span = np.vstack([indicator_vector(spec, e) for e in support]).T
-    support_set = set(support)
-    for e in c.exposures:
-        if e in support_set:
-            continue
-        v = indicator_vector(spec, e)
-        coeff, *_ = np.linalg.lstsq(span, v, rcond=None)
-        if np.abs(span @ coeff - v).max() < RANK_RTOL:
-            return SupportCheck(False, f"indicator of exposure {e} lies in the support span")
+    indicators = indicator_matrix(spec)
+    outside = np.setdiff1d(np.arange(spec.num_exposures), cols)
+    span, others = indicators[:, cols], indicators[:, outside]
+    coeff, *_ = np.linalg.lstsq(span, others, rcond=None)
+    spanned = np.abs(span @ coeff - others).max(axis=0) < RANK_RTOL
+    if spanned.any():
+        e = c.exposures[outside[spanned.argmax()]]
+        return SupportCheck(False, f"indicator of exposure {e} lies in the support span")
     return SupportCheck(True)

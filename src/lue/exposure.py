@@ -68,37 +68,6 @@ class ExposureSpec:
         return e
 
 
-@dataclass(frozen=True)
-class ParameterIndex:
-    """Position of a parameter: the baseline, or the effect of component k at level j."""
-
-    kind: str  # "baseline" | "effect"
-    component: int = 0  # 1-based, effect only
-    level: int = 0  # 1-based, effect only
-
-    def __post_init__(self):
-        if self.kind not in ("baseline", "effect"):
-            raise ValueError(f"unknown parameter kind {self.kind!r}")
-        if self.kind == "effect" and (self.component < 1 or self.level < 1):
-            raise ValueError("effect parameters need a 1-based component and level")
-
-    def __str__(self):
-        if self.kind == "baseline":
-            return "alpha"
-        return f"theta_{self.component},{self.level}"
-
-
-BASELINE = ParameterIndex("baseline")
-
-
-def parameter_order(spec: ExposureSpec) -> list[ParameterIndex]:
-    """All parameters in canonical order: baseline first, then (k, j) lexicographic."""
-    out = [BASELINE]
-    for k, m in enumerate(spec.levels, start=1):
-        out.extend(ParameterIndex("effect", k, j) for j in range(1, m + 1))
-    return out
-
-
 def parameter_position(spec: ExposureSpec, component: int, level: int) -> int:
     """Flat index of the effect parameter for ``component`` at ``level``.
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import ExposureDistribution, probability_vector
-from .estimators import LinearEstimator, SupportCheck, check_support_condition
+from .estimators import (UNBIASED_TOL, LinearEstimator, check_support_condition,
+                         constraint_residuals)
 from .exposure import (
     ExposureSpec,
     enumerate_exposures,
@@ -36,7 +37,6 @@ from .exposure import (
 
 PSD_TOL = 1e-10
 CONDITION_WARN = 1e12
-UNBIASED_TOL = 1e-10
 BASE_EPS = 1e-6
 
 
@@ -85,9 +85,10 @@ def identity_prior(spec: ExposureSpec) -> PriorSpec:
     return PriorSpec(np.eye(spec.num_parameters))
 
 
-def default_base_perturbation(num_parameters: int, eps: float = BASE_EPS) -> np.ndarray:
+def default_base_perturbation(num_parameters: int) -> np.ndarray:
     """Small positive-definite perturbation keeping every entry strictly positive."""
-    return eps * (np.eye(num_parameters) + eps * np.ones((num_parameters, num_parameters)))
+    eye, ones = np.eye(num_parameters), np.ones((num_parameters, num_parameters))
+    return BASE_EPS * (eye + BASE_EPS * ones)
 
 
 def support_null_prior(spec: ExposureSpec, support) -> np.ndarray:
@@ -205,9 +206,8 @@ class MivlueSolution:
     warnings: list[str] = field(default_factory=list)
 
     def constraint_residual(self) -> float:
-        w = self.estimator.vector
         rhs = self.system.rhs[self.system.num_exposures:]
-        return float(np.abs(self.system.constraints @ w - rhs).max())
+        return float(constraint_residuals(self.system.constraints, self.estimator.vector, rhs)[0])
 
     def quotient_residual(self) -> float:
         """Max deviation of each weight from its multiplier/variance quotient."""
@@ -286,29 +286,24 @@ class LimitSolution:
         return float(np.abs(self.solution.estimator.vector[off]).max(initial=0.0))
 
 
-def solve_mivlue_limit(spec: ExposureSpec, probs: ExposureDistribution, support,
-                       sigma: np.ndarray | None = None,
-                       base_perturbation: np.ndarray | None = None) -> LimitSolution:
-    """Limit of the optimal weights as the dilation of ``sigma`` grows without bound.
+def solve_mivlue_limit(spec: ExposureSpec, probs: ExposureDistribution, support) -> LimitSolution:
+    """Limit of the optimal weights as the dilation of :func:`support_null_prior` grows.
 
-    Every exposure with positive variance under ``sigma`` then has rate 0; the
-    others keep their base-perturbation variances.  So the limit is one solve
-    with the base variances, restricted to the exposures ``sigma`` leaves
-    variance-free.  The support must pass :func:`check_support_condition`;
-    ``sigma`` defaults to the covariance whose null space is the support span,
-    whose variance-free exposures are exactly the support.
+    That covariance's null space is the span of the support's indicators, so
+    dilating it sends the rate of every exposure outside that span to 0, while
+    the others keep their base-perturbation variances.  The support must pass
+    :func:`check_support_condition`, which leaves no outside exposure in that
+    span; the limit is then one solve with the base variances, restricted to
+    the support.
     """
     support = tuple(spec.validate_exposure(e) for e in support)
-    check: SupportCheck = check_support_condition(support, spec, probs)
+    check = check_support_condition(support, spec, probs)
     if not check:
         raise ValueError(f"support {list(support)} rejected: {check.reason}")
-    if sigma is None:
-        sigma = support_null_prior(spec, support)
-    if base_perturbation is None:
-        base_perturbation = default_base_perturbation(spec.num_parameters)
-    active = outcome_variance_vector(spec, PriorSpec(sigma)) == 0.0
-    system = assemble_system(spec, probs, PriorSpec(base_perturbation))
-    return LimitSolution(_solve_assembled(system, active), support)
+    active = np.zeros(spec.num_exposures, dtype=bool)
+    active[[exposure_positions(spec)[e] for e in support]] = True
+    prior = PriorSpec(default_base_perturbation(spec.num_parameters))
+    return LimitSolution(_solve_assembled(assemble_system(spec, probs, prior), active), support)
 
 
 # Canonical ordering of the six-exposure problem: the support
@@ -362,10 +357,5 @@ def max_alpha3(probs) -> float:
     Attained in the limit of vanishing baseline and intermediate-level
     variances with the estimand's variance growing without bound.
     """
-    p = np.asarray(probs, dtype=float)
-    if p.shape != (6,):
-        raise ValueError(f"need six probabilities, order {SIX_TERM_ORDER}")
-    if (p <= 0).any():
-        raise ValueError("probabilities must all be positive")
-    p00, p0j, pm0, pmj, pM0, pMj = p
+    p00, p0j, pm0, pmj, pM0, pMj = _six_term_rates(probs, np.ones(6))
     return float(pmj * pMj / ((p0j + pmj) * (pM0 + pMj)))

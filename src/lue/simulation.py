@@ -37,7 +37,6 @@ ESTIMATOR_NAMES = ("HT0", "HT1", "HTAvg", "MInd", "MDil")
 # Own-treatment levels each two-term family contrasts, at full and zero treated degree.
 _OWN_TREATMENT_LEVELS = {"HT0": (0,), "HT1": (1,), "HTAvg": (0, 1)}
 MDIL_RIDGE = 1e-8
-IMSE_DECOMPOSITION_TOL = 1e-9
 
 # Sub-stream labels hung off (master_seed, draw): changing the interaction
 # level must not disturb the common parameters or the allocation sample.
@@ -310,8 +309,8 @@ class ExperimentConfig:
                 f"allocation_count must be a positive integer in sample mode, got {count!r}")
         if self.allocation_mode == "exhaustive" and self.network.n > 20:
             raise ValueError("exhaustive allocation mode needs n <= 20")
-        if self.num_draws < 1:
-            raise ValueError("need at least one parameter draw")
+        if not (isinstance(self.num_draws, int) and self.num_draws >= 1):
+            raise ValueError(f"num_draws must be a positive integer, got {self.num_draws!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

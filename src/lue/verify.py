@@ -22,6 +22,7 @@ from .design import (
     exposure_distribution_exact,
 )
 from .estimators import (
+    UNBIASED_TOL,
     affine_rank_is_full,
     basis_count,
     basis_identifiers,
@@ -30,6 +31,7 @@ from .estimators import (
     build_malue_set,
     build_zero_estimators,
     constraint_matrix,
+    constraint_residuals,
     decompose_in_basis,
     lue_dimension,
     malue_count,
@@ -48,7 +50,6 @@ from .simulation import (
     true_average_effect,
 )
 
-CONSTRAINT_TOL = 1e-10
 SIX_TERM_TOL = 1e-8
 # Random instances come from one fixed seed, so every run checks the same ones.
 CHECK_SEED = 0
@@ -88,10 +89,10 @@ def verify_estimator_set(spec: ExposureSpec, probs: ExposureDistribution,
     c = constraint_matrix(spec, probs)
     for members, target, failure in (
             (estimators, c.target_vector(), "violates constraints (residual {:.3e})"),
-            (zeros, np.zeros(spec.num_parameters), "has nonzero expectation ({:.3e})")):
+            (zeros, 0.0, "has nonzero expectation ({:.3e})")):
         weights = np.asarray(members).reshape(len(members), spec.num_exposures)
-        residuals = np.abs(c.matrix @ weights.T - target[:, None]).max(axis=0)
-        bad = np.flatnonzero(residuals > CONSTRAINT_TOL)
+        residuals = constraint_residuals(c.matrix, weights, target)
+        bad = np.flatnonzero(residuals > UNBIASED_TOL)
         if bad.size:
             return False, f"estimator {members[bad[0]].name} {failure.format(residuals[bad[0]])}"
     return True, ""

@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import lue
-from lue.cli import main
+from lue.cli import build_parser, main
 from lue.design import bernoulli_exposure_distribution, uniform_distribution
 from lue.estimators import LinearEstimator, build_four_term_alue, build_malue_set
 from lue.exposure import ExposureSpec, enumerate_exposures
@@ -123,10 +124,6 @@ class TestBasisCommand:
         out = capsys.readouterr().out
         assert "malue=1 zero=0 basis=1 dim=0" in out
         assert out.count("[two_term") == 1
-
-    def test_k_mismatch(self, capsys):
-        assert main(["basis", "--k", "3", "--m", "2,1"]) == 2
-        assert "disagrees" in capsys.readouterr().err
 
     @pytest.mark.parametrize("levels, digest", [
         ("1", "b938773d2bf6ccfc"),
@@ -273,6 +270,8 @@ class TestSimulateCommand:
          "setting 0 failed: ValueError: allocation_count must be a positive integer"),
         ({"estimators": []},
          "setting 0 failed: ValueError: estimators must name at least one family"),
+        ({"num_draws": 2.5}, "setting 0 failed: ValueError: num_draws must be a positive integer"),
+        ({"num_draws": 0}, "setting 0 failed: ValueError: num_draws must be a positive integer"),
     ])
     def test_out_of_range_setting_names_the_field(self, tmp_path, capsys, override, message):
         config = dict(self.sweep_config(), network={"kind": "k_regular", "n": 8, "k": 2},
@@ -288,6 +287,9 @@ class TestSimulateCommand:
          "error: network: expected dict, got int"),
         ({"network": {"kind": "k_regular", "n": 8, "k": 2}},
          "error: outcome: missing required field"),
+        ({"network": {"kind": "k_regular", "n": 8, "k": []},
+          "outcome": {"kind": "independent", "mu1": 0}},
+         "error: network.k: grid list is empty"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, payload, message):
         path = write_json(tmp_path / "bad.json", payload)
@@ -361,6 +363,20 @@ class TestReadme:
         assert len(blocks) == 1
         exec(compile(blocks[0], "README.md", "exec"), {})
         assert len(capsys.readouterr().out.splitlines()) >= 4
+
+    def test_command_lines_parse(self):
+        """Each ``lue`` line of the Command line block parses, with and without its [...] groups."""
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1]
+        block = re.search(r"```bash\n(.*?)```", section, flags=re.DOTALL).group(1)
+        commands = [line for line in block.splitlines() if line.startswith("lue ")]
+        assert len(commands) >= 4
+        parser = build_parser()
+        for command in commands:
+            with_groups = re.sub(r"\[(.*?)\]", r"\1", command)
+            for variant in (with_groups, re.sub(r"\[.*?\]", "", command)):
+                args = parser.parse_args(shlex.split(variant)[1:])
+                assert callable(args.func), variant
 
 
 class TestPackageImport:

@@ -29,7 +29,7 @@ from lue.estimators import (
     sample_random_lue,
     zero_count,
 )
-from lue.exposure import ExposureSpec, enumerate_exposures
+from lue.exposure import ExposureSpec, enumerate_exposures, indicator_vector
 from lue.verify import check_basis_ranks, specs_up_to
 
 
@@ -480,6 +480,31 @@ class TestSupportCondition:
         check = check_support_condition([(0, 0)], self.spec, self.probs)
         assert not check.valid
         assert "no unbiased estimator" in check.reason
+
+    def test_span_test_matches_per_exposure_fits(self):
+        """One fit of all outside indicators names the offender a fit per exposure finds first."""
+        rng = np.random.default_rng(4)
+        for levels in [(3, 1), (2, 2), (1, 1, 1), (2, 1, 1)]:
+            spec = ExposureSpec(levels)
+            exposures = enumerate_exposures(spec)
+            for _ in range(30):
+                probs = random_distribution(spec, rng)
+                size = int(rng.integers(1, spec.num_exposures + 1))
+                support = [exposures[i] for i in rng.choice(len(exposures), size, replace=False)]
+                check = check_support_condition(support, spec, probs)
+                if check.reason == "no unbiased estimator with this support":
+                    continue
+                span = np.array([indicator_vector(spec, e) for e in support]).T
+                first = None
+                for e in exposures:
+                    v = indicator_vector(spec, e)
+                    fit, *_ = np.linalg.lstsq(span, v, rcond=None)
+                    if e not in support and np.abs(span @ fit - v).max() < 1e-10:
+                        first = e
+                        break
+                assert check.valid == (first is None), support
+                if first is not None:
+                    assert check.reason == f"indicator of exposure {first} lies in the support span"
 
 
 class TestSerialization:

@@ -6,14 +6,12 @@ import pytest
 from lue.design import uniform_distribution
 from lue.exposure import (
     ExposureSpec,
-    ParameterIndex,
     _canonical_exposures,
     apply_exposure_mapping,
     enumerate_exposures,
     exposure_positions,
     indicator_matrix,
     indicator_vector,
-    parameter_order,
     parameter_position,
     remap_exposures,
     target_position,
@@ -94,14 +92,6 @@ def test_per_spec_caches_are_bounded():
 
 
 class TestParameterIndexing:
-    def test_baseline_first(self):
-        spec = ExposureSpec((3, 1))
-        order = parameter_order(spec)
-        assert order[0] == ParameterIndex("baseline")
-        assert order[1] == ParameterIndex("effect", 1, 1)
-        assert order[4] == ParameterIndex("effect", 2, 1)
-        assert len(order) == spec.num_parameters
-
     def test_positions_are_a_bijection(self):
         spec = ExposureSpec((2, 3, 1))
         seen = {0}
