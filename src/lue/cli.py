@@ -148,8 +148,11 @@ def run_weights(args) -> int:
 
 
 def run_basis(args) -> int:
-    levels = tuple(int(tok) for tok in args.m.split(","))
-    spec = ExposureSpec(levels)
+    try:
+        levels = tuple(int(tok) for tok in args.m.split(","))
+        spec = ExposureSpec(levels)
+    except ValueError as exc:
+        raise InputError(f"--m: {exc}")
     basis = build_affine_basis(spec)
     lines = _header_lines(payload_hash({"levels": list(levels)}), args.seed)
     lines.append("# weights materialized under the uniform exposure distribution")

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exposure import (SPEC_CACHE_SIZE, Exposure, ExposureSpec, apply_exposure_mapping,
-                       enumerate_exposures, exposure_positions)
+                       canonical_grid, enumerate_exposures, exposure_positions)
 
 PROB_SUM_TOL = 1e-10
 TABLE_SUM_TOL = 1e-12
@@ -179,11 +179,30 @@ def bernoulli_exposure_prob(degree: int, e: Exposure, p_treat: float) -> float:
 
 
 def bernoulli_exposure_distribution(degree: int, p_treat: float) -> ExposureDistribution:
-    """Closed-form exposure distribution of a degree->``degree`` unit under Bernoulli."""
+    """Closed-form exposure distribution of a degree->``degree`` unit under Bernoulli.
+
+    The masses are :func:`bernoulli_exposure_prob`'s, bit for bit: per-level
+    tables from the same ``math`` calls, combined on arrays in the same
+    operation order.  ``math.exp`` and ``**`` stay scalar because numpy's
+    vectorised exp and power need not round as libm does.
+    """
     if degree < 1:
         raise ValueError("degree-0 units have a collapsed exposure set; exclude them")
+    if not 0.0 < p_treat < 1.0:
+        raise ValueError(f"p_treat must be in (0, 1), got {p_treat}")
     spec = ExposureSpec((degree, 1))
-    probs = [bernoulli_exposure_prob(degree, e, p_treat) for e in enumerate_exposures(spec)]
+    d, z = canonical_grid(spec.levels).T
+    if degree > LOG_SPACE_DEGREE:
+        lgammas = np.array([math.lgamma(k + 1) for k in range(degree + 1)])
+        log_mass = (lgammas[degree] - lgammas[d] - lgammas[degree - d]
+                    + (d + z) * math.log(p_treat)
+                    + (degree - d + 1 - z) * math.log1p(-p_treat))
+        probs = [math.exp(value) for value in log_mass.tolist()]
+    else:
+        combs = np.array([float(math.comb(degree, k)) for k in range(degree + 1)])
+        treated = np.array([p_treat**k for k in range(degree + 2)])
+        untreated = np.array([(1.0 - p_treat) ** k for k in range(degree + 2)])
+        probs = combs[d] * treated[d + z] * untreated[degree - d + 1 - z]
     return ExposureDistribution(spec, probs)
 
 

@@ -143,12 +143,32 @@ def indicator_vector(spec: ExposureSpec, e: Exposure) -> np.ndarray:
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
+def active_parameters(spec: ExposureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the parameters active in each exposure, with a mask of the real ones.
+
+    Row j of the (exposures x (K + 1)) position array lists the baseline 0,
+    then ``offset_k + e_k - 1`` for each component k, in ascending order: the
+    rows holding a 1 in indicator column j.  A component at level 0 points at
+    the baseline and is False in the mask.  Both arrays are read-only.
+    """
+    grid = canonical_grid(spec.levels)
+    offsets = np.cumsum((1,) + spec.levels[:-1])  # first position of each component
+    on = grid > 0
+    positions = np.hstack([np.zeros((len(grid), 1), dtype=int),
+                           np.where(on, offsets + grid - 1, 0)])
+    mask = np.hstack([np.ones((len(grid), 1), dtype=bool), on])
+    positions.setflags(write=False)
+    mask.setflags(write=False)
+    return positions, mask
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def indicator_matrix(spec: ExposureSpec) -> np.ndarray:
     """Read-only stack of indicator vectors, one column per exposure (canonical order)."""
-    exposures = _canonical_exposures(spec.levels)
-    mat = np.zeros((spec.num_parameters, len(exposures)))
-    for j, e in enumerate(exposures):
-        mat[:, j] = indicator_vector(spec, e)
+    positions, mask = active_parameters(spec)
+    mat = np.zeros((spec.num_parameters, len(positions)))
+    columns, _ = np.nonzero(mask)
+    mat[positions[mask], columns] = 1.0
     mat.setflags(write=False)
     return mat
 

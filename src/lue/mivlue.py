@@ -28,6 +28,7 @@ from .estimators import (UNBIASED_TOL, LinearEstimator, check_support_condition,
                          constraint_residuals)
 from .exposure import (
     ExposureSpec,
+    active_parameters,
     enumerate_exposures,
     exposure_positions,
     indicator_matrix,
@@ -111,10 +112,12 @@ def outcome_variance(prior: PriorSpec, spec: ExposureSpec, e) -> float:
 
 @dataclass
 class KktSystem:
-    """Assembled optimality system with its row/column bookkeeping."""
+    """Assembled optimality system with its row/column bookkeeping.
+
+    The solve reads only the blocks; the dense matrix is built on each read.
+    """
 
     spec: ExposureSpec
-    matrix: np.ndarray  # [[W, C^T], [C, 0]]
     rhs: np.ndarray
     exposures: tuple
     probabilities: np.ndarray
@@ -125,22 +128,42 @@ class KktSystem:
     def num_exposures(self) -> int:
         return len(self.exposures)
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """[[W, C^T], [C, 0]] with W the diagonal of p(e) Var(Y(e))."""
+        c, n_e = self.constraints, self.num_exposures
+        mat = np.zeros((len(self.rhs), len(self.rhs)))
+        mat[np.arange(n_e), np.arange(n_e)] = self.probabilities * self.variances
+        mat[:n_e, n_e:] = c.T
+        mat[n_e:, :n_e] = c
+        return mat
+
 
 def outcome_variance_vector(spec: ExposureSpec, prior: PriorSpec) -> np.ndarray:
     """Prior variances of all potential outcomes, canonical exposure order.
 
-    The quadratic form of a positive semi-definite matrix is clamped at zero
-    below ``PSD_TOL``: sub-tolerance mass is rounding noise, and the dilation
-    factor must scale exact zeros, not noise.
+    Each is the quadratic form of the exposure's indicator vector, which has
+    at most K + 1 ones, so it sums only the entries at those rows and
+    columns: left to right in row-major order, the order of the dense
+    contraction, which it matches bit for bit.  The form of a positive
+    semi-definite matrix is clamped at zero below ``PSD_TOL``: sub-tolerance
+    mass is rounding noise, and the dilation factor must scale exact zeros,
+    not noise.
     """
     if prior.num_parameters != spec.num_parameters:
         raise ValueError(
             f"prior is over {prior.num_parameters} parameters, spec has {spec.num_parameters}"
         )
-    indicators = indicator_matrix(spec)
+    positions, mask = active_parameters(spec)
+    rows, cols = positions[:, :, None], positions[:, None, :]
+    # Row q of each (pairs x exposures) array is the q-th (a, b) pair in row-major order.
+    on = (mask[:, :, None] & mask[:, None, :]).reshape(len(mask), -1).T
 
     def quadratic_form(matrix):
-        values = np.einsum("ij,ik,kj->j", indicators, matrix, indicators)
+        terms = np.where(on, matrix[rows, cols].reshape(len(mask), -1).T, 0.0)
+        values = np.zeros(len(mask))
+        for term in terms:
+            values += term
         return np.where(values < PSD_TOL, 0.0, values)
 
     base = quadratic_form(prior.covariance)
@@ -156,29 +179,25 @@ def assemble_from_moments(spec: ExposureSpec, probabilities, variances) -> KktSy
     """Build the block system from exposure probabilities and outcome variances.
 
     The prior enters the optimization only through the outcome variances, so
-    this is the ground-level assembly; rejects vanishing entries by name.
+    this is the ground-level assembly; rejects vanishing entries, naming the
+    first in canonical order.
     """
     exposures = tuple(enumerate_exposures(spec))
     p = np.asarray(probabilities, dtype=float)
     variances = np.asarray(variances, dtype=float)
     if p.shape != (len(exposures),) or variances.shape != (len(exposures),):
         raise ValueError("need one probability and one variance per exposure")
-    for e, p_e, var_e in zip(exposures, p, variances):
-        if p_e <= 0.0:
-            raise SingularSystemError(f"exposure {e} has probability {p_e}; system is singular")
-        if var_e <= 0.0:
+    vanishing = (p <= 0.0) | (variances <= 0.0)
+    if vanishing.any():
+        j = int(np.argmax(vanishing))
+        if p[j] <= 0.0:
             raise SingularSystemError(
-                f"potential outcome at {e} has prior variance {var_e}; system is singular"
-            )
-    c = indicator_matrix(spec) * p
-    n_e, n_t = len(exposures), spec.num_parameters
-    mat = np.zeros((n_e + n_t, n_e + n_t))
-    mat[np.arange(n_e), np.arange(n_e)] = p * variances
-    mat[:n_e, n_e:] = c.T
-    mat[n_e:, :n_e] = c
-    rhs = np.zeros(n_e + n_t)
-    rhs[n_e + target_position(spec)] = 1.0
-    return KktSystem(spec, mat, rhs, exposures, p, variances, c)
+                f"exposure {exposures[j]} has probability {p[j]}; system is singular")
+        raise SingularSystemError(f"potential outcome at {exposures[j]} has prior variance "
+                                  f"{variances[j]}; system is singular")
+    rhs = np.zeros(len(exposures) + spec.num_parameters)
+    rhs[len(exposures) + target_position(spec)] = 1.0
+    return KktSystem(spec, rhs, exposures, p, variances, indicator_matrix(spec) * p)
 
 
 def assemble_system(spec: ExposureSpec, probs: ExposureDistribution,

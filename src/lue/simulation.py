@@ -281,6 +281,11 @@ class NetworkConfig:
         return gen_erdos_renyi_directed(self.n, self.p_edge, seed)
 
 
+def _is_count(value) -> bool:
+    """A positive int; JSON ``true`` is a bool, which Python counts as an int."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative input of one simulation setting."""
@@ -304,12 +309,12 @@ class ExperimentConfig:
         if self.allocation_mode not in ("exhaustive", "sample"):
             raise ValueError(f"unknown allocation mode {self.allocation_mode!r}")
         count = self.allocation_count
-        if self.allocation_mode == "sample" and not (isinstance(count, int) and count >= 1):
+        if self.allocation_mode == "sample" and not _is_count(count):
             raise ValueError(
                 f"allocation_count must be a positive integer in sample mode, got {count!r}")
         if self.allocation_mode == "exhaustive" and self.network.n > 20:
             raise ValueError("exhaustive allocation mode needs n <= 20")
-        if not (isinstance(self.num_draws, int) and self.num_draws >= 1):
+        if not _is_count(self.num_draws):
             raise ValueError(f"num_draws must be a positive integer, got {self.num_draws!r}")
 
     def to_dict(self) -> dict:

@@ -125,6 +125,15 @@ class TestBasisCommand:
         assert "malue=1 zero=0 basis=1 dim=0" in out
         assert out.count("[two_term") == 1
 
+    @pytest.mark.parametrize("levels, message", [
+        ("3,x", "error: --m: invalid literal for int() with base 10: 'x'"),
+        ("3,0", "error: --m: every component needs at least one level"),
+    ])
+    def test_bad_levels_exit_2_naming_the_flag(self, capsys, levels, message):
+        assert main(["basis", "--m", levels]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("levels, digest", [
         ("1", "b938773d2bf6ccfc"),
         ("5", "c7e8df0116c41095"),
@@ -272,6 +281,10 @@ class TestSimulateCommand:
          "setting 0 failed: ValueError: estimators must name at least one family"),
         ({"num_draws": 2.5}, "setting 0 failed: ValueError: num_draws must be a positive integer"),
         ({"num_draws": 0}, "setting 0 failed: ValueError: num_draws must be a positive integer"),
+        ({"num_draws": True},
+         "setting 0 failed: ValueError: num_draws must be a positive integer, got True"),
+        ({"allocation_mode": "sample", "allocation_count": True},
+         "setting 0 failed: ValueError: allocation_count must be a positive integer"),
     ])
     def test_out_of_range_setting_names_the_field(self, tmp_path, capsys, override, message):
         config = dict(self.sweep_config(), network={"kind": "k_regular", "n": 8, "k": 2},

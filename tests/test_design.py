@@ -1,6 +1,7 @@
 """Designs, exposure probabilities, and the closed-form/enumeration cross-check."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,24 @@ class TestBernoulliExposureProb:
                     for d in range(degree + 1) for z in (0, 1)
                 )
                 assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_distribution_is_the_scalar_formula_bit_for_bit(self):
+        """The array pmf equals the scalar closed form, in both the direct and log branches.
+
+        Where a mass underflows to 0, both reject it with the same message.
+        """
+        for degree in [*range(1, 301), 500, 1000]:
+            spec = ExposureSpec((degree, 1))
+            for p in (0.1, 0.3, 0.5, 0.77):
+                scalar = [bernoulli_exposure_prob(degree, e, p) for e in enumerate_exposures(spec)]
+                try:
+                    expected = ExposureDistribution(spec, scalar).vector
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        bernoulli_exposure_distribution(degree, p)
+                    continue
+                actual = bernoulli_exposure_distribution(degree, p).vector
+                assert actual.tobytes() == expected.tobytes(), (degree, p)
 
 
 class TestExposureDistribution:

@@ -1,5 +1,9 @@
 """Optimality system assembly, solver, dilation limit, six-term closed forms."""
 
+import hashlib
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from lue.estimators import (basis_weights, build_affine_basis, check_support_con
 from lue.exposure import (ExposureSpec, enumerate_exposures, indicator_matrix, indicator_vector,
                           target_position)
 from lue.mivlue import (
+    PSD_TOL,
     PriorSpec,
     SingularSystemError,
     assemble_system,
@@ -29,7 +34,7 @@ from lue.mivlue import (
     support_null_prior,
 )
 from lue.networks import Network
-from lue.simulation import build_estimator_family
+from lue.simulation import MDIL_RIDGE, build_estimator_family
 
 SIX_ORDER = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
 
@@ -42,6 +47,74 @@ def random_distribution(spec, rng):
 def random_pd_prior(size, rng, jitter=0.1):
     a = rng.normal(size=(size, size))
     return PriorSpec(a @ a.T + jitter * np.eye(size))
+
+
+def small_specs(limit=64, prefix=()):
+    """Every spec with at most ``limit`` exposures, depth first."""
+    size = math.prod(m + 1 for m in prefix)
+    if prefix:
+        yield ExposureSpec(prefix)
+    for m in range(1, limit // size):
+        yield from small_specs(limit, prefix + (m,))
+
+
+def dense_outcome_variances(spec, prior):
+    """Reference for outcome_variance_vector: the dense indicator contraction X^T M X."""
+    x = indicator_matrix(spec)
+
+    def quadratic_form(matrix):
+        values = np.einsum("ij,ik,kj->j", x, matrix, x)
+        return np.where(values < PSD_TOL, 0.0, values)
+
+    base = quadratic_form(prior.covariance)
+    if prior.dilation is None:
+        return base
+    scaled = prior.dilation * base
+    if prior.base_perturbation is not None:
+        scaled = scaled + quadratic_form(prior.base_perturbation)
+    return scaled
+
+
+def simulation_priors(degree):
+    """MInd's prior and MDil's at three eta1 values, as the simulation builds them."""
+    size = degree + 2
+    priors = [identity_prior(ExposureSpec((degree, 1)))]
+    for eta1 in (0.5, 1.0, 2.5):
+        u = np.concatenate([[1.0], np.arange(1, degree + 1) / degree * eta1, [1.0]])
+        priors.append(PriorSpec(np.outer(u, u) + MDIL_RIDGE * np.eye(size)))
+    return priors
+
+
+def solve_panel_digest():
+    """sha256 of every solve's weights, multipliers, variances and objective on a seeded panel.
+
+    Each spec with at most 64 exposures gets a Dirichlet pmf and four priors:
+    full rank, rank one plus a ridge, a dilated rank one with the base
+    perturbation, and a null prior on two exposures, whose solve must fail.
+    """
+    rng = np.random.default_rng(11)
+    digest = hashlib.sha256()
+    for spec in small_specs():
+        size = spec.num_parameters
+        probs = random_distribution(spec, rng)
+        a, u = rng.normal(size=(size, size)), rng.normal(size=(size, 1))
+        support = [enumerate_exposures(spec)[i]
+                   for i in rng.choice(spec.num_exposures, 2, replace=False)]
+        priors = [PriorSpec(a @ a.T), PriorSpec(u @ u.T + MDIL_RIDGE * np.eye(size)),
+                  PriorSpec(u @ u.T, base_perturbation=default_base_perturbation(size),
+                            dilation=1e4),
+                  PriorSpec(support_null_prior(spec, support))]
+        for prior in priors:
+            try:
+                solution = solve_mivlue(spec, probs, prior)
+            except SingularSystemError as exc:
+                digest.update(str(exc).encode())
+                continue
+            for values in (solution.estimator.vector, solution.multipliers,
+                           solution.system.variances, [solution.integrated_variance]):
+                digest.update(np.asarray(values, dtype=float).tobytes())
+            digest.update("".join(solution.warnings).encode())
+    return digest.hexdigest()
 
 
 class TestPriorSpec:
@@ -139,6 +212,22 @@ class TestAssembleSystem:
         sigma = support_null_prior(spec, [(0, 0)])
         with pytest.raises(SingularSystemError, match=r"\(0, 0\)"):
             assemble_system(spec, uniform_distribution(spec), PriorSpec(sigma))
+
+    def test_first_vanishing_entry_is_named(self):
+        """The first exposure in canonical order with a vanishing entry; its probability first."""
+        spec = ExposureSpec((1, 1))
+        exposures = enumerate_exposures(spec)
+        p, variances = np.full(4, 0.25), np.ones(4)
+        p[3], variances[1] = 0.0, -1.0
+        with pytest.raises(SingularSystemError,
+                           match=rf"^potential outcome at {re.escape(str(exposures[1]))} "
+                                 r"has prior variance -1\.0; system is singular$"):
+            solve_from_moments(spec, p, variances)
+        p[1] = 0.0
+        with pytest.raises(SingularSystemError,
+                           match=rf"^exposure {re.escape(str(exposures[1]))} has probability "
+                                 r"0\.0; system is singular$"):
+            solve_from_moments(spec, p, variances)
 
     def test_pmf_of_another_spec_rejected(self):
         """(1, 3) and (3, 1) both have 8 exposures; a pmf of one is not a pmf of the other."""
@@ -315,7 +404,7 @@ class TestSolveMivlueLimit:
 class TestUnbiasedAtHighDegree:
     """Weights stay unbiased to machine precision where an LU of the block system did not."""
 
-    @pytest.mark.parametrize("degree", [60, 100, 500])
+    @pytest.mark.parametrize("degree", [60, 100, 500, 1000])
     def test_simulation_families(self, degree):
         """MInd and MDil as the simulation builds them, for a unit with ``degree`` in-neighbours."""
         adjacency = np.zeros((degree + 1, degree + 1), dtype=int)
@@ -337,6 +426,30 @@ class TestUnbiasedAtHighDegree:
         monkeypatch.setattr(mivlue, "UNBIASED_TOL", -1.0)
         with pytest.raises(SingularSystemError, match="unbiasedness"):
             solve_mivlue(spec, uniform_distribution(spec), PriorSpec(np.eye(5)))
+
+
+class TestPinnedArithmetic:
+    """Solver arithmetic is pinned bit for bit, beyond what the CSV digests reach."""
+
+    def test_variances_are_the_dense_contraction_bit_for_bit(self):
+        priors = [(ExposureSpec((degree, 1)), prior)
+                  for degree in [*range(1, 100), 200, 500] for prior in simulation_priors(degree)]
+        rng = np.random.default_rng(5)
+        for spec in small_specs():
+            if spec.num_components > 3 or max(spec.levels) > 4:
+                continue
+            size = spec.num_parameters
+            priors += [(spec, random_pd_prior(size, rng, jitter=0.0)) for _ in range(10)]
+            cov = random_pd_prior(size, rng).covariance
+            priors.append((spec, PriorSpec(cov, default_base_perturbation(size), dilation=1e3)))
+        for spec, prior in priors:
+            expected = dense_outcome_variances(spec, prior)
+            assert outcome_variance_vector(spec, prior).tobytes() == expected.tobytes(), spec
+
+    def test_solve_panel_digest_is_pinned(self):
+        """Catches reorderings of the solver's sums that the simulation pins miss."""
+        expected = "77b6fa3830fc7de01f9e3f669bfb1b5f98b3d3aaae170c91b6826d4aff8a8173"
+        assert solve_panel_digest() == expected
 
 
 class TestSixTermClosedForm:
