@@ -67,8 +67,6 @@ from .simulation import (
     Parameters,
     build_estimator_family,
     compute_imse,
-    estimate_average_effect,
-    potential_outcome,
     sample_parameters,
 )
 from .verify import run_verify

@@ -135,17 +135,12 @@ Design = BernoulliDesign | ExplicitDesign
 ENUMERATION_LIMIT = 20
 
 
-def all_allocations(n: int) -> np.ndarray:
-    """Every binary allocation of length n as rows, in binary-counting order."""
+def allocation_matrix(design: Design) -> tuple[np.ndarray, np.ndarray]:
+    """Every allocation as rows in binary-counting order (n <= 20), with its exact probability."""
+    n = design.n
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"refusing to enumerate 2^{n} allocations (limit n={ENUMERATION_LIMIT})")
-    grid = np.indices((2,) * n).reshape(n, -1).T
-    return grid.astype(np.int64)
-
-
-def allocation_matrix(design: Design) -> tuple[np.ndarray, np.ndarray]:
-    """Every allocation of the design as rows (only for n <= 20), with its exact probability."""
-    mat = all_allocations(design.n)
+    mat = np.indices((2,) * n).reshape(n, -1).T.astype(np.int64)
     if isinstance(design, BernoulliDesign):
         return mat, design.allocation_probability(mat)
     return mat, np.array([design.allocation_probability(z) for z in mat])
@@ -184,7 +179,9 @@ def bernoulli_exposure_distribution(degree: int, p_treat: float) -> ExposureDist
     The masses are :func:`bernoulli_exposure_prob`'s, bit for bit: per-level
     tables from the same ``math`` calls, combined on arrays in the same
     operation order.  ``math.exp`` and ``**`` stay scalar because numpy's
-    vectorised exp and power need not round as libm does.
+    vectorised exp and power need not round as libm does.  Raises when a
+    mass underflows float64 to 0, naming the degree, ``p_treat`` and the
+    first such exposure in canonical order.
     """
     if degree < 1:
         raise ValueError("degree-0 units have a collapsed exposure set; exclude them")
@@ -197,12 +194,16 @@ def bernoulli_exposure_distribution(degree: int, p_treat: float) -> ExposureDist
         log_mass = (lgammas[degree] - lgammas[d] - lgammas[degree - d]
                     + (d + z) * math.log(p_treat)
                     + (degree - d + 1 - z) * math.log1p(-p_treat))
-        probs = [math.exp(value) for value in log_mass.tolist()]
+        probs = np.array([math.exp(value) for value in log_mass.tolist()])
     else:
         combs = np.array([float(math.comb(degree, k)) for k in range(degree + 1)])
         treated = np.array([p_treat**k for k in range(degree + 2)])
         untreated = np.array([(1.0 - p_treat) ** k for k in range(degree + 2)])
         probs = combs[d] * treated[d + z] * untreated[degree - d + 1 - z]
+    if not probs.all():
+        j = int(np.argmin(probs))
+        raise ValueError(f"in-degree {degree} at p_treat {p_treat}: the mass of exposure "
+                         f"({d[j]}, {z[j]}) underflows float64")
     return ExposureDistribution(spec, probs)
 
 

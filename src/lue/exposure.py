@@ -55,13 +55,6 @@ class ExposureSpec:
         )
 
     def validate_exposure(self, e: Exposure) -> Exposure:
-        levels = self.levels
-        if type(e) is tuple and len(e) == len(levels):
-            for v, m in zip(e, levels):
-                if type(v) is not int or v < 0 or v > m:
-                    break
-            else:
-                return e
         e = tuple(int(v) for v in e)
         if not self.contains(e):
             raise ValueError(f"exposure {e} not in the set defined by levels {self.levels}")

@@ -32,7 +32,6 @@ from .exposure import (
     enumerate_exposures,
     exposure_positions,
     indicator_matrix,
-    indicator_vector,
     target_position,
 )
 
@@ -98,7 +97,8 @@ def support_null_prior(spec: ExposureSpec, support) -> np.ndarray:
     Built as I - X X^T with X an orthonormal basis of that span, so dilating
     it blows up exactly the variances of off-support potential outcomes.
     """
-    vs = np.vstack([indicator_vector(spec, e) for e in support]).T
+    columns = [exposure_positions(spec)[spec.validate_exposure(e)] for e in support]
+    vs = indicator_matrix(spec)[:, columns]
     u, s, _ = np.linalg.svd(vs, full_matrices=False)
     x = u[:, s > PSD_TOL * s[0]]
     return np.eye(spec.num_parameters) - x @ x.T

@@ -143,20 +143,6 @@ def _as_words(seed) -> list[int]:
     return [int(seed)]
 
 
-def potential_outcome(params: Parameters, unit: int, e) -> float:
-    """Outcome of ``unit`` at exposure (treated degree, own treatment)."""
-    d, z = (int(v) for v in e)
-    start, end = params.offsets[unit], params.offsets[unit + 1]
-    if not 0 <= d <= end - start:
-        raise ValueError(f"treated degree {d} out of range 0..{end - start}")
-    y = params.alpha[unit] + params.direct[unit] * z
-    if d > 0:
-        y += params.interference[start + d - 1]
-        if params.interaction is not None and z:
-            y += params.interaction[start + d - 1]
-    return float(y)
-
-
 def unit_exposure_distribution(design, network: Network, unit: int) -> ExposureDistribution:
     """Closed-form pmf of ``unit``'s (treated in-degree, own treatment), Bernoulli design."""
     return bernoulli_exposure_distribution(int(network.in_degrees[unit]), design.p_treat)
@@ -241,23 +227,6 @@ def _mean_full_effect(params: Parameters, units) -> float:
     return float(np.mean(params.interference[params.offsets[1:][units] - 1]))
 
 
-def estimate_average_effect(family: dict[int, LinearEstimator], network: Network,
-                            allocation, params: Parameters) -> float:
-    """Average of unit-level estimates over units with positive in-degree."""
-    units = included_units(network)
-    if not units:
-        raise ValueError("every unit has in-degree 0; the average estimand is undefined")
-    z = np.asarray(allocation)
-    treated = network.adjacency.T @ z
-    total = 0.0
-    for i in units:
-        e = (int(treated[i]), int(z[i]))
-        w = family[i].weight(e)
-        if w != 0.0:
-            total += w * potential_outcome(params, i, e)
-    return total / len(units)
-
-
 @dataclass(frozen=True)
 class NetworkConfig:
     kind: str  # "k_regular" | "erdos_renyi"
@@ -316,6 +285,10 @@ class ExperimentConfig:
             raise ValueError("exhaustive allocation mode needs n <= 20")
         if not _is_count(self.num_draws):
             raise ValueError(f"num_draws must be a positive integer, got {self.num_draws!r}")
+
+    def build_network(self) -> Network:
+        """The setting's network, from its own sub-stream of the master seed."""
+        return self.network.build(np.random.SeedSequence([self.master_seed, _STREAM_NETWORK]))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -385,11 +358,12 @@ CSV_HEADER = "estimator,n,k_or_p,distribution,mu1_or_eta1,delta1,imse,bias2,vari
 
 
 def _outcome_table(params: Parameters, units, width):
-    """(unit x exposure-slot) potential outcomes, bit-identical to :func:`potential_outcome`.
+    """(unit x exposure-slot) potential outcomes.
 
     Even slots hold z = 0 and odd slots z = 1, with d >= 1 from slot 2 on;
-    each entry is summed in the same order, ((alpha + direct z) + interference_d)
-    + interaction_d.
+    each entry is summed in the order ((alpha + direct z) + interference_d)
+    + interaction_d, that of the scalar reference ``potential_outcome`` in
+    ``tests/test_simulation.py``, which it matches bit for bit.
     """
     starts = params.offsets[units]
     degrees = np.diff(params.offsets)[units]
@@ -488,9 +462,7 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     allocations, slots and gather read 0 in exhaustive mode).
     """
     start = time.perf_counter()
-    network = config.network.build(
-        np.random.SeedSequence([config.master_seed, _STREAM_NETWORK])
-    )
+    network = config.build_network()
     design = BernoulliDesign(network.n, config.p_treat)
     units = included_units(network)
     if not units:

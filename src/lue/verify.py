@@ -18,7 +18,7 @@ import numpy as np
 from .design import (
     BernoulliDesign,
     ExposureDistribution,
-    bernoulli_exposure_prob,
+    bernoulli_exposure_distribution,
     exposure_distribution_exact,
 )
 from .estimators import (
@@ -37,9 +37,8 @@ from .estimators import (
     malue_count,
     zero_count,
 )
-from .exposure import ExposureSpec
-from .mivlue import (SIX_TERM_EXPOSURES, PriorSpec, outcome_variance, six_term_alpha_weights,
-                     solve_mivlue)
+from .exposure import ExposureSpec, exposure_positions
+from .mivlue import SIX_TERM_EXPOSURES, PriorSpec, six_term_alpha_weights, solve_mivlue
 from .networks import gen_erdos_renyi_directed, gen_k_regular_directed
 from .simulation import (
     ExperimentConfig,
@@ -114,9 +113,9 @@ def check_constraint_residuals() -> CheckResult:
     return _timed("constraint_residuals", body)
 
 
-def check_basis_ranks(budget: int = 256) -> CheckResult:
+def check_basis_ranks() -> CheckResult:
     def body():
-        for levels in specs_up_to(budget):
+        for levels in specs_up_to(256):
             spec = ExposureSpec(levels)
             atomic, zeros = basis_identifiers(spec)
             if len(atomic) != malue_count(spec) or len(zeros) != zero_count(spec):
@@ -141,6 +140,7 @@ def verify_six_term_closed_form(alpha_fn=six_term_alpha_weights,
     """Closed-form coefficients must match the numeric optimality solve."""
     rng = np.random.default_rng(CHECK_SEED)
     spec = ExposureSpec((2, 1))
+    six = [exposure_positions(spec)[e] for e in SIX_TERM_EXPOSURES]
     for trial in range(trials):
         raw = rng.dirichlet(np.ones(6))
         probs = ExposureDistribution(spec, raw)
@@ -150,7 +150,7 @@ def verify_six_term_closed_form(alpha_fn=six_term_alpha_weights,
         basis = build_affine_basis(spec, probs)
         a3_n, a2_n, a1_n = decompose_in_basis(solution.estimator, basis, probs)
         p6 = [probs[e] for e in SIX_TERM_EXPOSURES]
-        v6 = [outcome_variance(prior, spec, e) for e in SIX_TERM_EXPOSURES]
+        v6 = solution.system.variances[six].tolist()
         a1, a2, a3 = alpha_fn(p6, v6)
         err = max(abs(a1 - a1_n), abs(a2 - a2_n), abs(a3 - a3_n))
         if err > SIX_TERM_TOL:
@@ -182,11 +182,11 @@ def check_design_oracle() -> CheckResult:
                         continue
                     exact = exposure_distribution_exact(
                         design, "network_interference", network, unit)
+                    closed = bernoulli_exposure_distribution(degree, p_treat)
                     for e in exact:
-                        closed = bernoulli_exposure_prob(degree, e, p_treat)
-                        if abs(closed - exact[e]) > 1e-12:
+                        if abs(closed[e] - exact[e]) > 1e-12:
                             return False, (
-                                f"n={network.n} unit={unit} exposure={e}: closed {closed!r} "
+                                f"n={network.n} unit={unit} exposure={e}: closed {closed[e]!r} "
                                 f"vs exact {exact[e]!r}"
                             )
         return True, ""
@@ -204,9 +204,9 @@ def check_enumeration_unbiasedness() -> CheckResult:
             master_seed=3,
         )
         report = compute_imse(config)
-        network = config.network.build(np.random.SeedSequence([3, 3]))
+        network = config.build_network()
         for draw in range(config.num_draws):
-            params = sample_parameters(network, config.outcome, [3, draw])
+            params = sample_parameters(network, config.outcome, [config.master_seed, draw])
             theta_bar = true_average_effect(network, params)
             for name, result in report.results.items():
                 gap = abs(result.per_draw_mean[draw] - theta_bar)

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 import lue
-from lue.cli import build_parser, main
-from lue.design import bernoulli_exposure_distribution, uniform_distribution
+from lue.cli import _setting_seed, build_parser, main
+from lue.design import ExposureDistribution, bernoulli_exposure_distribution, uniform_distribution
 from lue.estimators import LinearEstimator, build_four_term_alue, build_malue_set
 from lue.exposure import ExposureSpec, enumerate_exposures
 from lue.mivlue import max_alpha3
-from lue.verify import verify_estimator_set, verify_six_term_closed_form
+from lue.simulation import ExperimentConfig
+from lue.verify import check_design_oracle, verify_estimator_set, verify_six_term_closed_form
 
 SIX_ORDER = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
 
@@ -294,6 +295,20 @@ class TestSimulateCommand:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    def test_underflowing_pmf_names_degree_and_p_treat(self, tmp_path, capsys):
+        """A dense graph at a small p_treat fails its setting with the cause named."""
+        config = {"network": {"kind": "erdos_renyi", "n": 400, "p_edge": 0.9},
+                  "outcome": {"kind": "independent", "mu1": 0}, "p_treat": 0.1,
+                  "allocation_mode": "sample", "allocation_count": 10, "num_draws": 1,
+                  "estimators": ["HT0"]}
+        path = write_json(tmp_path / "dense.json", config)
+        code = main(["simulate", "--config", path, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        setting = ExperimentConfig.from_dict({**config, "master_seed": _setting_seed(0, 0)})
+        lowest = int(setting.build_network().in_degrees.min())
+        assert (f"setting 0 failed: ValueError: in-degree {lowest} at p_treat 0.1: "
+                "the mass of exposure") in capsys.readouterr().err
+
     @pytest.mark.parametrize("payload,message", [
         ([1, 2], "error: config: expected a JSON object, got list"),
         ({"network": 5, "outcome": {"kind": "independent"}},
@@ -366,6 +381,18 @@ class TestCheckInjection:
         ok, details = verify_six_term_closed_form(alpha_fn=broken_alpha, trials=5)
         assert not ok
         assert "closed form" in details
+
+    def test_corrupted_simulation_pmf_fails_the_design_oracle(self, monkeypatch):
+        """The design oracle checks the pmf the simulation reads, so corrupting it is caught."""
+
+        def swapped(degree, p_treat):
+            dist = bernoulli_exposure_distribution(degree, p_treat)
+            return ExposureDistribution(dist.spec, dist.vector[::-1])
+
+        monkeypatch.setattr(lue.verify, "bernoulli_exposure_distribution", swapped)
+        result = check_design_oracle()
+        assert not result.passed
+        assert "closed" in result.details and "vs exact" in result.details
 
 
 class TestReadme:

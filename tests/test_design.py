@@ -10,7 +10,6 @@ from lue.design import (
     BernoulliDesign,
     ExplicitDesign,
     ExposureDistribution,
-    all_allocations,
     allocation_matrix,
     bernoulli_exposure_distribution,
     bernoulli_exposure_prob,
@@ -64,7 +63,7 @@ class TestBernoulliExposureProb:
     def test_distribution_is_the_scalar_formula_bit_for_bit(self):
         """The array pmf equals the scalar closed form, in both the direct and log branches.
 
-        Where a mass underflows to 0, both reject it with the same message.
+        Where a mass underflows to 0, both reject it, naming the same first exposure.
         """
         for degree in [*range(1, 301), 500, 1000]:
             spec = ExposureSpec((degree, 1))
@@ -73,11 +72,22 @@ class TestBernoulliExposureProb:
                 try:
                     expected = ExposureDistribution(spec, scalar).vector
                 except ValueError as exc:
-                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    exposure = re.search(r"exposure (\(.*?\))", str(exc)).group(1)
+                    message = f"in-degree {degree} at p_treat {p}: the mass of exposure {exposure}"
+                    with pytest.raises(ValueError, match=re.escape(message)):
                         bernoulli_exposure_distribution(degree, p)
                     continue
                 actual = bernoulli_exposure_distribution(degree, p).vector
                 assert actual.tobytes() == expected.tobytes(), (degree, p)
+
+    @pytest.mark.parametrize("degree,p,exposure", [(1074, 0.5, (1074, 1)),
+                                                   (323, 0.1, (323, 1))])
+    def test_underflow_names_degree_and_p_treat(self, degree, p, exposure):
+        """A mass that underflows float64 is reported as such, not as a bad pmf."""
+        message = f"in-degree {degree} at p_treat {p}: the mass of exposure {exposure} underflows"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bernoulli_exposure_distribution(degree, p)
+        assert bernoulli_exposure_distribution(degree - 1, p).vector.min() > 0
 
 
 class TestExposureDistribution:
@@ -187,7 +197,7 @@ class TestAllocations:
 
     def test_enumeration_budget(self):
         with pytest.raises(ValueError, match="refusing to enumerate"):
-            all_allocations(21)
+            allocation_matrix(BernoulliDesign(21))
 
 
 class TestDesigns:

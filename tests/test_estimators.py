@@ -387,8 +387,8 @@ class TestRankCertificate:
             return affine_rank_is_full(weights, spec)
 
         monkeypatch.setattr(lue.verify, "affine_rank_is_full", spy)
-        assert check_basis_ranks(64).passed
-        assert calls == specs_up_to(64)
+        assert check_basis_ranks().passed
+        assert calls == specs_up_to(256)
 
 
 class TestLueDimension:

@@ -19,11 +19,9 @@ from lue.simulation import (
     build_estimator_family,
     compute_imse,
     config_hash,
-    estimate_average_effect,
     exposure_slots,
     included_units,
     joint_exposure_pmf,
-    potential_outcome,
     sample_parameters,
     slot_coefficients,
     true_average_effect,
@@ -53,6 +51,46 @@ def effects(params, unit, kind="interference"):
 
 def one_unit(alpha, direct, interference, interaction=None):
     return Parameters([alpha], [direct], interference, [0, len(interference)], interaction)
+
+
+def potential_outcome(params, unit, e):
+    """Reference: the outcome of ``unit`` at exposure (treated degree, own treatment)."""
+    d, z = (int(v) for v in e)
+    start, end = params.offsets[unit], params.offsets[unit + 1]
+    if not 0 <= d <= end - start:
+        raise ValueError(f"treated degree {d} out of range 0..{end - start}")
+    y = params.alpha[unit] + params.direct[unit] * z
+    if d > 0:
+        y += params.interference[start + d - 1]
+        if params.interaction is not None and z:
+            y += params.interaction[start + d - 1]
+    return float(y)
+
+
+def estimate_average_effect(family, network, allocation, params):
+    """Reference: one allocation's average of unit-level estimates, one unit at a time.
+
+    ``family`` maps each unit of positive in-degree to its estimator.
+    """
+    units = included_units(network)
+    if not units:
+        raise ValueError("every unit has in-degree 0; the average estimand is undefined")
+    z = np.asarray(allocation)
+    treated = network.adjacency.T @ z
+    total = 0.0
+    for i in units:
+        e = (int(treated[i]), int(z[i]))
+        w = family[i].weight(e)
+        if w != 0.0:
+            total += w * potential_outcome(params, i, e)
+    return total / len(units)
+
+
+def test_scalar_references_are_not_exported():
+    """The package evaluates estimators only through the vectorised tables."""
+    for name in ("potential_outcome", "estimate_average_effect"):
+        assert name not in lue.__all__
+        assert not hasattr(lue, name) and not hasattr(lue.simulation, name)
 
 
 def sequential_parameters(network, model, seed):
@@ -394,6 +432,12 @@ class TestExperimentConfig:
         with pytest.raises(TypeError):
             ExperimentConfig.from_dict({**config.to_dict(), "network": {
                 "kind": "erdos_renyi", "n": 12, "p_edge": 0.25, "comment": "rejected"}})
+
+    def test_network_comes_from_its_own_stream(self):
+        config = ExperimentConfig(network=NetworkConfig("erdos_renyi", 12, p_edge=0.3),
+                                  outcome=OutcomeModel("independent"), master_seed=5)
+        expected = config.network.build(np.random.SeedSequence([5, 3]))
+        np.testing.assert_array_equal(config.build_network().adjacency, expected.adjacency)
 
     def test_network_config_validation(self):
         with pytest.raises(ValueError, match="need k"):
