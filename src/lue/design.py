@@ -150,7 +150,9 @@ def bernoulli_exposure_prob(degree: int, e: Exposure, p_treat: float) -> float:
     """Probability of treated-degree exposure (d, z) for a unit with ``degree`` in-neighbors.
 
     Closed form for a Bernoulli design: C(degree, d) p^(d+z) (1-p)^(degree-d+1-z).
-    At p = 0.5 this reduces to C(degree, d) 0.5^(degree+1).
+    At p = 0.5 this reduces to C(degree, d) 0.5^(degree+1).  Raises when the
+    mass underflows float64 to 0, with :func:`bernoulli_exposure_distribution`'s
+    message.
     """
     d, z = (int(v) for v in e)
     if z not in (0, 1):
@@ -165,12 +167,21 @@ def bernoulli_exposure_prob(degree: int, e: Exposure, p_treat: float) -> float:
             + (d + z) * math.log(p_treat)
             + (degree - d + 1 - z) * math.log1p(-p_treat)
         )
-        return math.exp(log_mass)
-    return (
-        math.comb(degree, d)
-        * p_treat ** (d + z)
-        * (1.0 - p_treat) ** (degree - d + 1 - z)
-    )
+        mass = math.exp(log_mass)
+    else:
+        mass = (
+            math.comb(degree, d)
+            * p_treat ** (d + z)
+            * (1.0 - p_treat) ** (degree - d + 1 - z)
+        )
+    if mass == 0.0:
+        raise ValueError(_underflow_message(degree, p_treat, d, z))
+    return mass
+
+
+def _underflow_message(degree: int, p_treat: float, d, z) -> str:
+    return (f"in-degree {degree} at p_treat {p_treat}: the mass of exposure ({d}, {z}) "
+            "underflows float64")
 
 
 def bernoulli_exposure_distribution(degree: int, p_treat: float) -> ExposureDistribution:
@@ -202,8 +213,7 @@ def bernoulli_exposure_distribution(degree: int, p_treat: float) -> ExposureDist
         probs = combs[d] * treated[d + z] * untreated[degree - d + 1 - z]
     if not probs.all():
         j = int(np.argmin(probs))
-        raise ValueError(f"in-degree {degree} at p_treat {p_treat}: the mass of exposure "
-                         f"({d[j]}, {z[j]}) underflows float64")
+        raise ValueError(_underflow_message(degree, p_treat, d[j], z[j]))
     return ExposureDistribution(spec, probs)
 
 

@@ -63,31 +63,35 @@ class TestBernoulliExposureProb:
     def test_distribution_is_the_scalar_formula_bit_for_bit(self):
         """The array pmf equals the scalar closed form, in both the direct and log branches.
 
-        Where a mass underflows to 0, both reject it, naming the same first exposure.
+        Where a mass underflows to 0, both raise the same message, naming the
+        same first exposure in canonical order.
         """
-        for degree in [*range(1, 301), 500, 1000]:
+        for degree in [*range(1, 301), 323, 500, 1000, 1074]:
             spec = ExposureSpec((degree, 1))
             for p in (0.1, 0.3, 0.5, 0.77):
-                scalar = [bernoulli_exposure_prob(degree, e, p) for e in enumerate_exposures(spec)]
                 try:
-                    expected = ExposureDistribution(spec, scalar).vector
+                    scalar = [bernoulli_exposure_prob(degree, e, p)
+                              for e in enumerate_exposures(spec)]
                 except ValueError as exc:
-                    exposure = re.search(r"exposure (\(.*?\))", str(exc)).group(1)
-                    message = f"in-degree {degree} at p_treat {p}: the mass of exposure {exposure}"
-                    with pytest.raises(ValueError, match=re.escape(message)):
+                    assert "underflows float64" in str(exc), (degree, p)
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
                         bernoulli_exposure_distribution(degree, p)
                     continue
+                expected = ExposureDistribution(spec, scalar).vector
                 actual = bernoulli_exposure_distribution(degree, p).vector
                 assert actual.tobytes() == expected.tobytes(), (degree, p)
 
     @pytest.mark.parametrize("degree,p,exposure", [(1074, 0.5, (1074, 1)),
                                                    (323, 0.1, (323, 1))])
     def test_underflow_names_degree_and_p_treat(self, degree, p, exposure):
-        """A mass that underflows float64 is reported as such, not as a bad pmf."""
+        """A mass that underflows float64 is reported as such, by the scalar and array paths."""
         message = f"in-degree {degree} at p_treat {p}: the mass of exposure {exposure} underflows"
         with pytest.raises(ValueError, match=re.escape(message)):
             bernoulli_exposure_distribution(degree, p)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bernoulli_exposure_prob(degree, exposure, p)
         assert bernoulli_exposure_distribution(degree - 1, p).vector.min() > 0
+        assert bernoulli_exposure_prob(degree - 1, (degree - 1, 1), p) > 0
 
 
 class TestExposureDistribution:

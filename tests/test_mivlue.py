@@ -21,6 +21,7 @@ from lue.mivlue import (
     PSD_TOL,
     PriorSpec,
     SingularSystemError,
+    _relative_residual,
     assemble_system,
     default_base_perturbation,
     identity_prior,
@@ -85,15 +86,14 @@ def simulation_priors(degree):
     return priors
 
 
-def solve_panel_digest():
-    """sha256 of every solve's weights, multipliers, variances and objective on a seeded panel.
+def solve_panel():
+    """A seeded panel of solves: (spec, pmf, prior) triples.
 
     Each spec with at most 64 exposures gets a Dirichlet pmf and four priors:
     full rank, rank one plus a ridge, a dilated rank one with the base
     perturbation, and a null prior on two exposures, whose solve must fail.
     """
     rng = np.random.default_rng(11)
-    digest = hashlib.sha256()
     for spec in small_specs():
         size = spec.num_parameters
         probs = random_distribution(spec, rng)
@@ -105,16 +105,31 @@ def solve_panel_digest():
                             dilation=1e4),
                   PriorSpec(support_null_prior(spec, support))]
         for prior in priors:
-            try:
-                solution = solve_mivlue(spec, probs, prior)
-            except SingularSystemError as exc:
-                digest.update(str(exc).encode())
-                continue
-            for values in (solution.estimator.vector, solution.multipliers,
-                           solution.system.variances, [solution.integrated_variance]):
-                digest.update(np.asarray(values, dtype=float).tobytes())
-            digest.update("".join(solution.warnings).encode())
+            yield spec, probs, prior
+
+
+def solve_panel_digest():
+    """sha256 of every solve's weights, multipliers, variances and objective on the panel."""
+    digest = hashlib.sha256()
+    for spec, probs, prior in solve_panel():
+        try:
+            solution = solve_mivlue(spec, probs, prior)
+        except SingularSystemError as exc:
+            digest.update(str(exc).encode())
+            continue
+        for values in (solution.estimator.vector, solution.multipliers,
+                       solution.system.variances, [solution.integrated_variance]):
+            digest.update(np.asarray(values, dtype=float).tobytes())
+        digest.update("".join(solution.warnings).encode())
     return digest.hexdigest()
+
+
+def with_spectrum(eigenvalues, seed=0):
+    """Symmetric matrix with the given eigenvalues, in a random orthonormal basis."""
+    size = len(eigenvalues)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(size, size)))
+    m = (q * eigenvalues) @ q.T
+    return (m + m.T) / 2
 
 
 class TestPriorSpec:
@@ -129,6 +144,45 @@ class TestPriorSpec:
     def test_base_perturbation_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             PriorSpec(np.eye(2), base_perturbation=np.eye(2))
+
+    @staticmethod
+    def psd_cases():
+        """(matrix, PSD within PSD_TOL?) pairs on both sides of the tolerance."""
+        rng = np.random.default_rng(12)
+        accepted = [a @ a.T for a in (rng.normal(size=(n, n)) for n in (1, 2, 5, 20, 64))]
+        accepted += [u @ u.T for u in (rng.normal(size=(n, 1)) for n in (2, 7, 40))]
+        accepted += [support_null_prior(ExposureSpec((3, 1)), [(3, 0), (0, 0)]),
+                     support_null_prior(ExposureSpec((2, 2)), [(2, 0), (0, 0), (1, 1)]),
+                     np.zeros((4, 4)), with_spectrum([-1e-12, 0.5, 1.0, 2.0, 3.0])]
+        accepted += [prior.covariance for prior in simulation_priors(60)]
+        rejected = [np.array([[1.0, 2.0], [2.0, 1.0]]), with_spectrum([-1e-8, 0.5, 1.0, 2.0, 3.0])]
+        return [(m, True) for m in accepted] + [(m, False) for m in rejected]
+
+    def test_psd_check_is_the_eigenvalue_criterion(self):
+        """Accepts exactly when the smallest eigenvalue is at least -PSD_TOL."""
+        for matrix, psd in self.psd_cases():
+            assert (np.linalg.eigvalsh(matrix).min() >= -PSD_TOL) == psd
+            if psd:
+                PriorSpec(matrix)
+            else:
+                with pytest.raises(ValueError, match="^covariance must be positive semi-definite$"):
+                    PriorSpec(matrix)
+
+    def test_base_perturbation_psd_check(self):
+        """The same criterion on the base perturbation, whose entries are all positive."""
+        cases = [(default_base_perturbation(5), True)]
+        for gap, psd in ((1e-12, True), (1e-8, False), (1.0, False)):
+            # Eigenvalues 2 + gap and -gap.
+            cases.append((np.array([[1.0, 1.0 + gap], [1.0 + gap, 1.0]]), psd))
+        for base, psd in cases:
+            assert (np.linalg.eigvalsh(base).min() >= -PSD_TOL) == psd
+            cov = np.eye(len(base))
+            if psd:
+                PriorSpec(cov, base_perturbation=base, dilation=10.0)
+            else:
+                with pytest.raises(ValueError,
+                                   match="^base perturbation must be positive semi-definite$"):
+                    PriorSpec(cov, base_perturbation=base, dilation=10.0)
 
     def test_dilation_composition(self):
         """Outcome variances under dilation are dilation * qf(covariance) + qf(base)."""
@@ -450,6 +504,27 @@ class TestPinnedArithmetic:
         """Catches reorderings of the solver's sums that the simulation pins miss."""
         expected = "77b6fa3830fc7de01f9e3f669bfb1b5f98b3d3aaae170c91b6826d4aff8a8173"
         assert solve_panel_digest() == expected
+
+    def test_unbiasedness_gate_is_the_dense_formula(self):
+        """The gate's sums over active parameters match the dense C-block formula.
+
+        Both values are already relative to max(1, sum_e |C_te w_e|), so they
+        may differ only by the rounding of sums over at most 64 exposures.
+        """
+        solved = 0
+        for spec, probs, prior in solve_panel():
+            try:
+                solution = solve_mivlue(spec, probs, prior)
+            except SingularSystemError:
+                continue
+            system, w = solution.system, solution.estimator.vector
+            c = system.constraints
+            assert c.tobytes() == (indicator_matrix(spec) * probs.vector).tobytes()
+            target = system.rhs[system.num_exposures:]
+            dense = (np.abs(c @ w - target) / np.maximum(1.0, np.abs(c * w).sum(axis=1))).max()
+            assert abs(_relative_residual(system, w) - dense) <= 1e-15, spec
+            solved += 1
+        assert solved > 1000
 
 
 class TestSixTermClosedForm:
