@@ -12,6 +12,7 @@ units' exposures.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,7 +24,6 @@ from .exposure import (
     Exposure,
     ExposureSpec,
     _canonical_exposures,
-    canonical_grid,
     enumerate_exposures,
     exposure_positions,
     indicator_matrix,
@@ -179,41 +179,70 @@ def _layout(levels: tuple[int, ...]):
     grouped by member.  The member identified by e has the terms: two-term
     (e_1 = m_1) +(m_1, tail) -(0, tail); four-term (0 < e_1 < m_1) +(m_1, tail)
     -e +e' -(0, e'_tail), where e' zeroes the first nonzero tail component of e;
-    zero (e_1 = 0) +e -(that component alone) -e' +baseline.  A row-major flat
-    index is linear in the components, so each term's index is a shift of e's.
-    Read-only, and cached because a build and its certificate share a spec.
+    zero (e_1 = 0) +e -(that component alone) -e' +baseline.
+
+    Every column is index arithmetic on canonical positions, with no sort.
+    There are N = (m_2+1)...(m_K+1) tails, and tail row r is the tail whose
+    mixed-radix value, e_2 least significant, is N-1-r, so the zero tail is
+    row N-1.  (e_1, tail r) sits at r(m_1-1) + m_1-1-e_1 when 0 < e_1 < m_1,
+    at (m_1-1)N + r when e_1 = m_1 and at m_1 N + r when e_1 = 0.  If l_r is
+    the value of tail r's first nonzero component alone, zeroing that
+    component gives row r + l_r and keeping only it gives row N-1-l_r; the
+    tail has a second nonzero component iff r + l_r < N-1.  Read-only, and
+    cached because a build and its certificate share a spec.
     """
-    grid = canonical_grid(levels)
-    first = grid[:, 0]
-    tail_nonzero = np.count_nonzero(grid[:, 1:], axis=1)
-    atomic = (first == levels[0]) | ((first > 0) & (tail_nonzero >= 1))
-    ids = np.flatnonzero(atomic | ((first == 0) & (tail_nonzero >= 2)))
-    strides = np.cumprod([1] + [m + 1 for m in levels[:0:-1]])[::-1]
-    column = np.argsort(grid @ strides)  # canonical column of each flat index
-    e = grid[ids]
-    first = e[:, 0]
-    flat = e @ strides
-    top = flat + (levels[0] - first) * strides[0]
-    bottom = flat - first * strides[0]
-    # Rows without a nonzero tail component are two-term and never use ``drop``.
-    tail = e != 0
-    tail[:, 0] = False
-    lead = tail.argmax(axis=1)
-    drop = e[np.arange(len(e)), lead] * strides[lead]
-    two, zero = first == levels[0], first == 0
-    # Four term slots per member, in the order above; two-term members use two.
-    slots = np.stack([
-        np.where(zero, flat, top),
-        np.where(zero, drop, np.where(two, bottom, flat)),
-        flat - drop,
-        np.where(zero, 0, bottom - drop),
-    ], axis=1)
-    signs = np.where(zero[:, None], (1.0, -1.0, -1.0, 1.0), (1.0, -1.0, 1.0, -1.0))
-    rows, slot = np.nonzero(~two[:, None] | (np.arange(4) < 2))
-    cols, signs = column[slots[rows, slot]], signs[rows, slot]
+    m1, tails = levels[0], math.prod(m + 1 for m in levels[1:])
+    value = np.arange(tails - 1, -1, -1)
+    # lead[r] = l_r: the value modulo the smallest radix product that leaves
+    # it nonzero, since every digit below the first nonzero one is zero.
+    lead, radix = value.copy(), tails
+    for m in levels[:1:-1]:
+        radix //= m + 1
+        low = value % radix
+        np.copyto(lead, low, where=low != 0)
+    zero_rows = np.flatnonzero(lead < value)
+    # Four-term members are the intermediate rows with a nonzero tail: the
+    # first (m_1-1)(N-1) positions.  Every m_1-first row is a two-term member.
+    four = (m1 - 1) * (tails - 1)
+    atomic = four + tails
+    sizes = (four, tails, len(zero_rows))
+    ids = np.empty(sum(sizes), dtype=np.intp)
+    ids[:four] = np.arange(four)
+    ids[four:atomic] = np.arange((m1 - 1) * tails, m1 * tails)
+    ids[atomic:] = m1 * tails + zero_rows
+    # Terms are grouped by member, block by block; each block is a (members
+    # x terms) view of ``cols``, filled below.
+    patterns = ((1.0, -1.0, 1.0, -1.0), (1.0, -1.0), (1.0, -1.0, -1.0, 1.0))
+    total = sum(size * len(pattern) for size, pattern in zip(sizes, patterns))
+    rows = np.empty(total, dtype=np.intp)
+    cols = np.empty(total, dtype=np.intp)
+    signs = np.empty(total)
+    blocks, start, member = [], 0, 0
+    for size, pattern in zip(sizes, patterns):
+        stop = start + size * len(pattern)
+        rows[start:stop].reshape(size, len(pattern))[:] = np.arange(member, member + size)[:, None]
+        signs[start:stop].reshape(size, len(pattern))[:] = pattern
+        blocks.append(cols[start:stop].reshape(size, len(pattern)))
+        start, member = stop, member + size
+    four_cols, two_cols, zero_cols = blocks
+    baseline = (m1 + 1) * tails - 1
+    four_cols = four_cols.reshape(tails - 1, m1 - 1, 4)
+    own = ids[:four].reshape(tails - 1, m1 - 1)
+    r, step = np.arange(tails - 1)[:, None], lead[:-1, None]
+    four_cols[..., 0] = (m1 - 1) * tails + r  # (m_1, tail)
+    four_cols[..., 1] = own  # e
+    four_cols[..., 2] = own + (m1 - 1) * step  # e'
+    four_cols[..., 3] = m1 * tails + r + step  # (0, e'_tail)
+    two_cols[:, 0] = ids[four:atomic]  # (m_1, tail)
+    two_cols[:, 1] = two_cols[:, 0] + tails  # (0, tail)
+    step = lead[zero_rows]
+    zero_cols[:, 0] = ids[atomic:]  # e
+    zero_cols[:, 1] = baseline - step  # the first nonzero component alone
+    zero_cols[:, 2] = zero_cols[:, 0] + step  # e'
+    zero_cols[:, 3] = baseline
     for array in (ids, rows, cols, signs):
         array.setflags(write=False)
-    return ids, np.count_nonzero(atomic), rows, cols, signs
+    return ids, atomic, rows, cols, signs
 
 
 def basis_identifiers(spec: ExposureSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -367,10 +396,12 @@ def affine_rank_is_full(basis, spec: ExposureSpec | None = None) -> bool:
     weights = np.asarray(basis)
     ids = np.concatenate(basis_identifiers(basis.spec if spec is None else spec))
     if len(ids) == len(weights):
-        # Zero below a nonzero diagonal: each row's first nonzero is on it.
-        nonzero = weights[:, ids] != 0
-        diagonal = np.arange(len(ids))
-        if nonzero[diagonal, diagonal].all() and (nonzero.argmax(axis=1) == diagonal).all():
+        # Zero below a nonzero diagonal: on the identifier columns, which
+        # ascend, each row's first nonzero is its own identifier.
+        keep = np.zeros(weights.shape[1], dtype=bool)
+        keep[ids] = True
+        nonzero = (weights != 0) & keep
+        if nonzero[np.arange(len(ids)), ids].all() and (nonzero.argmax(axis=1) == ids).all():
             return True
     return affine_rank(weights) == len(weights)
 

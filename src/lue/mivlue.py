@@ -75,6 +75,8 @@ class PriorSpec:
         cov = np.asarray(self.covariance, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ValueError(f"covariance must be square, got shape {cov.shape}")
+        if not np.isfinite(cov).all():
+            raise ValueError("covariance entries must be finite")
         if np.abs(cov - cov.T).max() > PSD_TOL:
             raise ValueError("covariance must be symmetric")
         _check_psd(cov, "covariance")
@@ -83,10 +85,15 @@ class PriorSpec:
             base = np.asarray(self.base_perturbation, dtype=float)
             if base.shape != cov.shape:
                 raise ValueError("base perturbation must match the covariance shape")
+            if not np.isfinite(base).all():
+                raise ValueError("base perturbation entries must be finite")
             if (base <= 0).any():
                 raise ValueError("base perturbation entries must be positive")
             _check_psd(base, "base perturbation")
             self.base_perturbation = base
+        # The chained comparison is False for NaN as well.
+        if self.dilation is not None and not 0 <= self.dilation < np.inf:
+            raise ValueError(f"dilation must be finite and non-negative, got {self.dilation!r}")
 
     @property
     def num_parameters(self) -> int:

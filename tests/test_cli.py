@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import pathlib
 import re
@@ -82,6 +83,21 @@ class TestWeightsCommand:
                           {"spec": {"levels": [2, 1]}, "prior": {"dilation": 2.0}})
         assert main(["weights", "--input", path]) == 2
         assert "prior.covariance: missing required field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prior, message", [
+        ({"covariance": [[math.nan, 0.0], [0.0, 1.0]]}, "covariance entries must be finite"),
+        ({"covariance": [[math.inf, 0.0], [0.0, 1.0]]}, "covariance entries must be finite"),
+        ({"covariance": [[1.0, 0.0], [0.0, 1.0]], "dilation": math.nan},
+         "dilation must be finite and non-negative, got nan"),
+        ({"covariance": [[1.0, 0.0], [0.0, 1.0]], "dilation": -1},
+         "dilation must be finite and non-negative, got -1.0"),
+    ])
+    def test_non_finite_prior_exits_2_naming_the_field(self, tmp_path, capsys, prior, message):
+        path = write_json(tmp_path / "in.json", {"spec": {"levels": [1]}, "prior": prior})
+        out_path = tmp_path / "never.csv"
+        assert main(["weights", "--input", path, "--output", str(out_path)]) == 2
+        assert f"error: prior: {message}" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_rows_cover_every_exposure(self, tmp_path, capsys):
         path = write_json(tmp_path / "in.json", six_term_payload([1.0, 2.0, 3.0, 4.0]))

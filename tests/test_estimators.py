@@ -8,6 +8,7 @@ import lue.verify
 from lue.design import ExposureDistribution, uniform_distribution
 from lue.estimators import (
     LinearEstimator,
+    _layout,
     affine_rank,
     affine_rank_is_full,
     basis_count,
@@ -29,7 +30,7 @@ from lue.estimators import (
     sample_random_lue,
     zero_count,
 )
-from lue.exposure import ExposureSpec, enumerate_exposures, indicator_vector
+from lue.exposure import ExposureSpec, canonical_grid, enumerate_exposures, indicator_vector
 from lue.verify import check_basis_ranks, specs_up_to
 
 
@@ -65,6 +66,43 @@ def reference_basis(spec, probs):
             names.append(name)
             rows.append(row)
     return names, np.array(rows).reshape(len(rows), len(exposures))
+
+
+def grid_layout(levels):
+    """The basis layout derived from the sorted exposure grid, as an oracle for ``_layout``.
+
+    Each member's terms are found by row-major flat-index shifts of its
+    identifying exposure, mapped back to canonical columns by an argsort.
+    """
+    grid = canonical_grid(levels)
+    first = grid[:, 0]
+    tail_nonzero = np.count_nonzero(grid[:, 1:], axis=1)
+    atomic = (first == levels[0]) | ((first > 0) & (tail_nonzero >= 1))
+    ids = np.flatnonzero(atomic | ((first == 0) & (tail_nonzero >= 2)))
+    strides = np.cumprod([1] + [m + 1 for m in levels[:0:-1]])[::-1]
+    column = np.argsort(grid @ strides)  # canonical column of each flat index
+    e = grid[ids]
+    first = e[:, 0]
+    flat = e @ strides
+    top = flat + (levels[0] - first) * strides[0]
+    bottom = flat - first * strides[0]
+    # Rows without a nonzero tail component are two-term and never use ``drop``.
+    tail = e != 0
+    tail[:, 0] = False
+    lead = tail.argmax(axis=1)
+    drop = e[np.arange(len(e)), lead] * strides[lead]
+    two, zero = first == levels[0], first == 0
+    # Four term slots per member; two-term members use two.
+    slots = np.stack([
+        np.where(zero, flat, top),
+        np.where(zero, drop, np.where(two, bottom, flat)),
+        flat - drop,
+        np.where(zero, 0, bottom - drop),
+    ], axis=1)
+    signs = np.where(zero[:, None], (1.0, -1.0, -1.0, 1.0), (1.0, -1.0, 1.0, -1.0))
+    rows, slot = np.nonzero(~two[:, None] | (np.arange(4) < 2))
+    cols, signs = column[slots[rows, slot]], signs[rows, slot]
+    return ids, np.count_nonzero(atomic), rows, cols, signs
 
 
 class TestConstraintMatrix:
@@ -307,6 +345,17 @@ class TestAffineBasis:
                 atomic, zero = basis_identifiers(spec)
                 assert (len(atomic), len(zero)) == (malue_count(spec), zero_count(spec))
 
+    def test_layout_matches_grid_oracle(self):
+        """Byte-equal ids, rows, cols and signs, dtypes included, and the same atomic count."""
+        for levels in specs_up_to(256) + [(d, 1) for d in range(1, 301)]:
+            ids, atomic, *arrays = _layout(levels)
+            want_ids, want_atomic, *want = grid_layout(levels)
+            assert atomic == want_atomic, levels
+            for got, expected in zip([ids] + arrays, [want_ids] + want):
+                assert got.dtype == expected.dtype, levels
+                assert got.tobytes() == expected.tobytes(), levels
+                assert not got.flags.writeable, levels
+
     def test_single_members_are_rows_of_the_array(self):
         spec = ExposureSpec((2, 1, 1))
         basis = build_affine_basis(spec)
@@ -362,6 +411,22 @@ class TestRankCertificate:
         for args in self.forms(weights):
             assert not affine_rank_is_full(*args)
         assert len(fallbacks) == 4
+
+    def test_row_zero_only_off_the_identifiers_falls_back(self, fallbacks):
+        """Row 0 vanishes on every identifier column but not elsewhere.
+
+        Its identifier mask is all False, so its argmax is column 0, which is
+        also its identifier: only the diagonal test sends it to the SVD.
+        """
+        weights = basis_weights(self.spec)
+        ids = np.concatenate(basis_identifiers(self.spec))
+        assert ids[0] == 0
+        outside = np.setdiff1d(np.arange(self.spec.num_exposures), ids)
+        weights[0] = 0.0
+        weights[0, outside[0]] = 1.0
+        for args in self.forms(weights):
+            assert affine_rank_is_full(*args) == (affine_rank(weights) == len(weights))
+        assert len(fallbacks) == 2
 
     def test_nonzero_diagonal_alone_is_not_enough(self, fallbacks):
         """Row 5 becomes the affine combination 2 w_0 - w_1, nonzero on its diagonal."""

@@ -145,6 +145,28 @@ class TestPriorSpec:
         with pytest.raises(ValueError, match="positive"):
             PriorSpec(np.eye(2), base_perturbation=np.eye(2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        """Neither the symmetry test nor the Cholesky factor raises on NaN on its own."""
+        matrix = np.eye(2)
+        matrix[0, 0] = bad
+        with pytest.raises(ValueError, match="^covariance entries must be finite$"):
+            PriorSpec(matrix)
+        base = default_base_perturbation(2)
+        base[1, 0] = base[0, 1] = bad
+        with pytest.raises(ValueError, match="^base perturbation entries must be finite$"):
+            PriorSpec(np.eye(2), base_perturbation=base, dilation=10.0)
+
+    @pytest.mark.parametrize("dilation", [math.nan, math.inf, -1.0, -1e-300])
+    def test_rejects_non_finite_or_negative_dilation(self, dilation):
+        with pytest.raises(ValueError, match="^dilation must be finite and non-negative"):
+            PriorSpec(np.eye(2), dilation=dilation)
+
+    def test_zero_dilation_is_accepted(self):
+        base = default_base_perturbation(2)
+        prior = PriorSpec(np.eye(2), base_perturbation=base, dilation=0.0)
+        assert prior.dilation == 0.0
+
     @staticmethod
     def psd_cases():
         """(matrix, PSD within PSD_TOL?) pairs on both sides of the tolerance."""
