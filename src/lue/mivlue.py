@@ -77,7 +77,8 @@ class PriorSpec:
             raise ValueError(f"covariance must be square, got shape {cov.shape}")
         if not np.isfinite(cov).all():
             raise ValueError("covariance entries must be finite")
-        if np.abs(cov - cov.T).max() > PSD_TOL:
+        # Exact symmetry, the common case, needs no P x P temporaries.
+        if not np.array_equal(cov, cov.T) and np.abs(cov - cov.T).max() > PSD_TOL:
             raise ValueError("covariance must be symmetric")
         _check_psd(cov, "covariance")
         self.covariance = cov

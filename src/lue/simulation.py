@@ -17,7 +17,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import operator
 import time
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -29,7 +31,7 @@ from .design import (
     bernoulli_exposure_distribution,
 )
 from .estimators import LinearEstimator
-from .exposure import ExposureSpec, canonical_grid
+from .exposure import SPEC_CACHE_SIZE, ExposureSpec, canonical_grid
 from .mivlue import PriorSpec, identity_prior, solve_mivlue
 from .networks import Network, gen_erdos_renyi_directed, gen_k_regular_directed
 
@@ -158,6 +160,22 @@ def _slots(degree: int) -> np.ndarray:
     return canonical_grid((degree, 1)) @ (2, 1)
 
 
+# Memo of weight rows, least recently used first.  A row is a pure function
+# of its key (family, in-degree, p_treat, and eta1 for MDil only), so it is
+# solved once per process; the memo holds SPEC_CACHE_SIZE in-degrees' worth
+# of every family.
+_WEIGHT_ROWS: OrderedDict[tuple, np.ndarray] = OrderedDict()
+WEIGHT_MEMO_SIZE = len(ESTIMATOR_NAMES) * SPEC_CACHE_SIZE
+# Rows that family_weights solved, and rows it read from the memo, since the last clear.
+_WEIGHT_COUNTS = {"solved": 0, "reused": 0}
+
+
+def clear_weight_memo() -> None:
+    """Forget every memoized :func:`family_weights` row, and zero the counts."""
+    _WEIGHT_ROWS.clear()
+    _WEIGHT_COUNTS.update(solved=0, reused=0)
+
+
 def family_weights(names, degree: int, p_treat: float, eta1: float = 1.0) -> np.ndarray:
     """Weights of each named family for a unit of in-degree ``degree``, Bernoulli design.
 
@@ -171,37 +189,65 @@ def family_weights(names, degree: int, p_treat: float, eta1: float = 1.0) -> np.
     plus a small ridge to keep every outcome variance positive).
     :func:`compute_imse` passes the setting's eta1 under the dilated outcome
     model and 1 otherwise.
+
+    Rows are memoized per process, and the returned table is read-only.  The
+    pmf and the slots are computed at most once per call, and only when a row
+    is missing; a failed solve raises and is not memoized.
     """
+    names = tuple(names)
     for name in names:
         if name not in ESTIMATOR_NAMES:
             raise ValueError(
                 f"unknown estimator family {name!r}; expected one of {ESTIMATOR_NAMES}")
-    dist = bernoulli_exposure_distribution(degree, p_treat)
+    degree, p_treat, eta1 = operator.index(degree), float(p_treat), float(eta1)
+    table = np.empty((len(names), 2 * degree + 2))
+    dist = None
+    for index, name in enumerate(names):
+        key = (name, degree, p_treat, eta1 if name == "MDil" else None)
+        row = _WEIGHT_ROWS.pop(key, None)
+        if row is None:
+            if dist is None:
+                dist, slots = bernoulli_exposure_distribution(degree, p_treat), _slots(degree)
+            row = _solve_row(name, dist, slots, eta1)
+            _WEIGHT_COUNTS["solved"] += 1
+        else:
+            _WEIGHT_COUNTS["reused"] += 1
+        _WEIGHT_ROWS[key] = row  # now the most recently used
+        if len(_WEIGHT_ROWS) > WEIGHT_MEMO_SIZE:
+            _WEIGHT_ROWS.popitem(last=False)
+        table[index] = row
+    table.setflags(write=False)
+    return table
+
+
+def _solve_row(name: str, dist: ExposureDistribution, slots: np.ndarray,
+               eta1: float) -> np.ndarray:
+    """One :func:`family_weights` row, by slot, as a read-only array."""
     spec = dist.spec
-    slots = _slots(degree)
-    table = np.zeros((len(names), 2 * degree + 2))
-    for row, name in enumerate(names):
-        if name in _OWN_TREATMENT_LEVELS:
-            levels = _OWN_TREATMENT_LEVELS[name]
-            share = 1.0 / len(levels)
-            for z in levels:
-                table[row, 2 * degree + z] = share / dist[(degree, z)]
-                table[row, z] = -share / dist[(0, z)]
-            continue
+    degree = spec.levels[0]
+    row = np.zeros(2 * degree + 2)
+    if name in _OWN_TREATMENT_LEVELS:
+        levels = _OWN_TREATMENT_LEVELS[name]
+        share = 1.0 / len(levels)
+        for z in levels:
+            row[2 * degree + z] = share / dist[(degree, z)]
+            row[z] = -share / dist[(0, z)]
+    else:
         if name == "MInd":
             prior = identity_prior(spec)
         else:  # MDil
             u = np.concatenate([[1.0], np.arange(1, degree + 1) / degree * eta1, [1.0]])
             prior = PriorSpec(np.outer(u, u) + MDIL_RIDGE * np.eye(spec.num_parameters))
-        table[row, slots] = solve_mivlue(spec, dist, prior).estimator.vector
-    return table
+        row[slots] = solve_mivlue(spec, dist, prior).estimator.vector
+    row.setflags(write=False)
+    return row
 
 
 def build_estimator_family(name: str, network: Network, design,
                            eta1: float = 1.0) -> dict[int, LinearEstimator]:
     """Per-unit estimators for one family; degree-0 units are excluded.
 
-    The weights are :func:`family_weights` rows, computed once per distinct
+    The weights are :func:`family_weights` rows, looked up once per distinct
     in-degree and read in canonical exposure order.
     """
     vectors = {}
@@ -460,6 +506,9 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     families, joint_pmf) and, summed over draws, the per-draw ones: params,
     outcome_table, allocations, slots, gather and moments (the sample-mode
     allocations, slots and gather read 0 in exhaustive mode).
+    ``metadata["weight_rows"]`` counts the setting's (family, in-degree)
+    weight rows that were ``solved`` and those ``reused`` from the memo of
+    :func:`family_weights`.
     """
     start = time.perf_counter()
     network = config.build_network()
@@ -481,9 +530,11 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     eta1 = config.outcome.eta1 if config.outcome.kind == "dilated" else 1.0
     degrees, degree_rows = np.unique(network.in_degrees[units], return_inverse=True)
     tables = np.zeros((n_families, len(degrees), width))
+    counts = dict(_WEIGHT_COUNTS)
     for row, degree in enumerate(degrees):
         tables[:, row, :2 * degree + 2] = family_weights(
-            config.estimators, int(degree), config.p_treat, eta1)
+            config.estimators, degree, config.p_treat, eta1)
+    weight_rows = {key: _WEIGHT_COUNTS[key] - counts[key] for key in counts}
     weight_tables = tables[:, degree_rows]
     stages["families"] = time.perf_counter() - mark
 
@@ -561,13 +612,15 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
             per_draw_mean=means[row],
         )
     digest = config_hash(config)
-    logger.info("setting %s stage seconds: %s", digest,
-                " ".join(f"{stage}={seconds:.4f}" for stage, seconds in stages.items()))
+    logger.info("setting %s stage seconds: %s; weight rows solved=%d reused=%d", digest,
+                " ".join(f"{stage}={seconds:.4f}" for stage, seconds in stages.items()),
+                weight_rows["solved"], weight_rows["reused"])
     metadata = {
         "config_hash": digest,
         "seed": config.master_seed,
         "runtime_seconds": time.perf_counter() - start,
         "stage_seconds": stages,
+        "weight_rows": weight_rows,
         "excluded_degree_zero_units": network.n - len(units),
         "allocations_shared_across_estimators": True,
     }

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import lue
+import lue.simulation
 from lue.cli import _setting_seed, build_parser, main
 from lue.design import ExposureDistribution, bernoulli_exposure_distribution, uniform_distribution
 from lue.estimators import LinearEstimator, build_four_term_alue, build_malue_set
@@ -206,12 +207,19 @@ class TestSimulateCommand:
          "f5970aad5bedac98b6627f434f2068543157f8e61f24143d0ff0037e069eca32"),
     ], ids=["erdos_renyi_sample", "k_regular_dilated_exhaustive", "k_regular_interaction_sample"])
     def test_csv_bytes_are_pinned(self, tmp_path, capsys, config, digest):
-        """Pins every digit of one setting's CSV, so a refactor cannot move them."""
+        """Pins every digit of one setting's CSV, so a refactor cannot move them.
+
+        The first run solves every weight row and the second reuses them all
+        from the memo; both must write the pinned bytes.
+        """
         path = write_json(tmp_path / "setting.json", config)
-        assert main(["simulate", "--config", path, "--out-dir", str(tmp_path), "--seed", "7"]) == 0
-        produced = capsys.readouterr().out.strip()
-        with open(produced, "rb") as handle:
-            assert hashlib.sha256(handle.read()).hexdigest() == digest
+        lue.simulation.clear_weight_memo()
+        for _ in ("cold", "warm"):
+            assert main(["simulate", "--config", path, "--out-dir", str(tmp_path),
+                         "--seed", "7"]) == 0
+            produced = capsys.readouterr().out.strip()
+            with open(produced, "rb") as handle:
+                assert hashlib.sha256(handle.read()).hexdigest() == digest
 
     def test_seed_changes_output(self, tmp_path, capsys):
         config = write_json(tmp_path / "sweep.json", self.sweep_config())
@@ -344,7 +352,7 @@ class TestSimulateCommand:
         assert captured.out == "" and not out_dir.exists()
 
     def test_verbose_logs_stage_timings(self, tmp_path):
-        """-v logs each setting's stage timings; without it nothing is logged."""
+        """-v logs each setting's stage timings and weight rows; without it nothing is logged."""
         config = write_json(tmp_path / "sweep.json", self.sweep_config())
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lue.__file__)))
         logs = {}
@@ -360,6 +368,10 @@ class TestSimulateCommand:
         for stage in ("network=", "families=", "joint_pmf=", "params=", "outcome_table=",
                       "allocations=", "slots=", "gather=", "moments="):
             assert all(stage in line for line in timed)
+        # Each k-regular setting has one in-degree, and the mu1 axis reuses its five rows.
+        rows = [re.search(r"weight rows solved=(\d+) reused=(\d+)", line).groups()
+                for line in timed]
+        assert sorted(rows) == [("0", "5"), ("0", "5"), ("5", "0"), ("5", "0")]
 
 
 class TestVerifyCommand:

@@ -137,6 +137,19 @@ class TestPriorSpec:
         with pytest.raises(ValueError, match="symmetric"):
             PriorSpec(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("asymmetry, accepted", [(0.5 * PSD_TOL, True),
+                                                     (2 * PSD_TOL, False)])
+    def test_symmetry_tolerance(self, asymmetry, accepted):
+        """Inexact symmetry within PSD_TOL is accepted; beyond it, rejected."""
+        cov = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.1], [0.0, 0.1, 2.0]])
+        cov[2, 1] += asymmetry
+        assert not np.array_equal(cov, cov.T)
+        if accepted:
+            PriorSpec(cov)
+        else:
+            with pytest.raises(ValueError, match="covariance must be symmetric"):
+                PriorSpec(cov)
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="semi-definite"):
             PriorSpec(np.array([[1.0, 2.0], [2.0, 1.0]]))

@@ -6,7 +6,7 @@ import pytest
 import lue.simulation
 from lue.design import BernoulliDesign, allocation_matrix
 from lue.estimators import LinearEstimator, check_unbiased
-from lue.mivlue import PriorSpec, identity_prior, solve_mivlue
+from lue.mivlue import PriorSpec, SingularSystemError, identity_prior, solve_mivlue
 from lue.networks import Network, gen_erdos_renyi_directed, gen_k_regular_directed
 from lue.simulation import (
     ESTIMATOR_NAMES,
@@ -615,10 +615,10 @@ class TestComputeImse:
         for result in report.results.values():
             assert np.isfinite(result.imse) and result.bias_squared < 1e-20
 
-    def test_one_solve_and_pmf_per_distinct_degree(self, monkeypatch):
-        """Weights depend on a unit only through its in-degree, so each degree is solved once."""
-        config = self.small_config(network=NetworkConfig("erdos_renyi", 20, p_edge=0.3),
-                                   allocation_mode="sample", allocation_count=50, num_draws=2)
+    @staticmethod
+    def count_calls(monkeypatch) -> dict:
+        """Live counts of the weight solves and exposure pmfs, starting from an empty memo."""
+        lue.simulation.clear_weight_memo()
         calls = {"solve_mivlue": 0, "bernoulli_exposure_distribution": 0}
         for name in calls:
             original = getattr(lue.simulation, name)
@@ -628,12 +628,106 @@ class TestComputeImse:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(lue.simulation, name, counted)
-        compute_imse(config)
+        return calls
+
+    @staticmethod
+    def distinct_degrees(config) -> set:
+        net = config.build_network()
+        return set(net.in_degrees[included_units(net)].tolist())
+
+    def er_config(self, **overrides):
+        return self.small_config(network=NetworkConfig("erdos_renyi", 20, p_edge=0.3),
+                                 allocation_mode="sample", allocation_count=50, num_draws=2,
+                                 **overrides)
+
+    def test_one_solve_and_pmf_per_distinct_degree(self, monkeypatch):
+        """Weights depend on a unit only through its in-degree, so each degree is solved once."""
+        config = self.er_config()
+        calls = self.count_calls(monkeypatch)
+        report = compute_imse(config)
         net = config.network.build(np.random.SeedSequence([config.master_seed, 3]))
         units = included_units(net)
         distinct = len(set(net.in_degrees[units].tolist()))
         assert len(units) > distinct  # some degrees repeat
         assert calls == {"solve_mivlue": 2 * distinct, "bernoulli_exposure_distribution": distinct}
+        assert report.metadata["weight_rows"] == {"solved": 5 * distinct, "reused": 0}
+
+    def test_second_run_reuses_every_row(self, monkeypatch):
+        config = self.er_config()
+        calls = self.count_calls(monkeypatch)
+        first = compute_imse(config)
+        calls.update(dict.fromkeys(calls, 0))
+        second = compute_imse(config)
+        assert calls == {"solve_mivlue": 0, "bernoulli_exposure_distribution": 0}
+        rows = 5 * len(self.distinct_degrees(config))
+        assert second.metadata["weight_rows"] == {"solved": 0, "reused": rows}
+        assert second.csv_rows() == first.csv_rows()
+
+    def test_another_network_solves_only_its_new_degrees(self, monkeypatch):
+        first, second = self.er_config(master_seed=17), self.er_config(master_seed=18)
+        new = self.distinct_degrees(second) - self.distinct_degrees(first)
+        shared = self.distinct_degrees(second) & self.distinct_degrees(first)
+        assert new and shared
+        calls = self.count_calls(monkeypatch)
+        compute_imse(first)
+        calls.update(dict.fromkeys(calls, 0))
+        report = compute_imse(second)
+        assert calls == {"solve_mivlue": 2 * len(new),
+                         "bernoulli_exposure_distribution": len(new)}
+        assert report.metadata["weight_rows"] == {"solved": 5 * len(new),
+                                                  "reused": 5 * len(shared)}
+
+    def test_dilated_grid_shares_every_row_but_mdil(self, monkeypatch):
+        """Only MDil's prior reads eta1, so a second eta1 solves MDil alone."""
+        configs = [self.er_config(outcome=OutcomeModel("dilated", eta1=eta1))
+                   for eta1 in (0.5, 2.0)]
+        distinct = len(self.distinct_degrees(configs[0]))
+        calls = self.count_calls(monkeypatch)
+        compute_imse(configs[0])
+        calls.update(dict.fromkeys(calls, 0))
+        report = compute_imse(configs[1])
+        assert calls == {"solve_mivlue": distinct, "bernoulli_exposure_distribution": distinct}
+        assert report.metadata["weight_rows"] == {"solved": distinct, "reused": 4 * distinct}
+
+    def test_weight_tables_are_read_only(self):
+        table = lue.simulation.family_weights(ESTIMATOR_NAMES, 4, 0.5)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+        assert not any(row.flags.writeable for row in lue.simulation._WEIGHT_ROWS.values())
+
+    def test_memo_key_is_normalized(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        first = lue.simulation.family_weights(["MInd"], np.int64(75), 0.5)
+        second = lue.simulation.family_weights(("MInd",), 75, np.float64(0.5))
+        assert calls == {"solve_mivlue": 1, "bernoulli_exposure_distribution": 1}
+        assert len(lue.simulation._WEIGHT_ROWS) == 1
+        assert first.tobytes() == second.tobytes()
+
+    def test_memo_evicts_the_least_recently_used_row(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        monkeypatch.setattr(lue.simulation, "WEIGHT_MEMO_SIZE", 2)
+        for degree in (1, 2, 1, 3):
+            lue.simulation.family_weights(["HT0"], degree, 0.5)
+        assert [key[1] for key in lue.simulation._WEIGHT_ROWS] == [1, 3]
+        assert calls["bernoulli_exposure_distribution"] == 3
+        lue.simulation.family_weights(["HT0"], 2, 0.5)  # evicted, so computed again
+        assert calls["bernoulli_exposure_distribution"] == 4
+
+    def test_failed_solves_are_not_memoized(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        counted = lue.simulation.solve_mivlue
+
+        def failing(*args, **kwargs):
+            raise SingularSystemError("no solution")
+
+        monkeypatch.setattr(lue.simulation, "solve_mivlue", failing)
+        with pytest.raises(SingularSystemError):
+            lue.simulation.family_weights(["MInd"], 5, 0.5)
+        assert not lue.simulation._WEIGHT_ROWS
+        monkeypatch.setattr(lue.simulation, "solve_mivlue", counted)
+        lue.simulation.family_weights(["MInd"], 5, 0.5)
+        assert calls["solve_mivlue"] == 1
 
     @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
     def test_metadata_times_every_stage(self, mode):
