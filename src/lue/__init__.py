@@ -2,7 +2,6 @@
 
 from .design import (
     BernoulliDesign,
-    ExplicitDesign,
     ExposureDistribution,
     allocation_matrix,
     bernoulli_exposure_distribution,
@@ -12,19 +11,15 @@ from .design import (
 )
 from .estimators import (
     ConstraintMatrix,
-    EstimatorRows,
     LinearEstimator,
     SupportCheck,
     affine_rank,
     basis_count,
     build_affine_basis,
-    build_four_term_alue,
     build_malue_set,
-    build_two_term_alue,
     build_zero_estimators,
     check_support_condition,
     check_unbiased,
-    check_zero_expectation,
     constraint_matrix,
     decompose_in_basis,
     lue_dimension,
@@ -41,7 +36,6 @@ from .exposure import (
 )
 from .mivlue import (
     KktSystem,
-    LimitSolution,
     MivlueSolution,
     PriorSpec,
     SingularSystemError,

@@ -1,9 +1,9 @@
 """Treatment designs and per-unit exposure probabilities.
 
-A design is a known probability distribution over treatment allocations.
-Exposure probabilities follow by pushing the design through a unit's exposure
-mapping; for Bernoulli designs under the treated-degree mapping there is a
-closed binomial form, and an exhaustive-enumeration oracle double-checks it.
+The design is Bernoulli: each unit is treated independently with one
+probability.  Exposure probabilities follow by pushing the design through a
+unit's exposure mapping; under the treated-degree mapping there is a closed
+binomial form, and an exhaustive-enumeration oracle double-checks it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .exposure import (SPEC_CACHE_SIZE, Exposure, ExposureSpec, apply_exposure_m
                        canonical_grid, enumerate_exposures, exposure_positions)
 
 PROB_SUM_TOL = 1e-10
-TABLE_SUM_TOL = 1e-12
 # Binomial masses underflow float64 well before this point, so switch the
 # closed form to log space for dense graphs.
 LOG_SPACE_DEGREE = 50
@@ -105,45 +104,16 @@ class BernoulliDesign:
         return (rng.random((count, self.n)) < self.p_treat).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class ExplicitDesign:
-    """Design given by an explicit table of allocation probabilities."""
-
-    n: int
-    table: dict
-
-    def __post_init__(self):
-        table = {}
-        for z, p in self.table.items():
-            z = tuple(int(v) for v in z)
-            if len(z) != self.n or any(v not in (0, 1) for v in z):
-                raise ValueError(f"bad allocation {z} for n={self.n}")
-            if p < 0:
-                raise ValueError(f"negative probability for allocation {z}")
-            table[z] = float(p)
-        total = math.fsum(table.values())
-        if abs(total - 1.0) > TABLE_SUM_TOL:
-            raise ValueError(f"allocation probabilities sum to {total}, expected 1")
-        object.__setattr__(self, "table", table)
-
-    def allocation_probability(self, z) -> float:
-        return self.table.get(tuple(int(v) for v in np.asarray(z)), 0.0)
-
-
-Design = BernoulliDesign | ExplicitDesign
-
 ENUMERATION_LIMIT = 20
 
 
-def allocation_matrix(design: Design) -> tuple[np.ndarray, np.ndarray]:
+def allocation_matrix(design: BernoulliDesign) -> tuple[np.ndarray, np.ndarray]:
     """Every allocation as rows in binary-counting order (n <= 20), with its exact probability."""
     n = design.n
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"refusing to enumerate 2^{n} allocations (limit n={ENUMERATION_LIMIT})")
     mat = np.indices((2,) * n).reshape(n, -1).T.astype(np.int64)
-    if isinstance(design, BernoulliDesign):
-        return mat, design.allocation_probability(mat)
-    return mat, np.array([design.allocation_probability(z) for z in mat])
+    return mat, design.allocation_probability(mat)
 
 
 def bernoulli_exposure_prob(degree: int, e: Exposure, p_treat: float) -> float:
@@ -184,6 +154,7 @@ def _underflow_message(degree: int, p_treat: float, d, z) -> str:
             "underflows float64")
 
 
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def bernoulli_exposure_distribution(degree: int, p_treat: float) -> ExposureDistribution:
     """Closed-form exposure distribution of a degree->``degree`` unit under Bernoulli.
 
@@ -192,7 +163,8 @@ def bernoulli_exposure_distribution(degree: int, p_treat: float) -> ExposureDist
     operation order.  ``math.exp`` and ``**`` stay scalar because numpy's
     vectorised exp and power need not round as libm does.  Raises when a
     mass underflows float64 to 0, naming the degree, ``p_treat`` and the
-    first such exposure in canonical order.
+    first such exposure in canonical order.  Cached per (degree, p_treat);
+    a raised error is not cached.
     """
     if degree < 1:
         raise ValueError("degree-0 units have a collapsed exposure set; exclude them")
@@ -218,10 +190,6 @@ def bernoulli_exposure_distribution(degree: int, p_treat: float) -> ExposureDist
 
 
 def _spec_for_mapping(kind: str, network, unit: int) -> ExposureSpec:
-    if kind == "sutva":
-        return ExposureSpec((1,))
-    if kind == "four_exposure":
-        return ExposureSpec((1, 1))
     if kind == "network_interference":
         degree = int(network.in_degrees[unit])
         if degree < 1:
@@ -232,7 +200,7 @@ def _spec_for_mapping(kind: str, network, unit: int) -> ExposureSpec:
     raise ValueError(f"unknown exposure mapping kind {kind!r}")
 
 
-def exposure_distribution_exact(design: Design, kind: str, network, unit: int
+def exposure_distribution_exact(design: BernoulliDesign, kind: str, network, unit: int
                                 ) -> ExposureDistribution:
     """Brute-force exposure distribution: accumulate design mass over all allocations."""
     spec = _spec_for_mapping(kind, network, unit)

@@ -164,12 +164,6 @@ def check_unbiased(est: LinearEstimator, probs: ExposureDistribution) -> float:
     return float(constraint_residuals(c.matrix, est.vector, c.target_vector())[0])
 
 
-def check_zero_expectation(est: LinearEstimator, probs: ExposureDistribution) -> float:
-    """Max-norm residual of C w against the all-zero target (zero estimators)."""
-    c = constraint_matrix(est.spec, probs)
-    return float(constraint_residuals(c.matrix, est.vector, 0.0)[0])
-
-
 @lru_cache(maxsize=4)
 def _layout(levels: tuple[int, ...]):
     """Which exposures and signs make up each basis member, free of probabilities.
@@ -283,57 +277,6 @@ def _basis_rows(spec: ExposureSpec, start: int, stop: int, probs) -> EstimatorRo
     """Basis members start..stop-1, named after their identifying exposures."""
     ids = _layout(spec.levels)[0]
     return EstimatorRows(spec, _member_weights(spec, start, stop, probs), ids[start:stop])
-
-
-def _basis_member(spec: ExposureSpec, e: Exposure, probs) -> LinearEstimator:
-    member = int(np.searchsorted(_layout(spec.levels)[0], exposure_positions(spec)[e]))
-    return _basis_rows(spec, member, member + 1, probs)[0]
-
-
-def build_two_term_alue(spec: ExposureSpec, fixed_tail: tuple[int, ...],
-                        probs: ExposureDistribution | None = None) -> LinearEstimator:
-    """Two-term estimator contrasting (m_1, tail) against (0, tail).
-
-    Weights are +1/p and -1/p on the two exposures; unbiased for any positive
-    exposure probabilities (uniform when ``probs`` is omitted).
-    """
-    tail = tuple(int(v) for v in fixed_tail)
-    if len(tail) != spec.num_components - 1:
-        raise ValueError(f"tail {tail} must fix components 2..{spec.num_components}")
-    e = spec.validate_exposure((spec.levels[0],) + tail)
-    return _basis_member(spec, e, probs)
-
-
-def build_four_term_alue(spec: ExposureSpec, e: Exposure,
-                         probs: ExposureDistribution | None = None) -> LinearEstimator:
-    """Four-term estimator identified by an exposure with intermediate first component.
-
-    Requires 0 < e_1 < m_1 and a nonzero tail.  The second pair of terms
-    zeroes the first nonzero tail component, so the telescoping sum leaves
-    only the estimand.
-    """
-    e = spec.validate_exposure(e)
-    m1 = spec.levels[0]
-    if not 0 < e[0] < m1:
-        raise ValueError(f"first component of {e} must be strictly between 0 and {m1}")
-    if not any(e[1:]):
-        raise ValueError(f"exposure {e} needs a nonzero tail component")
-    return _basis_member(spec, e, probs)
-
-
-def build_zero_estimator(spec: ExposureSpec, e: Exposure,
-                         probs: ExposureDistribution | None = None) -> LinearEstimator:
-    """Zero-expectation four-term combination identified by a baseline-first exposure.
-
-    Requires e_1 = 0 and at least two nonzero tail components; the middle
-    terms split the tail into the first nonzero component versus the rest.
-    """
-    e = spec.validate_exposure(e)
-    if e[0] != 0:
-        raise ValueError(f"zero estimators need first component 0, got {e}")
-    if sum(1 for v in e[1:] if v != 0) < 2:
-        raise ValueError(f"exposure {e} needs at least two nonzero tail components")
-    return _basis_member(spec, e, probs)
 
 
 def build_malue_set(spec: ExposureSpec,

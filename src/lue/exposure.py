@@ -198,25 +198,17 @@ def remap_exposures(spec: ExposureSpec, component: int, level: int):
 def apply_exposure_mapping(kind: str, network, allocation, unit: int) -> Exposure:
     """Exposure of ``unit`` under the named mapping for a full allocation.
 
-    ``sutva`` reads the unit's own treatment; ``network_interference`` returns
-    (treated in-degree, own treatment); ``four_exposure`` returns (own
-    treatment, any-treated-in-neighbor indicator).  The two network kinds
-    require ``network``.
+    The one kind, ``network_interference``, returns (treated in-degree, own
+    treatment) and requires ``network``.
     """
     allocation = np.asarray(allocation)
     n = allocation.shape[0]
     if not 0 <= unit < n:
         raise ValueError(f"unit {unit} out of range for {n} units")
-    z = int(allocation[unit])
-    if kind == "sutva":
-        return (z,)
-    if kind in ("network_interference", "four_exposure"):
-        if network is None:
-            raise ValueError(f"mapping {kind!r} requires a network")
-        if network.n != n:
-            raise ValueError(f"allocation length {n} != network size {network.n}")
-        d = int(network.adjacency[:, unit] @ allocation)
-        if kind == "network_interference":
-            return (d, z)
-        return (z, 1 if d > 0 else 0)
-    raise ValueError(f"unknown exposure mapping kind {kind!r}")
+    if kind != "network_interference":
+        raise ValueError(f"unknown exposure mapping kind {kind!r}")
+    if network is None:
+        raise ValueError(f"mapping {kind!r} requires a network")
+    if network.n != n:
+        raise ValueError(f"allocation length {n} != network size {network.n}")
+    return (int(network.adjacency[:, unit] @ allocation), int(allocation[unit]))

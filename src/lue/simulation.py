@@ -17,10 +17,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import numbers
 import operator
 import time
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,6 +92,10 @@ class OutcomeModel:
     def __post_init__(self):
         if self.kind not in ("independent", "dilated", "interaction"):
             raise ValueError(f"unknown outcome model kind {self.kind!r}")
+        for name in ("mu1", "eta1", "delta1"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.kind == "interaction" and self.delta1 < 0:
             raise ValueError("interaction level must be nonnegative")
 
@@ -155,25 +160,17 @@ def included_units(network: Network) -> list[int]:
     return np.flatnonzero(network.in_degrees >= 1).tolist()
 
 
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _slots(degree: int) -> np.ndarray:
-    """Slot 2d + z of each exposure (d, z) of in-degree ``degree``, in canonical order."""
-    return canonical_grid((degree, 1)) @ (2, 1)
-
-
-# Memo of weight rows, least recently used first.  A row is a pure function
-# of its key (family, in-degree, p_treat, and eta1 for MDil only), so it is
-# solved once per process; the memo holds SPEC_CACHE_SIZE in-degrees' worth
-# of every family.
-_WEIGHT_ROWS: OrderedDict[tuple, np.ndarray] = OrderedDict()
-WEIGHT_MEMO_SIZE = len(ESTIMATOR_NAMES) * SPEC_CACHE_SIZE
-# Rows that family_weights solved, and rows it read from the memo, since the last clear.
-_WEIGHT_COUNTS = {"solved": 0, "reused": 0}
+    """Slot 2d + z of each exposure (d, z) of in-degree ``degree``, canonical order, read-only."""
+    slots = canonical_grid((degree, 1)) @ (2, 1)
+    slots.setflags(write=False)
+    return slots
 
 
 def clear_weight_memo() -> None:
-    """Forget every memoized :func:`family_weights` row, and zero the counts."""
-    _WEIGHT_ROWS.clear()
-    _WEIGHT_COUNTS.update(solved=0, reused=0)
+    """Forget every memoized :func:`family_weights` row, and zero the cache counts."""
+    _weight_row.cache_clear()
 
 
 def family_weights(names, degree: int, p_treat: float, eta1: float = 1.0) -> np.ndarray:
@@ -190,9 +187,7 @@ def family_weights(names, degree: int, p_treat: float, eta1: float = 1.0) -> np.
     :func:`compute_imse` passes the setting's eta1 under the dilated outcome
     model and 1 otherwise.
 
-    Rows are memoized per process, and the returned table is read-only.  The
-    pmf and the slots are computed at most once per call, and only when a row
-    is missing; a failed solve raises and is not memoized.
+    Rows are memoized per process, and the returned table is read-only.
     """
     names = tuple(names)
     for name in names:
@@ -201,30 +196,22 @@ def family_weights(names, degree: int, p_treat: float, eta1: float = 1.0) -> np.
                 f"unknown estimator family {name!r}; expected one of {ESTIMATOR_NAMES}")
     degree, p_treat, eta1 = operator.index(degree), float(p_treat), float(eta1)
     table = np.empty((len(names), 2 * degree + 2))
-    dist = None
     for index, name in enumerate(names):
-        key = (name, degree, p_treat, eta1 if name == "MDil" else None)
-        row = _WEIGHT_ROWS.pop(key, None)
-        if row is None:
-            if dist is None:
-                dist, slots = bernoulli_exposure_distribution(degree, p_treat), _slots(degree)
-            row = _solve_row(name, dist, slots, eta1)
-            _WEIGHT_COUNTS["solved"] += 1
-        else:
-            _WEIGHT_COUNTS["reused"] += 1
-        _WEIGHT_ROWS[key] = row  # now the most recently used
-        if len(_WEIGHT_ROWS) > WEIGHT_MEMO_SIZE:
-            _WEIGHT_ROWS.popitem(last=False)
-        table[index] = row
+        table[index] = _weight_row(name, degree, p_treat, eta1 if name == "MDil" else None)
     table.setflags(write=False)
     return table
 
 
-def _solve_row(name: str, dist: ExposureDistribution, slots: np.ndarray,
-               eta1: float) -> np.ndarray:
+# A row is a pure function of its key (family, in-degree, p_treat, and eta1
+# for MDil only), so it is solved once per process; the cache holds
+# SPEC_CACHE_SIZE in-degrees' worth of every family.  A failed solve raises
+# and is not cached.  The exposure pmf and the slots are cached per in-degree
+# too, so a cold in-degree builds each once for all its families.
+@lru_cache(maxsize=len(ESTIMATOR_NAMES) * SPEC_CACHE_SIZE)
+def _weight_row(name: str, degree: int, p_treat: float, eta1: float | None) -> np.ndarray:
     """One :func:`family_weights` row, by slot, as a read-only array."""
+    dist = bernoulli_exposure_distribution(degree, p_treat)
     spec = dist.spec
-    degree = spec.levels[0]
     row = np.zeros(2 * degree + 2)
     if name in _OWN_TREATMENT_LEVELS:
         levels = _OWN_TREATMENT_LEVELS[name]
@@ -238,7 +225,7 @@ def _solve_row(name: str, dist: ExposureDistribution, slots: np.ndarray,
         else:  # MDil
             u = np.concatenate([[1.0], np.arange(1, degree + 1) / degree * eta1, [1.0]])
             prior = PriorSpec(np.outer(u, u) + MDIL_RIDGE * np.eye(spec.num_parameters))
-        row[slots] = solve_mivlue(spec, dist, prior).estimator.vector
+        row[_slots(degree)] = solve_mivlue(spec, dist, prior).estimator.vector
     row.setflags(write=False)
     return row
 
@@ -315,6 +302,9 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.estimators, str):
+            raise ValueError(
+                f"estimators must be a list of family names, got the string {self.estimators!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not self.estimators:
             raise ValueError("estimators must name at least one family")
@@ -530,11 +520,12 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     eta1 = config.outcome.eta1 if config.outcome.kind == "dilated" else 1.0
     degrees, degree_rows = np.unique(network.in_degrees[units], return_inverse=True)
     tables = np.zeros((n_families, len(degrees), width))
-    counts = dict(_WEIGHT_COUNTS)
+    before = _weight_row.cache_info()
     for row, degree in enumerate(degrees):
         tables[:, row, :2 * degree + 2] = family_weights(
             config.estimators, degree, config.p_treat, eta1)
-    weight_rows = {key: _WEIGHT_COUNTS[key] - counts[key] for key in counts}
+    after = _weight_row.cache_info()
+    weight_rows = {"solved": after.misses - before.misses, "reused": after.hits - before.hits}
     weight_tables = tables[:, degree_rows]
     stages["families"] = time.perf_counter() - mark
 

@@ -17,7 +17,7 @@ import lue
 import lue.simulation
 from lue.cli import _setting_seed, build_parser, main
 from lue.design import ExposureDistribution, bernoulli_exposure_distribution, uniform_distribution
-from lue.estimators import LinearEstimator, build_four_term_alue, build_malue_set
+from lue.estimators import LinearEstimator, build_malue_set
 from lue.exposure import ExposureSpec, enumerate_exposures
 from lue.mivlue import max_alpha3
 from lue.simulation import ExperimentConfig
@@ -310,10 +310,21 @@ class TestSimulateCommand:
          "setting 0 failed: ValueError: num_draws must be a positive integer, got True"),
         ({"allocation_mode": "sample", "allocation_count": True},
          "setting 0 failed: ValueError: allocation_count must be a positive integer"),
+        ({"estimators": "MInd"}, "setting 0 failed: ValueError: estimators must be a list of "
+                                 "family names, got the string 'MInd'"),
+        # JSON NaN and Infinity parse as floats.
+        ({"outcome": {"kind": "interaction", "mu1": 0, "delta1": float("nan")}},
+         "setting 0 failed: ValueError: delta1 must be a finite number, got nan"),
+        ({"outcome": {"kind": "dilated", "eta1": float("inf")}},
+         "setting 0 failed: ValueError: eta1 must be a finite number, got inf"),
+        ({"outcome": {"kind": "independent", "mu1": float("-inf")}},
+         "setting 0 failed: ValueError: mu1 must be a finite number, got -inf"),
+        ({"outcome": {"kind": "independent", "mu1": "5"}},
+         "setting 0 failed: ValueError: mu1 must be a finite number, got '5'"),
     ])
     def test_out_of_range_setting_names_the_field(self, tmp_path, capsys, override, message):
-        config = dict(self.sweep_config(), network={"kind": "k_regular", "n": 8, "k": 2},
-                      outcome={"kind": "independent", "mu1": 0}, **override)
+        config = {**self.sweep_config(), "network": {"kind": "k_regular", "n": 8, "k": 2},
+                  "outcome": {"kind": "independent", "mu1": 0}, **override}
         path = write_json(tmp_path / "sweep.json", config)
         code = main(["simulate", "--config", path, "--out-dir", str(tmp_path / "out")])
         assert code == 1
@@ -389,7 +400,8 @@ class TestCheckInjection:
         spec = ExposureSpec((3, 1))
         probs = uniform_distribution(spec)
         estimators = list(build_malue_set(spec, probs))
-        vector = build_four_term_alue(spec, (1, 1), probs).as_vector()
+        assert estimators[1].name == "four_term(1, 1)"
+        vector = estimators[1].as_vector()
         flipped = enumerate_exposures(spec).index((1, 0))
         vector[flipped] = -vector[flipped]
         estimators[1] = LinearEstimator(spec, vector, name="four_term(1, 1)")

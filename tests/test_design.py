@@ -8,7 +8,6 @@ import pytest
 
 from lue.design import (
     BernoulliDesign,
-    ExplicitDesign,
     ExposureDistribution,
     allocation_matrix,
     bernoulli_exposure_distribution,
@@ -146,12 +145,11 @@ class TestExactEnumeration:
         for e in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             assert dist[e] == pytest.approx(0.25, abs=1e-15)
 
-    def test_sutva_marginal(self):
-        design = BernoulliDesign(4, 0.3)
-        net = gen_erdos_renyi_directed(4, 0.5, seed=0)
-        dist = exposure_distribution_exact(design, "sutva", net, 2)
-        assert dist[(1,)] == pytest.approx(0.3, abs=1e-12)
-        assert dist[(0,)] == pytest.approx(0.7, abs=1e-12)
+    @pytest.mark.parametrize("kind", ["sutva", "four_exposure", "mystery"])
+    def test_only_the_interference_mapping_is_known(self, kind):
+        design = BernoulliDesign(3, 0.5)
+        with pytest.raises(ValueError, match=f"unknown exposure mapping kind '{kind}'"):
+            exposure_distribution_exact(design, kind, three_cycle(), 0)
 
     def test_matches_closed_form_for_degree_two(self):
         a = np.zeros((3, 3), dtype=int)
@@ -216,17 +214,6 @@ class TestDesigns:
         assert design.allocation_probability((1, 0, 0)) == pytest.approx(0.25 * 0.75**2)
         mat, weights = allocation_matrix(design)
         np.testing.assert_array_equal(weights, [design.allocation_probability(z) for z in mat])
-
-    def test_explicit_table_sums(self):
-        with pytest.raises(ValueError, match="sum to"):
-            ExplicitDesign(2, {(0, 0): 0.5, (1, 1): 0.4})
-
-    def test_explicit_table_lookup_and_enumeration(self):
-        design = ExplicitDesign(2, {(0, 0): 0.5, (1, 1): 0.25, (0, 1): 0.25})
-        assert design.allocation_probability((1, 1)) == 0.25
-        assert design.allocation_probability((1, 0)) == 0.0
-        _, weights = allocation_matrix(design)
-        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_positivity_under_bernoulli(self):
         """Every exposure of every unit gets positive mass when 0 < p < 1."""

@@ -161,10 +161,6 @@ class TestIndicatorVector:
 
 
 class TestExposureMappings:
-    def test_sutva_reads_own_treatment(self):
-        assert apply_exposure_mapping("sutva", None, (1, 0, 1), 2) == (1,)
-        assert apply_exposure_mapping("sutva", None, (1, 0, 1), 1) == (0,)
-
     def test_network_interference_on_cycle(self):
         net = three_cycle()
         z = np.array([1, 1, 0])
@@ -173,25 +169,18 @@ class TestExposureMappings:
         assert apply_exposure_mapping("network_interference", net, z, 1) == (1, 1)
         assert apply_exposure_mapping("network_interference", net, z, 2) == (1, 0)
 
-    def test_four_exposure(self):
-        net = three_cycle()
-        z = np.array([1, 0, 1])
-        # unit 1 is untreated with a treated in-neighbor
-        assert apply_exposure_mapping("four_exposure", net, z, 1) == (0, 1)
-        # unit 0's in-neighbor (unit 2) is treated and unit 0 itself is treated
-        assert apply_exposure_mapping("four_exposure", net, z, 0) == (1, 1)
-
     def test_requires_network(self):
         with pytest.raises(ValueError, match="requires a network"):
             apply_exposure_mapping("network_interference", None, (1, 0), 0)
 
     def test_unit_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            apply_exposure_mapping("sutva", None, (1, 0), 5)
+            apply_exposure_mapping("network_interference", three_cycle(), (1, 0, 1), 5)
 
-    def test_unknown_kind(self):
+    @pytest.mark.parametrize("kind", ["sutva", "four_exposure", "mystery"])
+    def test_unknown_kind(self, kind):
         with pytest.raises(ValueError, match="unknown exposure mapping"):
-            apply_exposure_mapping("mystery", None, (1, 0), 0)
+            apply_exposure_mapping(kind, three_cycle(), (1, 0, 1), 0)
 
     def test_invariant_to_non_in_neighbors(self):
         """Treated-degree exposure only moves with the unit's in-neighborhood."""

@@ -1,5 +1,8 @@
 """Outcome models, estimator families, and integrated-MSE computation."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -86,11 +89,50 @@ def estimate_average_effect(family, network, allocation, params):
     return total / len(units)
 
 
-def test_scalar_references_are_not_exported():
-    """The package evaluates estimators only through the vectorised tables."""
-    for name in ("potential_outcome", "estimate_average_effect"):
-        assert name not in lue.__all__
-        assert not hasattr(lue, name) and not hasattr(lue.simulation, name)
+@pytest.mark.parametrize("module, name", [
+    ("simulation", "potential_outcome"),
+    ("simulation", "estimate_average_effect"),
+    ("simulation", "_WEIGHT_ROWS"),
+    ("simulation", "_WEIGHT_COUNTS"),
+    ("simulation", "WEIGHT_MEMO_SIZE"),
+    ("design", "ExplicitDesign"),
+    ("design", "Design"),
+    ("design", "TABLE_SUM_TOL"),
+    ("estimators", "build_two_term_alue"),
+    ("estimators", "build_four_term_alue"),
+    ("estimators", "build_zero_estimator"),
+    ("estimators", "_basis_member"),
+    ("estimators", "check_zero_expectation"),
+    (None, "LimitSolution"),
+    (None, "EstimatorRows"),
+])
+def test_scalar_references_are_not_exported(module, name):
+    """The package evaluates estimators only through the vectorised tables and the basis.
+
+    Names with a module are gone from it too; the others stay internal to theirs.
+    """
+    assert name not in lue.__all__ and not hasattr(lue, name)
+    if module is not None:
+        assert not hasattr(getattr(lue, module), name)
+
+
+def test_every_import_is_used():
+    """Each module of the package (``__init__`` aside) reads every name it imports."""
+    unused = {}
+    for path in sorted(pathlib.Path(lue.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - read:
+            unused[path.name] = sorted(imported - read)
+    assert not unused
 
 
 def sequential_parameters(network, model, seed):
@@ -616,19 +658,29 @@ class TestComputeImse:
             assert np.isfinite(result.imse) and result.bias_squared < 1e-20
 
     @staticmethod
-    def count_calls(monkeypatch) -> dict:
-        """Live counts of the weight solves and exposure pmfs, starting from an empty memo."""
+    def count_calls(monkeypatch):
+        """Counts of the weight solves and of the exposure pmfs built, from empty caches.
+
+        Returns a function giving the counts so far; a pmf is built on a miss
+        of its cache.
+        """
         lue.simulation.clear_weight_memo()
-        calls = {"solve_mivlue": 0, "bernoulli_exposure_distribution": 0}
-        for name in calls:
-            original = getattr(lue.simulation, name)
+        pmfs = lue.simulation.bernoulli_exposure_distribution
+        pmfs.cache_clear()
+        solves = []
+        original = lue.simulation.solve_mivlue
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        def counted(*args, **kwargs):
+            solves.append(None)
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(lue.simulation, name, counted)
-        return calls
+        monkeypatch.setattr(lue.simulation, "solve_mivlue", counted)
+        return lambda: {"solve_mivlue": len(solves),
+                        "bernoulli_exposure_distribution": pmfs.cache_info().misses}
+
+    @staticmethod
+    def minus(after: dict, before: dict) -> dict:
+        return {key: after[key] - before[key] for key in after}
 
     @staticmethod
     def distinct_degrees(config) -> set:
@@ -649,16 +701,17 @@ class TestComputeImse:
         units = included_units(net)
         distinct = len(set(net.in_degrees[units].tolist()))
         assert len(units) > distinct  # some degrees repeat
-        assert calls == {"solve_mivlue": 2 * distinct, "bernoulli_exposure_distribution": distinct}
+        assert calls() == {"solve_mivlue": 2 * distinct, "bernoulli_exposure_distribution": distinct}
         assert report.metadata["weight_rows"] == {"solved": 5 * distinct, "reused": 0}
 
     def test_second_run_reuses_every_row(self, monkeypatch):
         config = self.er_config()
         calls = self.count_calls(monkeypatch)
         first = compute_imse(config)
-        calls.update(dict.fromkeys(calls, 0))
+        before = calls()
         second = compute_imse(config)
-        assert calls == {"solve_mivlue": 0, "bernoulli_exposure_distribution": 0}
+        assert self.minus(calls(), before) == {"solve_mivlue": 0,
+                                               "bernoulli_exposure_distribution": 0}
         rows = 5 * len(self.distinct_degrees(config))
         assert second.metadata["weight_rows"] == {"solved": 0, "reused": rows}
         assert second.csv_rows() == first.csv_rows()
@@ -670,10 +723,10 @@ class TestComputeImse:
         assert new and shared
         calls = self.count_calls(monkeypatch)
         compute_imse(first)
-        calls.update(dict.fromkeys(calls, 0))
+        before = calls()
         report = compute_imse(second)
-        assert calls == {"solve_mivlue": 2 * len(new),
-                         "bernoulli_exposure_distribution": len(new)}
+        assert self.minus(calls(), before) == {"solve_mivlue": 2 * len(new),
+                                               "bernoulli_exposure_distribution": len(new)}
         assert report.metadata["weight_rows"] == {"solved": 5 * len(new),
                                                   "reused": 5 * len(shared)}
 
@@ -684,35 +737,47 @@ class TestComputeImse:
         distinct = len(self.distinct_degrees(configs[0]))
         calls = self.count_calls(monkeypatch)
         compute_imse(configs[0])
-        calls.update(dict.fromkeys(calls, 0))
+        before = calls()
         report = compute_imse(configs[1])
-        assert calls == {"solve_mivlue": distinct, "bernoulli_exposure_distribution": distinct}
+        assert self.minus(calls(), before) == {"solve_mivlue": distinct,
+                                               "bernoulli_exposure_distribution": 0}
         assert report.metadata["weight_rows"] == {"solved": distinct, "reused": 4 * distinct}
 
     def test_weight_tables_are_read_only(self):
+        lue.simulation.clear_weight_memo()
         table = lue.simulation.family_weights(ESTIMATOR_NAMES, 4, 0.5)
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 1.0
-        assert not any(row.flags.writeable for row in lue.simulation._WEIGHT_ROWS.values())
+        rows = lue.simulation._weight_row
+        for name in ESTIMATOR_NAMES:
+            assert not rows(name, 4, 0.5, 1.0 if name == "MDil" else None).flags.writeable
+        assert rows.cache_info()[:2] == (len(ESTIMATOR_NAMES), len(ESTIMATOR_NAMES))
 
     def test_memo_key_is_normalized(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
         first = lue.simulation.family_weights(["MInd"], np.int64(75), 0.5)
         second = lue.simulation.family_weights(("MInd",), 75, np.float64(0.5))
-        assert calls == {"solve_mivlue": 1, "bernoulli_exposure_distribution": 1}
-        assert len(lue.simulation._WEIGHT_ROWS) == 1
+        assert calls() == {"solve_mivlue": 1, "bernoulli_exposure_distribution": 1}
+        assert lue.simulation._weight_row.cache_info().currsize == 1
         assert first.tobytes() == second.tobytes()
 
-    def test_memo_evicts_the_least_recently_used_row(self, monkeypatch):
-        calls = self.count_calls(monkeypatch)
-        monkeypatch.setattr(lue.simulation, "WEIGHT_MEMO_SIZE", 2)
-        for degree in (1, 2, 1, 3):
-            lue.simulation.family_weights(["HT0"], degree, 0.5)
-        assert [key[1] for key in lue.simulation._WEIGHT_ROWS] == [1, 3]
-        assert calls["bernoulli_exposure_distribution"] == 3
-        lue.simulation.family_weights(["HT0"], 2, 0.5)  # evicted, so computed again
-        assert calls["bernoulli_exposure_distribution"] == 4
+    def test_memo_evicts_the_least_recently_used_row(self):
+        """Overflowing the cache by one row drops the row read longest ago."""
+        lue.simulation.clear_weight_memo()
+        rows = lue.simulation._weight_row
+        size = rows.cache_info().maxsize
+        assert size == len(ESTIMATOR_NAMES) * lue.simulation.SPEC_CACHE_SIZE
+        p_treats = np.linspace(0.1, 0.9, size + 1).tolist()
+        for p_treat in p_treats[:size]:
+            lue.simulation.family_weights(["HT0"], 1, p_treat)
+        lue.simulation.family_weights(["HT0"], 1, p_treats[0])  # now the most recently used
+        lue.simulation.family_weights(["HT0"], 1, p_treats[size])  # evicts p_treats[1]
+        assert rows.cache_info()[:4] == (1, size + 1, size, size)  # hits, misses, maxsize, size
+        lue.simulation.family_weights(["HT0"], 1, p_treats[0])
+        assert rows.cache_info()[:2] == (2, size + 1)
+        lue.simulation.family_weights(["HT0"], 1, p_treats[1])  # evicted, so computed again
+        assert rows.cache_info()[:2] == (2, size + 2)
 
     def test_failed_solves_are_not_memoized(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
@@ -724,10 +789,10 @@ class TestComputeImse:
         monkeypatch.setattr(lue.simulation, "solve_mivlue", failing)
         with pytest.raises(SingularSystemError):
             lue.simulation.family_weights(["MInd"], 5, 0.5)
-        assert not lue.simulation._WEIGHT_ROWS
+        assert lue.simulation._weight_row.cache_info().currsize == 0
         monkeypatch.setattr(lue.simulation, "solve_mivlue", counted)
         lue.simulation.family_weights(["MInd"], 5, 0.5)
-        assert calls["solve_mivlue"] == 1
+        assert calls()["solve_mivlue"] == 1
 
     @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
     def test_metadata_times_every_stage(self, mode):
