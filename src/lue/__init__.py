@@ -32,7 +32,6 @@ from .exposure import (
     apply_exposure_mapping,
     enumerate_exposures,
     indicator_vector,
-    remap_exposures,
 )
 from .mivlue import (
     KktSystem,

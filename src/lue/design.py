@@ -189,24 +189,19 @@ def bernoulli_exposure_distribution(degree: int, p_treat: float) -> ExposureDist
     return ExposureDistribution(spec, probs)
 
 
-def _spec_for_mapping(kind: str, network, unit: int) -> ExposureSpec:
-    if kind == "network_interference":
-        degree = int(network.in_degrees[unit])
-        if degree < 1:
-            raise ValueError(
-                f"unit {unit} has in-degree 0; its interference exposure set is degenerate"
-            )
-        return ExposureSpec((degree, 1))
-    raise ValueError(f"unknown exposure mapping kind {kind!r}")
-
-
 def exposure_distribution_exact(design: BernoulliDesign, kind: str, network, unit: int
                                 ) -> ExposureDistribution:
     """Brute-force exposure distribution: accumulate design mass over all allocations."""
-    spec = _spec_for_mapping(kind, network, unit)
+    if kind != "network_interference":
+        raise ValueError(f"unknown exposure mapping kind {kind!r}")
+    degree = int(network.in_degrees[unit])
+    if degree < 1:
+        raise ValueError(
+            f"unit {unit} has in-degree 0; its interference exposure set is degenerate"
+        )
     acc: dict[Exposure, float] = {}
     mat, weights = allocation_matrix(design)
     for z, p in zip(mat, weights):
         e = apply_exposure_mapping(kind, network, z, unit)
         acc[e] = acc.get(e, 0.0) + p
-    return ExposureDistribution(spec, acc)
+    return ExposureDistribution(ExposureSpec((degree, 1)), acc)

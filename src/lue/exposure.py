@@ -1,4 +1,4 @@
-"""Exposure sets, canonical orderings, parameter indexing, and exposure mappings.
+"""Exposure sets, canonical orderings, the parameter layout, and exposure mappings.
 
 An exposure summarizes everything a unit's potential outcome can depend on.
 Exposures are integer vectors e = (e_1, ..., e_K) with 0 <= e_k <= m_k; the
@@ -35,10 +35,6 @@ class ExposureSpec:
         object.__setattr__(self, "levels", tuple(int(m) for m in self.levels))
 
     @property
-    def num_components(self) -> int:
-        return len(self.levels)
-
-    @property
     def num_exposures(self) -> int:
         out = 1
         for m in self.levels:
@@ -61,24 +57,12 @@ class ExposureSpec:
         return e
 
 
-def parameter_position(spec: ExposureSpec, component: int, level: int) -> int:
-    """Flat index of the effect parameter for ``component`` at ``level``.
-
-    Index 0 is always the baseline.
-    """
-    if not 1 <= component <= spec.num_components:
-        raise ValueError(f"component {component} out of range 1..{spec.num_components}")
-    if not 1 <= level <= spec.levels[component - 1]:
-        raise ValueError(
-            f"level {level} out of range 1..{spec.levels[component - 1]} "
-            f"for component {component}"
-        )
-    return 1 + sum(spec.levels[: component - 1]) + (level - 1)
-
-
 def target_position(spec: ExposureSpec) -> int:
-    """Flat index of the estimand: the first component at its maximum level."""
-    return parameter_position(spec, 1, spec.levels[0])
+    """Flat index of the estimand: the first component at its maximum level.
+
+    The baseline sits at 0 and the first component's levels 1..m_1 at 1..m_1.
+    """
+    return spec.levels[0]
 
 
 def canonical_grid(levels: tuple[int, ...]) -> np.ndarray:
@@ -129,9 +113,11 @@ def indicator_vector(spec: ExposureSpec, e: Exposure) -> np.ndarray:
     e = spec.validate_exposure(e)
     v = np.zeros(spec.num_parameters)
     v[0] = 1.0
-    for k, value in enumerate(e, start=1):
+    offset = 1  # first position of the current component
+    for value, m in zip(e, spec.levels):
         if value != 0:
-            v[parameter_position(spec, k, value)] = 1.0
+            v[offset + value - 1] = 1.0
+        offset += m
     return v
 
 
@@ -164,35 +150,6 @@ def indicator_matrix(spec: ExposureSpec) -> np.ndarray:
     mat[positions[mask], columns] = 1.0
     mat.setflags(write=False)
     return mat
-
-
-def remap_exposures(spec: ExposureSpec, component: int, level: int):
-    """Relabel exposures so the estimand becomes component 1 at its maximum level.
-
-    Returns the remapped spec and a function sending old exposures to new
-    ones: the chosen component is swapped to the front and its chosen level
-    is swapped with the maximum level.  All constructions downstream assume
-    this normal form.
-    """
-    if not 1 <= component <= spec.num_components:
-        raise ValueError(f"component {component} out of range")
-    m = spec.levels[component - 1]
-    if not 1 <= level <= m:
-        raise ValueError(f"level {level} out of range for component {component}")
-    k = component - 1
-    order = [k] + [i for i in range(spec.num_components) if i != k]
-    new_spec = ExposureSpec(tuple(spec.levels[i] for i in order))
-
-    def forward(e: Exposure) -> Exposure:
-        e = spec.validate_exposure(e)
-        swapped = list(e)
-        if swapped[k] == level:
-            swapped[k] = m
-        elif swapped[k] == m:
-            swapped[k] = level
-        return tuple(swapped[i] for i in order)
-
-    return new_spec, forward
 
 
 def apply_exposure_mapping(kind: str, network, allocation, unit: int) -> Exposure:

@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .design import (
+    ENUMERATION_LIMIT,
     BernoulliDesign,
     ExposureDistribution,
     allocation_matrix,
@@ -94,7 +95,7 @@ class OutcomeModel:
             raise ValueError(f"unknown outcome model kind {self.kind!r}")
         for name in ("mu1", "eta1", "delta1"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not np.isfinite(value):
+            if not _is_finite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.kind == "interaction" and self.delta1 < 0:
             raise ValueError("interaction level must be nonnegative")
@@ -268,14 +269,15 @@ class NetworkConfig:
     p_edge: float | None = None
 
     def __post_init__(self):
-        if self.kind == "k_regular":
-            if self.k is None:
-                raise ValueError("k_regular networks need k")
-        elif self.kind == "erdos_renyi":
-            if self.p_edge is None:
-                raise ValueError("erdos_renyi networks need p_edge")
-        else:
+        if self.kind not in ("k_regular", "erdos_renyi"):
             raise ValueError(f"unknown network kind {self.kind!r}")
+        if not _is_count(self.n):
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        if self.kind == "k_regular" and not _is_count(self.k):
+            raise ValueError(f"k_regular networks need k, a positive integer, got {self.k!r}")
+        if self.kind == "erdos_renyi" and not _is_finite(self.p_edge):
+            raise ValueError(f"erdos_renyi networks need p_edge, a finite number, "
+                             f"got {self.p_edge!r}")
 
     def build(self, seed) -> Network:
         if self.kind == "k_regular":
@@ -286,6 +288,11 @@ class NetworkConfig:
 def _is_count(value) -> bool:
     """A positive int; JSON ``true`` is a bool, which Python counts as an int."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _is_finite(value) -> bool:
+    """A finite real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and np.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -317,8 +324,8 @@ class ExperimentConfig:
         if self.allocation_mode == "sample" and not _is_count(count):
             raise ValueError(
                 f"allocation_count must be a positive integer in sample mode, got {count!r}")
-        if self.allocation_mode == "exhaustive" and self.network.n > 20:
-            raise ValueError("exhaustive allocation mode needs n <= 20")
+        if self.allocation_mode == "exhaustive" and self.network.n > ENUMERATION_LIMIT:
+            raise ValueError(f"exhaustive allocation mode needs n <= {ENUMERATION_LIMIT}")
         if not _is_count(self.num_draws):
             raise ValueError(f"num_draws must be a positive integer, got {self.num_draws!r}")
 
@@ -393,32 +400,30 @@ class ImseReport:
 CSV_HEADER = "estimator,n,k_or_p,distribution,mu1_or_eta1,delta1,imse,bias2,variance,se,seed"
 
 
-def _outcome_table(params: Parameters, units, width):
-    """(unit x exposure-slot) potential outcomes.
+def _outcome_table(params: Parameters, width):
+    """(unit x exposure-slot) potential outcomes of the units that own parameter entries.
 
-    Even slots hold z = 0 and odd slots z = 1, with d >= 1 from slot 2 on;
-    each entry is summed in the order ((alpha + direct z) + interference_d)
-    + interaction_d, that of the scalar reference ``potential_outcome`` in
-    ``tests/test_simulation.py``, which it matches bit for bit.
+    Those are the units of positive in-degree, in unit order.  Even slots hold
+    z = 0 and odd slots z = 1, with d >= 1 from slot 2 on; each entry is summed
+    in the order ((alpha + direct z) + interference_d) + interaction_d, that of
+    the scalar reference ``potential_outcome`` in ``tests/test_simulation.py``,
+    which it matches bit for bit.
     """
-    starts = params.offsets[units]
-    degrees = np.diff(params.offsets)[units]
-    alpha = params.alpha[units]
-    direct = params.direct[units]
-    table = np.zeros((len(units), width))
+    degrees = np.diff(params.offsets)
+    owners = degrees > 0
+    alpha, direct = params.alpha[owners], params.direct[owners]
+    table = np.zeros((len(alpha), width))
     table[:, 0] = alpha + direct * 0
     table[:, 1] = alpha + direct * 1
-    rows = np.repeat(np.arange(len(units)), degrees)
-    # d - 1 of every entry, counted within its unit.
-    level = np.arange(len(rows)) - np.repeat(np.cumsum(degrees) - degrees, degrees)
-    entries = np.repeat(starts, degrees) + level
-    cols = 2 * (level + 1)
-    interference = params.interference[entries]
-    table[rows, cols] = table[rows, 0] + interference
-    treated = table[rows, 1] + interference
+    # True at (row, d - 1) for d = 1..d_i: row-major, the order the entries are drawn in.
+    held = np.arange(1, width // 2) <= degrees[owners][:, None]
+    levels = np.zeros(held.shape)
+    levels[held] = params.interference
+    np.add(table[:, :1], levels, out=table[:, 2::2], where=held)
+    np.add(table[:, 1:2], levels, out=table[:, 3::2], where=held)
     if params.interaction is not None:
-        treated += params.interaction[entries]
-    table[rows, cols + 1] = treated
+        levels[held] = params.interaction
+        table[:, 3::2] += levels
     return table
 
 
@@ -560,7 +565,7 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
         theta_bar = _mean_full_effect(params, units)
         theta_bars[draw] = theta_bar
         mark = lap("params", mark)
-        value_tables = weight_tables * _outcome_table(params, units, width)
+        value_tables = weight_tables * _outcome_table(params, width)
         mark = lap("outcome_table", mark)
         if exhaustive:
             values = value_tables.reshape(n_families, -1) / len(units)
@@ -613,6 +618,5 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
         "stage_seconds": stages,
         "weight_rows": weight_rows,
         "excluded_degree_zero_units": network.n - len(units),
-        "allocations_shared_across_estimators": True,
     }
     return ImseReport(config, results, metadata)

@@ -321,6 +321,16 @@ class TestSimulateCommand:
          "setting 0 failed: ValueError: mu1 must be a finite number, got -inf"),
         ({"outcome": {"kind": "independent", "mu1": "5"}},
          "setting 0 failed: ValueError: mu1 must be a finite number, got '5'"),
+        # JSON true is a Python bool, which is also an int and a real number.
+        ({"outcome": {"kind": "independent", "mu1": True}},
+         "setting 0 failed: ValueError: mu1 must be a finite number, got True"),
+        ({"network": {"kind": "erdos_renyi", "n": 10, "p_edge": True}},
+         "setting 0 failed: ValueError: erdos_renyi networks need p_edge, a finite number, "
+         "got True"),
+        ({"network": {"kind": "k_regular", "n": 10, "k": True}},
+         "setting 0 failed: ValueError: k_regular networks need k, a positive integer, got True"),
+        ({"network": {"kind": "k_regular", "n": 10.0, "k": 2}},
+         "setting 0 failed: ValueError: n must be a positive integer, got 10.0"),
     ])
     def test_out_of_range_setting_names_the_field(self, tmp_path, capsys, override, message):
         config = {**self.sweep_config(), "network": {"kind": "k_regular", "n": 8, "k": 2},

@@ -1,4 +1,4 @@
-"""Exposure sets, canonical ordering, parameter indexing, exposure mappings."""
+"""Exposure sets, canonical ordering, the parameter layout, exposure mappings."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,12 @@ from lue.design import uniform_distribution
 from lue.exposure import (
     ExposureSpec,
     _canonical_exposures,
+    active_parameters,
     apply_exposure_mapping,
     enumerate_exposures,
     exposure_positions,
     indicator_matrix,
     indicator_vector,
-    parameter_position,
-    remap_exposures,
     target_position,
 )
 from lue.networks import Network
@@ -30,7 +29,7 @@ def three_cycle():
 class TestExposureSpec:
     def test_counts(self):
         spec = ExposureSpec((3, 1))
-        assert spec.num_components == 2
+        assert len(spec.levels) == 2
         assert spec.num_exposures == 8
         assert spec.num_parameters == 5
 
@@ -93,25 +92,27 @@ def test_per_spec_caches_are_bounded():
 
 class TestParameterIndexing:
     def test_positions_are_a_bijection(self):
+        """Each component level owns one parameter position, and the baseline owns 0."""
         spec = ExposureSpec((2, 3, 1))
-        seen = {0}
-        for k, m in enumerate(spec.levels, start=1):
-            for j in range(1, m + 1):
-                pos = parameter_position(spec, k, j)
-                assert pos not in seen
-                seen.add(pos)
-        assert seen == set(range(spec.num_parameters))
+        positions, mask = active_parameters(spec)
+        assert (positions[:, 0] == 0).all() and mask[:, 0].all()
+        position_of, level_of = {}, {}
+        for e, row, on in zip(enumerate_exposures(spec), positions[:, 1:], mask[:, 1:]):
+            for k, (value, position, active) in enumerate(zip(e, row.tolist(), on)):
+                assert active == (value > 0)
+                if active:
+                    assert position_of.setdefault((k, value), position) == position
+                    assert level_of.setdefault(position, (k, value)) == (k, value)
+        assert len(position_of) == sum(spec.levels)
+        assert sorted(level_of) == list(range(1, spec.num_parameters))
 
     def test_target_is_first_component_max(self):
-        spec = ExposureSpec((3, 1))
-        assert target_position(spec) == parameter_position(spec, 1, 3) == 3
-
-    def test_out_of_range(self):
-        spec = ExposureSpec((2, 1))
-        with pytest.raises(ValueError):
-            parameter_position(spec, 3, 1)
-        with pytest.raises(ValueError):
-            parameter_position(spec, 1, 3)
+        """Row m_1 of the indicator matrix marks exactly the exposures with e_1 = m_1."""
+        for levels in [(3, 1), (1, 2), (2, 3, 1)]:
+            spec = ExposureSpec(levels)
+            assert target_position(spec) == levels[0]
+            first = np.array(enumerate_exposures(spec))[:, 0]
+            np.testing.assert_array_equal(indicator_matrix(spec)[levels[0]], first == levels[0])
 
 
 class TestIndicatorVector:
@@ -133,6 +134,13 @@ class TestIndicatorVector:
         expected = np.zeros(4)
         expected[[0, 2, 3]] = 1.0
         np.testing.assert_array_equal(v, expected)
+
+    def test_columns_of_indicator_matrix(self):
+        """The scalar vector is an independent reference for the cached matrix."""
+        for levels in specs_up_to(64):
+            spec = ExposureSpec(levels)
+            expected = np.array([indicator_vector(spec, e) for e in enumerate_exposures(spec)]).T
+            np.testing.assert_array_equal(indicator_matrix(spec), expected)
 
     def test_number_of_ones(self):
         rng = np.random.default_rng(0)
@@ -204,26 +212,3 @@ class TestExposureMappings:
                 continue
             assert e1 == e2
 
-
-class TestRemapExposures:
-    def test_moves_target_to_front_max(self):
-        spec = ExposureSpec((2, 3))
-        new_spec, forward = remap_exposures(spec, component=2, level=1)
-        assert new_spec.levels == (3, 2)
-        # the chosen level 1 becomes the maximum 3 of the front component
-        assert forward((0, 1)) == (3, 0)
-        assert forward((0, 3)) == (1, 0)
-        assert forward((2, 2)) == (2, 2)
-        assert forward((0, 0)) == (0, 0)
-
-    def test_forward_is_a_bijection(self):
-        spec = ExposureSpec((2, 3))
-        _, forward = remap_exposures(spec, 2, 2)
-        images = {forward(e) for e in enumerate_exposures(spec)}
-        assert len(images) == spec.num_exposures
-
-    def test_identity_when_already_canonical(self):
-        spec = ExposureSpec((2, 1))
-        new_spec, forward = remap_exposures(spec, 1, 2)
-        assert new_spec.levels == (2, 1)
-        assert forward((2, 1)) == (2, 1)

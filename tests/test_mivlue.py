@@ -525,7 +525,7 @@ class TestPinnedArithmetic:
                   for degree in [*range(1, 100), 200, 500] for prior in simulation_priors(degree)]
         rng = np.random.default_rng(5)
         for spec in small_specs():
-            if spec.num_components > 3 or max(spec.levels) > 4:
+            if len(spec.levels) > 3 or max(spec.levels) > 4:
                 continue
             size = spec.num_parameters
             priors += [(spec, random_pd_prior(size, rng, jitter=0.0)) for _ in range(10)]

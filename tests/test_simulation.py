@@ -1,6 +1,7 @@
 """Outcome models, estimator families, and integrated-MSE computation."""
 
 import ast
+import operator
 import pathlib
 
 import numpy as np
@@ -98,6 +99,9 @@ def estimate_average_effect(family, network, allocation, params):
     ("design", "ExplicitDesign"),
     ("design", "Design"),
     ("design", "TABLE_SUM_TOL"),
+    ("exposure", "remap_exposures"),
+    ("exposure", "parameter_position"),
+    ("exposure.ExposureSpec", "num_components"),
     ("estimators", "build_two_term_alue"),
     ("estimators", "build_four_term_alue"),
     ("estimators", "build_zero_estimator"),
@@ -109,11 +113,12 @@ def estimate_average_effect(family, network, allocation, params):
 def test_scalar_references_are_not_exported(module, name):
     """The package evaluates estimators only through the vectorised tables and the basis.
 
-    Names with a module are gone from it too; the others stay internal to theirs.
+    Names with a module (or a class in one) are gone from it too; the others stay
+    internal to theirs.
     """
     assert name not in lue.__all__ and not hasattr(lue, name)
     if module is not None:
-        assert not hasattr(getattr(lue, module), name)
+        assert not hasattr(operator.attrgetter(module)(lue), name)
 
 
 def test_every_import_is_used():
@@ -267,14 +272,20 @@ class TestPotentialOutcome:
 
 class TestOutcomeTable:
     @pytest.mark.parametrize("model", OUTCOME_MODELS, ids=lambda m: m.kind)
-    def test_equals_potential_outcome_bitwise(self, model):
-        """Vectorised table entries equal the scalar outcomes exactly, mixed degrees included."""
-        net = gen_erdos_renyi_directed(12, 0.3, seed=3)
+    @pytest.mark.parametrize("p_edge, seed, zeros", [(0.3, 3, 0), (0.15, 0, 4)],
+                             ids=["no_degree_zero", "degree_zero"])
+    def test_equals_potential_outcome_bitwise(self, model, p_edge, seed, zeros):
+        """Vectorised table entries equal the scalar outcomes exactly, mixed degrees included.
+
+        Degree-0 units own no parameter entries and get no row.
+        """
+        net = gen_erdos_renyi_directed(12, p_edge, seed=seed)
         assert len(set(net.in_degrees.tolist())) > 2
+        assert np.count_nonzero(net.in_degrees == 0) == zeros
         units = included_units(net)
         width = 2 * (int(net.in_degrees.max()) + 1)
         params = sample_parameters(net, model, [6, 1])
-        table = _outcome_table(params, units, width)
+        table = _outcome_table(params, width)
         for row, unit in enumerate(units):
             degree = int(net.in_degrees[unit])
             for d in range(degree + 1):
@@ -286,7 +297,7 @@ class TestOutcomeTable:
         """The lower-degree unit's slots past its own degree stay zero."""
         params = Parameters([0.5, -1.0], [1.25, 0.75], [2.0, 3.0, 5.0], [0, 2, 3],
                             [4.0, 8.0, 16.0])
-        table = _outcome_table(params, [0, 1], 6)
+        table = _outcome_table(params, 6)
         expected = [[potential_outcome(params, 0, (d, z)) for d in range(3) for z in (0, 1)],
                     [potential_outcome(params, 1, (d, z)) for d in range(2) for z in (0, 1)]
                     + [0.0, 0.0]]
