@@ -79,7 +79,8 @@ def _get(data: dict, path: str, expect=None, required: bool = True, default=None
                 raise InputError(f"{'.'.join(walked)}: missing required field")
             return default
         node = node[part]
-    if expect is not None and not isinstance(node, expect):
+    # JSON true/false parse as bools, which Python also counts as ints; no field takes one.
+    if expect is not None and (not isinstance(node, expect) or isinstance(node, bool)):
         names = expect.__name__ if isinstance(expect, type) else "/".join(
             t.__name__ for t in expect)
         raise InputError(f"{path}: expected {names}, got {type(node).__name__}")
@@ -88,9 +89,11 @@ def _get(data: dict, path: str, expect=None, required: bool = True, default=None
 
 def _parse_weights_input(data: dict):
     levels = _get(data, "spec.levels", expect=list)
+    if not all(isinstance(m, int) and not isinstance(m, bool) for m in levels):
+        raise InputError(f"spec.levels: every level must be an integer, got {levels!r}")
     try:
-        spec = ExposureSpec(tuple(int(m) for m in levels))
-    except (TypeError, ValueError) as exc:
+        spec = ExposureSpec(tuple(levels))
+    except ValueError as exc:
         raise InputError(f"spec.levels: {exc}")
     raw_probs = _get(data, "probabilities", expect=dict, required=False)
     if raw_probs is None:
@@ -102,7 +105,7 @@ def _parse_weights_input(data: dict):
                 e = tuple(int(v) for v in key.split(","))
             except ValueError:
                 raise InputError(f"probabilities.{key}: key must be comma-separated integers")
-            if not isinstance(value, (int, float)):
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise InputError(f"probabilities.{key}: expected a number")
             table[e] = float(value)
         try:

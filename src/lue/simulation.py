@@ -328,6 +328,8 @@ class ExperimentConfig:
             raise ValueError(f"exhaustive allocation mode needs n <= {ENUMERATION_LIMIT}")
         if not _is_count(self.num_draws):
             raise ValueError(f"num_draws must be a positive integer, got {self.num_draws!r}")
+        if not _is_finite(self.p_treat):
+            raise ValueError(f"p_treat must be a finite number, got {self.p_treat!r}")
 
     def build_network(self) -> Network:
         """The setting's network, from its own sub-stream of the master seed."""

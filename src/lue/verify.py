@@ -2,10 +2,11 @@
 
 Each check re-derives a property from an independent direction (closed form
 against enumeration, constraints against constructions, closed-form weights
-against the numeric solver) and reports pass/fail with the offending
-instance serialized.  The check bodies accept the objects they verify as
-arguments so a harness can inject corrupted inputs and confirm the checks
-catch them.
+against the numeric solver) and returns ``(passed, details)``, with the
+offending instance serialized in ``details``.  ``run_verify`` times each
+entry of ``ALL_CHECKS``; adding a check is one ``check_<name>()`` and one
+entry.  Keyword arguments (``estimators``, ``alpha_fn``) let a harness inject
+corrupted inputs and confirm the checks catch them.
 """
 
 from __future__ import annotations
@@ -69,12 +70,6 @@ class CheckResult:
         return f"[{status}] {self.name} ({self.duration:.2f}s){suffix}"
 
 
-def _timed(name, fn) -> CheckResult:
-    start = time.perf_counter()
-    passed, details = fn()
-    return CheckResult(name, passed, time.perf_counter() - start, details)
-
-
 def verify_estimator_set(spec: ExposureSpec, probs: ExposureDistribution,
                          estimators=None, zeros=None) -> tuple[bool, str]:
     """Every atomic estimator must satisfy the constraints; zeros must vanish.
@@ -97,46 +92,40 @@ def verify_estimator_set(spec: ExposureSpec, probs: ExposureDistribution,
     return True, ""
 
 
-def check_constraint_residuals() -> CheckResult:
-    def body():
-        rng = np.random.default_rng(CHECK_SEED)
-        for levels in PANEL_SPECS:
-            spec = ExposureSpec(levels)
-            for _ in range(5):
-                raw = rng.dirichlet(np.ones(spec.num_exposures))
-                probs = ExposureDistribution(spec, raw)
-                ok, details = verify_estimator_set(spec, probs)
-                if not ok:
-                    return False, f"levels {levels}: {details}"
-        return True, ""
-
-    return _timed("constraint_residuals", body)
+def check_constraint_residuals() -> tuple[bool, str]:
+    rng = np.random.default_rng(CHECK_SEED)
+    for levels in PANEL_SPECS:
+        spec = ExposureSpec(levels)
+        for _ in range(5):
+            raw = rng.dirichlet(np.ones(spec.num_exposures))
+            probs = ExposureDistribution(spec, raw)
+            ok, details = verify_estimator_set(spec, probs)
+            if not ok:
+                return False, f"levels {levels}: {details}"
+    return True, ""
 
 
-def check_basis_ranks() -> CheckResult:
-    def body():
-        for levels in specs_up_to(256):
-            spec = ExposureSpec(levels)
-            atomic, zeros = basis_identifiers(spec)
-            if len(atomic) != malue_count(spec) or len(zeros) != zero_count(spec):
-                return False, (
-                    f"levels {levels}: enumerated sizes ({len(atomic)}, {len(zeros)}) "
-                    f"!= closed forms ({malue_count(spec)}, {zero_count(spec)})"
-                )
-            weights = basis_weights(spec)
-            if len(weights) != basis_count(spec):
-                return False, f"levels {levels}: basis size mismatch"
-            if not affine_rank_is_full(weights, spec):
-                return False, f"levels {levels}: basis is affinely dependent"
-            if lue_dimension(spec) != basis_count(spec) - 1:
-                return False, f"levels {levels}: dimension identity fails"
-        return True, ""
-
-    return _timed("basis_ranks", body)
+def check_basis_ranks() -> tuple[bool, str]:
+    for levels in specs_up_to(256):
+        spec = ExposureSpec(levels)
+        atomic, zeros = basis_identifiers(spec)
+        if len(atomic) != malue_count(spec) or len(zeros) != zero_count(spec):
+            return False, (
+                f"levels {levels}: enumerated sizes ({len(atomic)}, {len(zeros)}) "
+                f"!= closed forms ({malue_count(spec)}, {zero_count(spec)})"
+            )
+        weights = basis_weights(spec)
+        if len(weights) != basis_count(spec):
+            return False, f"levels {levels}: basis size mismatch"
+        if not affine_rank_is_full(weights, spec):
+            return False, f"levels {levels}: basis is affinely dependent"
+        if lue_dimension(spec) != basis_count(spec) - 1:
+            return False, f"levels {levels}: dimension identity fails"
+    return True, ""
 
 
-def verify_six_term_closed_form(alpha_fn=six_term_alpha_weights,
-                                trials: int = 100) -> tuple[bool, str]:
+def check_six_term_closed_form(alpha_fn=six_term_alpha_weights,
+                               trials: int = 100) -> tuple[bool, str]:
     """Closed-form coefficients must match the numeric optimality solve."""
     rng = np.random.default_rng(CHECK_SEED)
     spec = ExposureSpec((2, 1))
@@ -163,58 +152,48 @@ def verify_six_term_closed_form(alpha_fn=six_term_alpha_weights,
     return True, ""
 
 
-def check_six_term_closed_form() -> CheckResult:
-    return _timed("six_term_closed_form", verify_six_term_closed_form)
+def check_design_oracle() -> tuple[bool, str]:
+    graphs = []
+    for n in (3, 5, 8, 10):
+        graphs.append(gen_k_regular_directed(n, min(2, n - 1), seed=n))
+        graphs.append(gen_erdos_renyi_directed(n, 0.4, seed=n + 100))
+    for network in graphs:
+        for p_treat in (0.5, 0.3):
+            design = BernoulliDesign(network.n, p_treat)
+            for unit in range(network.n):
+                degree = int(network.in_degrees[unit])
+                if degree < 1:
+                    continue
+                exact = exposure_distribution_exact(
+                    design, "network_interference", network, unit)
+                closed = bernoulli_exposure_distribution(degree, p_treat)
+                for e in exact:
+                    if abs(closed[e] - exact[e]) > 1e-12:
+                        return False, (
+                            f"n={network.n} unit={unit} exposure={e}: closed {closed[e]!r} "
+                            f"vs exact {exact[e]!r}"
+                        )
+    return True, ""
 
 
-def check_design_oracle() -> CheckResult:
-    def body():
-        graphs = []
-        for n in (3, 5, 8, 10):
-            graphs.append(gen_k_regular_directed(n, min(2, n - 1), seed=n))
-            graphs.append(gen_erdos_renyi_directed(n, 0.4, seed=n + 100))
-        for network in graphs:
-            for p_treat in (0.5, 0.3):
-                design = BernoulliDesign(network.n, p_treat)
-                for unit in range(network.n):
-                    degree = int(network.in_degrees[unit])
-                    if degree < 1:
-                        continue
-                    exact = exposure_distribution_exact(
-                        design, "network_interference", network, unit)
-                    closed = bernoulli_exposure_distribution(degree, p_treat)
-                    for e in exact:
-                        if abs(closed[e] - exact[e]) > 1e-12:
-                            return False, (
-                                f"n={network.n} unit={unit} exposure={e}: closed {closed[e]!r} "
-                                f"vs exact {exact[e]!r}"
-                            )
-        return True, ""
-
-    return _timed("design_oracle", body)
-
-
-def check_enumeration_unbiasedness() -> CheckResult:
-    def body():
-        config = ExperimentConfig(
-            network=NetworkConfig("k_regular", 8, k=2),
-            outcome=OutcomeModel("independent", mu1=0.0),
-            num_draws=5,
-            allocation_mode="exhaustive",
-            master_seed=3,
-        )
-        report = compute_imse(config)
-        network = config.build_network()
-        for draw in range(config.num_draws):
-            params = sample_parameters(network, config.outcome, [config.master_seed, draw])
-            theta_bar = true_average_effect(network, params)
-            for name, result in report.results.items():
-                gap = abs(result.per_draw_mean[draw] - theta_bar)
-                if gap > 1e-10:
-                    return False, f"{name} draw {draw}: |mean - truth| = {gap:.3e}"
-        return True, ""
-
-    return _timed("enumeration_unbiasedness", body)
+def check_enumeration_unbiasedness() -> tuple[bool, str]:
+    config = ExperimentConfig(
+        network=NetworkConfig("k_regular", 8, k=2),
+        outcome=OutcomeModel("independent", mu1=0.0),
+        num_draws=5,
+        allocation_mode="exhaustive",
+        master_seed=3,
+    )
+    report = compute_imse(config)
+    network = config.build_network()
+    for draw in range(config.num_draws):
+        params = sample_parameters(network, config.outcome, [config.master_seed, draw])
+        theta_bar = true_average_effect(network, params)
+        for name, result in report.results.items():
+            gap = abs(result.per_draw_mean[draw] - theta_bar)
+            if gap > 1e-10:
+                return False, f"{name} draw {draw}: |mean - truth| = {gap:.3e}"
+    return True, ""
 
 
 def specs_up_to(budget: int) -> list[tuple[int, ...]]:
@@ -223,8 +202,6 @@ def specs_up_to(budget: int) -> list[tuple[int, ...]]:
 
     def extend(prefix, remaining):
         for m in range(1, remaining):
-            if m + 1 > remaining:
-                break
             out.append(tuple(prefix + [m]))
             extend(prefix + [m], remaining // (m + 1))
 
@@ -246,5 +223,7 @@ def run_verify(name_filter: str | None = None) -> list[CheckResult]:
     for name, check in ALL_CHECKS.items():
         if name_filter and name_filter not in name:
             continue
-        results.append(check())
+        start = time.perf_counter()
+        passed, details = check()
+        results.append(CheckResult(name, passed, time.perf_counter() - start, details))
     return results

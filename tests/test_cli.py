@@ -21,7 +21,7 @@ from lue.estimators import LinearEstimator, build_malue_set
 from lue.exposure import ExposureSpec, enumerate_exposures
 from lue.mivlue import max_alpha3
 from lue.simulation import ExperimentConfig
-from lue.verify import check_design_oracle, verify_estimator_set, verify_six_term_closed_form
+from lue.verify import check_design_oracle, check_six_term_closed_form, verify_estimator_set
 
 SIX_ORDER = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
 
@@ -98,6 +98,26 @@ class TestWeightsCommand:
         out_path = tmp_path / "never.csv"
         assert main(["weights", "--input", path, "--output", str(out_path)]) == 2
         assert f"error: prior: {message}" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("payload, message", [
+        # Each payload is otherwise valid for the spec the coercion would produce.
+        ({"spec": {"levels": [2.7, 1]}, "prior": {"covariance": np.eye(4).tolist()}},
+         "spec.levels: every level must be an integer"),
+        ({"spec": {"levels": [True, 1]}, "prior": {"covariance": np.eye(3).tolist()}},
+         "spec.levels: every level must be an integer"),
+        ({"spec": {"levels": [1]}, "prior": {"covariance": np.eye(2).tolist(), "dilation": True}},
+         "prior.dilation: expected int/float, got bool"),
+        ({"spec": {"levels": [1]}, "probabilities": {"0": True, "1": 0.0},
+          "prior": {"covariance": np.eye(2).tolist()}},
+         "probabilities.0: expected a number"),
+    ], ids=["float_level", "bool_level", "bool_dilation", "bool_probability"])
+    def test_mistyped_number_exits_2_naming_the_field(self, tmp_path, capsys, payload, message):
+        """A float or a JSON true where an integer or number belongs is refused, not coerced."""
+        path = write_json(tmp_path / "in.json", payload)
+        out_path = tmp_path / "never.csv"
+        assert main(["weights", "--input", path, "--output", str(out_path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out_path.exists()
 
     def test_rows_cover_every_exposure(self, tmp_path, capsys):
@@ -331,6 +351,10 @@ class TestSimulateCommand:
          "setting 0 failed: ValueError: k_regular networks need k, a positive integer, got True"),
         ({"network": {"kind": "k_regular", "n": 10.0, "k": 2}},
          "setting 0 failed: ValueError: n must be a positive integer, got 10.0"),
+        ({"p_treat": "0.5"}, "setting 0 failed: ValueError: p_treat must be a finite number, got '0.5'"),
+        ({"p_treat": None}, "setting 0 failed: ValueError: p_treat must be a finite number, got None"),
+        ({"p_treat": [0.5]}, "setting 0 failed: ValueError: p_treat must be a finite number, got [0.5]"),
+        ({"p_treat": True}, "setting 0 failed: ValueError: p_treat must be a finite number, got True"),
     ])
     def test_out_of_range_setting_names_the_field(self, tmp_path, capsys, override, message):
         config = {**self.sweep_config(), "network": {"kind": "k_regular", "n": 8, "k": 2},
@@ -404,6 +428,12 @@ class TestVerifyCommand:
         assert main(["verify", "--filter", "no_such_check"]) == 2
 
 
+def swapped_pmf(degree, p_treat):
+    """The Bernoulli exposure pmf with its entries reversed: a corruption the design oracle must catch."""
+    dist = bernoulli_exposure_distribution(degree, p_treat)
+    return ExposureDistribution(dist.spec, dist.vector[::-1])
+
+
 class TestCheckInjection:
     def test_sign_flip_is_caught_and_named(self):
         """A corrupted four-term estimator fails the constraint check by name."""
@@ -428,21 +458,24 @@ class TestCheckInjection:
             a1, a2, a3 = good(probs, variances)
             return a1 / 1.01, a2 / 1.01, a3 / 1.01
 
-        ok, details = verify_six_term_closed_form(alpha_fn=broken_alpha, trials=5)
+        ok, details = check_six_term_closed_form(alpha_fn=broken_alpha, trials=5)
         assert not ok
         assert "closed form" in details
 
     def test_corrupted_simulation_pmf_fails_the_design_oracle(self, monkeypatch):
         """The design oracle checks the pmf the simulation reads, so corrupting it is caught."""
+        monkeypatch.setattr(lue.verify, "bernoulli_exposure_distribution", swapped_pmf)
+        ok, details = check_design_oracle()
+        assert not ok
+        assert "closed" in details and "vs exact" in details
 
-        def swapped(degree, p_treat):
-            dist = bernoulli_exposure_distribution(degree, p_treat)
-            return ExposureDistribution(dist.spec, dist.vector[::-1])
-
-        monkeypatch.setattr(lue.verify, "bernoulli_exposure_distribution", swapped)
-        result = check_design_oracle()
-        assert not result.passed
-        assert "closed" in result.details and "vs exact" in result.details
+    def test_failing_check_exits_1_through_the_runner(self, monkeypatch, capsys):
+        """``lue verify`` times a failing check, prints it as FAIL with its details, and exits 1."""
+        monkeypatch.setattr(lue.verify, "bernoulli_exposure_distribution", swapped_pmf)
+        assert main(["verify", "--filter", "design_oracle"]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("[FAIL] design_oracle (")
+        assert "vs exact" in line
 
 
 class TestReadme:
