@@ -19,6 +19,7 @@ import numpy as np
 from .design import (
     BernoulliDesign,
     ExposureDistribution,
+    allocation_matrix,
     bernoulli_exposure_distribution,
     exposure_distribution_exact,
 )
@@ -46,6 +47,8 @@ from .simulation import (
     NetworkConfig,
     OutcomeModel,
     compute_imse,
+    included_units,
+    joint_exposure_pmf,
     sample_parameters,
     true_average_effect,
 )
@@ -153,26 +156,36 @@ def check_six_term_closed_form(alpha_fn=six_term_alpha_weights,
 
 
 def check_design_oracle() -> tuple[bool, str]:
+    """Unit and pairwise joint pmfs against whole-network enumeration (joint: exact at 0.5)."""
     graphs = []
     for n in (3, 5, 8, 10):
         graphs.append(gen_k_regular_directed(n, min(2, n - 1), seed=n))
         graphs.append(gen_erdos_renyi_directed(n, 0.4, seed=n + 100))
     for network in graphs:
+        units = included_units(network)
+        width = 2 * (int(network.in_degrees.max()) + 1)
         for p_treat in (0.5, 0.3):
             design = BernoulliDesign(network.n, p_treat)
-            for unit in range(network.n):
-                degree = int(network.in_degrees[unit])
-                if degree < 1:
-                    continue
-                exact = exposure_distribution_exact(
-                    design, "network_interference", network, unit)
-                closed = bernoulli_exposure_distribution(degree, p_treat)
+            for unit in units:
+                exact = exposure_distribution_exact(design, "network_interference", network, unit)
+                closed = bernoulli_exposure_distribution(int(network.in_degrees[unit]), p_treat)
                 for e in exact:
                     if abs(closed[e] - exact[e]) > 1e-12:
                         return False, (
                             f"n={network.n} unit={unit} exposure={e}: closed {closed[e]!r} "
                             f"vs exact {exact[e]!r}"
                         )
+            alloc, probs = allocation_matrix(design)
+            slots = (2 * (alloc @ network.adjacency) + alloc)[:, units]
+            joint = joint_exposure_pmf(network, units, width, p_treat)
+            blocks = joint.reshape((len(units), width) * 2)
+            for a, b in np.ndindex(len(units), len(units)):
+                exact = np.bincount(slots[:, a] * width + slots[:, b], weights=probs,
+                                    minlength=width * width).reshape(width, width)
+                gap = np.abs(blocks[a, :, b] - exact).max()
+                if gap > (0.0 if p_treat == 0.5 else 1e-15):
+                    return False, (f"n={network.n} p_treat={p_treat} units ({units[a]}, "
+                                   f"{units[b]}): joint pmf off by {gap:.3e} vs exact enumeration")
     return True, ""
 
 

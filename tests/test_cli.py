@@ -469,6 +469,24 @@ class TestCheckInjection:
         assert not ok
         assert "closed" in details and "vs exact" in details
 
+    def test_transposed_joint_block_fails_the_design_oracle(self, monkeypatch):
+        """The design oracle reads every block of the joint pmf, and names the pair that is off."""
+        original = lue.verify.joint_exposure_pmf
+        transposed = []
+
+        def corrupted(network, units, width, p_treat):
+            joint = original(network, units, width, p_treat)
+            block = joint[:width, width:2 * width]
+            if not np.array_equal(block, block.T):
+                transposed.append((units[0], units[1]))
+            block[...] = block.T.copy()
+            return joint
+
+        monkeypatch.setattr(lue.verify, "joint_exposure_pmf", corrupted)
+        ok, details = check_design_oracle()
+        assert not ok and transposed
+        assert f"units {transposed[-1]}:" in details and "vs exact" in details
+
     def test_failing_check_exits_1_through_the_runner(self, monkeypatch, capsys):
         """``lue verify`` times a failing check, prints it as FAIL with its details, and exits 1."""
         monkeypatch.setattr(lue.verify, "bernoulli_exposure_distribution", swapped_pmf)

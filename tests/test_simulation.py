@@ -3,10 +3,12 @@
 import ast
 import operator
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import lue.design
 import lue.simulation
 from lue.design import BernoulliDesign, allocation_matrix
 from lue.estimators import LinearEstimator, check_unbiased
@@ -40,6 +42,9 @@ OUTCOME_MODELS = [
 # k_regular, and an Erdos-Renyi graph whose seed gives in-degrees 0 to 4
 EXACT_NETWORKS = [(NetworkConfig("k_regular", 8, k=2), 17),
                   (NetworkConfig("erdos_renyi", 8, p_edge=0.2), 4)]
+# Dense graphs: every pair of units shares in-neighbours, and most are joined by an edge.
+DENSE_NETWORKS = [(NetworkConfig("k_regular", 12, k=11), 5),
+                  (NetworkConfig("erdos_renyi", 12, p_edge=0.6), 6)]
 
 
 def three_cycle():
@@ -348,6 +353,68 @@ class TestJointExposurePmf:
                 assert own[2 * d + z] == pytest.approx(prob, rel=1e-13)
 
 
+    @pytest.mark.parametrize("p_treat", [0.0, 1.0, 1.5])
+    def test_rejects_p_treat_outside_the_unit_interval(self, p_treat):
+        net = gen_k_regular_directed(5, 2, seed=1)
+        with pytest.raises(ValueError, match=r"p_treat must be in \(0, 1\)"):
+            joint_exposure_pmf(net, included_units(net), 6, p_treat)
+
+    @pytest.mark.parametrize("config,seed", DENSE_NETWORKS)
+    def test_dense_panel_equals_global_enumeration(self, config, seed):
+        net = config.build(np.random.SeedSequence([seed, 3]))
+        units = included_units(net)
+        width = 2 * (int(net.in_degrees.max()) + 1)
+        joint = joint_exposure_pmf(net, units, width, 0.5)
+        np.testing.assert_array_equal(joint, self.global_enumeration(net, units, width, 0.5))
+
+    @pytest.mark.parametrize("p_treat", [0.5, 0.3])
+    @pytest.mark.parametrize("config,seed", EXACT_NETWORKS + DENSE_NETWORKS)
+    def test_exactly_symmetric(self, config, seed, p_treat):
+        net = config.build(np.random.SeedSequence([seed, 3]))
+        units = included_units(net)
+        joint = joint_exposure_pmf(net, units, 2 * (int(net.in_degrees.max()) + 1), p_treat)
+        assert np.array_equal(joint, joint.T)
+
+    @staticmethod
+    def exact_block(net, i, j, p_treat, width):
+        """Block (i, j) in exact arithmetic, over the allocations of N̄_i ∪ N̄_j.
+
+        An allocation's mass depends only on how many members it treats, so
+        the allocations are counted per (slot of i, slot of j, treated) first.
+        """
+        members = np.flatnonzero(net.adjacency[:, i] | net.adjacency[:, j])
+        members = np.union1d(members, [i, j])
+        alloc, _ = allocation_matrix(BernoulliDesign(len(members)))
+        own = np.searchsorted(members, [i, j])  # the columns of i and j among the members
+        slots = 2 * (alloc @ net.adjacency[members][:, [i, j]]) + alloc[:, own]
+        cells, counts = np.unique(np.column_stack([slots, alloc.sum(axis=1)]), axis=0,
+                                  return_counts=True)
+        p = Fraction(p_treat)
+        block = [[Fraction(0)] * width for _ in range(width)]
+        for (s, t, treated), count in zip(cells.tolist(), counts.tolist()):
+            block[s][t] += count * p**treated * (1 - p) ** (len(members) - treated)
+        return block
+
+    @pytest.mark.parametrize("p_treat", [0.3, 0.7])
+    @pytest.mark.parametrize("config,seed", EXACT_NETWORKS + DENSE_NETWORKS)
+    def test_pair_blocks_match_exact_arithmetic(self, config, seed, p_treat):
+        """Nonzero masses within 8 eps relative of the exact ones; structural zeros exactly 0."""
+        net = config.build(np.random.SeedSequence([seed, 3]))
+        units = included_units(net)
+        width = 2 * (int(net.in_degrees.max()) + 1)
+        joint = joint_exposure_pmf(net, units, width, p_treat)
+        blocks = joint.reshape(len(units), width, len(units), width)
+        tol = 8 * np.finfo(float).eps
+        for a, b in [(0, 0), (0, 1), (1, 0), (0, len(units) - 1), (len(units) - 2, 2)]:
+            exact = self.exact_block(net, units[a], units[b], p_treat, width)
+            for s, t in np.ndindex(width, width):
+                got, truth = blocks[a, s, b, t], exact[s][t]
+                if truth == 0:
+                    assert got == 0.0, (a, b, s, t)
+                else:
+                    assert abs(Fraction(got) - truth) <= tol * truth, (a, b, s, t)
+
+
 def per_unit_family(name, network, design, eta1=1.0):
     """Reference: one exposure pmf and, for MInd/MDil, one solve per unit."""
     family = {}
@@ -650,23 +717,19 @@ class TestComputeImse:
                 assert result.per_draw_mse[draw] == pytest.approx(
                     mse, rel=1e-12, abs=1e-12 * scale**2)
 
-    def test_exhaustive_never_enumerates_the_whole_network(self, monkeypatch):
-        """The joint pmf enumerates only unions of two closed in-neighbourhoods."""
-        config = self.small_config(network=NetworkConfig("k_regular", 10, k=2))
-        original = lue.simulation.allocation_matrix
-        requested = []
-
+    def test_exhaustive_never_enumerates(self, monkeypatch):
+        """The joint pmf is a closed form: no allocation is enumerated, even for n = 20, k = 19."""
         def guarded(design, *args, **kwargs):
-            if 2**design.n > 2 ** (config.network.n - 1):
-                raise AssertionError(f"asked for all 2^{design.n} allocations")
-            requested.append(design.n)
-            return original(design, *args, **kwargs)
+            raise AssertionError(f"asked for the 2^{design.n} allocations")
 
         monkeypatch.setattr(lue.simulation, "allocation_matrix", guarded)
-        report = compute_imse(config)
-        assert requested
-        for result in report.results.values():
-            assert np.isfinite(result.imse) and result.bias_squared < 1e-20
+        monkeypatch.setattr(lue.design, "allocation_matrix", guarded)
+        for config in (self.small_config(network=NetworkConfig("k_regular", 10, k=2)),
+                       self.small_config(network=NetworkConfig("k_regular", 20, k=19),
+                                         num_draws=1)):
+            report = compute_imse(config)
+            for result in report.results.values():
+                assert np.isfinite(result.imse) and result.bias_squared < 1e-20
 
     @staticmethod
     def count_calls(monkeypatch):
