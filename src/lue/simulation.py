@@ -121,7 +121,8 @@ def sample_parameters(network: Network, model: OutcomeModel, seed) -> Parameters
     """
     n = network.n
     degrees = network.in_degrees
-    ends = np.cumsum(degrees)
+    offsets = np.zeros(n + 1, dtype=np.intp)
+    ends = np.cumsum(degrees, out=offsets[1:])
     starts = ends - degrees
     total = int(degrees.sum())
     # Unit owning each entry of the units' concatenated (d = 1..d_i) vectors, and its d / d_i.
@@ -145,7 +146,7 @@ def sample_parameters(network: Network, model: OutcomeModel, seed) -> Parameters
         rng_inter = np.random.default_rng(
             np.random.SeedSequence([*words, _STREAM_INTERACTION]))
         interaction = scale * model.delta1 + rng_inter.normal(size=total)
-    return Parameters(alpha, direct, interference, np.r_[0, ends], interaction)
+    return Parameters(alpha, direct, interference, offsets, interaction)
 
 
 def _as_words(seed) -> list[int]:
@@ -257,10 +258,6 @@ def true_average_effect(network: Network, params: Parameters) -> float:
     units = included_units(network)
     if not units:
         raise ValueError("every unit has in-degree 0; the average estimand is undefined")
-    return _mean_full_effect(params, units)
-
-
-def _mean_full_effect(params: Parameters, units) -> float:
     return float(np.mean(params.interference[params.offsets[1:][units] - 1]))
 
 
@@ -321,6 +318,8 @@ class ExperimentConfig:
         for name in self.estimators:
             if name not in ESTIMATOR_NAMES:
                 raise ValueError(f"unknown estimator family {name!r}")
+            if self.estimators.count(name) > 1:
+                raise ValueError(f"estimator family {name!r} is listed more than once")
         if self.allocation_mode not in ("exhaustive", "sample"):
             raise ValueError(f"unknown allocation mode {self.allocation_mode!r}")
         count = self.allocation_count
@@ -405,30 +404,34 @@ class ImseReport:
 CSV_HEADER = "estimator,n,k_or_p,distribution,mu1_or_eta1,delta1,imse,bias2,variance,se,seed"
 
 
-def _outcome_table(params: Parameters, width):
-    """(unit x exposure-slot) potential outcomes of the units that own parameter entries.
+def _outcome_table(drawn, width):
+    """(draw x unit x exposure-slot) potential outcomes of the units that own parameter entries.
 
-    Those are the units of positive in-degree, in unit order.  Even slots hold
-    z = 0 and odd slots z = 1, with d >= 1 from slot 2 on; each entry is summed
-    in the order ((alpha + direct z) + interference_d) + interaction_d, that of
-    the scalar reference ``potential_outcome`` in ``tests/test_simulation.py``,
-    which it matches bit for bit.
+    ``drawn`` are parameter draws of one network, so they share one layout.
+    Those units are the ones of positive in-degree, in unit order.  Even slots
+    hold z = 0 and odd slots z = 1, with d >= 1 from slot 2 on; each entry is
+    summed in the order ((alpha + direct z) + interference_d) + interaction_d,
+    that of the scalar reference ``potential_outcome`` in
+    ``tests/test_simulation.py``, which it matches bit for bit.
     """
-    degrees = np.diff(params.offsets)
+    degrees = np.diff(drawn[0].offsets)
     owners = degrees > 0
-    alpha, direct = params.alpha[owners], params.direct[owners]
-    table = np.zeros((len(alpha), width))
-    table[:, 0] = alpha + direct * 0
-    table[:, 1] = alpha + direct * 1
+    alpha = np.array([params.alpha for params in drawn])[:, owners]
+    direct = np.array([params.direct for params in drawn])[:, owners]
+    table = np.zeros((*alpha.shape, width))
+    table[..., 0] = alpha + direct * 0
+    table[..., 1] = alpha + direct * 1
     # True at (row, d - 1) for d = 1..d_i: row-major, the order the entries are drawn in.
     held = np.arange(1, width // 2) <= degrees[owners][:, None]
-    levels = np.zeros(held.shape)
-    levels[held] = params.interference
-    np.add(table[:, :1], levels, out=table[:, 2::2], where=held)
-    np.add(table[:, 1:2], levels, out=table[:, 3::2], where=held)
-    if params.interaction is not None:
-        levels[held] = params.interaction
-        table[:, 3::2] += levels
+    levels = np.zeros((len(drawn), *held.shape))
+    for draw_levels, params in zip(levels, drawn):
+        draw_levels[held] = params.interference
+    np.add(table[..., :1], levels, out=table[..., 2::2], where=held)
+    np.add(table[..., 1:2], levels, out=table[..., 3::2], where=held)
+    if drawn[0].interaction is not None:
+        for draw_levels, params in zip(levels, drawn):
+            draw_levels[held] = params.interaction
+        table[..., 3::2] += levels
     return table
 
 
@@ -506,8 +509,10 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     in a (unit, exposure-slot) value vector v, so in exhaustive mode its
     exact moments are v . p and v' G v, with G the closed form of
     :func:`joint_exposure_pmf`, built once per setting without enumerating
-    any allocation, and p its diagonal.
-    Sample mode averages over a batch of allocations drawn per draw and
+    any allocation, and p its diagonal.  Draws go in blocks of about 64k
+    value entries: one stacked outcome table and one batched product give
+    every moment of a block.  Sample mode takes one draw per block, and
+    averages over a batch of allocations drawn per draw and
     shared by every estimator: one float32 BLAS product gives every
     (allocation, unit) slot, offset in place into a flat index of the
     (unit x slot) value table, and each family is one ``take`` of it.
@@ -517,7 +522,7 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     that never read treated outcomes.
 
     ``metadata["stage_seconds"]`` times the setting-level stages (network,
-    families, joint_pmf) and, summed over draws, the per-draw ones: params,
+    families, joint_pmf) and, summed over blocks, the per-draw ones: params,
     outcome_table, allocations, slots, gather and moments (the sample-mode
     allocations, slots and gather read 0 in exhaustive mode).
     ``metadata["weight_rows"]`` counts the setting's (family, in-degree)
@@ -570,6 +575,9 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     means = np.zeros((n_families, n_draws))
     second = np.zeros((n_families, n_draws))
     theta_bars = np.zeros(n_draws)
+    # Entry of each unit's full-neighbourhood effect; the layout is the same in every draw.
+    tops = np.cumsum(network.in_degrees)[units] - 1
+    block = max(1, 2**16 // (n_families * len(units) * width)) if exhaustive else 1
     timers = dict.fromkeys(
         ("params", "outcome_table", "allocations", "slots", "gather", "moments"), 0.0)
 
@@ -578,21 +586,23 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
         timers[stage] += now - since
         return now
 
-    for draw in range(n_draws):
+    for first_draw in range(0, n_draws, block):
+        draws = slice(first_draw, min(first_draw + block, n_draws))
         mark = time.perf_counter()
-        params = sample_parameters(network, config.outcome, [config.master_seed, draw])
-        theta_bar = _mean_full_effect(params, units)
-        theta_bars[draw] = theta_bar
+        drawn = [sample_parameters(network, config.outcome, [config.master_seed, draw])
+                 for draw in range(draws.start, draws.stop)]
+        # One 1-D mean per draw: a mean along an axis may sum in another order.
+        theta_bars[draws] = [np.mean(params.interference[tops]) for params in drawn]
         mark = lap("params", mark)
-        value_tables = weight_tables * _outcome_table(params, width)
+        value_tables = weight_tables * _outcome_table(drawn, width)[:, None]
         mark = lap("outcome_table", mark)
         if exhaustive:
-            values = value_tables.reshape(n_families, -1) / len(units)
+            values = value_tables.reshape(len(drawn), n_families, -1) / len(units)
             first_moment = values @ pmf
-            second_moment = np.einsum("fa,fa->f", values @ joint, values)
+            second_moment = np.einsum("dfa,dfa->df", values @ joint, values)
         else:
             rng = np.random.default_rng(
-                np.random.SeedSequence([config.master_seed, draw, _STREAM_ALLOCATIONS])
+                np.random.SeedSequence([config.master_seed, first_draw, _STREAM_ALLOCATIONS])
             )
             alloc = design.sample(rng, config.allocation_count).astype(np.float32)
             mark = lap("allocations", mark)
@@ -600,15 +610,15 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
             slots += row_offsets
             mark = lap("slots", mark)
             estimates = np.empty((n_families, config.allocation_count))
-            for row, value_table in enumerate(value_tables):
+            for row, value_table in enumerate(value_tables[0]):
                 estimates[row] = value_table.take(slots).mean(axis=1)
             mark = lap("gather", mark)
             # One dot per family: a matrix-vector product may sum in another order.
-            first_moment = np.array([alloc_weights @ e for e in estimates])
-            second_moment = np.array([alloc_weights @ (e * e) for e in estimates])
-        means[:, draw] = first_moment
-        second[:, draw] = second_moment
-        mse[:, draw] = second_moment - 2.0 * theta_bar * first_moment + theta_bar**2
+            first_moment = np.array([[alloc_weights @ e for e in estimates]])
+            second_moment = np.array([[alloc_weights @ (e * e) for e in estimates]])
+        means[:, draws], second[:, draws] = first_moment.T, second_moment.T
+        theta_bar = theta_bars[draws]
+        mse[:, draws] = second[:, draws] - 2.0 * theta_bar * means[:, draws] + theta_bar**2
         lap("moments", mark)
     stages.update(timers)
 

@@ -225,7 +225,14 @@ class TestSimulateCommand:
           "num_draws": 3, "allocation_mode": "sample", "allocation_count": 200,
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
          "f5970aad5bedac98b6627f434f2068543157f8e61f24143d0ff0037e069eca32"),
-    ], ids=["erdos_renyi_sample", "k_regular_dilated_exhaustive", "k_regular_interaction_sample"])
+        # At seed 7 this graph has two degree-0 units and in-degrees 1 to 3.
+        ({"network": {"kind": "erdos_renyi", "n": 12, "p_edge": 0.15},
+          "outcome": {"kind": "interaction", "mu1": 1.0, "delta1": 2.0},
+          "p_treat": 0.3, "num_draws": 3, "allocation_mode": "exhaustive",
+          "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
+         "e682daeaa5adf1b184337006cf9bed6e3948ee35082ef9a11caf4259ed25b7ea"),
+    ], ids=["erdos_renyi_sample", "k_regular_dilated_exhaustive", "k_regular_interaction_sample",
+            "erdos_renyi_interaction_exhaustive_p03"])
     def test_csv_bytes_are_pinned(self, tmp_path, capsys, config, digest):
         """Pins every digit of one setting's CSV, so a refactor cannot move them.
 
@@ -355,6 +362,8 @@ class TestSimulateCommand:
         ({"p_treat": None}, "setting 0 failed: ValueError: p_treat must be a finite number, got None"),
         ({"p_treat": [0.5]}, "setting 0 failed: ValueError: p_treat must be a finite number, got [0.5]"),
         ({"p_treat": True}, "setting 0 failed: ValueError: p_treat must be a finite number, got True"),
+        ({"estimators": ["MInd", "HT0", "MInd"]},
+         "setting 0 failed: ValueError: estimator family 'MInd' is listed more than once"),
     ])
     def test_out_of_range_setting_names_the_field(self, tmp_path, capsys, override, message):
         config = {**self.sweep_config(), "network": {"kind": "k_regular", "n": 8, "k": 2},

@@ -26,6 +26,7 @@ from lue.simulation import (
     compute_imse,
     config_hash,
     exposure_slots,
+    family_weights,
     included_units,
     joint_exposure_pmf,
     sample_parameters,
@@ -93,6 +94,32 @@ def estimate_average_effect(family, network, allocation, params):
         if w != 0.0:
             total += w * potential_outcome(params, i, e)
     return total / len(units)
+
+
+def per_draw_moments(config):
+    """Reference: each family's exhaustive mean and MSE (families x draws), one draw at a time."""
+    network = config.build_network()
+    units = included_units(network)
+    width = 2 * (int(network.in_degrees.max()) + 1)
+    eta1 = config.outcome.eta1 if config.outcome.kind == "dilated" else 1.0
+    weight_tables = np.zeros((len(config.estimators), len(units), width))
+    for row, unit in enumerate(units):
+        degree = int(network.in_degrees[unit])
+        weight_tables[:, row, :2 * degree + 2] = family_weights(
+            config.estimators, degree, config.p_treat, eta1)
+    joint = joint_exposure_pmf(network, units, width, config.p_treat)
+    pmf = joint.diagonal()
+    means, mse = [], []
+    for draw in range(config.num_draws):
+        params = sample_parameters(network, config.outcome, [config.master_seed, draw])
+        theta_bar = true_average_effect(network, params)
+        value_tables = weight_tables * _outcome_table([params], width)[0]
+        values = value_tables.reshape(len(config.estimators), -1) / len(units)
+        first_moment = values @ pmf
+        second_moment = np.einsum("fa,fa->f", values @ joint, values)
+        means.append(first_moment)
+        mse.append(second_moment - 2.0 * theta_bar * first_moment + theta_bar**2)
+    return np.array(means).T, np.array(mse).T
 
 
 @pytest.mark.parametrize("module, name", [
@@ -290,7 +317,7 @@ class TestOutcomeTable:
         units = included_units(net)
         width = 2 * (int(net.in_degrees.max()) + 1)
         params = sample_parameters(net, model, [6, 1])
-        table = _outcome_table(params, width)
+        (table,) = _outcome_table([params], width)
         for row, unit in enumerate(units):
             degree = int(net.in_degrees[unit])
             for d in range(degree + 1):
@@ -302,11 +329,21 @@ class TestOutcomeTable:
         """The lower-degree unit's slots past its own degree stay zero."""
         params = Parameters([0.5, -1.0], [1.25, 0.75], [2.0, 3.0, 5.0], [0, 2, 3],
                             [4.0, 8.0, 16.0])
-        table = _outcome_table(params, 6)
+        (table,) = _outcome_table([params], 6)
         expected = [[potential_outcome(params, 0, (d, z)) for d in range(3) for z in (0, 1)],
                     [potential_outcome(params, 1, (d, z)) for d in range(2) for z in (0, 1)]
                     + [0.0, 0.0]]
         np.testing.assert_array_equal(table, expected)
+
+    @pytest.mark.parametrize("model", OUTCOME_MODELS, ids=lambda m: m.kind)
+    def test_stacked_draws_equal_each_draws_own_table(self, model):
+        net = gen_erdos_renyi_directed(12, 0.15, seed=0)
+        width = 2 * (int(net.in_degrees.max()) + 1)
+        drawn = [sample_parameters(net, model, [6, draw]) for draw in range(4)]
+        stacked = _outcome_table(drawn, width)
+        assert stacked.shape == (4, len(included_units(net)), width)
+        for draw, params in enumerate(drawn):
+            np.testing.assert_array_equal(stacked[draw], _outcome_table([params], width)[0])
 
 
 class TestExposureSlots:
@@ -716,6 +753,34 @@ class TestComputeImse:
                     mean, rel=1e-12, abs=1e-12 * scale)
                 assert result.per_draw_mse[draw] == pytest.approx(
                     mse, rel=1e-12, abs=1e-12 * scale**2)
+
+    @pytest.mark.parametrize("p_treat", [0.5, 0.3])
+    @pytest.mark.parametrize("model", OUTCOME_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("network,seed", EXACT_NETWORKS)
+    def test_draw_blocks_equal_the_per_draw_reference(self, network, seed, model, p_treat):
+        """Blocked moments equal, bit for bit, those taken one draw at a time."""
+        config = self.small_config(network=network, outcome=model, p_treat=p_treat,
+                                   num_draws=6, master_seed=seed)
+        self.assert_equals_per_draw_reference(config)
+
+    @pytest.mark.parametrize("network,seed", DENSE_NETWORKS)
+    def test_several_draw_blocks_equal_the_per_draw_reference(self, network, seed):
+        """Three blocks of draws or more, the last one partial."""
+        config = self.small_config(network=network, master_seed=seed, p_treat=0.3, num_draws=100,
+                                   outcome=OutcomeModel("interaction", mu1=2.0, delta1=3.0))
+        net = config.build_network()
+        units = included_units(net)
+        block = 2**16 // (len(ESTIMATOR_NAMES) * len(units) * 2 * (net.in_degrees.max() + 1))
+        assert config.num_draws > 2 * block and config.num_draws % block
+        self.assert_equals_per_draw_reference(config)
+
+    @staticmethod
+    def assert_equals_per_draw_reference(config):
+        report = compute_imse(config)
+        means, mse = per_draw_moments(config)
+        for row, name in enumerate(config.estimators):
+            np.testing.assert_array_equal(report.results[name].per_draw_mean, means[row])
+            np.testing.assert_array_equal(report.results[name].per_draw_mse, mse[row])
 
     def test_exhaustive_never_enumerates(self, monkeypatch):
         """The joint pmf is a closed form: no allocation is enumerated, even for n = 20, k = 19."""
