@@ -64,6 +64,6 @@ from .simulation import (
 )
 from .verify import run_verify
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -136,9 +136,9 @@ class TestWeightsCommand:
                                    [0.0, 0.0, 1.5, 0.0], [0.0, 0.0, 0.0, 0.75]],
                     "dilation": 100.0,
                     "base_perturbation": (1e-3 * (np.eye(4) + 0.1 * np.ones((4, 4)))).tolist()}},
-         "b6ab489af04c0f196bab4183a9e35c4f7aca099eb4bc823fa1661b109bdc2165"),
+         "a838c25860c7aac7f479da60722f3fbfcef9afa57c1ec2978922b6cfef929c5b"),
         ({"spec": {"levels": [40, 1]}, "prior": {"covariance": np.eye(42).tolist()}},
-         "f02fffd164067b245fe684d3a31ad00ad8db83aad8e750a533775895aed5e676"),
+         "d976c0afbba95e4ec01dee798a46dbff247c79a64e50e9cb019d3a0920e2d65d"),
     ], ids=["six_term_dilated", "identity_40"])
     def test_weights_bytes_are_pinned(self, tmp_path, capsys, payload, digest):
         """Pins every weight, variance and alpha digit, so a refactor cannot move them."""
@@ -173,12 +173,12 @@ class TestBasisCommand:
         assert message in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("levels, digest", [
-        ("1", "b938773d2bf6ccfc"),
-        ("5", "c7e8df0116c41095"),
-        ("3,1", "28651e7296b36623"),
-        ("2,1,1", "749be51c6bbbf84b"),
-        ("3,2,1", "23d04ccd0a5d0bea"),
-        ("1,1,1,1", "fd09cf124260600e"),
+        ("1", "fb6cfa0a4e43df5c"),
+        ("5", "945fd3d7a4905ff7"),
+        ("3,1", "6337e8de68389d96"),
+        ("2,1,1", "bfe0440b06a71a89"),
+        ("3,2,1", "07d71c8bf58fb8fd"),
+        ("1,1,1,1", "b029f8b0ef542267"),
     ])
     def test_listing_is_byte_identical(self, capsys, levels, digest):
         """Pins member names, member order and every weight's repr."""
@@ -214,23 +214,23 @@ class TestSimulateCommand:
           "outcome": {"kind": "independent", "mu1": 1.0},
           "num_draws": 3, "allocation_mode": "sample", "allocation_count": 200,
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
-         "af4d138f5717ad8193d027b52a070d5039be34998ad1916c1cafeb0ca7f37e13"),
+         "0a74bf42950b49c934d29866e19a1c5f2efaa4b7bcce37eed07b79231f4dabcd"),
         ({"network": {"kind": "k_regular", "n": 10, "k": 3},
           "outcome": {"kind": "dilated", "eta1": 1.5},
           "num_draws": 3, "allocation_mode": "exhaustive",
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
-         "a0eb2678e23ff108eecd13018c2fc84cb559ff6d8a9d851cec7e243f03d751c6"),
+         "734f2b079a721b38d49fb31f867b4375ceab986f1bcf0154876d904974c3c3fe"),
         ({"network": {"kind": "k_regular", "n": 30, "k": 4},
           "outcome": {"kind": "interaction", "mu1": 5, "delta1": 2},
           "num_draws": 3, "allocation_mode": "sample", "allocation_count": 200,
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
-         "f5970aad5bedac98b6627f434f2068543157f8e61f24143d0ff0037e069eca32"),
+         "fe11b7fb5ee748adcfb1d13494a4ab295c06f143f56f2206fc2a9385bce0496b"),
         # At seed 7 this graph has two degree-0 units and in-degrees 1 to 3.
         ({"network": {"kind": "erdos_renyi", "n": 12, "p_edge": 0.15},
           "outcome": {"kind": "interaction", "mu1": 1.0, "delta1": 2.0},
           "p_treat": 0.3, "num_draws": 3, "allocation_mode": "exhaustive",
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
-         "e682daeaa5adf1b184337006cf9bed6e3948ee35082ef9a11caf4259ed25b7ea"),
+         "6c6845e3275bb7519e1897495af31d8af9bf11d78a9cb6709de5d2ba80076548"),
     ], ids=["erdos_renyi_sample", "k_regular_dilated_exhaustive", "k_regular_interaction_sample",
             "erdos_renyi_interaction_exhaustive_p03"])
     def test_csv_bytes_are_pinned(self, tmp_path, capsys, config, digest):
