@@ -1,5 +1,6 @@
 """Designs, exposure probabilities, and the closed-form/enumeration cross-check."""
 
+import hashlib
 import math
 import re
 
@@ -79,6 +80,19 @@ class TestBernoulliExposureProb:
                 expected = ExposureDistribution(spec, scalar).vector
                 actual = bernoulli_exposure_distribution(degree, p).vector
                 assert actual.tobytes() == expected.tobytes(), (degree, p)
+
+    def test_unit_pmf_bytes_are_pinned(self):
+        """Pins every mass the weights are solved against at p_treat other than 0.5.
+
+        At 0.5 every mass is dyadic and exact; at 0.1, 0.3 and 0.7 a change in
+        how the binomial is formed could move last digits unseen.
+        """
+        digest = hashlib.sha256()
+        for p in (0.1, 0.3, 0.7):
+            for degree in range(1, 121):
+                digest.update(bernoulli_exposure_distribution(degree, p).vector.tobytes())
+        assert digest.hexdigest() == (
+            "8a0292a5e97bd0e5b4f325dede67a1502fbf137b6a1bf2646300ccfd42fe0e51")
 
     @pytest.mark.parametrize("degree,p,exposure", [(1074, 0.5, (1074, 1)),
                                                    (323, 0.1, (323, 1))])
