@@ -6,6 +6,7 @@ from .design import (
     allocation_matrix,
     bernoulli_exposure_distribution,
     bernoulli_exposure_prob,
+    bernoulli_slot_pmf,
     exposure_distribution_exact,
     uniform_distribution,
 )
@@ -19,7 +20,6 @@ from .estimators import (
     build_malue_set,
     build_zero_estimators,
     check_support_condition,
-    check_unbiased,
     constraint_matrix,
     decompose_in_basis,
     lue_dimension,

@@ -116,34 +116,49 @@ def allocation_matrix(design: BernoulliDesign) -> tuple[np.ndarray, np.ndarray]:
     return mat, design.allocation_probability(mat)
 
 
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def bernoulli_slot_pmf(degree: int, p_treat: float) -> np.ndarray:
+    """The Bernoulli exposure law of a unit with ``degree`` in-neighbors, as one read-only table.
+
+    Entry [d, z] is C(degree, d) p^(d+z) (1-p)^(degree-d+1-z), the probability of
+    treated degree d and own treatment z, so the row-major order is slot order
+    2d + z.  At p = 0.5 this reduces to C(degree, d) 0.5^(degree+1).  Above
+    ``LOG_SPACE_DEGREE`` the masses go through log space.  ``math.exp`` and
+    ``**`` stay scalar because numpy's vectorised exp and power need not round
+    as libm does.  A mass may underflow to 0; each reader decides whether that
+    is an error.  Cached per (degree, p_treat).
+    """
+    if not 0.0 < p_treat < 1.0:
+        raise ValueError(f"p_treat must be in (0, 1), got {p_treat}")
+    d, z = np.arange(degree + 1)[:, None], np.arange(2)
+    if degree > LOG_SPACE_DEGREE:
+        lgammas = np.array([math.lgamma(k + 1) for k in range(degree + 1)])
+        log_mass = (lgammas[degree] - lgammas[d] - lgammas[degree - d]
+                    + (d + z) * math.log(p_treat)
+                    + (degree - d + 1 - z) * math.log1p(-p_treat))
+        table = np.array([[math.exp(value) for value in row] for row in log_mass.tolist()])
+    else:
+        combs = np.array([float(math.comb(degree, k)) for k in range(degree + 1)])
+        treated = np.array([p_treat**k for k in range(degree + 2)])
+        untreated = np.array([(1.0 - p_treat) ** k for k in range(degree + 2)])
+        table = combs[d] * treated[d + z] * untreated[degree - d + 1 - z]
+    table.setflags(write=False)
+    return table
+
+
 def bernoulli_exposure_prob(degree: int, e: Exposure, p_treat: float) -> float:
     """Probability of treated-degree exposure (d, z) for a unit with ``degree`` in-neighbors.
 
-    Closed form for a Bernoulli design: C(degree, d) p^(d+z) (1-p)^(degree-d+1-z).
-    At p = 0.5 this reduces to C(degree, d) 0.5^(degree+1).  Raises when the
-    mass underflows float64 to 0, with :func:`bernoulli_exposure_distribution`'s
-    message.
+    Entry [d, z] of :func:`bernoulli_slot_pmf`, which also checks ``p_treat``.
+    Raises when the mass underflows float64 to 0, with
+    :func:`bernoulli_exposure_distribution`'s message.
     """
     d, z = (int(v) for v in e)
     if z not in (0, 1):
         raise ValueError(f"own-treatment component must be 0 or 1, got {z}")
     if not 0 <= d <= degree:
         raise ValueError(f"treated degree {d} out of range 0..{degree}")
-    if not 0.0 < p_treat < 1.0:
-        raise ValueError(f"p_treat must be in (0, 1), got {p_treat}")
-    if degree > LOG_SPACE_DEGREE:
-        log_mass = (
-            math.lgamma(degree + 1) - math.lgamma(d + 1) - math.lgamma(degree - d + 1)
-            + (d + z) * math.log(p_treat)
-            + (degree - d + 1 - z) * math.log1p(-p_treat)
-        )
-        mass = math.exp(log_mass)
-    else:
-        mass = (
-            math.comb(degree, d)
-            * p_treat ** (d + z)
-            * (1.0 - p_treat) ** (degree - d + 1 - z)
-        )
+    mass = float(bernoulli_slot_pmf(degree, p_treat)[d, z])
     if mass == 0.0:
         raise ValueError(_underflow_message(degree, p_treat, d, z))
     return mass
@@ -158,31 +173,16 @@ def _underflow_message(degree: int, p_treat: float, d, z) -> str:
 def bernoulli_exposure_distribution(degree: int, p_treat: float) -> ExposureDistribution:
     """Closed-form exposure distribution of a degree->``degree`` unit under Bernoulli.
 
-    The masses are :func:`bernoulli_exposure_prob`'s, bit for bit: per-level
-    tables from the same ``math`` calls, combined on arrays in the same
-    operation order.  ``math.exp`` and ``**`` stay scalar because numpy's
-    vectorised exp and power need not round as libm does.  Raises when a
-    mass underflows float64 to 0, naming the degree, ``p_treat`` and the
-    first such exposure in canonical order.  Cached per (degree, p_treat);
-    a raised error is not cached.
+    The masses of :func:`bernoulli_slot_pmf`, in canonical exposure order.
+    Raises when a mass underflows float64 to 0, naming the degree,
+    ``p_treat`` and the first such exposure in canonical order.  Cached per
+    (degree, p_treat); a raised error is not cached.
     """
     if degree < 1:
         raise ValueError("degree-0 units have a collapsed exposure set; exclude them")
-    if not 0.0 < p_treat < 1.0:
-        raise ValueError(f"p_treat must be in (0, 1), got {p_treat}")
     spec = ExposureSpec((degree, 1))
     d, z = canonical_grid(spec.levels).T
-    if degree > LOG_SPACE_DEGREE:
-        lgammas = np.array([math.lgamma(k + 1) for k in range(degree + 1)])
-        log_mass = (lgammas[degree] - lgammas[d] - lgammas[degree - d]
-                    + (d + z) * math.log(p_treat)
-                    + (degree - d + 1 - z) * math.log1p(-p_treat))
-        probs = np.array([math.exp(value) for value in log_mass.tolist()])
-    else:
-        combs = np.array([float(math.comb(degree, k)) for k in range(degree + 1)])
-        treated = np.array([p_treat**k for k in range(degree + 2)])
-        untreated = np.array([(1.0 - p_treat) ** k for k in range(degree + 2)])
-        probs = combs[d] * treated[d + z] * untreated[degree - d + 1 - z]
+    probs = bernoulli_slot_pmf(degree, p_treat)[d, z]
     if not probs.all():
         j = int(np.argmin(probs))
         raise ValueError(_underflow_message(degree, p_treat, d[j], z[j]))

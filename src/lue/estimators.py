@@ -158,12 +158,6 @@ def constraint_residuals(matrix: np.ndarray, weights, target) -> np.ndarray:
     return np.abs(images - np.reshape(target, (-1, 1))).max(axis=0)
 
 
-def check_unbiased(est: LinearEstimator, probs: ExposureDistribution) -> float:
-    """Max-norm residual of the unbiasedness constraints; 0 means unbiased."""
-    c = constraint_matrix(est.spec, probs)
-    return float(constraint_residuals(c.matrix, est.vector, c.target_vector())[0])
-
-
 @lru_cache(maxsize=4)
 def _layout(levels: tuple[int, ...]):
     """Which exposures and signs make up each basis member, free of probabilities.

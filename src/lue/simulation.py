@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import numbers
 import operator
 import time
@@ -32,6 +31,7 @@ from .design import (
     ExposureDistribution,
     allocation_matrix,
     bernoulli_exposure_distribution,
+    bernoulli_slot_pmf,
 )
 from .estimators import LinearEstimator
 from .exposure import SPEC_CACHE_SIZE, ExposureSpec, canonical_grid
@@ -462,13 +462,14 @@ def joint_exposure_pmf(network: Network, units, width: int, p_treat: float) -> n
     """Pairwise joint pmf of the units' exposure slots under a Bernoulli design, in closed form.
 
     Entry ``[a * width + s, b * width + t]`` is P(slot of ``units[a]`` is s and slot of
-    ``units[b]`` is t); the diagonal is each unit's own slot pmf.  Block (a, b) depends only
+    ``units[b]`` is t).  The diagonal is each unit's :func:`bernoulli_slot_pmf`, the pmf
+    its weights are solved against, and the binomials below are its marginals over the
+    unit's own treatment.  Block (a, b) depends only
     on the pair's shape (s shared and p_a, p_b private in-neighbours, edges e_ab and e_ba):
     its slots are 2(S + P_a + e_ba z_b) + z_a and 2(S + P_b + e_ab z_a) + z_b, so it is
     sum_k Bin(s)[k] shift_k(Bin(p_a) (x) Bin(p_b)) placed per (z_a, z_b).  Each distinct
     shape is built once; no allocation is enumerated.
     """
-    BernoulliDesign(network.n, p_treat)  # raises unless 0 < p_treat < 1
     levels, count = width // 2, len(units)
     rows, cols = np.triu_indices(count, 1)
     neighbours, degrees = network.adjacency[:, units], network.in_degrees[units]
@@ -478,9 +479,11 @@ def joint_exposure_pmf(network: Network, units, width: int, p_treat: float) -> n
                             degrees[cols] - shared - e_ab, e_ab, e_ba])
     shapes, shape_of_pair = np.unique(keys, axis=0, return_inverse=True)
     s, private_a, private_b, e_ab, e_ba = shapes.T
-    # binomial[m, k] = P(Bin(m, p_treat) = k); math.comb is 0 for k > m.
-    binomial = np.array([[float(math.comb(m, k)) * p_treat**k * (1 - p_treat) ** (m - k)
-                          for k in range(levels)] for m in range(levels)])
+    pmf = np.zeros((levels, width))
+    for m in range(levels):
+        pmf[m, :2 * m + 2] = bernoulli_slot_pmf(m, p_treat).ravel()
+    # binomial[m, k] = P(Bin(m, p_treat) = k), 0 for k > m.
+    binomial = pmf[:, 0::2] + pmf[:, 1::2]
     private = binomial[private_a][:, :, None] * binomial[private_b][:, None, :]
     counts = np.zeros_like(private)
     for k in range(levels):
@@ -496,7 +499,7 @@ def joint_exposure_pmf(network: Network, units, width: int, p_treat: float) -> n
     joint = np.zeros((count, width, count, width))
     joint[rows, :, cols], joint[cols, :, rows] = blocks, blocks.transpose(0, 2, 1)
     joint = joint.reshape((count * width,) * 2)
-    np.fill_diagonal(joint, binomial[degrees][:, :, None] * own)
+    np.fill_diagonal(joint, pmf[degrees])
     return joint
 
 

@@ -230,7 +230,7 @@ class TestSimulateCommand:
           "outcome": {"kind": "interaction", "mu1": 1.0, "delta1": 2.0},
           "p_treat": 0.3, "num_draws": 3, "allocation_mode": "exhaustive",
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
-         "6c6845e3275bb7519e1897495af31d8af9bf11d78a9cb6709de5d2ba80076548"),
+         "b1d5e6b5ef20433016e316c1563e4252b1f13ca2c545b128f8042b0bab4a6d77"),
     ], ids=["erdos_renyi_sample", "k_regular_dilated_exhaustive", "k_regular_interaction_sample",
             "erdos_renyi_interaction_exhaustive_p03"])
     def test_csv_bytes_are_pinned(self, tmp_path, capsys, config, digest):

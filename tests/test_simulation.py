@@ -11,7 +11,7 @@ import pytest
 import lue.design
 import lue.simulation
 from lue.design import BernoulliDesign, allocation_matrix
-from lue.estimators import LinearEstimator, check_unbiased
+from lue.estimators import LinearEstimator, constraint_matrix, constraint_residuals
 from lue.mivlue import PriorSpec, SingularSystemError, identity_prior, solve_mivlue
 from lue.networks import Network, gen_erdos_renyi_directed, gen_k_regular_directed
 from lue.simulation import (
@@ -170,6 +170,27 @@ def test_every_import_is_used():
         if imported - read:
             unused[path.name] = sorted(imported - read)
     assert not unused
+
+
+def test_the_binomial_law_is_written_once():
+    """``math.comb`` and ``math.lgamma`` occur in one function of the package, so the
+    Bernoulli exposure law has one statement that every pmf reads."""
+    sites = set()
+    for path in sorted(pathlib.Path(lue.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        # ast.walk is breadth-first, so an inner function overwrites its outer one.
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            uses = (isinstance(node, ast.Attribute) and node.attr in ("comb", "lgamma")
+                    and isinstance(node.value, ast.Name) and node.value.id == "math")
+            imports = (isinstance(node, ast.ImportFrom) and node.module == "math"
+                       and {"comb", "lgamma"} & {alias.name for alias in node.names})
+            if uses or imports:
+                sites.add((path.name, owner.get(id(node), "<module>")))
+    assert sites == {("design.py", "bernoulli_slot_pmf")}
 
 
 def sequential_parameters(network, model, seed):
@@ -389,6 +410,24 @@ class TestJointExposurePmf:
             for (d, z), prob in zip(marginal, marginal.vector):
                 assert own[2 * d + z] == pytest.approx(prob, rel=1e-13)
 
+    @pytest.mark.parametrize("p_treat", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("config,seed", [(NetworkConfig("k_regular", 10, k=2), 1),
+                                             (NetworkConfig("k_regular", 20, k=19), 1),
+                                             EXACT_NETWORKS[1]],
+                             ids=["k_regular_10_2", "k_regular_20_19", "erdos_renyi_8"])
+    def test_diagonal_is_the_unit_pmf_bit_for_bit(self, config, seed, p_treat):
+        """G's diagonal holds the very masses each unit's weights are solved against."""
+        net = config.build(np.random.SeedSequence([seed, 3]))
+        units = included_units(net)
+        width = 2 * (int(net.in_degrees.max()) + 1)
+        own = joint_exposure_pmf(net, units, width, p_treat).diagonal().reshape(-1, width)
+        for row, unit in enumerate(units):
+            degree = int(net.in_degrees[unit])
+            expected = np.zeros(width)
+            expected[lue.simulation._slots(degree)] = (
+                lue.design.bernoulli_exposure_distribution(degree, p_treat).vector)
+            assert own[row].tobytes() == expected.tobytes(), (unit, p_treat)
+
 
     @pytest.mark.parametrize("p_treat", [0.0, 1.0, 1.5])
     def test_rejects_p_treat_outside_the_unit_interval(self, p_treat):
@@ -507,13 +546,15 @@ class TestBuildEstimatorFamily:
         family = build_estimator_family("MInd", self.net, self.design)
         for unit, est in family.items():
             dist = unit_exposure_distribution(self.design, self.net, unit)
-            assert check_unbiased(est, dist) < 1e-9
+            c = constraint_matrix(est.spec, dist)
+            assert constraint_residuals(c.matrix, est.vector, c.target_vector())[0] < 1e-9
 
     def test_mdil_satisfies_constraints_everywhere(self):
         family = build_estimator_family("MDil", self.net, self.design)
         for unit, est in family.items():
             dist = unit_exposure_distribution(self.design, self.net, unit)
-            assert check_unbiased(est, dist) < 1e-9
+            c = constraint_matrix(est.spec, dist)
+            assert constraint_residuals(c.matrix, est.vector, c.target_vector())[0] < 1e-9
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown estimator family"):
