@@ -173,8 +173,10 @@ def test_every_import_is_used():
 
 
 def test_the_binomial_law_is_written_once():
-    """``math.comb`` and ``math.lgamma`` occur in one function of the package, so the
-    Bernoulli exposure law has one statement that every pmf reads."""
+    """``math.comb`` and ``math.lgamma`` occur in one function of the package.
+
+    That function states the Bernoulli exposure law, and every pmf reads its table.
+    """
     sites = set()
     for path in sorted(pathlib.Path(lue.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
