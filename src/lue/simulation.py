@@ -462,9 +462,9 @@ def joint_exposure_pmf(network: Network, units, width: int, p_treat: float) -> n
     """Pairwise joint pmf of the units' exposure slots under a Bernoulli design, in closed form.
 
     Entry ``[a * width + s, b * width + t]`` is P(slot of ``units[a]`` is s and slot of
-    ``units[b]`` is t).  The diagonal is each unit's :func:`bernoulli_slot_pmf`, the pmf
-    its weights are solved against, and the binomials below are its marginals over the
-    unit's own treatment.  Block (a, b) depends only
+    ``units[b]`` is t).  The diagonal is each unit's :func:`bernoulli_slot_pmf` table, the
+    pmf its weights are solved against, and each Bin below is such a table summed over
+    own treatment.  Block (a, b) depends only
     on the pair's shape (s shared and p_a, p_b private in-neighbours, edges e_ab and e_ba):
     its slots are 2(S + P_a + e_ba z_b) + z_a and 2(S + P_b + e_ab z_a) + z_b, so it is
     sum_k Bin(s)[k] shift_k(Bin(p_a) (x) Bin(p_b)) placed per (z_a, z_b).  Each distinct
