@@ -202,6 +202,6 @@ def exposure_distribution_exact(design: BernoulliDesign, kind: str, network, uni
     acc: dict[Exposure, float] = {}
     mat, weights = allocation_matrix(design)
     for z, p in zip(mat, weights):
-        e = apply_exposure_mapping(kind, network, z, unit)
+        e = apply_exposure_mapping(network, z, unit)
         acc[e] = acc.get(e, 0.0) + p
     return ExposureDistribution(ExposureSpec((degree, 1)), acc)

@@ -24,6 +24,7 @@ from .exposure import (
     Exposure,
     ExposureSpec,
     _canonical_exposures,
+    active_parameters,
     enumerate_exposures,
     exposure_positions,
     indicator_matrix,
@@ -149,13 +150,23 @@ def constraint_matrix(spec: ExposureSpec, probs: ExposureDistribution) -> Constr
     return ConstraintMatrix(spec, mat, exposures)
 
 
-def constraint_residuals(matrix: np.ndarray, weights, target) -> np.ndarray:
-    """Absolute unbiasedness residual max_t |(C w - t)_t| of each row w of ``weights``.
+def constraint_residuals(spec: ExposureSpec, probabilities, weights, target=1.0) -> np.ndarray:
+    """Relative unbiasedness residual of each row w of ``weights``.
 
-    ``target`` is the estimand's target vector, or 0 for zero estimators.
+    max_t |(C w - t)_t| / max(1, sum_e |C_te w_e|): C holds the canonical
+    ``probabilities`` p(e) at the at most K + 1 active parameters of each
+    exposure e, and t is ``target`` (0 for zero estimators) at the estimand's
+    position, 0 elsewhere.  Both sums run over those entries, in exposure order.
     """
-    images = matrix @ np.atleast_2d(weights).T
-    return np.abs(images - np.reshape(target, (-1, 1))).max(axis=0)
+    positions, mask = active_parameters(spec)
+    weights = np.atleast_2d(weights)
+    size, count = spec.num_parameters, len(weights)
+    pw = (probabilities * weights)[:, np.nonzero(mask)[0]]
+    rows = (positions[mask] + size * np.arange(count)[:, None]).ravel()
+    t = target * (np.arange(size) == target_position(spec))
+    numerator = np.bincount(rows, pw.ravel(), size * count).reshape(count, size) - t
+    scale = np.bincount(rows, np.abs(pw).ravel(), size * count).reshape(count, size)
+    return (np.abs(numerator) / np.maximum(1.0, scale)).max(axis=1)
 
 
 @lru_cache(maxsize=4)
@@ -355,14 +366,13 @@ def decompose_in_basis(est: LinearEstimator, basis,
     """
     if probs is None:
         probs = uniform_distribution(est.spec)
-    c = constraint_matrix(est.spec, probs)
-    target = c.target_vector()
-    (residual,) = constraint_residuals(c.matrix, est.vector, target)
+    p = probability_vector(est.spec, probs)
+    (residual,) = constraint_residuals(est.spec, p, est.vector)
     if residual > UNBIASED_TOL:
-        raise ValueError(f"estimator is not unbiased (constraint residual {residual:.3e})")
+        raise ValueError(f"estimator is not unbiased (relative residual {residual:.3e})")
     weights = np.asarray(basis)
-    unbiased = constraint_residuals(c.matrix, weights, target) < UNBIASED_TOL
-    stray = ~unbiased & (constraint_residuals(c.matrix, weights, 0.0) >= UNBIASED_TOL)
+    unbiased = constraint_residuals(est.spec, p, weights) < UNBIASED_TOL
+    stray = ~unbiased & (constraint_residuals(est.spec, p, weights, 0.0) >= UNBIASED_TOL)
     if stray.any():
         i = int(stray.argmax())
         raise ValueError(

@@ -30,6 +30,9 @@ class ExposureSpec:
     def __post_init__(self):
         if len(self.levels) < 1:
             raise ValueError("spec needs at least one exposure component")
+        for m in self.levels:
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+                raise ValueError(f"every level must be an integer, got {m!r}")
         if any(m < 1 for m in self.levels):
             raise ValueError(f"every component needs at least one level, got {self.levels}")
         object.__setattr__(self, "levels", tuple(int(m) for m in self.levels))
@@ -152,20 +155,12 @@ def indicator_matrix(spec: ExposureSpec) -> np.ndarray:
     return mat
 
 
-def apply_exposure_mapping(kind: str, network, allocation, unit: int) -> Exposure:
-    """Exposure of ``unit`` under the named mapping for a full allocation.
-
-    The one kind, ``network_interference``, returns (treated in-degree, own
-    treatment) and requires ``network``.
-    """
+def apply_exposure_mapping(network, allocation, unit: int) -> Exposure:
+    """Exposure of ``unit`` for a full allocation: (treated in-degree, own treatment)."""
     allocation = np.asarray(allocation)
     n = allocation.shape[0]
     if not 0 <= unit < n:
         raise ValueError(f"unit {unit} out of range for {n} units")
-    if kind != "network_interference":
-        raise ValueError(f"unknown exposure mapping kind {kind!r}")
-    if network is None:
-        raise ValueError(f"mapping {kind!r} requires a network")
     if network.n != n:
         raise ValueError(f"allocation length {n} != network size {network.n}")
     return (int(network.adjacency[:, unit] @ allocation), int(allocation[unit]))

@@ -65,6 +65,7 @@ class PriorSpec:
     ``dilation`` scales the covariance and adds the small positive
     ``base_perturbation``, which is how degenerate priors are approached
     without losing full rank; :func:`outcome_variance_vector` applies it.
+    A base perturbation without a dilation would be ignored, so it is rejected.
     """
 
     covariance: np.ndarray
@@ -91,6 +92,8 @@ class PriorSpec:
             if (base <= 0).any():
                 raise ValueError("base perturbation entries must be positive")
             _check_psd(base, "base perturbation")
+            if self.dilation is None:
+                raise ValueError("base_perturbation applies only under a dilation; none is given")
             self.base_perturbation = base
         # The chained comparison is False for NaN as well.
         if self.dilation is not None and not 0 <= self.dilation < np.inf:
@@ -134,8 +137,9 @@ def outcome_variance(prior: PriorSpec, spec: ExposureSpec, e) -> float:
 class KktSystem:
     """Assembled optimality system with its row/column bookkeeping.
 
-    The solve reads only the vectors; the C block and the dense matrix are
-    built on each read.
+    The solve and its unbiasedness gate read only the probability and
+    variance vectors; ``rhs``, the C block and the dense matrix (the last two
+    built on each read) are the system written out in full.
     """
 
     spec: ExposureSpec
@@ -250,8 +254,10 @@ class MivlueSolution:
     warnings: list[str] = field(default_factory=list)
 
     def constraint_residual(self) -> float:
-        rhs = self.system.rhs[self.system.num_exposures:]
-        return float(constraint_residuals(self.system.constraints, self.estimator.vector, rhs)[0])
+        """The relative unbiasedness residual of the weights, as the solve's gate reads it."""
+        system = self.system
+        return float(constraint_residuals(system.spec, system.probabilities,
+                                          self.estimator.vector)[0])
 
     def quotient_residual(self) -> float:
         """Max deviation of each weight from its multiplier/variance quotient."""
@@ -259,20 +265,6 @@ class MivlueSolution:
         indicators = indicator_matrix(sys.spec)
         quotient = (indicators.T @ self.multipliers) / sys.variances
         return float(np.abs(self.estimator.vector - quotient).max())
-
-
-def _relative_residual(system: KktSystem, w) -> float:
-    """max_t |(C w - t)_t| / max(1, sum_e |C_te w_e|), from each exposure's active parameters.
-
-    Row t of C holds p(e) at the exposures whose indicator has a 1 at t, so
-    both sums run over the at most K + 1 active parameters of each exposure.
-    """
-    positions, mask = active_parameters(system.spec)
-    pw = np.broadcast_to((system.probabilities * w)[:, None], mask.shape)[mask]
-    rows, size = positions[mask], system.spec.num_parameters
-    numerator = np.bincount(rows, pw, size) - system.rhs[system.num_exposures:]
-    scale = np.bincount(rows, np.abs(pw), size)
-    return (np.abs(numerator) / np.maximum(1.0, scale)).max()
 
 
 def _solve_assembled(system: KktSystem, active=True) -> MivlueSolution:
@@ -304,7 +296,7 @@ def _solve_assembled(system: KktSystem, active=True) -> MivlueSolution:
     t = np.r_[-1.0, np.zeros(m1 - 1), 1.0]
     mu = np.divide(t, total, out=np.zeros(m1 + 1), where=occupied) - mean @ theta
     w = (mu[first] + tail @ theta) / system.variances * active
-    residual = _relative_residual(system, w)
+    (residual,) = constraint_residuals(system.spec, system.probabilities, w)
     if not residual <= UNBIASED_TOL:
         raise SingularSystemError(
             f"solved weights miss the unbiasedness constraints by {residual:.2e} relative")

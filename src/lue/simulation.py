@@ -574,7 +574,6 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     stages["joint_pmf"] = time.perf_counter() - mark
 
     n_draws = config.num_draws
-    mse = np.zeros((n_families, n_draws))
     means = np.zeros((n_families, n_draws))
     second = np.zeros((n_families, n_draws))
     theta_bars = np.zeros(n_draws)
@@ -620,10 +619,9 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
             first_moment = np.array([[alloc_weights @ e for e in estimates]])
             second_moment = np.array([[alloc_weights @ (e * e) for e in estimates]])
         means[:, draws], second[:, draws] = first_moment.T, second_moment.T
-        theta_bar = theta_bars[draws]
-        mse[:, draws] = second[:, draws] - 2.0 * theta_bar * means[:, draws] + theta_bar**2
         lap("moments", mark)
     stages.update(timers)
+    mse = second - 2.0 * theta_bars * means + theta_bars**2
 
     results = {}
     for row, name in enumerate(config.estimators):

@@ -22,6 +22,7 @@ from .design import (
     allocation_matrix,
     bernoulli_exposure_distribution,
     exposure_distribution_exact,
+    probability_vector,
 )
 from .estimators import (
     UNBIASED_TOL,
@@ -32,7 +33,6 @@ from .estimators import (
     build_affine_basis,
     build_malue_set,
     build_zero_estimators,
-    constraint_matrix,
     constraint_residuals,
     decompose_in_basis,
     lue_dimension,
@@ -77,18 +77,19 @@ def verify_estimator_set(spec: ExposureSpec, probs: ExposureDistribution,
                          estimators=None, zeros=None) -> tuple[bool, str]:
     """Every atomic estimator must satisfy the constraints; zeros must vanish.
 
-    Each set is read as its weight array and checked with one product.
+    Each set is read as its weight array and checked with one call of the
+    relative residual.
     """
     if estimators is None:
         estimators = build_malue_set(spec, probs)
     if zeros is None:
         zeros = build_zero_estimators(spec, probs)
-    c = constraint_matrix(spec, probs)
+    p = probability_vector(spec, probs)
     for members, target, failure in (
-            (estimators, c.target_vector(), "violates constraints (residual {:.3e})"),
-            (zeros, 0.0, "has nonzero expectation ({:.3e})")):
+            (estimators, 1.0, "violates constraints (relative residual {:.3e})"),
+            (zeros, 0.0, "has nonzero expectation (relative residual {:.3e})")):
         weights = np.asarray(members).reshape(len(members), spec.num_exposures)
-        residuals = constraint_residuals(c.matrix, weights, target)
+        residuals = constraint_residuals(spec, p, weights, target)
         bad = np.flatnonzero(residuals > UNBIASED_TOL)
         if bad.size:
             return False, f"estimator {members[bad[0]].name} {failure.format(residuals[bad[0]])}"

@@ -31,6 +31,14 @@ def write_json(path, payload):
     return str(path)
 
 
+def test_package_version_is_the_pyproject_version():
+    """A version bump edits both places; this catches one edited without the other."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == lue.__version__
+
+
 def six_term_payload(variances):
     # parameter order: baseline, level-1 effect, level-2 effect, second component
     return {
@@ -98,6 +106,17 @@ class TestWeightsCommand:
         out_path = tmp_path / "never.csv"
         assert main(["weights", "--input", path, "--output", str(out_path)]) == 2
         assert f"error: prior: {message}" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_base_perturbation_without_dilation_exits_2(self, tmp_path, capsys):
+        """The solve would ignore it, so the input is refused and the field named."""
+        prior = {"covariance": np.eye(4).tolist(),
+                 "base_perturbation": (1e-3 * (np.eye(4) + 0.1 * np.ones((4, 4)))).tolist()}
+        path = write_json(tmp_path / "in.json", {"spec": {"levels": [2, 1]}, "prior": prior})
+        out_path = tmp_path / "never.csv"
+        assert main(["weights", "--input", path, "--output", str(out_path)]) == 2
+        assert ("error: prior: base_perturbation applies only under a dilation"
+                in capsys.readouterr().err)
         assert not out_path.exists()
 
     @pytest.mark.parametrize("payload, message", [

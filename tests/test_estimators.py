@@ -167,24 +167,41 @@ class TestConstraintResiduals:
         spec = ExposureSpec((3, 1))
         probs = uniform_distribution(spec)
         est = member(spec, (3, 0), probs)
-        c = constraint_matrix(spec, probs)
-        assert constraint_residuals(c.matrix, est.vector, c.target_vector())[0] < 1e-12
+        assert constraint_residuals(spec, probs.vector, est.vector)[0] < 1e-12
 
     def test_all_zero_weights_residual_one(self):
         spec = ExposureSpec((2, 1))
         probs = uniform_distribution(spec)
         est = LinearEstimator(spec, {})
-        c = constraint_matrix(spec, probs)
-        assert constraint_residuals(c.matrix, est.vector, c.target_vector())[0] == (
-            pytest.approx(1.0))
+        assert constraint_residuals(spec, probs.vector, est.vector)[0] == 1.0
+
+    def test_relative_to_the_scale_of_the_terms(self):
+        """A doubled two-term estimator misses 1 (as a zero: 2) of terms summing to 2."""
+        spec = ExposureSpec((3, 1))
+        probs = uniform_distribution(spec)
+        est = member(spec, (3, 0), probs)
+        assert constraint_residuals(spec, probs.vector, 2.0 * est.vector)[0] == 0.5
+        assert constraint_residuals(spec, probs.vector, 2.0 * est.vector, 0.0)[0] == 1.0
+
+    def test_rows_are_independent(self):
+        """A stack of rows gives each row's own residual, bit for bit, under either target."""
+        rng = np.random.default_rng(7)
+        for levels in [(1,), (3, 1), (2, 1, 2)]:
+            spec = ExposureSpec(levels)
+            p = random_distribution(spec, rng).vector
+            weights = rng.normal(size=(6, spec.num_exposures))
+            for target in (1.0, 0.0):
+                stacked = constraint_residuals(spec, p, weights, target)
+                single = [constraint_residuals(spec, p, w, target)[0] for w in weights]
+                assert stacked.tobytes() == np.array(single).tobytes()
+            assert constraint_residuals(spec, p, weights[:0]).shape == (0,)
 
     def test_treated_two_term_unbiased_under_additivity(self):
         spec = ExposureSpec((3, 1))
         rng = np.random.default_rng(2)
         probs = random_distribution(spec, rng)
         est = member(spec, (3, 1), probs)
-        c = constraint_matrix(spec, probs)
-        assert constraint_residuals(c.matrix, est.vector, c.target_vector())[0] < 1e-12
+        assert constraint_residuals(spec, probs.vector, est.vector)[0] < 1e-12
 
 
 class TestTwoTermConstruction:
@@ -222,8 +239,7 @@ class TestFourTermConstruction:
         for _ in range(10):
             probs = random_distribution(spec, rng)
             est = member(spec, (2, 1), probs)
-            c = constraint_matrix(spec, probs)
-            assert constraint_residuals(c.matrix, est.vector, c.target_vector())[0] < 1e-12
+            assert constraint_residuals(spec, probs.vector, est.vector)[0] < 1e-12
 
 
 class TestZeroEstimators:
@@ -242,9 +258,8 @@ class TestZeroEstimators:
         spec = ExposureSpec((2, 1, 2))
         for _ in range(10):
             probs = random_distribution(spec, rng)
-            matrix = constraint_matrix(spec, probs).matrix
             for zero in build_zero_estimators(spec, probs):
-                assert constraint_residuals(matrix, zero.vector, 0.0)[0] < 1e-12
+                assert constraint_residuals(spec, probs.vector, zero.vector, 0.0)[0] < 1e-12
 
 
 class TestMalueSet:
@@ -258,9 +273,8 @@ class TestMalueSet:
         for levels in [(3, 1), (2, 2), (2, 1, 1)]:
             spec = ExposureSpec(levels)
             probs = random_distribution(spec, rng)
-            c = constraint_matrix(spec, probs)
             for est in build_malue_set(spec, probs):
-                assert constraint_residuals(c.matrix, est.vector, c.target_vector())[0] < 1e-11
+                assert constraint_residuals(spec, probs.vector, est.vector)[0] < 1e-11
 
     def test_monotone_support(self):
         """Each atomic member's support chains with all components non-increasing."""

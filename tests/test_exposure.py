@@ -39,6 +39,19 @@ class TestExposureSpec:
         with pytest.raises(ValueError):
             ExposureSpec((2, 0))
 
+    @pytest.mark.parametrize("levels, bad", [((2.7, 1), "2.7"), ((2, 1.0), "1.0"),
+                                             ((True,), "True"), ((2, np.bool_(True)), "True"),
+                                             ((np.float64(3.0),), "3.0")])
+    def test_rejects_levels_that_are_not_integers(self, levels, bad):
+        """A float or bool level is named, never truncated to an integer."""
+        with pytest.raises(ValueError, match=f"every level must be an integer, got .*{bad}"):
+            ExposureSpec(levels)
+
+    def test_accepts_numpy_integer_levels(self):
+        spec = ExposureSpec((np.int64(3), np.int32(1)))
+        assert spec.levels == (3, 1)
+        assert all(type(m) is int for m in spec.levels)
+
     def test_validate_exposure(self):
         spec = ExposureSpec((2, 1))
         assert spec.validate_exposure((2, 1)) == (2, 1)
@@ -173,22 +186,13 @@ class TestExposureMappings:
         net = three_cycle()
         z = np.array([1, 1, 0])
         # unit 0's only in-neighbor is unit 2, untreated
-        assert apply_exposure_mapping("network_interference", net, z, 0) == (0, 1)
-        assert apply_exposure_mapping("network_interference", net, z, 1) == (1, 1)
-        assert apply_exposure_mapping("network_interference", net, z, 2) == (1, 0)
-
-    def test_requires_network(self):
-        with pytest.raises(ValueError, match="requires a network"):
-            apply_exposure_mapping("network_interference", None, (1, 0), 0)
+        assert apply_exposure_mapping(net, z, 0) == (0, 1)
+        assert apply_exposure_mapping(net, z, 1) == (1, 1)
+        assert apply_exposure_mapping(net, z, 2) == (1, 0)
 
     def test_unit_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            apply_exposure_mapping("network_interference", three_cycle(), (1, 0, 1), 5)
-
-    @pytest.mark.parametrize("kind", ["sutva", "four_exposure", "mystery"])
-    def test_unknown_kind(self, kind):
-        with pytest.raises(ValueError, match="unknown exposure mapping"):
-            apply_exposure_mapping(kind, three_cycle(), (1, 0, 1), 0)
+            apply_exposure_mapping(three_cycle(), (1, 0, 1), 5)
 
     def test_invariant_to_non_in_neighbors(self):
         """Treated-degree exposure only moves with the unit's in-neighborhood."""
@@ -206,8 +210,8 @@ class TestExposureMappings:
             z2 = z.copy()
             flip = rng.choice(non_neighbors)
             z2[flip] = 1 - z2[flip]
-            e1 = apply_exposure_mapping("network_interference", net, z, unit)
-            e2 = apply_exposure_mapping("network_interference", net, z2, unit)
+            e1 = apply_exposure_mapping(net, z, unit)
+            e2 = apply_exposure_mapping(net, z2, unit)
             if flip == unit:
                 continue
             assert e1 == e2

@@ -14,14 +14,13 @@ from lue.design import (
     uniform_distribution,
 )
 from lue.estimators import (basis_weights, build_affine_basis, check_support_condition,
-                            constraint_matrix, decompose_in_basis)
+                            constraint_matrix, constraint_residuals, decompose_in_basis)
 from lue.exposure import (ExposureSpec, enumerate_exposures, indicator_matrix, indicator_vector,
                           target_position)
 from lue.mivlue import (
     PSD_TOL,
     PriorSpec,
     SingularSystemError,
-    _relative_residual,
     assemble_system,
     default_base_perturbation,
     identity_prior,
@@ -228,10 +227,11 @@ class TestPriorSpec:
         dilated = PriorSpec(cov, base_perturbation=base, dilation=10.0)
         np.testing.assert_allclose(outcome_variance_vector(spec, dilated),
                                    [x @ (10.0 * cov + base) @ x for x in indicators])
-        # Without a dilation the base perturbation is not applied.
-        undilated = PriorSpec(cov, base_perturbation=base)
-        np.testing.assert_allclose(outcome_variance_vector(spec, undilated),
-                                   [x @ cov @ x for x in indicators])
+
+    def test_base_perturbation_needs_a_dilation(self):
+        """Only a dilation applies the base perturbation, so one given alone is refused."""
+        with pytest.raises(ValueError, match="^base_perturbation applies only under a dilation"):
+            PriorSpec(np.eye(3), base_perturbation=default_base_perturbation(3))
 
 
 class TestOutcomeVariance:
@@ -539,25 +539,34 @@ class TestPinnedArithmetic:
         assert solve_panel_digest() == expected
 
     def test_unbiasedness_gate_is_the_dense_formula(self):
-        """The gate's sums over active parameters match the dense C-block formula.
+        """The one residual, summed over active parameters, matches the dense C-block formula.
 
-        Both values are already relative to max(1, sum_e |C_te w_e|), so they
-        may differ only by the rounding of sums over at most 64 exposures.
+        Both values are relative to max(1, sum_e |C_te w_e|), so they may differ
+        only by the rounding of sums over at most 64 exposures.  A stack of one
+        spec's solved rows gives each row's own residual, bit for bit.
         """
         solved = 0
+        rows = {}
         for spec, probs, prior in solve_panel():
             try:
                 solution = solve_mivlue(spec, probs, prior)
             except SingularSystemError:
                 continue
-            system, w = solution.system, solution.estimator.vector
-            c = system.constraints
-            assert c.tobytes() == (indicator_matrix(spec) * probs.vector).tobytes()
-            target = system.rhs[system.num_exposures:]
+            w = solution.estimator.vector
+            c = indicator_matrix(spec) * probs.vector
+            target = np.zeros(spec.num_parameters)
+            target[target_position(spec)] = 1.0
             dense = (np.abs(c @ w - target) / np.maximum(1.0, np.abs(c * w).sum(axis=1))).max()
-            assert abs(_relative_residual(system, w) - dense) <= 1e-15, spec
+            residual = solution.constraint_residual()
+            assert residual == constraint_residuals(spec, probs.vector, w)[0]
+            assert abs(residual - dense) <= 1e-15, spec
+            rows.setdefault((spec, probs), []).append(w)
             solved += 1
         assert solved > 1000
+        for (spec, probs), weights in rows.items():
+            stacked = constraint_residuals(spec, probs.vector, np.array(weights))
+            single = [constraint_residuals(spec, probs.vector, w)[0] for w in weights]
+            assert stacked.tobytes() == np.array(single).tobytes(), spec
 
 
 class TestSixTermClosedForm:

@@ -22,8 +22,7 @@ def treated_degree(net, z):
     """
     z = np.asarray(z)
     units = np.arange(net.n)
-    mapped = np.array([apply_exposure_mapping("network_interference", net, z, i)[0]
-                       for i in units])
+    mapped = np.array([apply_exposure_mapping(net, z, i)[0] for i in units])
     slots = exposure_slots(z[None, :], slot_coefficients(net, units))[0]
     np.testing.assert_array_equal(slots % 2, z)
     np.testing.assert_array_equal(slots // 2, mapped)
