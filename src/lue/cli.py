@@ -26,7 +26,7 @@ from .estimators import (
     malue_count,
     zero_count,
 )
-from .exposure import ExposureSpec, exposure_positions
+from .exposure import ExposureSpec, exposure_columns
 from .mivlue import SIX_TERM_EXPOSURES, PriorSpec, six_term_alpha_weights, solve_mivlue
 from .simulation import CSV_HEADER, ExperimentConfig, compute_imse, payload_hash
 from .verify import run_verify
@@ -134,9 +134,8 @@ def run_weights(args) -> int:
     # The prior variance of every outcome, in canonical order, as the solve used them.
     variances = solution.system.variances.tolist()
     if spec.levels == SIX_TERM_LEVELS:
-        positions = exposure_positions(spec)
         p6 = [probs[e] for e in SIX_TERM_EXPOSURES]
-        v6 = [variances[positions[e]] for e in SIX_TERM_EXPOSURES]
+        v6 = [variances[j] for j in exposure_columns(spec, SIX_TERM_EXPOSURES)]
         a1, a2, a3 = six_term_alpha_weights(p6, v6)
         lines.append(f"# alpha1={a1!r} alpha2={a2!r} alpha3={a3!r}")
     lines.append("exposure,weight,variance,probability")

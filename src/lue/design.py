@@ -9,14 +9,13 @@ binomial form, and an exhaustive-enumeration oracle double-checks it.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .exposure import (SPEC_CACHE_SIZE, Exposure, ExposureSpec, apply_exposure_mapping,
-                       canonical_grid, enumerate_exposures, exposure_positions)
+                       canonical_grid, enumerate_exposures, exposure_columns, exposure_vector)
 
 PROB_SUM_TOL = 1e-10
 # Binomial masses underflow float64 well before this point, so switch the
@@ -37,17 +36,7 @@ class ExposureDistribution:
 
     def __init__(self, spec: ExposureSpec, probs):
         exposures = enumerate_exposures(spec)
-        if isinstance(probs, Mapping):
-            extra = set(probs) - set(exposures)
-            if extra:
-                raise ValueError(
-                    f"probabilities given for exposures outside the set: {sorted(extra)}")
-            vector = np.array([float(probs.get(e, 0.0)) for e in exposures])
-        else:
-            vector = np.array(probs, dtype=float)
-            if vector.shape != (spec.num_exposures,):
-                raise ValueError(
-                    f"need {spec.num_exposures} probabilities, got shape {vector.shape}")
+        vector = exposure_vector(spec, probs, "probabilities")
         bad = np.flatnonzero(~((vector > 0.0) & (vector <= 1.0)))
         if bad.size:
             raise ValueError(f"exposure {exposures[bad[0]]} needs probability in (0, 1], "
@@ -59,10 +48,10 @@ class ExposureDistribution:
         self.spec, self.vector = spec, vector
 
     def __getitem__(self, e: Exposure) -> float:
-        return float(self.vector[exposure_positions(self.spec)[tuple(e)]])
+        return float(self.vector[exposure_columns(self.spec, [e])[0]])
 
     def __iter__(self):
-        return iter(exposure_positions(self.spec))
+        return iter(enumerate_exposures(self.spec))
 
 
 def probability_vector(spec: ExposureSpec, probs: ExposureDistribution) -> np.ndarray:
@@ -153,11 +142,13 @@ def bernoulli_exposure_prob(degree: int, e: Exposure, p_treat: float) -> float:
     Raises when the mass underflows float64 to 0, with
     :func:`bernoulli_exposure_distribution`'s message.
     """
-    d, z = (int(v) for v in e)
+    d, z = e
     if z not in (0, 1):
         raise ValueError(f"own-treatment component must be 0 or 1, got {z}")
     if not 0 <= d <= degree:
         raise ValueError(f"treated degree {d} out of range 0..{degree}")
+    # Degree 0 has no spec of its own, but its one treated degree, 0, is in every set.
+    d, z = ExposureSpec((max(degree, 1), 1)).validate_exposure(e)
     mass = float(bernoulli_slot_pmf(degree, p_treat)[d, z])
     if mass == 0.0:
         raise ValueError(_underflow_message(degree, p_treat, d, z))

@@ -13,7 +13,7 @@ units' exposures.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,7 +26,8 @@ from .exposure import (
     _canonical_exposures,
     active_parameters,
     enumerate_exposures,
-    exposure_positions,
+    exposure_columns,
+    exposure_vector,
     indicator_matrix,
     target_position,
 )
@@ -46,17 +47,8 @@ class LinearEstimator:
     """
 
     def __init__(self, spec: ExposureSpec, weights, name: str = ""):
-        if isinstance(weights, Mapping):
-            positions = exposure_positions(spec)
-            vector = np.zeros(spec.num_exposures)
-            for e, w in weights.items():
-                vector[positions[spec.validate_exposure(e)]] = w
-        else:
-            vector = np.asarray(weights, dtype=float)
-            if vector.shape != (spec.num_exposures,):
-                raise ValueError(f"need {spec.num_exposures} weights, got shape {vector.shape}")
-        # Adding 0.0 copies the weights and stores every zero weight as +0.0.
-        self.vector = vector + 0.0
+        self.vector = exposure_vector(spec, weights, "weights")
+        self.vector += 0.0  # stores every zero weight as +0.0
         self.vector.setflags(write=False)
         self.spec, self.name = spec, name
 
@@ -77,15 +69,17 @@ class LinearEstimator:
 
     def weight(self, e: Exposure) -> float:
         """Weight of exposure ``e``; 0 outside the exposure set."""
-        j = exposure_positions(self.spec).get(tuple(e))
-        return 0.0 if j is None else float(self.vector[j])
+        try:
+            (j,) = exposure_columns(self.spec, [e])
+        except ValueError:
+            return 0.0
+        return float(self.vector[j])
 
     def as_vector(self, exposures=None) -> np.ndarray:
         """Writable copy of the weights in canonical (or the given) exposure order."""
         if exposures is None:
             return self.vector.copy()
-        positions = exposure_positions(self.spec)
-        return self.vector[[positions[e] for e in exposures]]
+        return self.vector[exposure_columns(self.spec, exposures)]
 
     def to_text(self) -> str:
         """One ``e1,...,eK<TAB>weight`` line per support exposure, canonical order."""
@@ -426,11 +420,10 @@ def check_support_condition(candidate_support, spec: ExposureSpec,
     singular-value threshold; (b) is one least-squares fit of every outside
     indicator on the support's, and names the first offender in canonical order.
     """
-    support = [spec.validate_exposure(e) for e in candidate_support]
-    if not support:
+    cols = exposure_columns(spec, candidate_support)
+    if not cols:
         return SupportCheck(False, "empty support")
     c = constraint_matrix(spec, probs)
-    cols = [exposure_positions(spec)[e] for e in support]
     restricted = c.matrix[:, cols]
     target = c.target_vector()
     rank = np.linalg.matrix_rank(restricted, rtol=RANK_RTOL)

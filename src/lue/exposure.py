@@ -9,6 +9,7 @@ what :func:`indicator_vector` encodes.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,16 +49,9 @@ class ExposureSpec:
     def num_parameters(self) -> int:
         return 1 + sum(self.levels)
 
-    def contains(self, e: Exposure) -> bool:
-        return len(e) == len(self.levels) and all(
-            0 <= v <= m for v, m in zip(e, self.levels)
-        )
-
-    def validate_exposure(self, e: Exposure) -> Exposure:
-        e = tuple(int(v) for v in e)
-        if not self.contains(e):
-            raise ValueError(f"exposure {e} not in the set defined by levels {self.levels}")
-        return e
+    def validate_exposure(self, e) -> Exposure:
+        """The member of the exposure set that ``e`` equals (see :func:`exposure_columns`)."""
+        return _canonical_exposures(self.levels)[exposure_columns(self, [e])[0]]
 
 
 def target_position(spec: ExposureSpec) -> int:
@@ -96,6 +90,37 @@ def exposure_positions(spec: ExposureSpec) -> dict[Exposure, int]:
     return {e: j for j, e in enumerate(_canonical_exposures(spec.levels))}
 
 
+def exposure_columns(spec: ExposureSpec, exposures) -> list[int]:
+    """Canonical column of each exposure, looked up by value.
+
+    An exposure is the member whose components it equals: ``np.array([1, 0])``,
+    numpy integers and ``(2.0, 1)`` are found, while ``(1.5, 0)`` is refused,
+    not truncated.  Raises ``ValueError`` naming the first that equals no member.
+    """
+    positions = exposure_positions(spec)
+    try:
+        return [positions[tuple(e)] for e in exposures]
+    except KeyError as missing:
+        raise ValueError(f"exposure {missing.args[0]} is outside the set of levels "
+                         f"{spec.levels}") from None
+
+
+def exposure_vector(spec: ExposureSpec, values, what: str) -> np.ndarray:
+    """A new float vector over the exposures in canonical order, named ``what`` in errors.
+
+    ``values`` is that vector, or an {exposure: value} mapping whose keys are
+    looked up by :func:`exposure_columns` and in which absent exposures are 0.
+    """
+    if isinstance(values, Mapping):
+        vector = np.zeros(spec.num_exposures)
+        vector[exposure_columns(spec, values)] = list(values.values())
+        return vector
+    vector = np.array(values, dtype=float)
+    if vector.shape != (spec.num_exposures,):
+        raise ValueError(f"need {spec.num_exposures} {what}, got shape {vector.shape}")
+    return vector
+
+
 def enumerate_exposures(spec: ExposureSpec) -> list[Exposure]:
     """All exposures in the canonical order used by the basis construction.
 
@@ -107,21 +132,14 @@ def enumerate_exposures(spec: ExposureSpec) -> list[Exposure]:
     return list(_canonical_exposures(spec.levels))
 
 
-def indicator_vector(spec: ExposureSpec, e: Exposure) -> np.ndarray:
+def indicator_vector(spec: ExposureSpec, e) -> np.ndarray:
     """0/1 vector v over the parameter set with v . theta = Y(e) under additivity.
 
     The baseline entry is always 1; the entry for component k at level j is 1
-    exactly when e_k = j.
+    exactly when e_k = j.  A writable copy of ``e``'s column of
+    :func:`indicator_matrix`.
     """
-    e = spec.validate_exposure(e)
-    v = np.zeros(spec.num_parameters)
-    v[0] = 1.0
-    offset = 1  # first position of the current component
-    for value, m in zip(e, spec.levels):
-        if value != 0:
-            v[offset + value - 1] = 1.0
-        offset += m
-    return v
+    return indicator_matrix(spec)[:, exposure_columns(spec, [e])[0]].copy()
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)

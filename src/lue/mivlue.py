@@ -30,7 +30,7 @@ from .exposure import (
     ExposureSpec,
     active_parameters,
     enumerate_exposures,
-    exposure_positions,
+    exposure_columns,
     indicator_matrix,
     target_position,
 )
@@ -120,8 +120,7 @@ def support_null_prior(spec: ExposureSpec, support) -> np.ndarray:
     Built as I - X X^T with X an orthonormal basis of that span, so dilating
     it blows up exactly the variances of off-support potential outcomes.
     """
-    columns = [exposure_positions(spec)[spec.validate_exposure(e)] for e in support]
-    vs = indicator_matrix(spec)[:, columns]
+    vs = indicator_matrix(spec)[:, exposure_columns(spec, support)]
     u, s, _ = np.linalg.svd(vs, full_matrices=False)
     x = u[:, s > PSD_TOL * s[0]]
     return np.eye(spec.num_parameters) - x @ x.T
@@ -129,8 +128,8 @@ def support_null_prior(spec: ExposureSpec, support) -> np.ndarray:
 
 def outcome_variance(prior: PriorSpec, spec: ExposureSpec, e) -> float:
     """Prior variance of the potential outcome at ``e``: the indicator quadratic form."""
-    e = spec.validate_exposure(e)
-    return float(outcome_variance_vector(spec, prior)[exposure_positions(spec)[e]])
+    (j,) = exposure_columns(spec, [e])
+    return float(outcome_variance_vector(spec, prior)[j])
 
 
 @dataclass
@@ -349,7 +348,7 @@ def solve_mivlue_limit(spec: ExposureSpec, probs: ExposureDistribution, support)
     if not check:
         raise ValueError(f"support {list(support)} rejected: {check.reason}")
     active = np.zeros(spec.num_exposures, dtype=bool)
-    active[[exposure_positions(spec)[e] for e in support]] = True
+    active[exposure_columns(spec, support)] = True
     prior = PriorSpec(default_base_perturbation(spec.num_parameters))
     return LimitSolution(_solve_assembled(assemble_system(spec, probs, prior), active), support)
 

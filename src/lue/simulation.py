@@ -533,6 +533,14 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     :func:`family_weights`.
     """
     start = time.perf_counter()
+    stages = dict.fromkeys(("network", "families", "joint_pmf", "params", "outcome_table",
+                            "allocations", "slots", "gather", "moments"), 0.0)
+
+    def lap(stage, since):
+        now = time.perf_counter()
+        stages[stage] += now - since
+        return now
+
     network = config.build_network()
     design = BernoulliDesign(network.n, config.p_treat)
     units = included_units(network)
@@ -544,9 +552,8 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
             network.n - len(units),
         )
     width = 2 * (int(network.in_degrees.max()) + 1)
-    stages = {"network": time.perf_counter() - start}
+    mark = lap("network", start)
 
-    mark = time.perf_counter()
     n_families = len(config.estimators)
     # MDil's prior is the dilated model itself, at the setting's eta1 when it is dilated.
     eta1 = config.outcome.eta1 if config.outcome.kind == "dilated" else 1.0
@@ -559,9 +566,8 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     after = _weight_row.cache_info()
     weight_rows = {"solved": after.misses - before.misses, "reused": after.hits - before.hits}
     weight_tables = tables[:, degree_rows]
-    stages["families"] = time.perf_counter() - mark
+    mark = lap("families", mark)
 
-    mark = time.perf_counter()
     exhaustive = config.allocation_mode == "exhaustive"
     if exhaustive:
         joint = joint_exposure_pmf(network, units, width, config.p_treat)
@@ -571,7 +577,7 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
         # Start of each unit's row in a flattened (unit x slot) table.
         row_offsets = np.arange(len(units)) * width
         alloc_weights = np.full(config.allocation_count, 1.0 / config.allocation_count)
-    stages["joint_pmf"] = time.perf_counter() - mark
+    lap("joint_pmf", mark)
 
     n_draws = config.num_draws
     means = np.zeros((n_families, n_draws))
@@ -580,14 +586,6 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     # Entry of each unit's full-neighbourhood effect; the layout is the same in every draw.
     tops = np.cumsum(network.in_degrees)[units] - 1
     block = max(1, 2**16 // (n_families * len(units) * width)) if exhaustive else 1
-    timers = dict.fromkeys(
-        ("params", "outcome_table", "allocations", "slots", "gather", "moments"), 0.0)
-
-    def lap(stage, since):
-        now = time.perf_counter()
-        timers[stage] += now - since
-        return now
-
     for first_draw in range(0, n_draws, block):
         draws = slice(first_draw, min(first_draw + block, n_draws))
         mark = time.perf_counter()
@@ -620,7 +618,6 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
             second_moment = np.array([[alloc_weights @ (e * e) for e in estimates]])
         means[:, draws], second[:, draws] = first_moment.T, second_moment.T
         lap("moments", mark)
-    stages.update(timers)
     mse = second - 2.0 * theta_bars * means + theta_bars**2
 
     results = {}

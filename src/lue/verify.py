@@ -39,7 +39,7 @@ from .estimators import (
     malue_count,
     zero_count,
 )
-from .exposure import ExposureSpec, exposure_positions
+from .exposure import ExposureSpec, exposure_columns
 from .mivlue import SIX_TERM_EXPOSURES, PriorSpec, six_term_alpha_weights, solve_mivlue
 from .networks import gen_erdos_renyi_directed, gen_k_regular_directed
 from .simulation import (
@@ -133,7 +133,7 @@ def check_six_term_closed_form(alpha_fn=six_term_alpha_weights,
     """Closed-form coefficients must match the numeric optimality solve."""
     rng = np.random.default_rng(CHECK_SEED)
     spec = ExposureSpec((2, 1))
-    six = [exposure_positions(spec)[e] for e in SIX_TERM_EXPOSURES]
+    six = exposure_columns(spec, SIX_TERM_EXPOSURES)
     for trial in range(trials):
         raw = rng.dirichlet(np.ones(6))
         probs = ExposureDistribution(spec, raw)

@@ -15,6 +15,7 @@ import pytest
 
 import lue
 import lue.simulation
+import lue.verify
 from lue.cli import _setting_seed, build_parser, main
 from lue.design import ExposureDistribution, bernoulli_exposure_distribution, uniform_distribution
 from lue.estimators import LinearEstimator, build_malue_set
@@ -134,6 +135,40 @@ class TestWeightsCommand:
     def test_mistyped_number_exits_2_naming_the_field(self, tmp_path, capsys, payload, message):
         """A float or a JSON true where an integer or number belongs is refused, not coerced."""
         path = write_json(tmp_path / "in.json", payload)
+        out_path = tmp_path / "never.csv"
+        assert main(["weights", "--input", path, "--output", str(out_path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_ill_conditioned_solve_writes_its_warning(self, tmp_path, capsys):
+        """A near-vanishing probability makes the solve warn in the header, and still pass."""
+        raw = {f"{d},{z}": 1e-14 if z == 3 else 1.0 for d in range(2) for z in range(4)}
+        total = sum(raw.values())
+        payload = {"spec": {"levels": [1, 3]},
+                   "probabilities": {key: value / total for key, value in raw.items()},
+                   "prior": {"covariance": np.eye(5).tolist()}}
+        path = write_json(tmp_path / "in.json", payload)
+        assert main(["weights", "--input", path]) == 0
+        warnings = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("# warning=")]
+        assert warnings == ["# warning=optimality system condition estimate 1.00e+14 "
+                            "exceeds 1e12"]
+
+    @pytest.mark.parametrize("payload, message", [
+        (None, "input: file not found: "),
+        ({"spec": {"levels": [1]}, "probabilities": {"a,b": 0.5},
+          "prior": {"covariance": np.eye(2).tolist()}},
+         "probabilities.a,b: key must be comma-separated integers"),
+        ({"spec": {"levels": [1]}, "probabilities": {"0": 0.5, "1": 0.25},
+          "prior": {"covariance": np.eye(2).tolist()}},
+         "probabilities: exposure probabilities sum to 0.75, expected 1"),
+        ({"spec": {"levels": [1]}, "probabilities": {"0": 0.5, "1": 0.5, "2": 0.0},
+          "prior": {"covariance": np.eye(2).tolist()}},
+         "probabilities: exposure (2,) is outside the set of levels (1,)"),
+    ], ids=["missing_file", "key_not_integers", "pmf_sum", "pmf_foreign_exposure"])
+    def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, payload, message):
+        path = str(tmp_path / "absent.json") if payload is None else write_json(
+            tmp_path / "in.json", payload)
         out_path = tmp_path / "never.csv"
         assert main(["weights", "--input", path, "--output", str(out_path)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
@@ -455,6 +490,13 @@ class TestVerifyCommand:
     def test_unknown_filter(self, capsys):
         assert main(["verify", "--filter", "no_such_check"]) == 2
 
+    def test_every_check_passes(self, capsys):
+        assert main(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" (")[0] for line in lines] == [
+            f"[PASS] {name}" for name in lue.verify.ALL_CHECKS]
+        assert len(lines) == 5
+
 
 def swapped_pmf(degree, p_treat):
     """The Bernoulli exposure pmf with its entries reversed: a corruption the design oracle must catch."""
@@ -514,6 +556,21 @@ class TestCheckInjection:
         ok, details = check_design_oracle()
         assert not ok and transposed
         assert f"units {transposed[-1]}:" in details and "vs exact" in details
+
+    def test_biased_weight_row_fails_enumeration_unbiasedness(self, monkeypatch, capsys):
+        """A weight row off by one part in a thousand moves the exact mean off the truth."""
+        original = lue.simulation.family_weights
+
+        def biased(names, degree, p_treat, eta1=1.0):
+            rows = original(names, degree, p_treat, eta1).copy()
+            rows[-1, -1] *= 1.001
+            return rows
+
+        monkeypatch.setattr(lue.simulation, "family_weights", biased)
+        assert main(["verify", "--filter", "enumeration_unbiasedness"]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("[FAIL] enumeration_unbiasedness (")
+        assert "MDil draw 0: |mean - truth|" in line
 
     def test_failing_check_exits_1_through_the_runner(self, monkeypatch, capsys):
         """``lue verify`` times a failing check, prints it as FAIL with its details, and exits 1."""

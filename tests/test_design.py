@@ -44,6 +44,16 @@ class TestBernoulliExposureProb:
         with pytest.raises(ValueError):
             bernoulli_exposure_prob(3, (4, 0), 0.5)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: bernoulli_exposure_prob(3, (1, 2), 0.5),
+         "own-treatment component must be 0 or 1, got 2"),
+        (lambda: bernoulli_exposure_distribution(0, 0.5),
+         "degree-0 units have a collapsed exposure set; exclude them"),
+    ], ids=["own_treatment", "degree_0_pmf"])
+    def test_rejected_input_is_named(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
     def test_log_space_matches_direct_formula(self):
         """Dense-graph path agrees with exact binomial arithmetic."""
         degree, p = 80, 0.3

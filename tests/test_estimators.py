@@ -524,6 +524,32 @@ class TestDecomposeInBasis:
             decompose_in_basis(biased, basis, probs)
 
 
+SPEC_3_1 = ExposureSpec((3, 1))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: LinearEstimator(ExposureSpec((2, 1)), np.ones(5)),
+         r"^need 6 weights, got shape \(5,\)$"),
+        (lambda: build_malue_set(ExposureSpec((2, 1)))
+         + build_zero_estimators(ExposureSpec((2, 2))),
+         r"^cannot join estimators of levels \(2, 1\) and \(2, 2\)$"),
+        (lambda: decompose_in_basis(build_affine_basis(SPEC_3_1)[1], [
+            build_affine_basis(SPEC_3_1)[1], LinearEstimator(SPEC_3_1, {(3, 1): 1.0}, "stray")]),
+         "^basis member stray is neither unbiased nor zero-expectation$"),
+        (lambda: decompose_in_basis(build_affine_basis(SPEC_3_1)[2],
+                                    [build_affine_basis(SPEC_3_1)[3]]),
+         r"^decomposition residual \S+ exceeds 1\.0e-08$"),
+    ], ids=["weight_length", "join_specs", "stray_member", "fit_residual"])
+    def test_rejected_input_is_named(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_empty_support_is_invalid(self):
+        check = check_support_condition([], SPEC_3_1, uniform_distribution(SPEC_3_1))
+        assert not check and check.reason == "empty support"
+
+
 class TestSupportCondition:
     def setup_method(self):
         self.spec = ExposureSpec((3, 1))

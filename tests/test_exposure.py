@@ -1,22 +1,43 @@
 """Exposure sets, canonical ordering, the parameter layout, exposure mappings."""
 
+import ast
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
-from lue.design import uniform_distribution
+import lue
+from lue.design import (ExposureDistribution, bernoulli_exposure_distribution,
+                        bernoulli_exposure_prob, uniform_distribution)
+from lue.estimators import LinearEstimator, check_support_condition
 from lue.exposure import (
     ExposureSpec,
     _canonical_exposures,
     active_parameters,
     apply_exposure_mapping,
     enumerate_exposures,
+    exposure_columns,
     exposure_positions,
     indicator_matrix,
     indicator_vector,
     target_position,
 )
+from lue.mivlue import identity_prior, outcome_variance, solve_mivlue_limit, support_null_prior
 from lue.networks import Network
 from lue.verify import specs_up_to
+
+
+def reference_indicator_vector(spec, e):
+    """Reference: the indicator vector of ``e`` built entry by entry."""
+    v = np.zeros(spec.num_parameters)
+    v[0] = 1.0
+    offset = 1  # first position of the current component
+    for value, m in zip(e, spec.levels):
+        if value != 0:
+            v[offset + value - 1] = 1.0
+        offset += m
+    return v
 
 
 def three_cycle():
@@ -62,6 +83,75 @@ class TestExposureSpec:
             spec.validate_exposure((1,))
 
 
+SPEC_2_1 = ExposureSpec((2, 1))
+
+
+class TestExposureLookup:
+    """Every way into an exposure set looks an exposure up by value."""
+
+    @pytest.mark.parametrize("e, member", [
+        (np.array([1, 0]), (1, 0)), ((np.int64(1), np.int32(0)), (1, 0)), ((1.0, 0), (1, 0)),
+        (np.array([1.0, 0.0]), (1, 0)), ((True, False), (1, 0)), ((2.0, 1), (2, 1))])
+    def test_an_equal_exposure_is_its_member(self, e, member):
+        found = SPEC_2_1.validate_exposure(e)
+        assert found == member and all(type(v) is int for v in found)
+        assert exposure_columns(SPEC_2_1, [e]) == [enumerate_exposures(SPEC_2_1).index(member)]
+        probs = uniform_distribution(SPEC_2_1)
+        assert probs[e] == probs[member]
+        prior = identity_prior(SPEC_2_1)
+        assert outcome_variance(prior, SPEC_2_1, e) == outcome_variance(prior, SPEC_2_1, member)
+        assert LinearEstimator(SPEC_2_1, {tuple(e): 3.0}).weight(member) == 3.0
+        assert LinearEstimator(SPEC_2_1, {member: 3.0}).weight(e) == 3.0
+
+    @pytest.mark.parametrize("call, bad", [
+        (lambda: SPEC_2_1.validate_exposure((2.7, True)), "(2.7, True)"),
+        (lambda: LinearEstimator(SPEC_2_1, {(1.9, 0): 1.0}), "(1.9, 0)"),
+        (lambda: ExposureDistribution(SPEC_2_1, {(0.5, 0): 1.0}), "(0.5, 0)"),
+        (lambda: uniform_distribution(SPEC_2_1)[(1.5, 1)], "(1.5, 1)"),
+        (lambda: LinearEstimator(SPEC_2_1, {(2, 1): 1.0}).as_vector([(2, 1), (0.5, 0)]),
+         "(0.5, 0)"),
+        (lambda: check_support_condition([(2.2, 0), (0, 0)], SPEC_2_1,
+                                         uniform_distribution(SPEC_2_1)), "(2.2, 0)"),
+        (lambda: solve_mivlue_limit(SPEC_2_1, uniform_distribution(SPEC_2_1),
+                                    [(2, 0), (2.2, 0), (0, 0)]), "(2.2, 0)"),
+        (lambda: support_null_prior(SPEC_2_1, [(0, 0), (1, 0.5)]), "(1, 0.5)"),
+        (lambda: outcome_variance(identity_prior(SPEC_2_1), SPEC_2_1, (1.5, 0)), "(1.5, 0)"),
+        (lambda: indicator_vector(SPEC_2_1, (1, 1, 0)), "(1, 1, 0)"),
+        (lambda: bernoulli_exposure_prob(3, (1.5, 0), 0.5), "(1.5, 0)"),
+    ], ids=["validate", "estimator_mapping", "pmf_mapping", "pmf_item", "as_vector",
+            "support_condition", "limit_support", "null_prior", "outcome_variance",
+            "indicator_vector", "bernoulli_prob"])
+    def test_an_exposure_equal_to_no_member_is_refused_by_name(self, call, bad):
+        """A fractional component is refused, never truncated to a neighbouring member."""
+        with pytest.raises(ValueError, match=re.escape(f"exposure {bad} is outside the set")):
+            call()
+
+    def test_weight_is_zero_outside_the_set(self):
+        est = LinearEstimator(SPEC_2_1, np.ones(SPEC_2_1.num_exposures))
+        assert est.weight((1, 0)) == 1.0
+        assert est.weight((1.5, 0)) == 0.0 and est.weight((3, 0)) == 0.0
+
+    def test_bernoulli_prob_reads_the_member(self):
+        """An equal exposure gives its member's mass, at every degree including 0."""
+        assert bernoulli_exposure_prob(0, (0.0, True), 0.5) == 0.5
+        mass = bernoulli_exposure_distribution(3, 0.3)[(1, 0)]
+        for e in [(1, 0), (1.0, 0), np.array([1, 0]), (np.int64(1), False)]:
+            assert bernoulli_exposure_prob(3, e, 0.3) == mass
+
+
+def test_only_the_exposure_module_reads_the_position_table():
+    """``exposure_positions`` is read in ``exposure.py`` alone; every other module
+    goes through :func:`exposure_columns`, so an exposure is located one way."""
+    sites = set()
+    for path in sorted(pathlib.Path(lue.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and node.id == "exposure_positions":
+                sites.add(path.name)
+            elif isinstance(node, ast.alias) and node.name == "exposure_positions":
+                sites.add(path.name)
+    assert sites == {"exposure.py"}
+
+
 class TestEnumerateExposures:
     def test_smallest_spec(self):
         assert enumerate_exposures(ExposureSpec((1,))) == [(1,), (0,)]
@@ -93,7 +183,7 @@ class TestEnumerateExposures:
             exposures = enumerate_exposures(spec)
             assert len(exposures) == spec.num_exposures
             assert len(set(exposures)) == spec.num_exposures
-            assert all(spec.contains(e) for e in exposures)
+            assert all(spec.validate_exposure(e) == e for e in exposures)
 
 
 def test_per_spec_caches_are_bounded():
@@ -149,11 +239,21 @@ class TestIndicatorVector:
         np.testing.assert_array_equal(v, expected)
 
     def test_columns_of_indicator_matrix(self):
-        """The scalar vector is an independent reference for the cached matrix."""
+        """The entry-by-entry reference checks the cached matrix, and each vector is its column."""
         for levels in specs_up_to(64):
             spec = ExposureSpec(levels)
-            expected = np.array([indicator_vector(spec, e) for e in enumerate_exposures(spec)]).T
+            exposures = enumerate_exposures(spec)
+            expected = np.array([reference_indicator_vector(spec, e) for e in exposures]).T
             np.testing.assert_array_equal(indicator_matrix(spec), expected)
+            vectors = np.array([indicator_vector(spec, e) for e in exposures]).T
+            np.testing.assert_array_equal(vectors, expected)
+
+    def test_vector_is_a_writable_copy(self):
+        spec = ExposureSpec((3, 1))
+        v = indicator_vector(spec, (3, 1))
+        v[:] = 7.0
+        np.testing.assert_array_equal(indicator_vector(spec, (3, 1)),
+                                      reference_indicator_vector(spec, (3, 1)))
 
     def test_number_of_ones(self):
         rng = np.random.default_rng(0)

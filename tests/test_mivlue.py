@@ -234,6 +234,20 @@ class TestPriorSpec:
             PriorSpec(np.eye(3), base_perturbation=default_base_perturbation(3))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: PriorSpec(np.ones((2, 3))), r"^covariance must be square, got shape \(2, 3\)$"),
+    (lambda: PriorSpec(np.eye(2), base_perturbation=np.ones((3, 3)), dilation=1.0),
+     "^base perturbation must match the covariance shape$"),
+    (lambda: solve_from_moments(ExposureSpec((1,)), [0.5, 0.5], [1.0]),
+     "^need one probability and one variance per exposure$"),
+    (lambda: six_term_alpha_weights(np.full(5, 0.2), np.ones(5)),
+     "^need six probabilities and six variances, order"),
+], ids=["covariance_shape", "base_shape", "moment_lengths", "six_term_count"])
+def test_rejected_input_is_named(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestOutcomeVariance:
     def test_identity_counts_active_parameters(self):
         spec = ExposureSpec((3, 1))

@@ -105,6 +105,19 @@ class TestErdosRenyi:
         np.testing.assert_array_equal(a.adjacency, b.adjacency)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Network(np.zeros((2, 3), dtype=int)),
+     r"^adjacency must be square, got shape \(2, 3\)$"),
+    (lambda: gen_erdos_renyi_directed(5, 1.5, seed=0),
+     r"^edge probability must be in \[0, 1\], got 1\.5$"),
+    (lambda: gen_erdos_renyi_directed(5, -0.1, seed=0),
+     r"^edge probability must be in \[0, 1\], got -0\.1$"),
+], ids=["non_square", "p_edge_above", "p_edge_below"])
+def test_rejected_input_is_named(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestTreatedDegree:
     def test_all_zeros(self):
         net = three_cycle()

@@ -671,6 +671,22 @@ class TestExperimentConfig:
         ExperimentConfig(network=small, outcome=outcome, allocation_count=count)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: OutcomeModel("mystery"), "^unknown outcome model kind 'mystery'$"),
+    (lambda: OutcomeModel("interaction", delta1=-1.0), "^interaction level must be nonnegative$"),
+    (lambda: NetworkConfig("ring", 10), "^unknown network kind 'ring'$"),
+    (lambda: ExperimentConfig(network=NetworkConfig("k_regular", 10, k=2),
+                              outcome=OutcomeModel("independent"), allocation_mode="random"),
+     "^unknown allocation mode 'random'$"),
+    (lambda: compute_imse(ExperimentConfig(network=NetworkConfig("erdos_renyi", 5, p_edge=0.0),
+                                           outcome=OutcomeModel("independent"), num_draws=1)),
+     "^every unit has in-degree 0; the average estimand is undefined$"),
+], ids=["outcome_kind", "negative_delta1", "network_kind", "allocation_mode", "no_edges"])
+def test_rejected_input_is_named(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestComputeImse:
     def small_config(self, **overrides):
         base = dict(
