@@ -120,7 +120,10 @@ def support_null_prior(spec: ExposureSpec, support) -> np.ndarray:
     Built as I - X X^T with X an orthonormal basis of that span, so dilating
     it blows up exactly the variances of off-support potential outcomes.
     """
-    vs = indicator_matrix(spec)[:, exposure_columns(spec, support)]
+    cols = exposure_columns(spec, support)
+    if not cols:
+        raise ValueError("support [] rejected: empty support")
+    vs = indicator_matrix(spec)[:, cols]
     u, s, _ = np.linalg.svd(vs, full_matrices=False)
     x = u[:, s > PSD_TOL * s[0]]
     return np.eye(spec.num_parameters) - x @ x.T

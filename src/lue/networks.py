@@ -50,8 +50,9 @@ def gen_k_regular_directed(n: int, k: int, seed: int) -> Network:
     rng = np.random.default_rng(seed)
     a = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
-        others = np.concatenate([np.arange(i), np.arange(i + 1, n)])
-        sources = rng.choice(others, size=k, replace=False)
+        # Position among the n - 1 other units, shifted past i to a unit index.
+        sources = rng.choice(n - 1, size=k, replace=False)
+        sources[sources >= i] += 1
         a[sources, i] = 1
     return Network(a)
 

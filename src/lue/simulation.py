@@ -22,6 +22,7 @@ import operator
 import time
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,13 +76,24 @@ class Parameters:
         for name in ("alpha", "direct", "interference", "offsets", "interaction"):
             value = getattr(self, name)
             if value is not None:
-                value = np.array(value, dtype=np.intp if name == "offsets" else float)
-                value.setflags(write=False)
-                object.__setattr__(self, name, value)
+                object.__setattr__(self, name, _read_only(
+                    value, np.intp if name == "offsets" else np.float64))
         if self.interaction is not None and self.interaction.shape != self.interference.shape:
             raise ValueError("interaction effects must match the interference length")
         if len(self.offsets) != len(self.alpha) + 1 or self.offsets[-1] != len(self.interference):
             raise ValueError("offsets must bound every unit's slice of the interference effects")
+
+
+def _read_only(value, dtype) -> np.ndarray:
+    """``value`` itself if it is a read-only array of ``dtype``, else a read-only copy.
+
+    A caller's writable array is copied, never frozen in place.
+    """
+    if type(value) is np.ndarray and value.dtype == dtype and not value.flags.writeable:
+        return value
+    value = np.array(value, dtype=dtype)
+    value.setflags(write=False)
+    return value
 
 
 @dataclass(frozen=True)
@@ -118,35 +130,73 @@ def sample_parameters(network: Network, model: OutcomeModel, seed) -> Parameters
     Each stream is drawn as one vector in unit order: (alpha, direct,
     interference_1..d_i) per unit from the common stream (alpha alone under
     dilation), interaction_1..d_i per unit from the interaction stream.
+    Where each entry sits depends on the in-degrees alone, so that layout is
+    built once per in-degree vector and every draw on one network shares it,
+    ``offsets`` included; a draw only draws.
     """
     n = network.n
-    degrees = network.in_degrees
-    offsets = np.zeros(n + 1, dtype=np.intp)
-    ends = np.cumsum(degrees, out=offsets[1:])
-    starts = ends - degrees
-    total = int(degrees.sum())
-    # Unit owning each entry of the units' concatenated (d = 1..d_i) vectors, and its d / d_i.
-    owner = np.repeat(np.arange(n), degrees)
-    position = np.arange(total)
-    scale = (position - starts[owner] + 1) / degrees[owner]
+    layout = _entry_layout(network.in_degrees.tobytes())
     words = _as_words(seed)
     rng_common = np.random.default_rng(np.random.SeedSequence([*words, _STREAM_COMMON]))
     if model.kind == "dilated":
         alpha = rng_common.normal(size=n)
         direct = alpha
-        interference = scale * model.eta1 * alpha[owner]
+        interference = layout.scale * model.eta1 * alpha[layout.owner]
     else:
-        draws = rng_common.normal(size=2 * n + total)
-        first = 2 * np.arange(n) + starts
-        alpha = draws[first]
-        direct = draws[first + 1]
-        interference = scale * model.mu1 + draws[2 * (owner + 1) + position]
+        draws = rng_common.normal(size=2 * n + len(layout.owner))
+        alpha = draws[layout.alpha_at]
+        direct = draws[layout.direct_at]
+        interference = layout.scale * model.mu1 + draws[layout.interference_at]
     interaction = None
     if model.kind == "interaction" and model.delta1 > 0:
         rng_inter = np.random.default_rng(
             np.random.SeedSequence([*words, _STREAM_INTERACTION]))
-        interaction = scale * model.delta1 + rng_inter.normal(size=total)
-    return Parameters(alpha, direct, interference, offsets, interaction)
+        interaction = layout.scale * model.delta1 + rng_inter.normal(size=len(layout.owner))
+    for value in (alpha, direct, interference, interaction):
+        if value is not None:
+            value.setflags(write=False)
+    return Parameters(alpha, direct, interference, layout.offsets, interaction)
+
+
+class _EntryLayout(NamedTuple):
+    """Where each unit's parameters sit, a function of the in-degrees alone; read-only.
+
+    ``offsets`` bounds each unit's slice of the (d = 1..d_i) entries, ``owner``
+    is the unit of each entry and ``scale`` its d / d_i.  ``alpha_at``,
+    ``direct_at`` and ``interference_at`` index the common stream's vector,
+    which holds (alpha, direct, interference_1..d_i) per unit in unit order.
+    """
+
+    offsets: np.ndarray
+    owner: np.ndarray
+    scale: np.ndarray
+    alpha_at: np.ndarray
+    direct_at: np.ndarray
+    interference_at: np.ndarray
+
+
+# Keyed on the raw int64 in-degree bytes, so every draw on one network shares one layout.
+@lru_cache(maxsize=8)
+def _entry_layout(degree_bytes: bytes) -> _EntryLayout:
+    degrees = np.frombuffer(degree_bytes, dtype=np.int64)
+    n = len(degrees)
+    offsets = np.zeros(n + 1, dtype=np.intp)
+    ends = np.cumsum(degrees, out=offsets[1:])
+    starts = ends - degrees
+    owner = np.repeat(np.arange(n), degrees)
+    position = np.arange(len(owner))
+    alpha_at = 2 * np.arange(n) + starts
+    layout = _EntryLayout(
+        offsets=offsets,
+        owner=owner,
+        scale=(position - starts[owner] + 1) / degrees[owner],
+        alpha_at=alpha_at,
+        direct_at=alpha_at + 1,
+        interference_at=2 * (owner + 1) + position,
+    )
+    for array in layout:
+        array.setflags(write=False)
+    return layout
 
 
 def _as_words(seed) -> list[int]:
@@ -424,13 +474,13 @@ def _outcome_table(drawn, width):
     # True at (row, d - 1) for d = 1..d_i: row-major, the order the entries are drawn in.
     held = np.arange(1, width // 2) <= degrees[owners][:, None]
     levels = np.zeros((len(drawn), *held.shape))
-    for draw_levels, params in zip(levels, drawn):
-        draw_levels[held] = params.interference
+    # One mask over every draw: a slice before a mask takes numpy's slow mixed-index path.
+    every_held = np.broadcast_to(held, levels.shape)
+    levels[every_held] = np.concatenate([params.interference for params in drawn])
     np.add(table[..., :1], levels, out=table[..., 2::2], where=held)
     np.add(table[..., 1:2], levels, out=table[..., 3::2], where=held)
     if drawn[0].interaction is not None:
-        for draw_levels, params in zip(levels, drawn):
-            draw_levels[held] = params.interaction
+        levels[every_held] = np.concatenate([params.interaction for params in drawn])
         table[..., 3::2] += levels
     return table
 
@@ -513,16 +563,17 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     exact moments are v . p and v' G v, with G the closed form of
     :func:`joint_exposure_pmf`, built once per setting without enumerating
     any allocation, and p its diagonal.  Draws go in blocks of about 64k
-    value entries: one stacked outcome table and one batched product give
-    every moment of a block.  Sample mode takes one draw per block, and
-    averages over a batch of allocations drawn per draw and
-    shared by every estimator: one float32 BLAS product gives every
+    value entries: one stacked outcome table, a batched product with p and
+    one 2-D product with G give every moment of a block.  Sample mode takes
+    one draw per block, and averages over a batch of allocations drawn per
+    draw and shared by every estimator: one float32 BLAS product gives every
     (allocation, unit) slot, offset in place into a flat index of the
     (unit x slot) value table, and each family is one ``take`` of it.
     Everything that does not change between draws (units, weights, slot
-    coefficients) is built before the draw loop.  Fully deterministic given
-    the master seed, and independent of the interaction level for families
-    that never read treated outcomes.
+    coefficients, and the parameters' entry layout, which
+    :func:`sample_parameters` builds once per network) is built before the
+    draw loop.  Fully deterministic given the master seed, and independent
+    of the interaction level for families that never read treated outcomes.
 
     ``metadata["stage_seconds"]`` times the setting-level stages (network,
     families, joint_pmf) and, summed over blocks, the per-draw ones: params,
@@ -591,15 +642,19 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
         mark = time.perf_counter()
         drawn = [sample_parameters(network, config.outcome, [config.master_seed, draw])
                  for draw in range(draws.start, draws.stop)]
-        # One 1-D mean per draw: a mean along an axis may sum in another order.
-        theta_bars[draws] = [np.mean(params.interference[tops]) for params in drawn]
+        # One 1-D sum per draw over its length, the bits of np.mean at less cost:
+        # a sum along an axis may add in another order.
+        theta_bars[draws] = [params.interference[tops].sum() / len(units) for params in drawn]
         mark = lap("params", mark)
         value_tables = weight_tables * _outcome_table(drawn, width)[:, None]
         mark = lap("outcome_table", mark)
         if exhaustive:
             values = value_tables.reshape(len(drawn), n_families, -1) / len(units)
+            # A batched product with p, but one 2-D product with G over every (draw, family)
+            # row: a 2-D product with p sums in another order, one with G keeps the bits.
             first_moment = values @ pmf
-            second_moment = np.einsum("dfa,dfa->df", values @ joint, values)
+            rows = values.reshape(-1, values.shape[-1])
+            second_moment = np.einsum("ra,ra->r", rows @ joint, rows).reshape(first_moment.shape)
         else:
             rng = np.random.default_rng(
                 np.random.SeedSequence([config.master_seed, first_draw, _STREAM_ALLOCATIONS])

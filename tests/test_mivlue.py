@@ -271,6 +271,10 @@ class TestOutcomeVariance:
             assert outcome_variance(prior, spec, e) == pytest.approx(0.0, abs=1e-12)
         assert outcome_variance(prior, spec, (1, 1)) > 0.1
 
+    def test_null_prior_rejects_an_empty_support(self):
+        with pytest.raises(ValueError, match="empty support"):
+            support_null_prior(ExposureSpec((2, 1)), [])
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="parameters"):
             outcome_variance(PriorSpec(np.eye(3)), ExposureSpec((3, 1)), (0, 0))

@@ -80,6 +80,17 @@ class TestKRegular:
         with pytest.raises(ValueError):
             gen_k_regular_directed(4, 0, seed=0)
 
+    @pytest.mark.parametrize("n, k", [(3, 2), (16, 4), (20, 19), (200, 8)])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_equals_the_choice_over_the_other_units(self, n, k, seed):
+        """Drawing positions among the others and shifting past i keeps stream and graph."""
+        rng = np.random.default_rng(seed)
+        reference = np.zeros((n, n), dtype=np.int64)
+        for i in range(n):
+            others = np.concatenate([np.arange(i), np.arange(i + 1, n)])
+            reference[rng.choice(others, size=k, replace=False), i] = 1
+        np.testing.assert_array_equal(gen_k_regular_directed(n, k, seed).adjacency, reference)
+
     def test_column_sums_across_instances(self):
         for seed in range(5):
             net = gen_k_regular_directed(15, 5, seed=seed)

@@ -299,6 +299,37 @@ class TestSampleParameters:
         for kind in ("alpha", "direct", "interference", "offsets"):
             np.testing.assert_array_equal(getattr(a, kind), getattr(b, kind))
 
+    def test_layout_is_built_once_per_in_degree_vector(self):
+        """Networks with equal in-degrees share one layout; other in-degrees build their own."""
+        lue.simulation._entry_layout.cache_clear()
+        model = OutcomeModel("independent")
+        first, second = (sample_parameters(gen_k_regular_directed(10, 3, seed), model, 0)
+                         for seed in (1, 2))
+        other = sample_parameters(gen_erdos_renyi_directed(10, 0.3, seed=4), model, 0)
+        assert first.offsets is second.offsets
+        assert other.offsets is not first.offsets
+        assert lue.simulation._entry_layout.cache_info().misses == 2
+
+    def test_caller_arrays_are_copied_and_stay_writable(self):
+        given = {"alpha": np.zeros(2), "direct": np.ones(2), "interference": np.arange(3.0),
+                 "offsets": np.array([0, 2, 3], dtype=np.intp), "interaction": np.ones(3)}
+        params = Parameters(**given)
+        for kind, array in given.items():
+            assert getattr(params, kind) is not array
+            assert array.flags.writeable and not getattr(params, kind).flags.writeable
+        given["alpha"][0] = 5.0
+        assert params.alpha[0] == 0.0
+
+    def test_read_only_arrays_are_kept_unless_the_dtype_differs(self):
+        alpha, offsets, integers = np.zeros(2), np.array([0, 2, 3], dtype=np.intp), np.arange(3)
+        for array in (alpha, offsets, integers):
+            array.setflags(write=False)
+        params = Parameters(alpha, alpha, integers, offsets)
+        assert params.alpha is alpha and params.direct is alpha and params.offsets is offsets
+        assert params.interference.dtype == float and not params.interference.flags.writeable
+        as_int32 = Parameters(alpha, alpha, alpha, np.array([0, 1, 2], dtype=np.int32)).offsets
+        assert as_int32.dtype == np.intp and not as_int32.flags.writeable
+
     def test_inconsistent_layout_rejected(self):
         with pytest.raises(ValueError, match="match the interference"):
             one_unit(0.0, 0.0, np.zeros(2), np.zeros(1))
@@ -853,6 +884,26 @@ class TestComputeImse:
             report = compute_imse(config)
             for result in report.results.values():
                 assert np.isfinite(result.imse) and result.bias_squared < 1e-20
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+    def test_each_draw_calls_the_module_sampler_on_one_layout(self, monkeypatch, mode):
+        """One call of the module's ``sample_parameters`` per draw, all on one entry layout."""
+        drawn = []
+        original = lue.simulation.sample_parameters
+
+        def recorded(*args, **kwargs):
+            drawn.append(original(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(lue.simulation, "sample_parameters", recorded)
+        lue.simulation._entry_layout.cache_clear()
+        config = self.small_config(allocation_mode=mode, allocation_count=20, num_draws=7)
+        compute_imse(config)
+        assert len(drawn) == config.num_draws
+        layouts = lue.simulation._entry_layout.cache_info()
+        assert (layouts.misses, layouts.hits) == (1, config.num_draws - 1)
+        assert all(params.offsets is drawn[0].offsets for params in drawn)
+        assert not drawn[0].offsets.flags.writeable
 
     @staticmethod
     def count_calls(monkeypatch):
