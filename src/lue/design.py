@@ -138,26 +138,13 @@ def bernoulli_slot_pmf(degree: int, p_treat: float) -> np.ndarray:
 def bernoulli_exposure_prob(degree: int, e: Exposure, p_treat: float) -> float:
     """Probability of treated-degree exposure (d, z) for a unit with ``degree`` in-neighbors.
 
-    Entry [d, z] of :func:`bernoulli_slot_pmf`, which also checks ``p_treat``.
-    Raises when the mass underflows float64 to 0, with
-    :func:`bernoulli_exposure_distribution`'s message.
+    Entry ``e`` of :func:`bernoulli_exposure_distribution`, which raises for
+    degree 0 and for any degree at which some mass underflows float64.
     """
-    d, z = e
+    _, z = e
     if z not in (0, 1):
         raise ValueError(f"own-treatment component must be 0 or 1, got {z}")
-    if not 0 <= d <= degree:
-        raise ValueError(f"treated degree {d} out of range 0..{degree}")
-    # Degree 0 has no spec of its own, but its one treated degree, 0, is in every set.
-    d, z = ExposureSpec((max(degree, 1), 1)).validate_exposure(e)
-    mass = float(bernoulli_slot_pmf(degree, p_treat)[d, z])
-    if mass == 0.0:
-        raise ValueError(_underflow_message(degree, p_treat, d, z))
-    return mass
-
-
-def _underflow_message(degree: int, p_treat: float, d, z) -> str:
-    return (f"in-degree {degree} at p_treat {p_treat}: the mass of exposure ({d}, {z}) "
-            "underflows float64")
+    return bernoulli_exposure_distribution(degree, p_treat)[e]
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
@@ -176,7 +163,8 @@ def bernoulli_exposure_distribution(degree: int, p_treat: float) -> ExposureDist
     probs = bernoulli_slot_pmf(degree, p_treat)[d, z]
     if not probs.all():
         j = int(np.argmin(probs))
-        raise ValueError(_underflow_message(degree, p_treat, d[j], z[j]))
+        raise ValueError(f"in-degree {degree} at p_treat {p_treat}: the mass of exposure "
+                         f"({d[j]}, {z[j]}) underflows float64")
     return ExposureDistribution(spec, probs)
 
 

@@ -114,6 +114,16 @@ class OutcomeModel:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.kind == "interaction" and self.delta1 < 0:
             raise ValueError("interaction level must be nonnegative")
+        _refuse_unread(self, {"independent": ("eta1", "delta1"), "dilated": ("mu1", "delta1"),
+                              "interaction": ("eta1",)}[self.kind])
+
+
+def _refuse_unread(config, names) -> None:
+    """Refuse any field in ``names``, which ``config``'s kind never reads, off its default."""
+    for f in fields(config):
+        if f.name in names and getattr(config, f.name) != f.default:
+            raise ValueError(f"{f.name} is not read under kind {config.kind!r}, "
+                             f"got {getattr(config, f.name)!r}")
 
 
 def sample_parameters(network: Network, model: OutcomeModel, seed) -> Parameters:
@@ -130,13 +140,12 @@ def sample_parameters(network: Network, model: OutcomeModel, seed) -> Parameters
     Each stream is drawn as one vector in unit order: (alpha, direct,
     interference_1..d_i) per unit from the common stream (alpha alone under
     dilation), interaction_1..d_i per unit from the interaction stream.
-    Where each entry sits depends on the in-degrees alone, so that layout is
-    built once per in-degree vector and every draw on one network shares it,
+    Where each entry sits is the network's cached :class:`_EntryLayout`,
     ``offsets`` included; a draw only draws.
     """
     n = network.n
     layout = _entry_layout(network.in_degrees.tobytes())
-    words = _as_words(seed)
+    words = [int(s) for s in (seed if isinstance(seed, (list, tuple)) else [seed])]
     rng_common = np.random.default_rng(np.random.SeedSequence([*words, _STREAM_COMMON]))
     if model.kind == "dilated":
         alpha = rng_common.normal(size=n)
@@ -173,6 +182,7 @@ class _EntryLayout(NamedTuple):
     alpha_at: np.ndarray
     direct_at: np.ndarray
     interference_at: np.ndarray
+    tops: np.ndarray  # the d = d_i entry of each unit of positive in-degree
 
 
 # Keyed on the raw int64 in-degree bytes, so every draw on one network shares one layout.
@@ -193,16 +203,11 @@ def _entry_layout(degree_bytes: bytes) -> _EntryLayout:
         alpha_at=alpha_at,
         direct_at=alpha_at + 1,
         interference_at=2 * (owner + 1) + position,
+        tops=ends[degrees > 0] - 1,
     )
     for array in layout:
         array.setflags(write=False)
     return layout
-
-
-def _as_words(seed) -> list[int]:
-    if isinstance(seed, (list, tuple)):
-        return [int(s) for s in seed]
-    return [int(seed)]
 
 
 def unit_exposure_distribution(design, network: Network, unit: int) -> ExposureDistribution:
@@ -215,12 +220,9 @@ def included_units(network: Network) -> list[int]:
     return np.flatnonzero(network.in_degrees >= 1).tolist()
 
 
-@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _slots(degree: int) -> np.ndarray:
-    """Slot 2d + z of each exposure (d, z) of in-degree ``degree``, canonical order, read-only."""
-    slots = canonical_grid((degree, 1)) @ (2, 1)
-    slots.setflags(write=False)
-    return slots
+    """Slot 2d + z of each exposure (d, z) of in-degree ``degree``, in canonical order."""
+    return canonical_grid((degree, 1)) @ (2, 1)
 
 
 def clear_weight_memo() -> None:
@@ -260,8 +262,8 @@ def family_weights(names, degree: int, p_treat: float, eta1: float = 1.0) -> np.
 # A row is a pure function of its key (family, in-degree, p_treat, and eta1
 # for MDil only), so it is solved once per process; the cache holds
 # SPEC_CACHE_SIZE in-degrees' worth of every family.  A failed solve raises
-# and is not cached.  The exposure pmf and the slots are cached per in-degree
-# too, so a cold in-degree builds each once for all its families.
+# and is not cached.  The exposure pmf is cached per in-degree too, so a cold
+# in-degree builds it once for all its families.
 @lru_cache(maxsize=len(ESTIMATOR_NAMES) * SPEC_CACHE_SIZE)
 def _weight_row(name: str, degree: int, p_treat: float, eta1: float | None) -> np.ndarray:
     """One :func:`family_weights` row, by slot, as a read-only array."""
@@ -305,10 +307,11 @@ def build_estimator_family(name: str, network: Network, design,
 
 def true_average_effect(network: Network, params: Parameters) -> float:
     """Mean full-neighborhood interference effect over units with positive degree."""
-    units = included_units(network)
-    if not units:
+    tops = _entry_layout(network.in_degrees.tobytes()).tops
+    if not len(tops):
         raise ValueError("every unit has in-degree 0; the average estimand is undefined")
-    return float(np.mean(params.interference[params.offsets[1:][units] - 1]))
+    # One 1-D sum over its length: the bits of np.mean, at less cost.
+    return float(params.interference[tops].sum() / len(tops))
 
 
 @dataclass(frozen=True)
@@ -328,6 +331,7 @@ class NetworkConfig:
         if self.kind == "erdos_renyi" and not _is_finite(self.p_edge):
             raise ValueError(f"erdos_renyi networks need p_edge, a finite number, "
                              f"got {self.p_edge!r}")
+        _refuse_unread(self, ("p_edge",) if self.kind == "k_regular" else ("k",))
 
     def build(self, seed) -> Network:
         if self.kind == "k_regular":
@@ -392,17 +396,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """Inverse of :meth:`to_dict`; unknown top-level keys are ignored.
+        """Inverse of :meth:`to_dict`; an unknown top-level key is refused by name.
 
         Absent top-level keys take the field defaults; the nested network and
         outcome accept only their own fields.
         """
-        settings = {f.name for f in fields(cls)} - {"network", "outcome"}
-        return cls(
-            network=NetworkConfig(**data["network"]),
-            outcome=OutcomeModel(**data["outcome"]),
-            **{key: value for key, value in data.items() if key in settings},
-        )
+        unknown = sorted(data.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config field {', '.join(map(repr, unknown))}")
+        return cls(**{**data, "network": NetworkConfig(**data["network"]),
+                      "outcome": OutcomeModel(**data["outcome"])})
 
 
 def payload_hash(payload) -> str:
@@ -569,10 +572,10 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     draw and shared by every estimator: one float32 BLAS product gives every
     (allocation, unit) slot, offset in place into a flat index of the
     (unit x slot) value table, and each family is one ``take`` of it.
-    Everything that does not change between draws (units, weights, slot
-    coefficients, and the parameters' entry layout, which
-    :func:`sample_parameters` builds once per network) is built before the
-    draw loop.  Fully deterministic given the master seed, and independent
+    Everything that does not change between draws is built once: the units,
+    weights and slot coefficients before the draw loop, and the entry layout
+    that :func:`sample_parameters` and :func:`true_average_effect` read on the
+    first draw.  Fully deterministic given the master seed, and independent
     of the interaction level for families that never read treated outcomes.
 
     ``metadata["stage_seconds"]`` times the setting-level stages (network,
@@ -634,17 +637,13 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     means = np.zeros((n_families, n_draws))
     second = np.zeros((n_families, n_draws))
     theta_bars = np.zeros(n_draws)
-    # Entry of each unit's full-neighbourhood effect; the layout is the same in every draw.
-    tops = np.cumsum(network.in_degrees)[units] - 1
     block = max(1, 2**16 // (n_families * len(units) * width)) if exhaustive else 1
     for first_draw in range(0, n_draws, block):
         draws = slice(first_draw, min(first_draw + block, n_draws))
         mark = time.perf_counter()
         drawn = [sample_parameters(network, config.outcome, [config.master_seed, draw])
                  for draw in range(draws.start, draws.stop)]
-        # One 1-D sum per draw over its length, the bits of np.mean at less cost:
-        # a sum along an axis may add in another order.
-        theta_bars[draws] = [params.interference[tops].sum() / len(units) for params in drawn]
+        theta_bars[draws] = [true_average_effect(network, params) for params in drawn]
         mark = lap("params", mark)
         value_tables = weight_tables * _outcome_table(drawn, width)[:, None]
         mark = lap("outcome_table", mark)

@@ -418,6 +418,23 @@ class TestSimulateCommand:
         ({"p_treat": True}, "setting 0 failed: ValueError: p_treat must be a finite number, got True"),
         ({"estimators": ["MInd", "HT0", "MInd"]},
          "setting 0 failed: ValueError: estimator family 'MInd' is listed more than once"),
+        # A field the run never reads is refused, not silently dropped.
+        ({"num_draw": 3, "estimator": ["HT0"]},
+         "setting 0 failed: ValueError: unknown config field 'estimator', 'num_draw'"),
+        ({"network": {"kind": "k_regular", "n": 8, "k": 2, "p_edge": 0.3}},
+         "setting 0 failed: ValueError: p_edge is not read under kind 'k_regular', got 0.3"),
+        ({"network": {"kind": "erdos_renyi", "n": 8, "p_edge": 0.3, "k": 2}},
+         "setting 0 failed: ValueError: k is not read under kind 'erdos_renyi', got 2"),
+        ({"outcome": {"kind": "independent", "mu1": 0, "delta1": 5}},
+         "setting 0 failed: ValueError: delta1 is not read under kind 'independent', got 5"),
+        ({"outcome": {"kind": "dilated", "eta1": 2, "delta1": 1}},
+         "setting 0 failed: ValueError: delta1 is not read under kind 'dilated', got 1"),
+        ({"outcome": {"kind": "independent", "eta1": 2}},
+         "setting 0 failed: ValueError: eta1 is not read under kind 'independent', got 2"),
+        ({"outcome": {"kind": "interaction", "delta1": 1, "eta1": 0.5}},
+         "setting 0 failed: ValueError: eta1 is not read under kind 'interaction', got 0.5"),
+        ({"outcome": {"kind": "dilated", "mu1": 3, "eta1": 2}},
+         "setting 0 failed: ValueError: mu1 is not read under kind 'dilated', got 3"),
     ])
     def test_out_of_range_setting_names_the_field(self, tmp_path, capsys, override, message):
         config = {**self.sweep_config(), "network": {"kind": "k_regular", "n": 8, "k": 2},
@@ -426,6 +443,20 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", path, "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert message in capsys.readouterr().err
+
+    def test_unread_grid_value_fails_its_setting_by_name(self, tmp_path, capsys):
+        """A grid over delta1 under the independent model writes no row labelled delta1 5."""
+        config = {"network": {"kind": "k_regular", "n": 8, "k": 2},
+                  "outcome": {"kind": "independent", "mu1": 0, "delta1": [0, 5]},
+                  "num_draws": 2, "estimators": ["HT0"]}
+        path = write_json(tmp_path / "grid.json", config)
+        assert main(["simulate", "--config", path, "--out-dir", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert ("setting 1 failed: ValueError: delta1 is not read under kind 'independent', "
+                "got 5") in captured.err
+        rows = [line for line in open(captured.out.strip()).read().splitlines()
+                if line.startswith("HT0,")]
+        assert len(rows) == 1 and rows[0].split(",")[5] == "0"
 
     def test_underflowing_pmf_names_degree_and_p_treat(self, tmp_path, capsys):
         """A dense graph at a small p_treat fails its setting with the cause named."""
@@ -582,6 +613,18 @@ class TestCheckInjection:
 
 
 class TestReadme:
+    def test_simulate_config_example_runs(self, tmp_path, capsys):
+        """The README's ``simulate`` config runs as written: four settings of five families."""
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("`simulate` config example", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, flags=re.DOTALL).group(1)
+        path = tmp_path / "sweep.json"
+        path.write_text(block)
+        assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        text = open(capsys.readouterr().out.strip()).read()
+        rows = [line for line in text.splitlines() if line and not line.startswith("#")]
+        assert len(rows) == 1 + 20  # header + settings x families
+
     def test_library_example_runs(self, capsys):
         """The README's python block runs as written and prints its four results."""
         readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()

@@ -29,7 +29,6 @@ def three_cycle():
 class TestBernoulliExposureProb:
     def test_half_probability_examples(self):
         assert bernoulli_exposure_prob(4, (2, 1), 0.5) == pytest.approx(0.1875, abs=1e-15)
-        assert bernoulli_exposure_prob(0, (0, 1), 0.5) == pytest.approx(0.5, abs=1e-15)
         assert bernoulli_exposure_prob(2, (0, 0), 0.5) == pytest.approx(0.125, abs=1e-15)
 
     def test_reduces_to_symmetric_form_at_half(self):
@@ -53,6 +52,27 @@ class TestBernoulliExposureProb:
     def test_rejected_input_is_named(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+
+    def test_scalar_is_an_entry_of_the_pmf_bit_for_bit(self):
+        """The scalar is the pmf's entry, in both the direct and log branches."""
+        for degree in (1, 2, 7, 50, 51, 80, 300):
+            for p in (0.1, 0.3, 0.5, 0.77):
+                dist = bernoulli_exposure_distribution(degree, p)
+                for e, mass in zip(dist, dist.vector):
+                    scalar = bernoulli_exposure_prob(degree, e, p)
+                    assert np.float64(scalar).tobytes() == mass.tobytes(), (degree, e, p)
+
+    @pytest.mark.parametrize("degree,exposure,p", [(0, (0, 1), 0.3), (1074, (537, 1), 0.5)],
+                             ids=["degree_0", "underflowing_degree"])
+    def test_scalar_refuses_where_the_pmf_refuses(self, degree, exposure, p):
+        """Degree 0, and a degree at which any mass underflows, raise the pmf's message.
+
+        An exposure whose own mass is representable is refused too.
+        """
+        with pytest.raises(ValueError) as refused:
+            bernoulli_exposure_distribution(degree, p)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            bernoulli_exposure_prob(degree, exposure, p)
 
     def test_log_space_matches_direct_formula(self):
         """Dense-graph path agrees with exact binomial arithmetic."""

