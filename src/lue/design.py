@@ -89,8 +89,15 @@ class BernoulliDesign:
         treated = np.asarray(z).sum(axis=-1)
         return self.p_treat**treated * (1.0 - self.p_treat) ** (self.n - treated)
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return (rng.random((count, self.n)) < self.p_treat).astype(np.int64)
+    def sample(self, rng: np.random.Generator, count: int, out=None) -> np.ndarray:
+        """``count`` allocations as 0/1 rows: int64, or written straight into ``out`` and returned.
+
+        Each uniform of ``rng`` is compared against ``p_treat`` in row-major
+        order, so rows drawn from one generator in consecutive blocks equal,
+        bit for bit, the rows of one call.  ``out`` is (count x n), any real dtype.
+        """
+        treated = np.less(rng.random((count, self.n)), self.p_treat, out=out)
+        return treated if out is not None else treated.astype(np.int64)
 
 
 ENUMERATION_LIMIT = 20

@@ -280,8 +280,13 @@ def _solve_assembled(system: KktSystem, active=True) -> MivlueSolution:
     outside ``active`` get rate and weight 0: that is the dilation limit.
     """
     m1 = system.spec.levels[0]
-    first = active_parameters(system.spec)[0][:, 1]  # e_1's position is e_1, and 0 at level 0
-    tail = indicator_matrix(system.spec)[m1 + 1:].T
+    positions, mask = active_parameters(system.spec)
+    first = positions[:, 1]  # e_1's position is e_1, and 0 at level 0
+    # Indicator rows m1 + 1.., without caching a P x E matrix; C-ordered, as BLAS summed them.
+    exposures, components = np.nonzero(mask[:, 2:])
+    tail = np.zeros((system.spec.num_parameters - m1 - 1, len(positions)))
+    tail[positions[:, 2:][exposures, components] - m1 - 1, exposures] = 1.0
+    tail = tail.T
     # Row j holds the rates of group e_1 = j, so each group sums only its own
     # exposures: no group is ever a total minus the others.
     rate = system.probabilities / system.variances * active

@@ -494,21 +494,19 @@ def slot_coefficients(network: Network, units) -> np.ndarray:
     return coefficients[:, units].astype(np.float32)
 
 
-def exposure_slots(alloc: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """Exposure slot of every (allocation, unit) pair as integers.
+def exposure_slots(alloc: np.ndarray, coefficients: np.ndarray, offsets=0,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Exposure slot of every (allocation, unit) pair plus ``offsets``, as intp integers.
 
     The float product goes through BLAS and is exact, in float32 too: every
     term is 0, 1 or 2, so every partial sum is an integer no larger than the
     slot itself, at most 2(n - 1) + 1.  That is below 2**24, up to which
-    float32 holds every integer exactly, for any n under 8 million.  Rows go
-    in blocks of about 64k allocation entries, so the float temporaries stay
-    small and cache-resident.
+    float32 holds every integer exactly, for any n under 8 million.  The
+    product is cast to intp, exactly, and ``offsets`` added in one pass, into
+    ``out`` when given.  :func:`compute_imse` calls this once per row block
+    of allocations, with each unit's row offset into its flat value table.
     """
-    slots = np.empty((len(alloc), coefficients.shape[1]), dtype=np.intp)
-    block = max(1, 2**16 // coefficients.shape[0])
-    for start in range(0, len(alloc), block):
-        slots[start:start + block] = alloc[start:start + block] @ coefficients
-    return slots
+    return np.add(alloc @ coefficients, offsets, out=out, dtype=np.intp, casting="unsafe")
 
 
 def joint_exposure_pmf(network: Network, units, width: int, p_treat: float) -> np.ndarray:
@@ -569,9 +567,14 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     value entries: one stacked outcome table, a batched product with p and
     one 2-D product with G give every moment of a block.  Sample mode takes
     one draw per block, and averages over a batch of allocations drawn per
-    draw and shared by every estimator: one float32 BLAS product gives every
-    (allocation, unit) slot, offset in place into a flat index of the
-    (unit x slot) value table, and each family is one ``take`` of it.
+    draw and shared by every estimator.  The batch streams through row
+    blocks of about 64k allocation entries, each drawn straight into one
+    float32 buffer with the bits of a one-shot draw; one BLAS product gives
+    a block's (allocation, unit) slots, cast with each unit's offset into a
+    flat index of the (unit x slot) value table, and each family sums one
+    ``take`` of it over units.  Those buffers and the (family x allocation)
+    estimates are allocated once per setting, so memory does not grow with
+    ``allocation_count``.
     Everything that does not change between draws is built once: the units,
     weights and slot coefficients before the draw loop, and the entry layout
     that :func:`sample_parameters` and :func:`true_average_effect` read on the
@@ -581,7 +584,8 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     ``metadata["stage_seconds"]`` times the setting-level stages (network,
     families, joint_pmf) and, summed over blocks, the per-draw ones: params,
     outcome_table, allocations, slots, gather and moments (the sample-mode
-    allocations, slots and gather read 0 in exhaustive mode).
+    allocations, slots and gather, also summed over row blocks, read 0 in
+    exhaustive mode).
     ``metadata["weight_rows"]`` counts the setting's (family, in-degree)
     weight rows that were ``solved`` and those ``reused`` from the memo of
     :func:`family_weights`.
@@ -631,6 +635,11 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
         # Start of each unit's row in a flattened (unit x slot) table.
         row_offsets = np.arange(len(units)) * width
         alloc_weights = np.full(config.allocation_count, 1.0 / config.allocation_count)
+        # Rows of about 64k allocation entries, so every buffer stays small and cache-resident.
+        block_rows = min(config.allocation_count, max(1, 2**16 // network.n))
+        alloc = np.empty((block_rows, network.n), dtype=np.float32)
+        slots = np.empty((block_rows, len(units)), dtype=np.intp)
+        estimates = np.empty((n_families, config.allocation_count))
     lap("joint_pmf", mark)
 
     n_draws = config.num_draws
@@ -658,14 +667,18 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
             rng = np.random.default_rng(
                 np.random.SeedSequence([config.master_seed, first_draw, _STREAM_ALLOCATIONS])
             )
-            alloc = design.sample(rng, config.allocation_count).astype(np.float32)
-            mark = lap("allocations", mark)
-            slots = exposure_slots(alloc, coefficients)
-            slots += row_offsets
-            mark = lap("slots", mark)
-            estimates = np.empty((n_families, config.allocation_count))
-            for row, value_table in enumerate(value_tables[0]):
-                estimates[row] = value_table.take(slots).mean(axis=1)
+            for first_row in range(0, config.allocation_count, block_rows):
+                size = min(block_rows, config.allocation_count - first_row)
+                design.sample(rng, size, out=alloc[:size])
+                mark = lap("allocations", mark)
+                exposure_slots(alloc[:size], coefficients, row_offsets, out=slots[:size])
+                mark = lap("slots", mark)
+                for row, value_table in enumerate(value_tables[0]):
+                    np.add.reduce(value_table.take(slots[:size]), axis=1,
+                                  out=estimates[row, first_row:first_row + size])
+                mark = lap("gather", mark)
+            # The sums over units, then one division: the bits of take(...).mean(axis=1).
+            estimates /= len(units)
             mark = lap("gather", mark)
             # One dot per family: a matrix-vector product may sum in another order.
             first_moment = np.array([[alloc_weights @ e for e in estimates]])

@@ -64,6 +64,20 @@ def test_traced_simulate_op_and_bias_check(bench, tmp_path):
     assert (checked, biased) == (len(CONFIG["estimators"]) * CONFIG["network"]["n"], 0)
 
 
+def test_traced_sample_op_counts_every_allocation_once(bench, tmp_path):
+    """Allocations are drawn in row blocks; the trace still counts each one exactly once."""
+    worker, workload = bench
+    config = dict(CONFIG, network={"kind": "k_regular", "n": 40, "k": 3}, num_draws=2,
+                  allocation_mode="sample", allocation_count=4000)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    layers, record = traced(worker, lambda tracer: worker.simulate_op(
+        lue, workload("guard", warm=False, config=config), str(config_path),
+        str(tmp_path / "out"), 7, tracer))
+    assert record["error"] is None
+    assert layers["design.allocations"] == config["num_draws"] * config["allocation_count"]
+
+
 def test_traced_verify_op_counts_built_estimators(bench):
     worker, workload = bench
     layers, record = traced(worker, lambda tracer: worker.verify_op(

@@ -3,6 +3,7 @@
 import ast
 import operator
 import pathlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ import lue.design
 import lue.simulation
 from lue.design import BernoulliDesign, allocation_matrix
 from lue.estimators import LinearEstimator, constraint_residuals
+from lue.exposure import indicator_matrix
 from lue.mivlue import PriorSpec, SingularSystemError, identity_prior, solve_mivlue
 from lue.networks import Network, gen_erdos_renyi_directed, gen_k_regular_directed
 from lue.simulation import (
@@ -96,17 +98,23 @@ def estimate_average_effect(family, network, allocation, params):
     return total / len(units)
 
 
-def per_draw_moments(config):
-    """Reference: each family's exhaustive mean and MSE (families x draws), one draw at a time."""
-    network = config.build_network()
-    units = included_units(network)
-    width = 2 * (int(network.in_degrees.max()) + 1)
+def weight_tables_of(config, network, units, width):
+    """Reference: the (family x unit x slot) weights of a setting, one unit at a time."""
     eta1 = config.outcome.eta1 if config.outcome.kind == "dilated" else 1.0
     weight_tables = np.zeros((len(config.estimators), len(units), width))
     for row, unit in enumerate(units):
         degree = int(network.in_degrees[unit])
         weight_tables[:, row, :2 * degree + 2] = family_weights(
             config.estimators, degree, config.p_treat, eta1)
+    return weight_tables
+
+
+def per_draw_moments(config):
+    """Reference: each family's exhaustive mean and MSE (families x draws), one draw at a time."""
+    network = config.build_network()
+    units = included_units(network)
+    width = 2 * (int(network.in_degrees.max()) + 1)
+    weight_tables = weight_tables_of(config, network, units, width)
     joint = joint_exposure_pmf(network, units, width, config.p_treat)
     pmf = joint.diagonal()
     means, mse = [], []
@@ -117,6 +125,37 @@ def per_draw_moments(config):
         values = value_tables.reshape(len(config.estimators), -1) / len(units)
         first_moment = values @ pmf
         second_moment = np.einsum("fa,fa->f", values @ joint, values)
+        means.append(first_moment)
+        mse.append(second_moment - 2.0 * theta_bar * first_moment + theta_bar**2)
+    return np.array(means).T, np.array(mse).T
+
+
+def sampled_moments(config):
+    """Reference: each family's sample-mode mean and MSE (families x draws), in one shot per draw.
+
+    A draw's allocations come from one ``design.sample`` call and its slots
+    from one :func:`exposure_slots` product; each family averages its
+    gathered values over units with ``mean``.
+    """
+    network = config.build_network()
+    units = included_units(network)
+    width = 2 * (int(network.in_degrees.max()) + 1)
+    weight_tables = weight_tables_of(config, network, units, width)
+    design = BernoulliDesign(network.n, config.p_treat)
+    coefficients = slot_coefficients(network, units)
+    alloc_weights = np.full(config.allocation_count, 1.0 / config.allocation_count)
+    means, mse = [], []
+    for draw in range(config.num_draws):
+        params = sample_parameters(network, config.outcome, [config.master_seed, draw])
+        theta_bar = true_average_effect(network, params)
+        value_tables = weight_tables * _outcome_table([params], width)[0]
+        rng = np.random.default_rng(np.random.SeedSequence(
+            [config.master_seed, draw, lue.simulation._STREAM_ALLOCATIONS]))
+        alloc = design.sample(rng, config.allocation_count).astype(np.float32)
+        slots = exposure_slots(alloc, coefficients) + np.arange(len(units)) * width
+        estimates = [table.take(slots).mean(axis=1) for table in value_tables]
+        first_moment = np.array([alloc_weights @ e for e in estimates])
+        second_moment = np.array([alloc_weights @ (e * e) for e in estimates])
         means.append(first_moment)
         mse.append(second_moment - 2.0 * theta_bar * first_moment + theta_bar**2)
     return np.array(means).T, np.array(mse).T
@@ -880,10 +919,40 @@ class TestComputeImse:
         assert config.num_draws > 2 * block and config.num_draws % block
         self.assert_equals_per_draw_reference(config)
 
+    def test_allocation_blocks_equal_the_one_shot_reference(self):
+        """Row blocks of sampled allocations: three or more, the last one partial.
+
+        Every family's per-draw mean and MSE equal, bit for bit, those of one
+        batch of all the draw's allocations.
+        """
+        config = self.small_config(
+            network=NetworkConfig("k_regular", 40, k=4), num_draws=3,
+            outcome=OutcomeModel("interaction", mu1=2.0, delta1=3.0),
+            allocation_mode="sample", allocation_count=5000)
+        block = 2**16 // config.network.n
+        assert config.allocation_count > 2 * block and config.allocation_count % block
+        self.assert_equals_per_draw_reference(config, sampled_moments)
+
+    def test_sample_mode_memory_does_not_grow_with_allocations(self):
+        """Warm, a sampled setting's traced peak stays in its row blocks and its F x A estimates.
+
+        Drawing a draw's 15,000 allocations in one batch would peak at about 70 MB.
+        """
+        config = self.small_config(network=NetworkConfig("k_regular", 200, k=8), num_draws=2,
+                                   allocation_mode="sample", allocation_count=15000)
+        compute_imse(config)  # fills the weight memo and the pmf and layout caches
+        tracemalloc.start()
+        try:
+            compute_imse(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     @staticmethod
-    def assert_equals_per_draw_reference(config):
+    def assert_equals_per_draw_reference(config, reference=per_draw_moments):
         report = compute_imse(config)
-        means, mse = per_draw_moments(config)
+        means, mse = reference(config)
         for row, name in enumerate(config.estimators):
             np.testing.assert_array_equal(report.results[name].per_draw_mean, means[row])
             np.testing.assert_array_equal(report.results[name].per_draw_mse, mse[row])
@@ -1021,6 +1090,13 @@ class TestComputeImse:
         for name in ESTIMATOR_NAMES:
             assert not rows(name, 4, 0.5, 1.0 if name == "MDil" else None).flags.writeable
         assert rows.cache_info()[:2] == (len(ESTIMATOR_NAMES), len(ESTIMATOR_NAMES))
+
+    def test_cold_solves_keep_no_indicator_matrix(self):
+        """A weight solve builds only its tail columns: no P x E matrix stays cached."""
+        lue.simulation.clear_weight_memo()
+        indicator_matrix.cache_clear()
+        lue.simulation.family_weights(["MInd", "MDil"], 1000, 0.5)
+        assert indicator_matrix.cache_info().currsize == 0
 
     def test_memo_key_is_normalized(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
