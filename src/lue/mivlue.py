@@ -104,8 +104,16 @@ class PriorSpec:
         return self.covariance.shape[0]
 
 
-def identity_prior(spec: ExposureSpec) -> PriorSpec:
-    return PriorSpec(np.eye(spec.num_parameters))
+class FactorPrior:
+    """Prior with covariance diag(diagonal) + outer(factor, factor): PSD as given, never formed."""
+
+    def __init__(self, diagonal, factor):
+        s, f = np.asarray(diagonal, dtype=float), np.asarray(factor, dtype=float)
+        if s.ndim != 1 or s.shape != f.shape:
+            raise ValueError(f"diagonal {s.shape} and factor {f.shape} must be vectors of one size")
+        if not (np.isfinite(s).all() and np.isfinite(f).all() and (s >= 0).all()):
+            raise ValueError("entries must be finite, and diagonal entries non-negative")
+        self.diagonal, self.factor, self.num_parameters = s, f, len(s)
 
 
 def default_base_perturbation(num_parameters: int) -> np.ndarray:
@@ -129,7 +137,7 @@ def support_null_prior(spec: ExposureSpec, support) -> np.ndarray:
     return np.eye(spec.num_parameters) - x @ x.T
 
 
-def outcome_variance(prior: PriorSpec, spec: ExposureSpec, e) -> float:
+def outcome_variance(prior: PriorSpec | FactorPrior, spec: ExposureSpec, e) -> float:
     """Prior variance of the potential outcome at ``e``: the indicator quadratic form."""
     (j,) = exposure_columns(spec, [e])
     return float(outcome_variance_vector(spec, prior)[j])
@@ -170,16 +178,16 @@ class KktSystem:
         return mat
 
 
-def outcome_variance_vector(spec: ExposureSpec, prior: PriorSpec) -> np.ndarray:
+def outcome_variance_vector(spec: ExposureSpec, prior: PriorSpec | FactorPrior) -> np.ndarray:
     """Prior variances of all potential outcomes, canonical exposure order.
 
     Each is the quadratic form of the exposure's indicator vector, which has
-    at most K + 1 ones, so it sums only the entries at those rows and
-    columns: left to right in row-major order, the order of the dense
-    contraction, which it matches bit for bit.  The form of a positive
-    semi-definite matrix is clamped at zero below ``PSD_TOL``: sub-tolerance
-    mass is rounding noise, and the dilation factor must scale exact zeros,
-    not noise.
+    at most K + 1 ones, so it sums only the covariance entries at those rows
+    and columns, of either prior type: left to right in row-major order, the
+    order of the dense contraction, which it matches bit for bit.  The form of
+    a positive semi-definite matrix is clamped at zero below ``PSD_TOL``:
+    sub-tolerance mass is rounding noise, and the dilation factor must scale
+    exact zeros, not noise.
     """
     if prior.num_parameters != spec.num_parameters:
         raise ValueError(
@@ -190,19 +198,22 @@ def outcome_variance_vector(spec: ExposureSpec, prior: PriorSpec) -> np.ndarray:
     # Row q of each (pairs x exposures) array is the q-th (a, b) pair in row-major order.
     on = (mask[:, :, None] & mask[:, None, :]).reshape(len(mask), -1).T
 
-    def quadratic_form(matrix):
-        terms = np.where(on, matrix[rows, cols].reshape(len(mask), -1).T, 0.0)
+    def quadratic_form(entries):
+        terms = np.where(on, entries.reshape(len(mask), -1).T, 0.0)
         values = np.zeros(len(mask))
         for term in terms:
             values += term
         return np.where(values < PSD_TOL, 0.0, values)
 
-    base = quadratic_form(prior.covariance)
+    if isinstance(prior, FactorPrior):
+        f, s = prior.factor, prior.diagonal
+        return quadratic_form(f[rows] * f[cols] + s[rows] * (rows == cols))
+    base = quadratic_form(prior.covariance[rows, cols])
     if prior.dilation is None:
         return base
     scaled = prior.dilation * base
     if prior.base_perturbation is not None:
-        scaled = scaled + quadratic_form(prior.base_perturbation)
+        scaled = scaled + quadratic_form(prior.base_perturbation[rows, cols])
     return scaled
 
 
@@ -232,7 +243,7 @@ def assemble_from_moments(spec: ExposureSpec, probabilities, variances) -> KktSy
 
 
 def assemble_system(spec: ExposureSpec, probs: ExposureDistribution,
-                    prior: PriorSpec) -> KktSystem:
+                    prior: PriorSpec | FactorPrior) -> KktSystem:
     """Build the block system for a prior; rejects vanishing variances or probabilities."""
     return assemble_from_moments(spec, probability_vector(spec, probs),
                                  outcome_variance_vector(spec, prior))
@@ -318,7 +329,7 @@ def _solve_assembled(system: KktSystem, active=True) -> MivlueSolution:
 
 
 def solve_mivlue(spec: ExposureSpec, probs: ExposureDistribution,
-                 prior: PriorSpec) -> MivlueSolution:
+                 prior: PriorSpec | FactorPrior) -> MivlueSolution:
     """Solve the optimality system for the minimum-integrated-variance weights."""
     return _solve_assembled(assemble_system(spec, probs, prior))
 

@@ -36,7 +36,7 @@ from .design import (
 )
 from .estimators import LinearEstimator
 from .exposure import SPEC_CACHE_SIZE, ExposureSpec, canonical_grid
-from .mivlue import PriorSpec, identity_prior, solve_mivlue
+from .mivlue import FactorPrior, solve_mivlue
 from .networks import Network, gen_erdos_renyi_directed, gen_k_regular_directed
 
 ESTIMATOR_NAMES = ("HT0", "HT1", "HTAvg", "MInd", "MDil")
@@ -116,6 +116,15 @@ class OutcomeModel:
             raise ValueError("interaction level must be nonnegative")
         _refuse_unread(self, {"independent": ("eta1", "delta1"), "dilated": ("mu1", "delta1"),
                               "interaction": ("eta1",)}[self.kind])
+
+    def covariance(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
+        """(s, f), the covariance diag(s) + f f^T of (alpha, interference 1..degree, direct).
+
+        They are iid standard normals, or u alpha when dilated, u = (1, eta1/degree, ..., eta1, 1).
+        """
+        if self.kind != "dilated":
+            return np.ones(degree + 2), np.zeros(degree + 2)
+        return np.zeros(degree + 2), np.r_[1.0, np.arange(1, degree + 1) / degree * self.eta1, 1.0]
 
 
 def _refuse_unread(config, names) -> None:
@@ -237,12 +246,12 @@ def family_weights(names, degree: int, p_treat: float, eta1: float = 1.0) -> np.
     under a Bernoulli design a unit's exposure pmf, and so each of its
     estimators, depends on the unit only through its in-degree.  HT0/HT1 are
     the two-term inverse-probability estimators on untreated and treated
-    exposures, HTAvg their mean; MInd solves the optimal-weight problem with
-    independent standard-normal priors and MDil with the dilated prior, whose
-    interference effects are (d / degree) eta1 times the baseline (rank one
-    plus a small ridge to keep every outcome variance positive).
-    :func:`compute_imse` passes the setting's eta1 under the dilated outcome
-    model and 1 otherwise.
+    exposures, HTAvg their mean.  MInd and MDil solve the optimal-weight
+    problem under :meth:`OutcomeModel.covariance`, a :class:`FactorPrior`:
+    MInd under the independent model's I, MDil under the dilated model's
+    u u^T, u = (1, eta1/degree, ..., eta1, 1), plus a ridge keeping every
+    outcome variance positive.  :func:`compute_imse` passes the setting's
+    eta1 under the dilated outcome model and 1 otherwise.
 
     Rows are memoized per process, and the returned table is read-only.
     """
@@ -268,7 +277,6 @@ def family_weights(names, degree: int, p_treat: float, eta1: float = 1.0) -> np.
 def _weight_row(name: str, degree: int, p_treat: float, eta1: float | None) -> np.ndarray:
     """One :func:`family_weights` row, by slot, as a read-only array."""
     dist = bernoulli_exposure_distribution(degree, p_treat)
-    spec = dist.spec
     row = np.zeros(2 * degree + 2)
     if name in _OWN_TREATMENT_LEVELS:
         levels = _OWN_TREATMENT_LEVELS[name]
@@ -278,11 +286,11 @@ def _weight_row(name: str, degree: int, p_treat: float, eta1: float | None) -> n
             row[z] = -share / dist[(0, z)]
     else:
         if name == "MInd":
-            prior = identity_prior(spec)
+            prior = FactorPrior(*OutcomeModel("independent").covariance(degree))
         else:  # MDil
-            u = np.concatenate([[1.0], np.arange(1, degree + 1) / degree * eta1, [1.0]])
-            prior = PriorSpec(np.outer(u, u) + MDIL_RIDGE * np.eye(spec.num_parameters))
-        row[_slots(degree)] = solve_mivlue(spec, dist, prior).estimator.vector
+            diagonal, u = OutcomeModel("dilated", eta1=eta1).covariance(degree)
+            prior = FactorPrior(diagonal + MDIL_RIDGE, u)
+        row[_slots(degree)] = solve_mivlue(dist.spec, dist, prior).estimator.vector
     row.setflags(write=False)
     return row
 
@@ -490,8 +498,9 @@ def _outcome_table(drawn, width):
 
 def slot_coefficients(network: Network, units) -> np.ndarray:
     """(n x units) float32 matrix C = (2A + I)[:, units], so that z @ C gives every slot 2d + z."""
-    coefficients = 2 * network.adjacency + np.eye(network.n, dtype=np.int64)
-    return coefficients[:, units].astype(np.float32)
+    coefficients = 2 * network.adjacency.astype(np.float32)[:, units]
+    coefficients[units, np.arange(len(units))] += 1
+    return coefficients
 
 
 def exposure_slots(alloc: np.ndarray, coefficients: np.ndarray, offsets=0,

@@ -23,7 +23,7 @@ from lue.exposure import (
     indicator_vector,
     target_position,
 )
-from lue.mivlue import identity_prior, outcome_variance, solve_mivlue_limit, support_null_prior
+from lue.mivlue import PriorSpec, outcome_variance, solve_mivlue_limit, support_null_prior
 from lue.networks import Network
 from lue.verify import specs_up_to
 
@@ -98,7 +98,7 @@ class TestExposureLookup:
         assert exposure_columns(SPEC_2_1, [e]) == [enumerate_exposures(SPEC_2_1).index(member)]
         probs = uniform_distribution(SPEC_2_1)
         assert probs[e] == probs[member]
-        prior = identity_prior(SPEC_2_1)
+        prior = PriorSpec(np.eye(SPEC_2_1.num_parameters))
         assert outcome_variance(prior, SPEC_2_1, e) == outcome_variance(prior, SPEC_2_1, member)
         assert LinearEstimator(SPEC_2_1, {tuple(e): 3.0}).weight(member) == 3.0
         assert LinearEstimator(SPEC_2_1, {member: 3.0}).weight(e) == 3.0
@@ -115,7 +115,7 @@ class TestExposureLookup:
         (lambda: solve_mivlue_limit(SPEC_2_1, uniform_distribution(SPEC_2_1),
                                     [(2, 0), (2.2, 0), (0, 0)]), "(2.2, 0)"),
         (lambda: support_null_prior(SPEC_2_1, [(0, 0), (1, 0.5)]), "(1, 0.5)"),
-        (lambda: outcome_variance(identity_prior(SPEC_2_1), SPEC_2_1, (1.5, 0)), "(1.5, 0)"),
+        (lambda: outcome_variance(PriorSpec(np.eye(4)), SPEC_2_1, (1.5, 0)), "(1.5, 0)"),
         (lambda: indicator_vector(SPEC_2_1, (1, 1, 0)), "(1, 1, 0)"),
         (lambda: bernoulli_exposure_prob(3, (1.5, 0), 0.5), "(1.5, 0)"),
     ], ids=["validate", "estimator_mapping", "pmf_mapping", "pmf_item", "as_vector",

@@ -19,11 +19,11 @@ from lue.exposure import (ExposureSpec, enumerate_exposures, indicator_matrix, i
                           target_position)
 from lue.mivlue import (
     PSD_TOL,
+    FactorPrior,
     PriorSpec,
     SingularSystemError,
     assemble_system,
     default_base_perturbation,
-    identity_prior,
     max_alpha3,
     outcome_variance,
     outcome_variance_vector,
@@ -34,7 +34,7 @@ from lue.mivlue import (
     support_null_prior,
 )
 from lue.networks import Network
-from lue.simulation import MDIL_RIDGE, build_estimator_family
+from lue.simulation import MDIL_RIDGE, OutcomeModel, build_estimator_family
 
 SIX_ORDER = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
 
@@ -66,6 +66,8 @@ def dense_outcome_variances(spec, prior):
         values = np.einsum("ij,ik,kj->j", x, matrix, x)
         return np.where(values < PSD_TOL, 0.0, values)
 
+    if isinstance(prior, FactorPrior):
+        return quadratic_form(np.diag(prior.diagonal) + np.outer(prior.factor, prior.factor))
     base = quadratic_form(prior.covariance)
     if prior.dilation is None:
         return base
@@ -76,12 +78,14 @@ def dense_outcome_variances(spec, prior):
 
 
 def simulation_priors(degree):
-    """MInd's prior and MDil's at three eta1 values, as the simulation builds them."""
+    """MInd's prior and MDil's at three eta1 values, dense and as the simulation factors them."""
     size = degree + 2
-    priors = [identity_prior(ExposureSpec((degree, 1)))]
+    priors = [PriorSpec(np.eye(size)), FactorPrior(*OutcomeModel("independent").covariance(degree))]
     for eta1 in (0.5, 1.0, 2.5):
         u = np.concatenate([[1.0], np.arange(1, degree + 1) / degree * eta1, [1.0]])
         priors.append(PriorSpec(np.outer(u, u) + MDIL_RIDGE * np.eye(size)))
+        diagonal, factor = OutcomeModel("dilated", eta1=eta1).covariance(degree)
+        priors.append(FactorPrior(diagonal + MDIL_RIDGE, factor))
     return priors
 
 
@@ -188,7 +192,8 @@ class TestPriorSpec:
         accepted += [support_null_prior(ExposureSpec((3, 1)), [(3, 0), (0, 0)]),
                      support_null_prior(ExposureSpec((2, 2)), [(2, 0), (0, 0), (1, 1)]),
                      np.zeros((4, 4)), with_spectrum([-1e-12, 0.5, 1.0, 2.0, 3.0])]
-        accepted += [prior.covariance for prior in simulation_priors(60)]
+        accepted += [prior.covariance for prior in simulation_priors(60)
+                     if isinstance(prior, PriorSpec)]
         rejected = [np.array([[1.0, 2.0], [2.0, 1.0]]), with_spectrum([-1e-8, 0.5, 1.0, 2.0, 3.0])]
         return [(m, True) for m in accepted] + [(m, False) for m in rejected]
 
@@ -242,7 +247,15 @@ class TestPriorSpec:
      "^need one probability and one variance per exposure$"),
     (lambda: six_term_alpha_weights(np.full(5, 0.2), np.ones(5)),
      "^need six probabilities and six variances, order"),
-], ids=["covariance_shape", "base_shape", "moment_lengths", "six_term_count"])
+    (lambda: FactorPrior(np.ones(3), np.ones(4)),
+     r"^diagonal \(3,\) and factor \(4,\) must be vectors of one size$"),
+    (lambda: FactorPrior(np.eye(2), np.eye(2)), r"^diagonal \(2, 2\) and factor \(2, 2\) must be"),
+    (lambda: FactorPrior(np.ones(2), [1.0, math.nan]), "^entries must be finite, and diagonal"),
+    (lambda: FactorPrior([1.0, math.inf], np.ones(2)), "^entries must be finite, and diagonal"),
+    (lambda: FactorPrior([1.0, -1e-300], np.ones(2)),
+     "^entries must be finite, and diagonal entries non-negative$"),
+], ids=["covariance_shape", "base_shape", "moment_lengths", "six_term_count", "factor_lengths",
+        "factor_matrices", "factor_nan", "diagonal_inf", "diagonal_negative"])
 def test_rejected_input_is_named(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -340,7 +353,7 @@ class TestAssembleSystem:
         """(1, 3) and (3, 1) both have 8 exposures; a pmf of one is not a pmf of the other."""
         spec = ExposureSpec((1, 3))
         probs = bernoulli_exposure_distribution(3, 0.3)
-        for call in (lambda: solve_mivlue(spec, probs, identity_prior(spec)),
+        for call in (lambda: solve_mivlue(spec, probs, PriorSpec(np.eye(spec.num_parameters))),
                      lambda: constraint_matrix(spec, probs),
                      lambda: basis_weights(spec, probs)):
             with pytest.raises(ValueError, match=r"\(3, 1\).*\(1, 3\)"):
@@ -539,7 +552,7 @@ class TestPinnedArithmetic:
     def test_variances_are_the_dense_contraction_bit_for_bit(self):
         priors = [(ExposureSpec((degree, 1)), prior)
                   for degree in [*range(1, 100), 200, 500] for prior in simulation_priors(degree)]
-        rng = np.random.default_rng(5)
+        rng, factors = np.random.default_rng(5), np.random.default_rng(13)
         for spec in small_specs():
             if len(spec.levels) > 3 or max(spec.levels) > 4:
                 continue
@@ -547,6 +560,8 @@ class TestPinnedArithmetic:
             priors += [(spec, random_pd_prior(size, rng, jitter=0.0)) for _ in range(10)]
             cov = random_pd_prior(size, rng).covariance
             priors.append((spec, PriorSpec(cov, default_base_perturbation(size), dilation=1e3)))
+            diagonal, factor = factors.uniform(0.0, 2.0, size), factors.normal(size=size)
+            priors.append((spec, FactorPrior(diagonal, factor)))
         for spec, prior in priors:
             expected = dense_outcome_variances(spec, prior)
             assert outcome_variance_vector(spec, prior).tobytes() == expected.tobytes(), spec

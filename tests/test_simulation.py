@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import lue.design
+import lue.mivlue
 import lue.simulation
 from lue.design import BernoulliDesign, allocation_matrix
 from lue.estimators import LinearEstimator, constraint_residuals
 from lue.exposure import indicator_matrix
-from lue.mivlue import PriorSpec, SingularSystemError, identity_prior, solve_mivlue
+from lue.mivlue import PriorSpec, SingularSystemError, solve_mivlue
 from lue.networks import Network, gen_erdos_renyi_directed, gen_k_regular_directed
 from lue.simulation import (
     ESTIMATOR_NAMES,
@@ -301,6 +302,26 @@ class TestSampleParameters:
         assert np.var(tops) == pytest.approx(1.0, abs=0.05)
         assert np.corrcoef(alphas, tops)[0, 1] == pytest.approx(1.0, abs=0.02)
 
+    @pytest.mark.parametrize("model", OUTCOME_MODELS, ids=["independent", "dilated",
+                                                           "interaction"])
+    @pytest.mark.parametrize("degree", [1, 3, 8])
+    def test_covariance_is_the_drawn_law(self, model, degree):
+        """Every entry of the sample covariance of (alpha, interference, direct) is within 4 SE.
+
+        Units of a k-regular network with k = degree are independent draws, so
+        each of 8 parameter draws of 500 units adds 500 samples.
+        """
+        net = gen_k_regular_directed(500, degree, seed=degree)
+        samples = np.vstack([
+            np.column_stack([params.alpha, params.interference.reshape(net.n, degree),
+                             params.direct])
+            for params in (sample_parameters(net, model, [21, draw]) for draw in range(8))])
+        diagonal, factor = model.covariance(degree)
+        sigma = np.diag(diagonal) + np.outer(factor, factor)
+        # The standard error of a Gaussian sample covariance entry.
+        se = np.sqrt((np.outer(np.diag(sigma), np.diag(sigma)) + sigma**2) / len(samples))
+        assert (np.abs(np.cov(samples, rowvar=False) - sigma) <= 4 * se).all()
+
     def test_interaction_zero_level_is_exactly_additive(self):
         net = gen_k_regular_directed(5, 2, seed=1)
         params = sample_parameters(net, OutcomeModel("interaction", mu1=3.0, delta1=0.0), 7)
@@ -450,6 +471,21 @@ class TestExposureSlots:
         assert slots.dtype == np.intp
         np.testing.assert_array_equal(slots, (2 * (alloc @ net.adjacency) + alloc)[:, units])
 
+    def test_slot_coefficients_build_no_square_integer_temporaries(self):
+        """The float32 (2A + I)[:, units], built in about two n x n float32 arrays."""
+        net = gen_erdos_renyi_directed(1000, 0.01, seed=3)
+        units = included_units(net)
+        expected = (2 * net.adjacency + np.eye(net.n, dtype=np.int64))[:, units]
+        tracemalloc.start()
+        try:
+            coefficients = slot_coefficients(net, units)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(coefficients, expected.astype(np.float32))
+        assert coefficients.dtype == np.float32
+        assert peak < 10e6
+
 
 class TestJointExposurePmf:
     @staticmethod
@@ -586,7 +622,7 @@ def per_unit_family(name, network, design, eta1=1.0):
             }
             est = LinearEstimator(spec, weights, name=f"HTAvg[{unit}]")
         elif name == "MInd":
-            est = solve_mivlue(spec, dist, identity_prior(spec)).estimator
+            est = solve_mivlue(spec, dist, PriorSpec(np.eye(spec.num_parameters))).estimator
             est.name = f"MInd[{unit}]"
         else:  # MDil
             u = np.concatenate([[1.0], np.arange(1, d_i + 1) / d_i * eta1, [1.0]])
@@ -1097,6 +1133,34 @@ class TestComputeImse:
         indicator_matrix.cache_clear()
         lue.simulation.family_weights(["MInd", "MDil"], 1000, 0.5)
         assert indicator_matrix.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("degree", [100, 500, 1000])
+    def test_rows_are_the_dense_prior_solves(self, degree):
+        """MInd and MDil, solved from the factored covariance, equal the dense PriorSpec solves."""
+        lue.simulation.clear_weight_memo()
+        dist = lue.design.bernoulli_exposure_distribution(degree, 0.5)
+        u = np.concatenate([[1.0], np.arange(1, degree + 1) / degree * -1.5, [1.0]])
+        eye = np.eye(degree + 2)
+        rows = family_weights(["MInd", "MDil"], degree, 0.5, -1.5)
+        for row, cov in zip(rows, (eye, np.outer(u, u) + MDIL_RIDGE * eye)):
+            dense = solve_mivlue(dist.spec, dist, PriorSpec(cov)).estimator.vector
+            np.testing.assert_array_equal(row[lue.simulation._slots(degree)], dense)
+
+    def test_cold_rows_factorise_no_prior(self, monkeypatch):
+        """A cold MInd and MDil row builds, checks and factorises no P x P prior."""
+        def failing(*args):
+            raise AssertionError("a dense prior was checked")
+
+        monkeypatch.setattr(lue.mivlue, "_check_psd", failing)
+        lue.simulation.clear_weight_memo()
+        lue.simulation.bernoulli_exposure_distribution.cache_clear()
+        tracemalloc.start()
+        try:
+            lue.simulation.family_weights(["MInd", "MDil"], 1000, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_memo_key_is_normalized(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
