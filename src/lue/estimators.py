@@ -87,16 +87,18 @@ class LinearEstimator:
 
 
 class EstimatorRows(Sequence):
-    """Basis members as a read-only sequence over the rows of one weight array.
+    """Basis members as a read-only sequence over their nonzero weights.
 
-    ``np.asarray`` gives the (members x exposures) array in canonical column
-    order; a member's estimator and its name are built only when it is
-    indexed.  ``+`` joins two sequences of one spec.
+    ``terms`` holds their read-only (rows, cols, values), rows ascending and
+    grouped by member.  ``np.asarray`` scatters them into a new (members x
+    exposures) array; a member's estimator is built only when it is indexed.
+    ``+`` joins two sequences of one spec.
     """
 
-    def __init__(self, spec: ExposureSpec, weights: np.ndarray, ids: np.ndarray):
-        weights.setflags(write=False)
-        self.spec, self._weights, self._ids = spec, weights, ids
+    def __init__(self, spec: ExposureSpec, rows, cols, values, ids: np.ndarray):
+        for array in (rows, cols, values):
+            array.setflags(write=False)
+        self.spec, self.terms, self._ids = spec, (rows, cols, values), ids
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -105,17 +107,26 @@ class EstimatorRows(Sequence):
         e = _canonical_exposures(self.spec.levels)[self._ids[member]]
         m1 = self.spec.levels[0]
         name = f"two_term{e[1:]}" if e[0] == m1 else f"zero{e}" if e[0] == 0 else f"four_term{e}"
-        return LinearEstimator(self.spec, self._weights[member], name)
+        rows, cols, values = self.terms
+        first, last = np.searchsorted(rows, (member % len(self), member % len(self) + 1))
+        weights = np.bincount(cols[first:last], values[first:last], self.spec.num_exposures)
+        return LinearEstimator(self.spec, weights, name)
 
     def __add__(self, other: "EstimatorRows") -> "EstimatorRows":
         if other.spec != self.spec:
             raise ValueError(f"cannot join estimators of levels {self.spec.levels} "
                              f"and {other.spec.levels}")
-        return EstimatorRows(self.spec, np.concatenate([self._weights, other._weights]),
-                             np.concatenate([self._ids, other._ids]))
+        rows, cols, values = other.terms
+        joined = zip((*self.terms, self._ids), (rows + len(self), cols, values, other._ids))
+        return EstimatorRows(self.spec, *map(np.concatenate, joined))
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self._weights, dtype=dtype, copy=copy)
+        if copy is False:
+            raise ValueError("EstimatorRows builds a new array on every conversion")
+        rows, cols, values = self.terms
+        weights = np.zeros((len(self), self.spec.num_exposures), dtype=dtype)
+        weights[rows, cols] = values
+        return weights
 
 
 @dataclass(frozen=True)
@@ -249,33 +260,21 @@ def basis_identifiers(spec: ExposureSpec) -> tuple[np.ndarray, np.ndarray]:
     return ids[:atomic], ids[atomic:]
 
 
-def _member_weights(spec: ExposureSpec, start: int, stop: int, probs) -> np.ndarray:
-    """Weight rows of members start..stop-1: each term weighs +-1/p of its exposure."""
-    _, _, rows, cols, signs = _layout(spec.levels)
+def basis_weights(spec: ExposureSpec,
+                  probs: ExposureDistribution | None = None) -> np.ndarray:
+    """:func:`build_affine_basis` as a (members x exposures) array, columns in canonical order."""
+    return np.asarray(build_affine_basis(spec, probs))
+
+
+def _basis_rows(spec: ExposureSpec, start: int, stop: int, probs) -> EstimatorRows:
+    """Basis members start..stop-1; each term weighs +-1/p, with uniform p if ``probs`` is None."""
+    ids, _, rows, cols, signs = _layout(spec.levels)
     first, last = np.searchsorted(rows, (start, stop))
     n = spec.num_exposures
     p = np.full(n, 1.0 / n) if probs is None else probability_vector(spec, probs)
     cols = cols[first:last]
-    weights = np.zeros((stop - start, n))
-    weights[rows[first:last] - start, cols] = signs[first:last] / p[cols]
-    return weights
-
-
-def basis_weights(spec: ExposureSpec,
-                  probs: ExposureDistribution | None = None) -> np.ndarray:
-    """The affine basis as a (members x exposures) weight array.
-
-    Rows are the members of :func:`basis_identifiers`, atomic then zero;
-    columns are exposures in canonical order.  Each term of a member weighs
-    +-1/p of its exposure, with uniform p when ``probs`` is omitted.
-    """
-    return _member_weights(spec, 0, len(_layout(spec.levels)[0]), probs)
-
-
-def _basis_rows(spec: ExposureSpec, start: int, stop: int, probs) -> EstimatorRows:
-    """Basis members start..stop-1, named after their identifying exposures."""
-    ids = _layout(spec.levels)[0]
-    return EstimatorRows(spec, _member_weights(spec, start, stop, probs), ids[start:stop])
+    return EstimatorRows(spec, rows[first:last] - start, cols, signs[first:last] / p[cols],
+                         ids[start:stop])
 
 
 def build_malue_set(spec: ExposureSpec,
@@ -328,24 +327,25 @@ def affine_rank(basis) -> int:
 def affine_rank_is_full(basis, spec: ExposureSpec | None = None) -> bool:
     """Exact full-rank certificate for a canonically ordered basis.
 
-    ``basis`` is read as its weight array: :class:`EstimatorRows`, or
-    estimators or weight rows with their ``spec``.  On the identifying
-    exposures the weights must be zero below a nonzero diagonal (each member
-    is the last one whose support contains its identifier), which certifies
-    full affine rank with no floating-point tolerance; any other pattern
-    falls back to the SVD.
+    ``basis`` is :class:`EstimatorRows`, read as its terms, or estimators or
+    weight rows with their ``spec``, read as their nonzero weights.  Zero
+    below a nonzero diagonal on the identifying exposures (each member is the
+    last one whose support contains its identifier) certifies full affine
+    rank with no tolerance; any other pattern falls back to the SVD.
     """
-    weights = np.asarray(basis)
-    ids = np.concatenate(basis_identifiers(basis.spec if spec is None else spec))
-    if len(ids) == len(weights):
-        # Zero below a nonzero diagonal: on the identifier columns, which
-        # ascend, each row's first nonzero is its own identifier.
-        keep = np.zeros(weights.shape[1], dtype=bool)
-        keep[ids] = True
-        nonzero = (weights != 0) & keep
-        if nonzero[np.arange(len(ids)), ids].all() and (nonzero.argmax(axis=1) == ids).all():
+    spec = basis.spec if spec is None else spec
+    rows, cols = basis.terms[:2] if isinstance(basis, EstimatorRows) else np.nonzero(basis)
+    ids = _layout(spec.levels)[0]
+    if len(ids) == len(basis):
+        # Rank identifier columns by member and other columns last: zero below a
+        # nonzero diagonal means that each member's lowest-ranked term is its own.
+        rank = np.full(spec.num_exposures, len(ids))
+        rank[ids] = np.arange(len(ids))
+        first = np.full(len(ids), len(ids))
+        np.minimum.at(first, rows, rank[cols])
+        if (first == rank[ids]).all():
             return True
-    return affine_rank(weights) == len(weights)
+    return affine_rank(basis) == len(basis)
 
 
 def decompose_in_basis(est: LinearEstimator, basis,

@@ -29,7 +29,6 @@ from .estimators import (
     affine_rank_is_full,
     basis_count,
     basis_identifiers,
-    basis_weights,
     build_affine_basis,
     build_malue_set,
     build_zero_estimators,
@@ -118,10 +117,10 @@ def check_basis_ranks() -> tuple[bool, str]:
                 f"levels {levels}: enumerated sizes ({len(atomic)}, {len(zeros)}) "
                 f"!= closed forms ({malue_count(spec)}, {zero_count(spec)})"
             )
-        weights = basis_weights(spec)
-        if len(weights) != basis_count(spec):
+        basis = build_affine_basis(spec)
+        if len(basis) != basis_count(spec):
             return False, f"levels {levels}: basis size mismatch"
-        if not affine_rank_is_full(weights, spec):
+        if not affine_rank_is_full(basis, spec):
             return False, f"levels {levels}: basis is affinely dependent"
         if lue_dimension(spec) != basis_count(spec) - 1:
             return False, f"levels {levels}: dimension identity fails"

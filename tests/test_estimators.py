@@ -1,5 +1,7 @@
 """Constraint system, atomic constructions, affine basis, support condition."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import lue.estimators
 import lue.verify
 from lue.design import ExposureDistribution, uniform_distribution
 from lue.estimators import (
+    EstimatorRows,
     LinearEstimator,
     _layout,
     affine_rank,
@@ -357,6 +360,50 @@ class TestAffineBasis:
                 assert got.tobytes() == expected.tobytes(), levels
                 assert not got.flags.writeable, levels
 
+    def test_layout_terms_are_distinct_and_in_range(self):
+        """No (member, column) pair twice, every column an exposure, every sign nonzero.
+
+        The array scatter assigns and a member's ``bincount`` adds, so they
+        agree, and the certificate reads the array's pattern, only if no pair
+        repeats.
+        """
+        for levels in specs_up_to(256) + [(d, 1) for d in range(1, 301)]:
+            ids, _, rows, cols, signs = _layout(levels)
+            size = ExposureSpec(levels).num_exposures
+            assert ((cols >= 0) & (cols < size)).all(), levels
+            assert np.unique(rows * size + cols).size == len(rows), levels
+            assert (signs != 0).all(), levels
+
+    def test_basis_weights_bytes_are_pinned(self):
+        """One sha256 over the uniform basis arrays of every spec with at most 256 exposures."""
+        digest = hashlib.sha256()
+        for levels in specs_up_to(256):
+            digest.update(basis_weights(ExposureSpec(levels)).tobytes())
+        assert digest.hexdigest() == (
+            "5815b1800713835bd94583149de6b22a0e61d266e14fffd9642f13eff220d5c2")
+
+    def test_array_conversion_follows_the_numpy_contract(self):
+        """``dtype`` is honoured, and ``copy=False`` raises because every conversion is new."""
+        basis = build_affine_basis(ExposureSpec((2, 2, 1)))
+        weights = np.asarray(basis)
+        assert weights.flags.writeable
+        single = np.asarray(basis, dtype=np.float32)
+        assert single.dtype == np.float32
+        assert single.tobytes() == weights.astype(np.float32).tobytes()
+        with pytest.raises(ValueError, match="new array"):
+            np.array(basis, copy=False)
+
+    def test_indexing_matches_the_array(self):
+        """Negative positions count from the end; any position out of range raises IndexError."""
+        basis = build_affine_basis(ExposureSpec((2, 2, 1)))
+        weights = np.asarray(basis)
+        for position in (0, 7, -1, -len(basis)):
+            assert basis[position].vector.tobytes() == weights[position].tobytes()
+        assert basis[-1].name == basis[len(basis) - 1].name
+        for position in (len(basis), -len(basis) - 1):
+            with pytest.raises(IndexError):
+                basis[position]
+
     def test_single_members_are_rows_of_the_array(self):
         """The member at an identifier's position is the row named after that exposure."""
         spec = ExposureSpec((2, 1, 1))
@@ -387,7 +434,10 @@ class TestRankCertificate:
     def forms(self, weights):
         basis = [LinearEstimator(self.spec, dict(zip(enumerate_exposures(self.spec), row)))
                  for row in weights]
-        return (weights, self.spec), (basis, self.spec)
+        rows, cols = np.nonzero(weights)
+        ids = np.concatenate(basis_identifiers(self.spec))
+        terms = EstimatorRows(self.spec, rows, cols, weights[rows, cols], ids)
+        return (weights, self.spec), (basis, self.spec), (terms, self.spec)
 
     def test_full_basis_needs_no_fallback(self, fallbacks):
         for args in self.forms(basis_weights(self.spec)):
@@ -399,7 +449,7 @@ class TestRankCertificate:
         weights[3] = weights[2]
         for args in self.forms(weights):
             assert not affine_rank_is_full(*args)
-        assert len(fallbacks) == 2
+        assert len(fallbacks) == 3
 
     def test_zeroed_rows(self, fallbacks):
         """A zero row fails the triangular test; the SVD then decides.
@@ -414,13 +464,13 @@ class TestRankCertificate:
         weights[7] = 0.0
         for args in self.forms(weights):
             assert not affine_rank_is_full(*args)
-        assert len(fallbacks) == 4
+        assert len(fallbacks) == 6
 
     def test_row_zero_only_off_the_identifiers_falls_back(self, fallbacks):
         """Row 0 vanishes on every identifier column but not elsewhere.
 
-        Its identifier mask is all False, so its argmax is column 0, which is
-        also its identifier: only the diagonal test sends it to the SVD.
+        No term lies on an earlier member's identifier, so only the missing
+        term on its own identifier sends it to the SVD.
         """
         weights = basis_weights(self.spec)
         ids = np.concatenate(basis_identifiers(self.spec))
@@ -430,7 +480,7 @@ class TestRankCertificate:
         weights[0, outside[0]] = 1.0
         for args in self.forms(weights):
             assert affine_rank_is_full(*args) == (affine_rank(weights) == len(weights))
-        assert len(fallbacks) == 2
+        assert len(fallbacks) == 3
 
     def test_nonzero_diagonal_alone_is_not_enough(self, fallbacks):
         """Row 5 becomes the affine combination 2 w_0 - w_1, nonzero on its diagonal."""
@@ -440,13 +490,13 @@ class TestRankCertificate:
         assert np.diagonal(weights[:, ids]).all()
         for args in self.forms(weights):
             assert not affine_rank_is_full(*args)
-        assert len(fallbacks) == 2
+        assert len(fallbacks) == 3
 
     def test_permuted_basis_is_accepted_through_the_fallback(self, fallbacks):
         weights = basis_weights(self.spec)[::-1].copy()
         for args in self.forms(weights):
             assert affine_rank_is_full(*args)
-        assert len(fallbacks) == 2
+        assert len(fallbacks) == 3
 
     def test_verify_sweep_certifies_through_the_public_binding(self, monkeypatch):
         calls = []
@@ -458,6 +508,23 @@ class TestRankCertificate:
         monkeypatch.setattr(lue.verify, "affine_rank_is_full", spy)
         assert check_basis_ranks() == (True, "")
         assert calls == specs_up_to(256)
+
+    def test_sweep_and_joined_sets_certify_without_an_array(self, monkeypatch):
+        """The sweep and ``malues + zeros`` are certified on their terms alone."""
+
+        def no_array(self, dtype=None, copy=None):
+            raise AssertionError("the certificate built a weight array")
+
+        def spy(basis, spec):
+            assert isinstance(basis, EstimatorRows)
+            return affine_rank_is_full(basis, spec)
+
+        monkeypatch.setattr(EstimatorRows, "__array__", no_array)
+        monkeypatch.setattr(lue.verify, "affine_rank_is_full", spy)
+        assert check_basis_ranks() == (True, "")
+        for levels in specs_up_to(64):
+            spec = ExposureSpec(levels)
+            assert affine_rank_is_full(build_malue_set(spec) + build_zero_estimators(spec))
 
 
 class TestLueDimension:
