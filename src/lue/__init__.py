@@ -38,7 +38,6 @@ from .mivlue import (
     MivlueSolution,
     PriorSpec,
     SingularSystemError,
-    assemble_system,
     max_alpha3,
     outcome_variance,
     six_term_alpha_weights,

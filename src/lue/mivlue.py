@@ -1,4 +1,4 @@
-"""Minimum-integrated-variance weights: block KKT assembly, limits, closed forms.
+"""Minimum-integrated-variance weights: the optimality solve, limits, closed forms.
 
 The optimal weights minimize the prior-averaged variance subject to the
 unbiasedness constraints.  Stationarity plus the constraints form a block
@@ -28,8 +28,8 @@ from .estimators import (UNBIASED_TOL, LinearEstimator, check_support_condition,
                          constraint_residuals)
 from .exposure import (
     ExposureSpec,
+    _canonical_exposures,
     active_parameters,
-    enumerate_exposures,
     exposure_columns,
     indicator_matrix,
     target_position,
@@ -145,15 +145,14 @@ def outcome_variance(prior: PriorSpec | FactorPrior, spec: ExposureSpec, e) -> f
 
 @dataclass
 class KktSystem:
-    """Assembled optimality system with its row/column bookkeeping.
+    """The optimality system as its exposure probabilities and outcome variances.
 
-    The solve and its unbiasedness gate read only the probability and
-    variance vectors; ``rhs``, the C block and the dense matrix (the last two
-    built on each read) are the system written out in full.
+    The solve and its unbiasedness gate read only those two vectors; ``rhs``,
+    the C block and the dense matrix, each built on read, are the system
+    written out in full.
     """
 
     spec: ExposureSpec
-    rhs: np.ndarray
     exposures: tuple
     probabilities: np.ndarray
     variances: np.ndarray
@@ -161,6 +160,13 @@ class KktSystem:
     @property
     def num_exposures(self) -> int:
         return len(self.exposures)
+
+    @property
+    def rhs(self) -> np.ndarray:
+        """1 at the estimand's multiplier row, 0 elsewhere."""
+        rhs = np.zeros(self.num_exposures + self.spec.num_parameters)
+        rhs[self.num_exposures + target_position(self.spec)] = 1.0
+        return rhs
 
     @property
     def constraints(self) -> np.ndarray:
@@ -171,7 +177,7 @@ class KktSystem:
     def matrix(self) -> np.ndarray:
         """[[W, C^T], [C, 0]] with W the diagonal of p(e) Var(Y(e))."""
         c, n_e = self.constraints, self.num_exposures
-        mat = np.zeros((len(self.rhs), len(self.rhs)))
+        mat = np.zeros((n_e + len(c), n_e + len(c)))
         mat[np.arange(n_e), np.arange(n_e)] = self.probabilities * self.variances
         mat[:n_e, n_e:] = c.T
         mat[n_e:, :n_e] = c
@@ -217,38 +223,6 @@ def outcome_variance_vector(spec: ExposureSpec, prior: PriorSpec | FactorPrior) 
     return scaled
 
 
-def assemble_from_moments(spec: ExposureSpec, probabilities, variances) -> KktSystem:
-    """Build the block system from exposure probabilities and outcome variances.
-
-    The prior enters the optimization only through the outcome variances, so
-    this is the ground-level assembly; rejects vanishing entries, naming the
-    first in canonical order.
-    """
-    exposures = tuple(enumerate_exposures(spec))
-    p = np.asarray(probabilities, dtype=float)
-    variances = np.asarray(variances, dtype=float)
-    if p.shape != (len(exposures),) or variances.shape != (len(exposures),):
-        raise ValueError("need one probability and one variance per exposure")
-    vanishing = (p <= 0.0) | (variances <= 0.0)
-    if vanishing.any():
-        j = int(np.argmax(vanishing))
-        if p[j] <= 0.0:
-            raise SingularSystemError(
-                f"exposure {exposures[j]} has probability {p[j]}; system is singular")
-        raise SingularSystemError(f"potential outcome at {exposures[j]} has prior variance "
-                                  f"{variances[j]}; system is singular")
-    rhs = np.zeros(len(exposures) + spec.num_parameters)
-    rhs[len(exposures) + target_position(spec)] = 1.0
-    return KktSystem(spec, rhs, exposures, p, variances)
-
-
-def assemble_system(spec: ExposureSpec, probs: ExposureDistribution,
-                    prior: PriorSpec | FactorPrior) -> KktSystem:
-    """Build the block system for a prior; rejects vanishing variances or probabilities."""
-    return assemble_from_moments(spec, probability_vector(spec, probs),
-                                 outcome_variance_vector(spec, prior))
-
-
 @dataclass
 class MivlueSolution:
     """Solved weights, multipliers, and the minimized objective.
@@ -280,27 +254,42 @@ class MivlueSolution:
         return float(np.abs(self.estimator.vector - quotient).max())
 
 
-def _solve_assembled(system: KktSystem, active=True) -> MivlueSolution:
-    """Eliminate the first component in closed form and solve the small tail system.
+def _solve_moments(spec: ExposureSpec, probabilities, variances, active=True) -> MivlueSolution:
+    """Solve the optimality system from exposure probabilities and outcome variances.
 
-    A weight is (mu_{e_1} + b_e . theta) / Var(e), where b_e indicates the tail
-    levels of e (components 2..K).  With rates r = p / Var, their sums R_j and
+    Rejects vanishing entries, naming the first in canonical order, then
+    eliminates the first component in closed form.  A weight is
+    (mu_{e_1} + b_e . theta) / Var(e), where b_e indicates the tail levels of e
+    (components 2..K).  With rates r = p / Var, their sums R_j and
     the r-weighted tail means mean_j over e_1 = j, the first-component rows
     give mu_j = t_j / R_j - mean_j . theta (t_0 = -1, t_{m_1} = 1, else 0) and
     the tail rows the centred system S theta = mean_0 - mean_{m_1}.  Exposures
     outside ``active`` get rate and weight 0: that is the dilation limit.
     """
-    m1 = system.spec.levels[0]
-    positions, mask = active_parameters(system.spec)
+    exposures = _canonical_exposures(spec.levels)
+    p = np.asarray(probabilities, dtype=float)
+    variances = np.asarray(variances, dtype=float)
+    if p.shape != (len(exposures),) or variances.shape != (len(exposures),):
+        raise ValueError("need one probability and one variance per exposure")
+    vanishing = (p <= 0.0) | (variances <= 0.0)
+    if vanishing.any():
+        j = int(np.argmax(vanishing))
+        if p[j] <= 0.0:
+            raise SingularSystemError(
+                f"exposure {exposures[j]} has probability {p[j]}; system is singular")
+        raise SingularSystemError(f"potential outcome at {exposures[j]} has prior variance "
+                                  f"{variances[j]}; system is singular")
+    m1 = spec.levels[0]
+    positions, mask = active_parameters(spec)
     first = positions[:, 1]  # e_1's position is e_1, and 0 at level 0
     # Indicator rows m1 + 1.., without caching a P x E matrix; C-ordered, as BLAS summed them.
-    exposures, components = np.nonzero(mask[:, 2:])
-    tail = np.zeros((system.spec.num_parameters - m1 - 1, len(positions)))
-    tail[positions[:, 2:][exposures, components] - m1 - 1, exposures] = 1.0
+    columns, components = np.nonzero(mask[:, 2:])
+    tail = np.zeros((spec.num_parameters - m1 - 1, len(positions)))
+    tail[positions[:, 2:][columns, components] - m1 - 1, columns] = 1.0
     tail = tail.T
     # Row j holds the rates of group e_1 = j, so each group sums only its own
     # exposures: no group is ever a total minus the others.
-    rate = system.probabilities / system.variances * active
+    rate = p / variances * active
     member = (first == np.arange(m1 + 1)[:, None]) * rate
     total = member.sum(axis=1)
     occupied = total > 0.0
@@ -313,8 +302,8 @@ def _solve_assembled(system: KktSystem, active=True) -> MivlueSolution:
                                             mean[0] - mean[m1], rcond=None)
     t = np.r_[-1.0, np.zeros(m1 - 1), 1.0]
     mu = np.divide(t, total, out=np.zeros(m1 + 1), where=occupied) - mean @ theta
-    w = (mu[first] + tail @ theta) / system.variances * active
-    (residual,) = constraint_residuals(system.spec, system.probabilities, w)
+    w = (mu[first] + tail @ theta) / variances * active
+    (residual,) = constraint_residuals(spec, p, w)
     if not residual <= UNBIASED_TOL:
         raise SingularSystemError(
             f"solved weights miss the unbiasedness constraints by {residual:.2e} relative")
@@ -323,20 +312,22 @@ def _solve_assembled(system: KktSystem, active=True) -> MivlueSolution:
         condition = singular[0] / singular[-1] if singular[-1] else np.inf
         warnings.append(f"optimality system condition estimate {condition:.2e} exceeds 1e12")
     multipliers = np.concatenate([mu[:1], mu[1:] - mu[0], theta])
-    estimator = LinearEstimator(system.spec, w, name="mivlue")
-    ivar = float(w @ (system.probabilities * system.variances * w))
-    return MivlueSolution(estimator, multipliers, ivar, system, warnings)
+    estimator = LinearEstimator(spec, w, name="mivlue")
+    ivar = float(w @ (p * variances * w))
+    return MivlueSolution(estimator, multipliers, ivar, KktSystem(spec, exposures, p, variances),
+                          warnings)
 
 
 def solve_mivlue(spec: ExposureSpec, probs: ExposureDistribution,
                  prior: PriorSpec | FactorPrior) -> MivlueSolution:
     """Solve the optimality system for the minimum-integrated-variance weights."""
-    return _solve_assembled(assemble_system(spec, probs, prior))
+    return _solve_moments(spec, probability_vector(spec, probs),
+                          outcome_variance_vector(spec, prior))
 
 
 def solve_from_moments(spec: ExposureSpec, probabilities, variances) -> MivlueSolution:
     """Solve directly from exposure probabilities and outcome variances."""
-    return _solve_assembled(assemble_from_moments(spec, probabilities, variances))
+    return _solve_moments(spec, probabilities, variances)
 
 
 @dataclass
@@ -369,7 +360,9 @@ def solve_mivlue_limit(spec: ExposureSpec, probs: ExposureDistribution, support)
     active = np.zeros(spec.num_exposures, dtype=bool)
     active[exposure_columns(spec, support)] = True
     prior = PriorSpec(default_base_perturbation(spec.num_parameters))
-    return LimitSolution(_solve_assembled(assemble_system(spec, probs, prior), active), support)
+    solution = _solve_moments(spec, probability_vector(spec, probs),
+                              outcome_variance_vector(spec, prior), active)
+    return LimitSolution(solution, support)
 
 
 # Canonical ordering of the six-exposure problem: the support

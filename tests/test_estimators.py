@@ -526,6 +526,12 @@ class TestRankCertificate:
             spec = ExposureSpec(levels)
             assert affine_rank_is_full(build_malue_set(spec) + build_zero_estimators(spec))
 
+    def test_joined_copies_of_a_basis_are_rejected(self, fallbacks):
+        """Each identifier appears twice; only the SVD can decide, and it refuses."""
+        basis = build_affine_basis(ExposureSpec((3, 2)))
+        assert not affine_rank_is_full(basis + basis)
+        assert fallbacks == [2 * len(basis)]
+
 
 class TestLueDimension:
     def test_examples(self):

@@ -1,4 +1,4 @@
-"""Optimality system assembly, solver, dilation limit, six-term closed forms."""
+"""The optimality system, its solve, the dilation limit, six-term closed forms."""
 
 import hashlib
 import math
@@ -22,7 +22,6 @@ from lue.mivlue import (
     FactorPrior,
     PriorSpec,
     SingularSystemError,
-    assemble_system,
     default_base_perturbation,
     max_alpha3,
     outcome_variance,
@@ -120,10 +119,66 @@ def solve_panel_digest():
         except SingularSystemError as exc:
             digest.update(str(exc).encode())
             continue
-        for values in (solution.estimator.vector, solution.multipliers,
-                       solution.system.variances, [solution.integrated_variance]):
-            digest.update(np.asarray(values, dtype=float).tobytes())
-        digest.update("".join(solution.warnings).encode())
+        update_with_solution(digest, solution)
+    return digest.hexdigest()
+
+
+def update_with_solution(digest, solution, *extra):
+    """Hash a solve's weights, multipliers, variances, objective, ``extra`` values and warnings."""
+    for values in (solution.estimator.vector, solution.multipliers,
+                   solution.system.variances, [solution.integrated_variance, *extra]):
+        digest.update(np.asarray(values, dtype=float).tobytes())
+    digest.update("".join(solution.warnings).encode())
+
+
+def limit_panel_digest():
+    """sha256 of dilation-limit solves on a seeded panel, and of each refused support's message.
+
+    Each spec with at most 64 exposures gets a Dirichlet pmf, the two-term
+    support on the zero tail, which is always valid, and two random supports.
+    """
+    rng = np.random.default_rng(17)
+    digest = hashlib.sha256()
+    for spec in small_specs():
+        probs = random_distribution(spec, rng)
+        exposures = enumerate_exposures(spec)
+        zero_tail = (0,) * (len(spec.levels) - 1)
+        supports = [[(spec.levels[0], *zero_tail), (0, *zero_tail)]]
+        for _ in range(2):
+            size = int(rng.integers(2, spec.num_exposures + 1))
+            supports.append([exposures[i]
+                             for i in rng.choice(spec.num_exposures, size, replace=False)])
+        for support in supports:
+            try:
+                limit = solve_mivlue_limit(spec, probs, support)
+            except (ValueError, SingularSystemError) as exc:
+                assert support is not supports[0], spec
+                digest.update(str(exc).encode())
+                continue
+            update_with_solution(digest, limit.solution, limit.off_support_mass())
+    return digest.hexdigest()
+
+
+def moments_panel_digest():
+    """sha256 of solves from seeded positive moments, and of each refusal's message.
+
+    Per spec: one solve, then a vanishing probability, a vanishing or negative
+    variance, both at once, and two shape mismatches, each of which is refused.
+    """
+    rng = np.random.default_rng(19)
+    digest = hashlib.sha256()
+    for spec in small_specs():
+        n = spec.num_exposures
+        p, variances = rng.dirichlet(np.ones(n)), rng.uniform(0.1, 10.0, n)
+        update_with_solution(digest, solve_from_moments(spec, p, variances))
+        bad_p, bad_variances = p.copy(), variances.copy()
+        bad_p[rng.integers(n)] = 0.0
+        bad_variances[rng.integers(n)] = -rng.uniform() * rng.integers(2)
+        for args in ((bad_p, variances), (p, bad_variances), (bad_p, bad_variances),
+                     (p[:-1], variances), (p, variances[:, None])):
+            with pytest.raises((ValueError, SingularSystemError)) as refused:
+                solve_from_moments(spec, *args)
+            digest.update(str(refused.value).encode())
     return digest.hexdigest()
 
 
@@ -293,19 +348,21 @@ class TestOutcomeVariance:
             outcome_variance(PriorSpec(np.eye(3)), ExposureSpec((3, 1)), (0, 0))
 
 
-class TestAssembleSystem:
+class TestKktSystemViews:
+    """The written-out system, read only by `bench/worker.py`; ROADMAP item 1 deletes it."""
+
     def test_single_component_blocks(self):
         spec = ExposureSpec((1,))
         probs = ExposureDistribution(spec, {(1,): 0.5, (0,): 0.5})
-        system = assemble_system(spec, probs, PriorSpec(np.eye(2)))
+        system = solve_mivlue(spec, probs, PriorSpec(np.eye(2))).system
         # exposure (1,) activates both parameters, (0,) only the baseline
         np.testing.assert_allclose(np.diagonal(system.matrix)[:2], [0.5 * 2.0, 0.5 * 1.0])
         assert system.matrix.shape == (4, 4)
 
     def test_rhs_one_hot_at_estimand_row(self):
         spec = ExposureSpec((3, 1))
-        system = assemble_system(spec, uniform_distribution(spec),
-                                 PriorSpec(np.eye(spec.num_parameters)))
+        system = solve_mivlue(spec, uniform_distribution(spec),
+                              PriorSpec(np.eye(spec.num_parameters))).system
         expected = np.zeros(8 + 5)
         expected[8 + 3] = 1.0  # the first component's maximum-level row
         np.testing.assert_array_equal(system.rhs, expected)
@@ -314,16 +371,16 @@ class TestAssembleSystem:
         rng = np.random.default_rng(0)
         for _ in range(5):
             spec = ExposureSpec(tuple(rng.integers(1, 4, size=2)))
-            system = assemble_system(spec, random_distribution(spec, rng),
-                                     random_pd_prior(spec.num_parameters, rng))
+            system = solve_mivlue(spec, random_distribution(spec, rng),
+                                  random_pd_prior(spec.num_parameters, rng)).system
             np.testing.assert_allclose(system.matrix, system.matrix.T)
 
     def test_full_rank_with_positive_diagonal(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             spec = ExposureSpec(tuple(rng.integers(1, 4, size=rng.integers(1, 4))))
-            system = assemble_system(spec, random_distribution(spec, rng),
-                                     random_pd_prior(spec.num_parameters, rng))
+            system = solve_mivlue(spec, random_distribution(spec, rng),
+                                  random_pd_prior(spec.num_parameters, rng)).system
             size = system.matrix.shape[0]
             assert np.linalg.matrix_rank(system.matrix) == size
 
@@ -331,7 +388,7 @@ class TestAssembleSystem:
         spec = ExposureSpec((1, 1))
         sigma = support_null_prior(spec, [(0, 0)])
         with pytest.raises(SingularSystemError, match=r"\(0, 0\)"):
-            assemble_system(spec, uniform_distribution(spec), PriorSpec(sigma))
+            solve_mivlue(spec, uniform_distribution(spec), PriorSpec(sigma))
 
     def test_first_vanishing_entry_is_named(self):
         """The first exposure in canonical order with a vanishing entry; its probability first."""
@@ -570,6 +627,16 @@ class TestPinnedArithmetic:
         """Catches reorderings of the solver's sums that the simulation pins miss."""
         expected = "77b6fa3830fc7de01f9e3f669bfb1b5f98b3d3aaae170c91b6826d4aff8a8173"
         assert solve_panel_digest() == expected
+
+    def test_limit_panel_digest_is_pinned(self):
+        """The dilation limit's solve and its support refusals, which the solve panel misses."""
+        expected = "9e1b97d9f82ca9c529faa86a8d04445a88f0971274a8fd68cd3fbc0266d682c4"
+        assert limit_panel_digest() == expected
+
+    def test_moments_panel_digest_is_pinned(self):
+        """The moment-level solve and its vanishing-entry and shape refusals."""
+        expected = "17699f6bd5ee6c50cbcb9c1529effbf4f000276c5ce567f6948ae66f5a91cfd6"
+        assert moments_panel_digest() == expected
 
     def test_unbiasedness_gate_is_the_dense_formula(self):
         """The one residual, summed over active parameters, matches the dense C-block formula.

@@ -182,6 +182,8 @@ def sampled_moments(config):
     (None, "LimitSolution"),
     (None, "EstimatorRows"),
     ("mivlue", "_relative_residual"),
+    ("mivlue", "assemble_system"),
+    ("mivlue", "assemble_from_moments"),
 ])
 def test_scalar_references_are_not_exported(module, name):
     """The package evaluates estimators only through the vectorised tables and the basis.
