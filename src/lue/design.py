@@ -14,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exposure import (SPEC_CACHE_SIZE, Exposure, ExposureSpec, apply_exposure_mapping,
-                       canonical_grid, enumerate_exposures, exposure_columns, exposure_vector)
+from .exposure import (SPEC_CACHE_SIZE, Exposure, ExposureSpec, canonical_grid,
+                       enumerate_exposures, exposure_columns, exposure_vector)
 
 PROB_SUM_TOL = 1e-10
 # Binomial masses underflow float64 well before this point, so switch the
@@ -177,7 +177,7 @@ def bernoulli_exposure_distribution(degree: int, p_treat: float) -> ExposureDist
 
 def exposure_distribution_exact(design: BernoulliDesign, kind: str, network, unit: int
                                 ) -> ExposureDistribution:
-    """Brute-force exposure distribution: accumulate design mass over all allocations."""
+    """Brute-force exposure distribution: each allocation's mass, added in order into its slot."""
     if kind != "network_interference":
         raise ValueError(f"unknown exposure mapping kind {kind!r}")
     degree = int(network.in_degrees[unit])
@@ -185,9 +185,8 @@ def exposure_distribution_exact(design: BernoulliDesign, kind: str, network, uni
         raise ValueError(
             f"unit {unit} has in-degree 0; its interference exposure set is degenerate"
         )
-    acc: dict[Exposure, float] = {}
     mat, weights = allocation_matrix(design)
-    for z, p in zip(mat, weights):
-        e = apply_exposure_mapping(network, z, unit)
-        acc[e] = acc.get(e, 0.0) + p
-    return ExposureDistribution(ExposureSpec((degree, 1)), acc)
+    slots = 2 * (mat @ network.adjacency[:, unit]) + mat[:, unit]
+    d, z = canonical_grid((degree, 1)).T
+    table = np.bincount(slots, weights, 2 * degree + 2).reshape(degree + 1, 2)
+    return ExposureDistribution(ExposureSpec((degree, 1)), table[d, z])

@@ -265,6 +265,9 @@ def _solve_moments(spec: ExposureSpec, probabilities, variances, active=True) ->
     give mu_j = t_j / R_j - mean_j . theta (t_0 = -1, t_{m_1} = 1, else 0) and
     the tail rows the centred system S theta = mean_0 - mean_{m_1}.  Exposures
     outside ``active`` get rate and weight 0: that is the dilation limit.
+    Weights that fail the unbiasedness gate get one step of iterative
+    refinement (Higham, ch. 12): the same elimination, on the constraint
+    residual.  Weights that pass the gate are never refined.
     """
     exposures = _canonical_exposures(spec.levels)
     p = np.asarray(probabilities, dtype=float)
@@ -298,12 +301,20 @@ def _solve_moments(spec: ExposureSpec, probabilities, variances, active=True) ->
     centred = tail - mean[first]
     # S is singular when the active set omits a tail level; the minimum-norm
     # theta leaves every active weight unchanged.
-    theta, _, _, singular = np.linalg.lstsq((centred * rate[:, None]).T @ centred,
-                                            mean[0] - mean[m1], rcond=None)
+    s = (centred * rate[:, None]).T @ centred
+    theta, _, _, singular = np.linalg.lstsq(s, mean[0] - mean[m1], rcond=None)
     t = np.r_[-1.0, np.zeros(m1 - 1), 1.0]
     mu = np.divide(t, total, out=np.zeros(m1 + 1), where=occupied) - mean @ theta
     w = (mu[first] + tail @ theta) / variances * active
     (residual,) = constraint_residuals(spec, p, w)
+    if not residual <= UNBIASED_TOL:
+        r_g = t - np.bincount(first, p * w, m1 + 1)
+        r_h = -(p * w) @ tail
+        d_theta = np.linalg.lstsq(s, r_h - mean.T @ r_g, rcond=None)[0]
+        d_mu = np.divide(r_g, total, out=np.zeros(m1 + 1), where=occupied) - mean @ d_theta
+        w = w + (d_mu[first] + tail @ d_theta) / variances * active
+        mu, theta = mu + d_mu, theta + d_theta
+        (residual,) = constraint_residuals(spec, p, w)
     if not residual <= UNBIASED_TOL:
         raise SingularSystemError(
             f"solved weights miss the unbiasedness constraints by {residual:.2e} relative")

@@ -21,7 +21,6 @@ from .design import (
     ExposureDistribution,
     allocation_matrix,
     bernoulli_exposure_distribution,
-    exposure_distribution_exact,
     probability_vector,
 )
 from .estimators import (
@@ -38,7 +37,7 @@ from .estimators import (
     malue_count,
     zero_count,
 )
-from .exposure import ExposureSpec, exposure_columns
+from .exposure import ExposureSpec, canonical_grid, exposure_columns
 from .mivlue import SIX_TERM_EXPOSURES, PriorSpec, six_term_alpha_weights, solve_mivlue
 from .networks import gen_erdos_renyi_directed, gen_k_regular_directed
 from .simulation import (
@@ -165,18 +164,18 @@ def check_design_oracle() -> tuple[bool, str]:
         units = included_units(network)
         width = 2 * (int(network.in_degrees.max()) + 1)
         for p_treat in (0.5, 0.3):
-            design = BernoulliDesign(network.n, p_treat)
-            for unit in units:
-                exact = exposure_distribution_exact(design, "network_interference", network, unit)
-                closed = bernoulli_exposure_distribution(int(network.in_degrees[unit]), p_treat)
-                for e in exact:
-                    if abs(closed[e] - exact[e]) > 1e-12:
-                        return False, (
-                            f"n={network.n} unit={unit} exposure={e}: closed {closed[e]!r} "
-                            f"vs exact {exact[e]!r}"
-                        )
-            alloc, probs = allocation_matrix(design)
+            alloc, probs = allocation_matrix(BernoulliDesign(network.n, p_treat))
             slots = (2 * (alloc @ network.adjacency) + alloc)[:, units]
+            for unit, unit_slots in zip(units, slots.T):
+                degree = int(network.in_degrees[unit])
+                d, z = canonical_grid((degree, 1)).T
+                exact = np.bincount(unit_slots, probs, 2 * degree + 2).reshape(degree + 1, 2)[d, z]
+                closed = bernoulli_exposure_distribution(degree, p_treat).vector
+                bad = np.flatnonzero(np.abs(closed - exact) > 1e-12)
+                if bad.size:
+                    j = bad[0]
+                    return False, (f"n={network.n} unit={unit} exposure=({d[j]}, {z[j]}): closed "
+                                   f"{float(closed[j])!r} vs exact {float(exact[j])!r}")
             joint = joint_exposure_pmf(network, units, width, p_treat)
             blocks = joint.reshape((len(units), width) * 2)
             for a, b in np.ndindex(len(units), len(units)):

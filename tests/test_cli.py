@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 import lue
+import lue.design
 import lue.simulation
 import lue.verify
 from lue.cli import _setting_seed, build_parser, main
-from lue.design import ExposureDistribution, bernoulli_exposure_distribution, uniform_distribution
+from lue.design import (ExposureDistribution, allocation_matrix, bernoulli_exposure_distribution,
+                        uniform_distribution)
 from lue.estimators import LinearEstimator, build_malue_set
 from lue.exposure import ExposureSpec, enumerate_exposures
 from lue.mivlue import max_alpha3
@@ -173,6 +175,14 @@ class TestWeightsCommand:
         assert main(["weights", "--input", path, "--output", str(out_path)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not out_path.exists()
+
+    def test_singular_solve_exits_1_naming_the_exposure(self, tmp_path, capsys):
+        """A prior that gives an outcome zero variance fails the solve, not the input checks."""
+        payload = {"spec": {"levels": [2, 1]}, "prior": {"covariance": np.zeros((4, 4)).tolist()}}
+        path = write_json(tmp_path / "in.json", payload)
+        assert main(["weights", "--input", path]) == 1
+        assert capsys.readouterr().err == ("error: potential outcome at (1, 1) has prior variance "
+                                           "0.0; system is singular\n")
 
     def test_rows_cover_every_exposure(self, tmp_path, capsys):
         path = write_json(tmp_path / "in.json", six_term_payload([1.0, 2.0, 3.0, 4.0]))
@@ -358,6 +368,17 @@ class TestSimulateCommand:
                 if l and not l.startswith(("#", "estimator"))]
         assert len(rows) == 2 * 5  # the two feasible settings survived
 
+    def test_dilated_setting_at_negative_eta1_solves(self, tmp_path, capsys):
+        """MDil's rows at eta1 = -2 miss the gate on a first solve, and pass after refinement."""
+        path = write_json(tmp_path / "dilated.json", {
+            "network": {"kind": "k_regular", "n": 6, "k": 2},
+            "outcome": {"kind": "dilated", "eta1": -2}, "num_draws": 50,
+            "allocation_mode": "exhaustive"})
+        lue.simulation.clear_weight_memo()
+        assert main(["simulate", "--config", path, "--out-dir", str(tmp_path), "--seed", "7"]) == 0
+        rows = open(capsys.readouterr().out.strip()).read().splitlines()
+        assert any(row.startswith("MDil,6,2,dilated,-2,") for row in rows)
+
     def test_failed_setting_explains_itself(self, tmp_path):
         """A failure names its exception type; -v adds the traceback."""
         config = self.sweep_config()
@@ -518,6 +539,19 @@ class TestVerifyCommand:
         assert main(["verify", "--filter", "design_oracle"]) == 0
         assert "[PASS] design_oracle" in capsys.readouterr().out
 
+    def test_design_oracle_enumerates_each_network_once(self, monkeypatch):
+        """One allocation matrix per (network, p_treat): eight networks at two p_treat."""
+        calls = []
+
+        def spy(design):
+            calls.append((design.n, design.p_treat))
+            return allocation_matrix(design)
+
+        monkeypatch.setattr(lue.verify, "allocation_matrix", spy)
+        monkeypatch.setattr(lue.design, "allocation_matrix", spy)
+        assert check_design_oracle() == (True, "")
+        assert sorted(calls) == sorted([(n, p) for n in (3, 5, 8, 10) for p in (0.5, 0.3)] * 2)
+
     def test_unknown_filter(self, capsys):
         assert main(["verify", "--filter", "no_such_check"]) == 2
 
@@ -569,6 +603,13 @@ class TestCheckInjection:
         ok, details = check_design_oracle()
         assert not ok
         assert "closed" in details and "vs exact" in details
+
+    def test_design_oracle_names_the_first_offender(self, monkeypatch):
+        """The first offender in canonical order, with its values printed as plain floats."""
+        monkeypatch.setattr(lue.verify, "bernoulli_exposure_distribution", swapped_pmf)
+        ok, details = check_design_oracle()
+        assert not ok
+        assert details == "n=3 unit=0 exposure=(1, 1): closed 0.125 vs exact 0.25"
 
     def test_transposed_joint_block_fails_the_design_oracle(self, monkeypatch):
         """The design oracle reads every block of the joint pmf, and names the pair that is off."""

@@ -16,8 +16,8 @@ from lue.design import (
     exposure_distribution_exact,
     uniform_distribution,
 )
-from lue.exposure import ExposureSpec, enumerate_exposures
-from lue.networks import Network, gen_erdos_renyi_directed
+from lue.exposure import ExposureSpec, apply_exposure_mapping, enumerate_exposures
+from lue.networks import Network, gen_erdos_renyi_directed, gen_k_regular_directed
 
 
 def three_cycle():
@@ -182,7 +182,29 @@ class TestExposureDistribution:
         np.testing.assert_allclose(dist.vector, np.full(8, 0.125))
 
 
+def per_allocation_distribution(design, network, unit):
+    """Reference: each allocation row's mass, added in order into a dict by its mapped exposure."""
+    acc = {}
+    mat, weights = allocation_matrix(design)
+    for z, p in zip(mat, weights):
+        e = apply_exposure_mapping(network, z, unit)
+        acc[e] = acc.get(e, 0.0) + p
+    return ExposureDistribution(ExposureSpec((int(network.in_degrees[unit]), 1)), acc)
+
+
 class TestExactEnumeration:
+    def test_is_the_per_allocation_accumulation_bit_for_bit(self):
+        for n in range(2, 9):
+            graphs = [gen_erdos_renyi_directed(n, 0.5, seed=n),
+                      gen_k_regular_directed(n, min(2, n - 1), seed=n)]
+            for net in graphs:
+                for p_treat in (0.5, 0.3):
+                    design = BernoulliDesign(n, p_treat)
+                    for unit in np.flatnonzero(net.in_degrees).tolist():
+                        got = exposure_distribution_exact(design, "network_interference", net, unit)
+                        want = per_allocation_distribution(design, net, unit)
+                        assert got.vector.tobytes() == want.vector.tobytes(), (n, p_treat, unit)
+
     def test_three_cycle_uniform_quarters(self):
         design = BernoulliDesign(3, 0.5)
         dist = exposure_distribution_exact(design, "network_interference", three_cycle(), 0)

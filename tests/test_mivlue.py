@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from lue.design import (
 )
 from lue.estimators import (basis_weights, build_affine_basis, check_support_condition,
                             constraint_matrix, constraint_residuals, decompose_in_basis)
-from lue.exposure import (ExposureSpec, enumerate_exposures, indicator_matrix, indicator_vector,
-                          target_position)
+from lue.exposure import (ExposureSpec, canonical_grid, enumerate_exposures, indicator_matrix,
+                          indicator_vector, target_position)
 from lue.mivlue import (
     PSD_TOL,
     FactorPrior,
@@ -33,7 +34,7 @@ from lue.mivlue import (
     support_null_prior,
 )
 from lue.networks import Network
-from lue.simulation import MDIL_RIDGE, OutcomeModel, build_estimator_family
+from lue.simulation import MDIL_RIDGE, OutcomeModel, build_estimator_family, family_weights
 
 SIX_ORDER = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
 
@@ -601,6 +602,76 @@ class TestUnbiasedAtHighDegree:
         monkeypatch.setattr(mivlue, "UNBIASED_TOL", -1.0)
         with pytest.raises(SingularSystemError, match="unbiasedness"):
             solve_mivlue(spec, uniform_distribution(spec), PriorSpec(np.eye(5)))
+
+
+def exact_weights(spec, probabilities, variances):
+    """Optimal weights and multipliers in exact rationals on the float inputs, as Fraction lists.
+
+    Solves A diag(p/Var) A^T lam = t by Gauss-Jordan, with A the indicator
+    matrix and t one-hot at the estimand, and sets w = A^T lam / Var.  Then
+    asserts that every constraint row holds exactly.
+    """
+    a = indicator_matrix(spec).astype(bool)
+    p = [Fraction(float(x)) for x in probabilities]
+    var = [Fraction(float(x)) for x in variances]
+    rate = [pe / ve for pe, ve in zip(p, var)]
+    cols = [np.flatnonzero(row).tolist() for row in a]
+    size = len(a)
+    t = [Fraction(int(i == target_position(spec))) for i in range(size)]
+    rows = [[sum((rate[e] for e in cols[i] if a[j, e]), Fraction(0)) for j in range(size)]
+            + [t[i]] for i in range(size)]
+    # The normal matrix is positive definite, so every diagonal pivot is nonzero.  Sparse
+    # columns go first: on the arrow matrix of a (d, 1) spec that creates no fill.
+    for k in sorted(range(size), key=lambda k: sum(map(bool, rows[k]))):
+        head = rows[k]
+        for i in range(size):
+            factor = rows[i][k] / head[k] if i != k else 0
+            if factor:
+                rows[i] = [x - factor * y if y else x for x, y in zip(rows[i], head)]
+    lam = [row[-1] / row[i] for i, row in enumerate(rows)]
+    w = [sum((lam[i] for i in np.flatnonzero(a[:, e]).tolist()), Fraction(0)) / var[e]
+         for e in range(a.shape[1])]
+    for i in range(size):
+        assert sum(p[e] * w[e] for e in cols[i]) == t[i], i
+    return w, lam
+
+
+class TestExactWeights:
+    """Float weights against the exact rational solve of the same float inputs."""
+
+    @staticmethod
+    def forward_error(prior, degree, p_treat):
+        """The larger relative error max |x - x*| / max |x*| of the weights and multipliers."""
+        dist = bernoulli_exposure_distribution(degree, p_treat)
+        solution = solve_mivlue(dist.spec, dist, prior)
+        exact = exact_weights(dist.spec, dist.vector, outcome_variance_vector(dist.spec, prior))
+        return max(max(abs(Fraction(float(x)) - y) for x, y in zip(got, want)) / max(map(abs, want))
+                   for got, want in zip((solution.estimator.vector, solution.multipliers), exact))
+
+    @pytest.mark.parametrize("p_treat, degree, eta1", [
+        (0.3, 1, -2.0), (0.5, 1, -2.0), (0.5, 2, -2.0), (0.7, 2, -4.0), (0.7, 3, -6.0),
+        (0.3, 22, -5.5), (0.5, 24, -6.0)])
+    def test_refined_mdil_rows_are_the_exact_weights(self, p_treat, degree, eta1):
+        """Rows whose first solve misses the gate by 1e-10 to 4e-9 are exact after refinement."""
+        diagonal, u = OutcomeModel("dilated", eta1=eta1).covariance(degree)
+        assert self.forward_error(FactorPrior(diagonal + MDIL_RIDGE, u), degree, p_treat) <= 1e-15
+
+    @pytest.mark.parametrize("degree", [1, 2, 5, 20, 40])
+    @pytest.mark.parametrize("p_treat", [0.3, 0.5])
+    def test_mind_rows_are_the_exact_weights(self, degree, p_treat):
+        prior = FactorPrior(*OutcomeModel("independent").covariance(degree))
+        assert self.forward_error(prior, degree, p_treat) <= 1e-15
+
+    def test_every_mdil_row_solves_at_negative_eta1(self):
+        """Every MDil row at in-degree 1..30 and eta1 in -6..-0.5 solves within the gate."""
+        for p_treat in (0.3, 0.5, 0.7):
+            for degree in range(1, 31):
+                dist = bernoulli_exposure_distribution(degree, p_treat)
+                for eta1 in np.arange(-6.0, 0.0, 0.5):
+                    (row,) = family_weights(("MDil",), degree, p_treat, eta1)
+                    w = row[canonical_grid((degree, 1)) @ (2, 1)]
+                    assert constraint_residuals(dist.spec, dist.vector, w)[0] <= 1e-10, (
+                        p_treat, degree, eta1)
 
 
 class TestPinnedArithmetic:

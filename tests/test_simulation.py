@@ -713,6 +713,12 @@ class TestEstimateAverageEffect:
         )
         assert expectation == pytest.approx(true_average_effect(net, params), abs=1e-12)
 
+    def test_truth_is_undefined_without_edges(self):
+        net = Network(np.zeros((3, 3), dtype=int))
+        params = sample_parameters(net, OutcomeModel("independent"), 0)
+        with pytest.raises(ValueError, match="every unit has in-degree 0"):
+            true_average_effect(net, params)
+
     @pytest.mark.parametrize("model", OUTCOME_MODELS, ids=lambda model: model.kind)
     @pytest.mark.parametrize("config,seed", EXACT_NETWORKS, ids=["k_regular", "erdos_renyi"])
     def test_truth_is_the_mean_of_the_top_entries_bit_for_bit(self, config, seed, model):
