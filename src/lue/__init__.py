@@ -63,6 +63,6 @@ from .simulation import (
 )
 from .verify import run_verify
 
-__version__ = "0.1.1"
+__version__ = "0.1.2"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -265,9 +265,9 @@ def _solve_moments(spec: ExposureSpec, probabilities, variances, active=True) ->
     give mu_j = t_j / R_j - mean_j . theta (t_0 = -1, t_{m_1} = 1, else 0) and
     the tail rows the centred system S theta = mean_0 - mean_{m_1}.  Exposures
     outside ``active`` get rate and weight 0: that is the dilation limit.
-    Weights that fail the unbiasedness gate get one step of iterative
-    refinement (Higham, ch. 12): the same elimination, on the constraint
-    residual.  Weights that pass the gate are never refined.
+    The elimination runs from w = 0, then once more on its own constraint
+    residual, adding each correction: one step of iterative refinement
+    (Higham, ch. 12) on every solve.  Group sums are bincounts, O(E).
     """
     exposures = _canonical_exposures(spec.levels)
     p = np.asarray(probabilities, dtype=float)
@@ -285,36 +285,30 @@ def _solve_moments(spec: ExposureSpec, probabilities, variances, active=True) ->
     m1 = spec.levels[0]
     positions, mask = active_parameters(spec)
     first = positions[:, 1]  # e_1's position is e_1, and 0 at level 0
-    # Indicator rows m1 + 1.., without caching a P x E matrix; C-ordered, as BLAS summed them.
-    columns, components = np.nonzero(mask[:, 2:])
-    tail = np.zeros((spec.num_parameters - m1 - 1, len(positions)))
-    tail[positions[:, 2:][columns, components] - m1 - 1, columns] = 1.0
-    tail = tail.T
-    # Row j holds the rates of group e_1 = j, so each group sums only its own
-    # exposures: no group is ever a total minus the others.
+    # Indicator rows m1 + 1.. as an E x T matrix, without caching a P x E matrix.
+    rows, components = np.nonzero(mask[:, 2:])
+    tail = np.zeros((len(positions), spec.num_parameters - m1 - 1))
+    tail[rows, positions[:, 2:][rows, components] - m1 - 1] = 1.0
+    # Each group e_1 = j sums only its own exposures: no group is ever a total minus the others.
     rate = p / variances * active
-    member = (first == np.arange(m1 + 1)[:, None]) * rate
-    total = member.sum(axis=1)
+    total = np.bincount(first, rate, m1 + 1)
     occupied = total > 0.0
-    mean = np.divide(member @ tail, total[:, None], out=np.zeros((m1 + 1, tail.shape[1])),
-                     where=occupied[:, None])
+    mean = np.zeros((m1 + 1, tail.shape[1]))
+    np.add.at(mean, first, rate[:, None] * tail)  # the group sums, then their means
+    np.divide(mean, total[:, None], out=mean, where=occupied[:, None])
     centred = tail - mean[first]
     # S is singular when the active set omits a tail level; the minimum-norm
     # theta leaves every active weight unchanged.
     s = (centred * rate[:, None]).T @ centred
-    theta, _, _, singular = np.linalg.lstsq(s, mean[0] - mean[m1], rcond=None)
     t = np.r_[-1.0, np.zeros(m1 - 1), 1.0]
-    mu = np.divide(t, total, out=np.zeros(m1 + 1), where=occupied) - mean @ theta
-    w = (mu[first] + tail @ theta) / variances * active
-    (residual,) = constraint_residuals(spec, p, w)
-    if not residual <= UNBIASED_TOL:
+    w, mu, theta = np.zeros(len(p)), np.zeros(m1 + 1), np.zeros(tail.shape[1])
+    for _ in range(2):
         r_g = t - np.bincount(first, p * w, m1 + 1)
-        r_h = -(p * w) @ tail
-        d_theta = np.linalg.lstsq(s, r_h - mean.T @ r_g, rcond=None)[0]
+        d_theta, _, _, singular = np.linalg.lstsq(s, -(p * w) @ tail - mean.T @ r_g, rcond=None)
         d_mu = np.divide(r_g, total, out=np.zeros(m1 + 1), where=occupied) - mean @ d_theta
         w = w + (d_mu[first] + tail @ d_theta) / variances * active
         mu, theta = mu + d_mu, theta + d_theta
-        (residual,) = constraint_residuals(spec, p, w)
+    (residual,) = constraint_residuals(spec, p, w)
     if not residual <= UNBIASED_TOL:
         raise SingularSystemError(
             f"solved weights miss the unbiasedness constraints by {residual:.2e} relative")

@@ -200,9 +200,9 @@ class TestWeightsCommand:
                                    [0.0, 0.0, 1.5, 0.0], [0.0, 0.0, 0.0, 0.75]],
                     "dilation": 100.0,
                     "base_perturbation": (1e-3 * (np.eye(4) + 0.1 * np.ones((4, 4)))).tolist()}},
-         "a838c25860c7aac7f479da60722f3fbfcef9afa57c1ec2978922b6cfef929c5b"),
+         "782e55df030e49d9f95de4815037c9fa544374d40fb0bde6ddaf45597ad5083c"),
         ({"spec": {"levels": [40, 1]}, "prior": {"covariance": np.eye(42).tolist()}},
-         "d976c0afbba95e4ec01dee798a46dbff247c79a64e50e9cb019d3a0920e2d65d"),
+         "13e772dc97394517650737d4f27c71aa699d8fbf500c9a920c8e62060f400858"),
     ], ids=["six_term_dilated", "identity_40"])
     def test_weights_bytes_are_pinned(self, tmp_path, capsys, payload, digest):
         """Pins every weight, variance and alpha digit, so a refactor cannot move them."""
@@ -237,12 +237,12 @@ class TestBasisCommand:
         assert message in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("levels, digest", [
-        ("1", "fb6cfa0a4e43df5c"),
-        ("5", "945fd3d7a4905ff7"),
-        ("3,1", "6337e8de68389d96"),
-        ("2,1,1", "bfe0440b06a71a89"),
-        ("3,2,1", "07d71c8bf58fb8fd"),
-        ("1,1,1,1", "b029f8b0ef542267"),
+        ("1", "fdbf51b65c85e818"),
+        ("5", "2d31474dd53e798b"),
+        ("3,1", "3baea31a36661b2b"),
+        ("2,1,1", "91c45c81b3886664"),
+        ("3,2,1", "c0cd83b29a209b66"),
+        ("1,1,1,1", "b08d8326c809fce3"),
     ])
     def test_listing_is_byte_identical(self, capsys, levels, digest):
         """Pins member names, member order and every weight's repr."""
@@ -278,23 +278,23 @@ class TestSimulateCommand:
           "outcome": {"kind": "independent", "mu1": 1.0},
           "num_draws": 3, "allocation_mode": "sample", "allocation_count": 200,
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
-         "0a74bf42950b49c934d29866e19a1c5f2efaa4b7bcce37eed07b79231f4dabcd"),
+         "fd4a9f6b24a62afa95bdd30ca5ac2c99735b9fbe0b2ecc3759b5a9606fa8af8b"),
         ({"network": {"kind": "k_regular", "n": 10, "k": 3},
           "outcome": {"kind": "dilated", "eta1": 1.5},
           "num_draws": 3, "allocation_mode": "exhaustive",
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
-         "734f2b079a721b38d49fb31f867b4375ceab986f1bcf0154876d904974c3c3fe"),
+         "1e2c26fd263b62a60437878fe597b8908bd14b26c004bfc06a6b6336426d2b39"),
         ({"network": {"kind": "k_regular", "n": 30, "k": 4},
           "outcome": {"kind": "interaction", "mu1": 5, "delta1": 2},
           "num_draws": 3, "allocation_mode": "sample", "allocation_count": 200,
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
-         "fe11b7fb5ee748adcfb1d13494a4ab295c06f143f56f2206fc2a9385bce0496b"),
+         "f772330a53124bdd6c828797bc8e59671915caeb8beca7c5ce89fd1bc3f38ffa"),
         # At seed 7 this graph has two degree-0 units and in-degrees 1 to 3.
         ({"network": {"kind": "erdos_renyi", "n": 12, "p_edge": 0.15},
           "outcome": {"kind": "interaction", "mu1": 1.0, "delta1": 2.0},
           "p_treat": 0.3, "num_draws": 3, "allocation_mode": "exhaustive",
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
-         "b1d5e6b5ef20433016e316c1563e4252b1f13ca2c545b128f8042b0bab4a6d77"),
+         "d75db7c55b0a067c352571c7ef91fe74060e53d8c467413b7e05847a9e08c206"),
     ], ids=["erdos_renyi_sample", "k_regular_dilated_exhaustive", "k_regular_interaction_sample",
             "erdos_renyi_interaction_exhaustive_p03"])
     def test_csv_bytes_are_pinned(self, tmp_path, capsys, config, digest):
@@ -369,7 +369,7 @@ class TestSimulateCommand:
         assert len(rows) == 2 * 5  # the two feasible settings survived
 
     def test_dilated_setting_at_negative_eta1_solves(self, tmp_path, capsys):
-        """MDil's rows at eta1 = -2 miss the gate on a first solve, and pass after refinement."""
+        """MDil's rows at eta1 = -2 solve: the first elimination pass alone misses the gate."""
         path = write_json(tmp_path / "dilated.json", {
             "network": {"kind": "k_regular", "n": 6, "k": 2},
             "outcome": {"kind": "dilated", "eta1": -2}, "num_draws": 50,

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,9 +35,12 @@ from lue.mivlue import (
     support_null_prior,
 )
 from lue.networks import Network
-from lue.simulation import MDIL_RIDGE, OutcomeModel, build_estimator_family, family_weights
+from lue.simulation import (MDIL_RIDGE, OutcomeModel, build_estimator_family, clear_weight_memo,
+                            family_weights)
 
 SIX_ORDER = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+# In-degrees of the simulation rows checked against the exact weights.
+SIMULATION_DEGREES = [1, 2, 3, 5, 8, 13, 20, 30, 40, 60]
 
 
 def random_distribution(spec, rng):
@@ -603,6 +607,26 @@ class TestUnbiasedAtHighDegree:
         with pytest.raises(SingularSystemError, match="unbiasedness"):
             solve_mivlue(spec, uniform_distribution(spec), PriorSpec(np.eye(5)))
 
+    def test_refusal_names_the_residual(self, monkeypatch):
+        import lue.mivlue as mivlue
+
+        monkeypatch.setattr(mivlue, "constraint_residuals", lambda *args: [1e-9])
+        message = "solved weights miss the unbiasedness constraints by 1.00e-09 relative"
+        with pytest.raises(SingularSystemError, match=re.escape(message)):
+            solve_from_moments(ExposureSpec((3, 1)), np.full(8, 0.125), np.ones(8))
+
+    def test_cold_pair_at_degree_1000_is_linear_in_memory(self):
+        """The solve sums groups in O(E) memory: no (m1 + 1) x E matrix, which is 16 MB here."""
+        bernoulli_exposure_distribution(1000, 0.5)
+        clear_weight_memo()
+        tracemalloc.start()
+        try:
+            family_weights(("MInd", "MDil"), 1000, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
 
 def exact_weights(spec, probabilities, variances):
     """Optimal weights and multipliers in exact rationals on the float inputs, as Fraction lists.
@@ -640,38 +664,69 @@ class TestExactWeights:
     """Float weights against the exact rational solve of the same float inputs."""
 
     @staticmethod
-    def forward_error(prior, degree, p_treat):
+    def forward_error(spec, probs, prior):
         """The larger relative error max |x - x*| / max |x*| of the weights and multipliers."""
+        solution = solve_mivlue(spec, probs, prior)
+        exact = exact_weights(spec, probs.vector, outcome_variance_vector(spec, prior))
+        return float(max(
+            max(abs(Fraction(float(x)) - y) for x, y in zip(got, want)) / max(map(abs, want))
+            for got, want in zip((solution.estimator.vector, solution.multipliers), exact)))
+
+    @classmethod
+    def row_error(cls, prior, degree, p_treat):
+        """The forward error of a simulation row: in-degree ``degree``, Bernoulli design."""
         dist = bernoulli_exposure_distribution(degree, p_treat)
-        solution = solve_mivlue(dist.spec, dist, prior)
-        exact = exact_weights(dist.spec, dist.vector, outcome_variance_vector(dist.spec, prior))
-        return max(max(abs(Fraction(float(x)) - y) for x, y in zip(got, want)) / max(map(abs, want))
-                   for got, want in zip((solution.estimator.vector, solution.multipliers), exact))
+        return cls.forward_error(dist.spec, dist, prior)
+
+    @staticmethod
+    def mdil_prior(degree, eta1):
+        diagonal, u = OutcomeModel("dilated", eta1=eta1).covariance(degree)
+        return FactorPrior(diagonal + MDIL_RIDGE, u)
 
     @pytest.mark.parametrize("p_treat, degree, eta1", [
         (0.3, 1, -2.0), (0.5, 1, -2.0), (0.5, 2, -2.0), (0.7, 2, -4.0), (0.7, 3, -6.0),
         (0.3, 22, -5.5), (0.5, 24, -6.0)])
     def test_refined_mdil_rows_are_the_exact_weights(self, p_treat, degree, eta1):
-        """Rows whose first solve misses the gate by 1e-10 to 4e-9 are exact after refinement."""
-        diagonal, u = OutcomeModel("dilated", eta1=eta1).covariance(degree)
-        assert self.forward_error(FactorPrior(diagonal + MDIL_RIDGE, u), degree, p_treat) <= 1e-15
+        """Rows whose first elimination pass misses the gate by 1e-10 to 4e-9 are exact."""
+        assert self.row_error(self.mdil_prior(degree, eta1), degree, p_treat) <= 1e-15
 
-    @pytest.mark.parametrize("degree", [1, 2, 5, 20, 40])
+    @pytest.mark.parametrize("degree", SIMULATION_DEGREES)
     @pytest.mark.parametrize("p_treat", [0.3, 0.5])
     def test_mind_rows_are_the_exact_weights(self, degree, p_treat):
         prior = FactorPrior(*OutcomeModel("independent").covariance(degree))
-        assert self.forward_error(prior, degree, p_treat) <= 1e-15
+        assert self.row_error(prior, degree, p_treat) <= 1e-15
+
+    @pytest.mark.parametrize("degree", SIMULATION_DEGREES)
+    @pytest.mark.parametrize("p_treat", [0.3, 0.5])
+    @pytest.mark.parametrize("eta1", [-2.0, 1.0, 3.0])
+    def test_mdil_rows_are_the_exact_weights(self, degree, p_treat, eta1):
+        assert self.row_error(self.mdil_prior(degree, eta1), degree, p_treat) <= 1e-15
+
+    def test_small_panel_solves_are_the_exact_weights(self):
+        """Every solvable solve on the panel's specs with at most 16 exposures."""
+        solved = 0
+        for spec, probs, prior in solve_panel():
+            if spec.num_exposures > 16:
+                continue
+            try:
+                error = self.forward_error(spec, probs, prior)
+            except SingularSystemError:
+                continue
+            assert error <= 1e-14, spec
+            solved += 1
+        assert solved == 126
 
     def test_every_mdil_row_solves_at_negative_eta1(self):
-        """Every MDil row at in-degree 1..30 and eta1 in -6..-0.5 solves within the gate."""
-        for p_treat in (0.3, 0.5, 0.7):
+        """MInd, and MDil at eta1 in -6..-0.5: every row at in-degree 1..30 is unbiased."""
+        for p_treat in (0.1, 0.3, 0.5, 0.7, 0.9):
             for degree in range(1, 31):
                 dist = bernoulli_exposure_distribution(degree, p_treat)
-                for eta1 in np.arange(-6.0, 0.0, 0.5):
-                    (row,) = family_weights(("MDil",), degree, p_treat, eta1)
-                    w = row[canonical_grid((degree, 1)) @ (2, 1)]
-                    assert constraint_residuals(dist.spec, dist.vector, w)[0] <= 1e-10, (
-                        p_treat, degree, eta1)
+                slots = canonical_grid((degree, 1)) @ (2, 1)
+                rows = [family_weights(("MInd",), degree, p_treat)[0]]
+                rows += [family_weights(("MDil",), degree, p_treat, eta1)[0]
+                         for eta1 in np.arange(-6.0, 0.0, 0.5)]
+                residuals = constraint_residuals(dist.spec, dist.vector, np.array(rows)[:, slots])
+                assert residuals.max() <= 1e-15, (p_treat, degree, residuals.argmax())
 
 
 class TestPinnedArithmetic:
@@ -696,17 +751,17 @@ class TestPinnedArithmetic:
 
     def test_solve_panel_digest_is_pinned(self):
         """Catches reorderings of the solver's sums that the simulation pins miss."""
-        expected = "77b6fa3830fc7de01f9e3f669bfb1b5f98b3d3aaae170c91b6826d4aff8a8173"
+        expected = "3e9f2f5619fe2ba5ee89531fe35c7ca76cb73a4202176adf67e6977b7bf0f493"
         assert solve_panel_digest() == expected
 
     def test_limit_panel_digest_is_pinned(self):
         """The dilation limit's solve and its support refusals, which the solve panel misses."""
-        expected = "9e1b97d9f82ca9c529faa86a8d04445a88f0971274a8fd68cd3fbc0266d682c4"
+        expected = "327d7caa1d8e0d51a41c13cd318d8912e8b9823208c184df7feeb40194cc33f0"
         assert limit_panel_digest() == expected
 
     def test_moments_panel_digest_is_pinned(self):
         """The moment-level solve and its vanishing-entry and shape refusals."""
-        expected = "17699f6bd5ee6c50cbcb9c1529effbf4f000276c5ce567f6948ae66f5a91cfd6"
+        expected = "b5cfa4d348e4ba5411d98931a2d4d53aa8710b4dc6cae16302234edc598a9aaa"
         assert moments_panel_digest() == expected
 
     def test_unbiasedness_gate_is_the_dense_formula(self):
