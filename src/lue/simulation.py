@@ -583,7 +583,8 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     flat index of the (unit x slot) value table, and each family sums one
     ``take`` of it over units.  Those buffers and the (family x allocation)
     estimates are allocated once per setting, so memory does not grow with
-    ``allocation_count``.
+    ``allocation_count``; so is the (draw x family x unit x slot) value buffer
+    that each block, in either mode, fills in place from the weight tables.
     Everything that does not change between draws is built once: the units,
     weights and slot coefficients before the draw loop, and the entry layout
     that :func:`sample_parameters` and :func:`true_average_effect` read on the
@@ -632,7 +633,6 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
             config.estimators, degree, config.p_treat, eta1)
     after = _weight_row.cache_info()
     weight_rows = {"solved": after.misses - before.misses, "reused": after.hits - before.hits}
-    weight_tables = tables[:, degree_rows]
     mark = lap("families", mark)
 
     exhaustive = config.allocation_mode == "exhaustive"
@@ -656,6 +656,7 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     second = np.zeros((n_families, n_draws))
     theta_bars = np.zeros(n_draws)
     block = max(1, 2**16 // (n_families * len(units) * width)) if exhaustive else 1
+    value_tables = np.empty((min(block, n_draws), n_families, len(units), width))
     for first_draw in range(0, n_draws, block):
         draws = slice(first_draw, min(first_draw + block, n_draws))
         mark = time.perf_counter()
@@ -663,10 +664,13 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
                  for draw in range(draws.start, draws.stop)]
         theta_bars[draws] = [true_average_effect(network, params) for params in drawn]
         mark = lap("params", mark)
-        value_tables = weight_tables * _outcome_table(drawn, width)[:, None]
+        outcomes = _outcome_table(drawn, width)
+        values = value_tables[:len(drawn)]
+        for row in range(n_families):
+            np.multiply(tables[row][degree_rows], outcomes, out=values[:, row])
         mark = lap("outcome_table", mark)
         if exhaustive:
-            values = value_tables.reshape(len(drawn), n_families, -1) / len(units)
+            values = values.reshape(len(drawn), n_families, -1) / len(units)
             # A batched product with p, but one 2-D product with G over every (draw, family)
             # row: a 2-D product with p sums in another order, one with G keeps the bits.
             first_moment = values @ pmf
@@ -682,7 +686,7 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
                 mark = lap("allocations", mark)
                 exposure_slots(alloc[:size], coefficients, row_offsets, out=slots[:size])
                 mark = lap("slots", mark)
-                for row, value_table in enumerate(value_tables[0]):
+                for row, value_table in enumerate(values[0]):
                     np.add.reduce(value_table.take(slots[:size]), axis=1,
                                   out=estimates[row, first_row:first_row + size])
                 mark = lap("gather", mark)

@@ -178,9 +178,16 @@ def check_design_oracle() -> tuple[bool, str]:
                                    f"{float(closed[j])!r} vs exact {float(exact[j])!r}")
             joint = joint_exposure_pmf(network, units, width, p_treat)
             blocks = joint.reshape((len(units), width) * 2)
+            # A cell's allocations, counted by number treated t, weigh p^t (1-p)^(n-t) in
+            # exact integers over den^n, so each cell is rounded once.
+            sizes, (num, den) = network.n + 1, p_treat.as_integer_ratio()
+            masses = np.array([num**t * (den - num) ** (network.n - t) for t in range(sizes)],
+                              dtype=object)
+            treated = alloc.sum(axis=1)
             for a, b in np.ndindex(len(units), len(units)):
-                exact = np.bincount(slots[:, a] * width + slots[:, b], weights=probs,
-                                    minlength=width * width).reshape(width, width)
+                counts = np.bincount((slots[:, a] * width + slots[:, b]) * sizes + treated,
+                                     minlength=width * width * sizes).reshape(-1, sizes)
+                exact = (counts @ masses / den**network.n).astype(float).reshape(width, width)
                 gap = np.abs(blocks[a, :, b] - exact).max()
                 if gap > (0.0 if p_treat == 0.5 else 1e-15):
                     return False, (f"n={network.n} p_treat={p_treat} units ({units[a]}, "

@@ -3,11 +3,13 @@
 import hashlib
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lue.design import (
+    LOG_SPACE_DEGREE,
     BernoulliDesign,
     ExposureDistribution,
     allocation_matrix,
@@ -90,26 +92,44 @@ class TestBernoulliExposureProb:
                 )
                 assert total == pytest.approx(1.0, abs=1e-10)
 
-    def test_distribution_is_the_scalar_formula_bit_for_bit(self):
-        """The array pmf equals the scalar closed form, in both the direct and log branches.
+    def test_distribution_is_the_exact_binomial_law(self):
+        """The pmf is C(k, d) p^(d+z) (1-p)^(k-d+1-z) in exact rationals, to a stated bound.
 
-        Where a mass underflows to 0, both raise the same message, naming the
-        same first exposure in canonical order.
+        The reference takes p as the exact rational value of the float and
+        rounds each exact mass once, correctly, to float64.  The error is
+        relative to max(mass, smallest normal), so subnormal masses are held
+        to the same bound.  Direct masses are within 1e-14 (4.1e-15 seen);
+        log-space ones, whose logs add lgammas of about 6,000 at k = 1000,
+        within 1e-11 (1.8e-12 seen).  Where the pmf refuses a degree, the
+        exposure it names has an exact mass that rounds to 0.
         """
-        for degree in [*range(1, 301), 323, 500, 1000, 1074]:
-            spec = ExposureSpec((degree, 1))
+        def exact_masses(degree, p, exposures):
+            num, den = Fraction(p).as_integer_ratio()
+            treated, untreated = [1], [1]
+            for _ in range(degree + 1):
+                treated.append(treated[-1] * num)
+                untreated.append(untreated[-1] * (den - num))
+            scale = den ** (degree + 1)
+            return np.array([math.comb(degree, d) * treated[d + z] * untreated[degree - d + 1 - z]
+                             / scale for d, z in exposures])
+
+        refused = re.compile(r"in-degree (\d+) at p_treat ([\d.]+): the mass of exposure "
+                             r"\((\d+), ([01])\) underflows float64")
+        for degree in (1, 2, 7, 50, 51, 80, 300, 500, 1000, 1074):
+            exposures = enumerate_exposures(ExposureSpec((degree, 1)))
             for p in (0.1, 0.3, 0.5, 0.77):
                 try:
-                    scalar = [bernoulli_exposure_prob(degree, e, p)
-                              for e in enumerate_exposures(spec)]
+                    actual = bernoulli_exposure_distribution(degree, p).vector
                 except ValueError as exc:
-                    assert "underflows float64" in str(exc), (degree, p)
-                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                        bernoulli_exposure_distribution(degree, p)
+                    named = refused.fullmatch(str(exc))
+                    assert named and named.groups()[:2] == (str(degree), str(p)), str(exc)
+                    named_exposure = (int(named[3]), int(named[4]))
+                    assert exact_masses(degree, p, [named_exposure])[0] == 0.0, str(exc)
                     continue
-                expected = ExposureDistribution(spec, scalar).vector
-                actual = bernoulli_exposure_distribution(degree, p).vector
-                assert actual.tobytes() == expected.tobytes(), (degree, p)
+                exact = exact_masses(degree, p, exposures)
+                error = np.abs(actual - exact) / np.maximum(exact, np.finfo(float).tiny)
+                bound = 1e-14 if degree <= LOG_SPACE_DEGREE else 1e-11
+                assert error.max() <= bound, (degree, p, error.max())
 
     def test_unit_pmf_bytes_are_pinned(self):
         """Pins every mass the weights are solved against at p_treat other than 0.5.

@@ -660,23 +660,90 @@ def exact_weights(spec, probabilities, variances):
     return w, lam
 
 
+def pairwise_sum(terms):
+    """Exact sum of Fractions in a balanced tree, so that no partial sum's denominator outgrows
+    those of its half: a running sum of d unlike terms costs O(d^3) in gcds, this O(d^2)."""
+    terms = list(terms) or [Fraction(0)]
+    while len(terms) > 1:
+        terms = [sum(terms[i:i + 2], Fraction(0)) for i in range(0, len(terms), 2)]
+    return terms[0]
+
+
+def exact_row_weights(spec, probabilities, rates):
+    """:func:`exact_weights` of a (d, 1) spec in O(d) rational operations, given exact rates p/Var.
+
+    A zero rate drops its exposure: the solve restricted to the others, as in
+    the dilation limit.  Each multiplier is written as affine in the
+    own-treatment one, lam_z, with coefficients of a few rates: a level's
+    through its own constraint, the intercept's through the intercept row.
+    Then x = p w = rates * A^T lam, every row of A x is summed pairwise in that
+    affine form, the one row that reads lam_z fixes it (0 if none does), and
+    every row is asserted to hold exactly.
+    """
+    a = indicator_matrix(spec).astype(bool)
+    degree = spec.levels[0]
+    level, treated = canonical_grid(spec.levels).T.tolist()
+    totals, treated_rates = [Fraction(0)] * (degree + 1), [Fraction(0)] * (degree + 1)
+    for k, z, rate in zip(level, treated, rates):
+        totals[k] += rate
+        treated_rates[k] += z * rate
+    # (constant, coefficient of lam_z); the level rows leave the intercept row R_0 lam_0 +
+    # r_01 lam_z = -1, and level k's row R_k (lam_0 + lam_k) + r_k1 lam_z = t_k.
+    intercept = (-1 / totals[0], -treated_rates[0] / totals[0])
+    lam = [intercept]
+    for k in range(1, degree + 1):
+        if totals[k]:
+            lam.append((Fraction(k == degree) / totals[k] - intercept[0],
+                        -treated_rates[k] / totals[k] - intercept[1]))
+        else:
+            lam.append((Fraction(0), Fraction(0)))
+    lam.append((Fraction(0), Fraction(1)))
+    x = [tuple(rate * sum(lam[i][part] for i in np.flatnonzero(column).tolist())
+               for part in (0, 1)) for rate, column in zip(rates, a.T)]
+    rows = [tuple(pairwise_sum(x[e][part] for e in np.flatnonzero(row).tolist())
+                  for part in (0, 1)) for row in a]
+    t = [Fraction(int(i == target_position(spec))) for i in range(len(a))]
+    lam_z = next(((t_i - c) / s for (c, s), t_i in zip(rows, t) if s), Fraction(0))
+    for i, ((c, s), t_i) in enumerate(zip(rows, t)):
+        assert c + s * lam_z == t_i, i
+    w = [(c + s * lam_z) / Fraction(float(pe)) for (c, s), pe in zip(x, probabilities)]
+    return w, [c + s * lam_z for c, s in lam]
+
+
 class TestExactWeights:
     """Float weights against the exact rational solve of the same float inputs."""
 
     @staticmethod
-    def forward_error(spec, probs, prior):
-        """The larger relative error max |x - x*| / max |x*| of the weights and multipliers."""
+    def error(got, want):
+        """max |x - x*| / max |x*|, each exact difference rounded once to float."""
+        return (max(float(abs(Fraction(float(x)) - y)) for x, y in zip(got, want))
+                / max(abs(float(y)) for y in want))
+
+    @classmethod
+    def forward_error(cls, spec, probs, prior):
+        """The larger relative error of the weights and multipliers."""
         solution = solve_mivlue(spec, probs, prior)
         exact = exact_weights(spec, probs.vector, outcome_variance_vector(spec, prior))
-        return float(max(
-            max(abs(Fraction(float(x)) - y) for x, y in zip(got, want)) / max(map(abs, want))
-            for got, want in zip((solution.estimator.vector, solution.multipliers), exact)))
+        return max(cls.error(got, want) for got, want in
+                   zip((solution.estimator.vector, solution.multipliers), exact))
 
     @classmethod
     def row_error(cls, prior, degree, p_treat):
-        """The forward error of a simulation row: in-degree ``degree``, Bernoulli design."""
+        """:meth:`forward_error` of a simulation row, in-degree ``degree``, by the O(d) form."""
         dist = bernoulli_exposure_distribution(degree, p_treat)
-        return cls.forward_error(dist.spec, dist, prior)
+        solution = solve_mivlue(dist.spec, dist, prior)
+        rates = cls.exact_rates(dist.vector, outcome_variance_vector(dist.spec, prior))
+        exact = exact_row_weights(dist.spec, dist.vector, rates)
+        return max(cls.error(got, want) for got, want in
+                   zip((solution.estimator.vector, solution.multipliers), exact))
+
+    @staticmethod
+    def exact_rates(probabilities, variances):
+        return [Fraction(float(p)) / Fraction(float(v)) for p, v in zip(probabilities, variances)]
+
+    @staticmethod
+    def mind_prior(degree):
+        return FactorPrior(*OutcomeModel("independent").covariance(degree))
 
     @staticmethod
     def mdil_prior(degree, eta1):
@@ -693,14 +760,47 @@ class TestExactWeights:
     @pytest.mark.parametrize("degree", SIMULATION_DEGREES)
     @pytest.mark.parametrize("p_treat", [0.3, 0.5])
     def test_mind_rows_are_the_exact_weights(self, degree, p_treat):
-        prior = FactorPrior(*OutcomeModel("independent").covariance(degree))
-        assert self.row_error(prior, degree, p_treat) <= 1e-15
+        assert self.row_error(self.mind_prior(degree), degree, p_treat) <= 1e-15
 
     @pytest.mark.parametrize("degree", SIMULATION_DEGREES)
     @pytest.mark.parametrize("p_treat", [0.3, 0.5])
     @pytest.mark.parametrize("eta1", [-2.0, 1.0, 3.0])
     def test_mdil_rows_are_the_exact_weights(self, degree, p_treat, eta1):
         assert self.row_error(self.mdil_prior(degree, eta1), degree, p_treat) <= 1e-15
+
+    @pytest.mark.parametrize("degree", [100, 300])
+    @pytest.mark.parametrize("p_treat", [0.3, 0.5])
+    def test_high_degree_rows_are_the_exact_weights(self, degree, p_treat):
+        """MInd, and MDil at the eta1 = 1 that every setting but a dilated one uses."""
+        for prior in (self.mind_prior(degree), self.mdil_prior(degree, 1.0)):
+            assert self.row_error(prior, degree, p_treat) <= 1e-15
+
+    @pytest.mark.parametrize("name", ["HT0", "HT1", "HTAvg"])
+    @pytest.mark.parametrize("p_treat", [0.3, 0.5])
+    def test_ht_rows_are_the_exact_weights(self, name, p_treat):
+        """Each HT row is the solve restricted to its exposures at rate 1 each.
+
+        HT0 and HT1 are the only unbiased weights on their two exposures; on
+        HTAvg's four, equal rates make the optimum the mean of the two.
+        """
+        own = {"HT0": (0,), "HT1": (1,), "HTAvg": (0, 1)}[name]
+        for degree in [*SIMULATION_DEGREES, 100, 300]:
+            dist = bernoulli_exposure_distribution(degree, p_treat)
+            level, treated = canonical_grid(dist.spec.levels).T
+            rates = [Fraction(int(k in (0, degree) and z in own)) for k, z in zip(level, treated)]
+            exact, _ = exact_row_weights(dist.spec, dist.vector, rates)
+            row = family_weights((name,), degree, p_treat)[0][2 * level + treated]
+            assert self.error(row, exact) <= 1e-15, degree
+
+    @pytest.mark.parametrize("degree", [1, 2, 5, 13])
+    def test_row_form_is_the_general_solve(self, degree):
+        """The O(d) form returns the same rationals as the Gauss-Jordan solve."""
+        dist = bernoulli_exposure_distribution(degree, 0.3)
+        for prior in (self.mind_prior(degree), self.mdil_prior(degree, -2.0)):
+            variances = outcome_variance_vector(dist.spec, prior)
+            rates = self.exact_rates(dist.vector, variances)
+            assert (exact_row_weights(dist.spec, dist.vector, rates)
+                    == exact_weights(dist.spec, dist.vector, variances))
 
     def test_small_panel_solves_are_the_exact_weights(self):
         """Every solvable solve on the panel's specs with at most 16 exposures."""

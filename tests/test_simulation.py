@@ -993,6 +993,28 @@ class TestComputeImse:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_sample_mode_holds_one_value_table(self):
+        """Warm, a dense sampled setting's traced peak stays below three value tables.
+
+        A value table, one float per (family, unit, exposure slot), is the largest
+        array of a dense setting: 7.5 MB here.  A per-setting weight copy of it and
+        a fresh product per draw peaked at 3.8 tables; one buffer filled in
+        place peaks at 2.2.
+        """
+        config = self.small_config(network=NetworkConfig("erdos_renyi", 400, p_edge=0.5),
+                                   num_draws=2, allocation_mode="sample", allocation_count=200)
+        network = config.build_network()
+        width = 2 * (int(network.in_degrees.max()) + 1)
+        table_bytes = len(config.estimators) * len(included_units(network)) * width * 8
+        compute_imse(config)  # fills the weight memo and the pmf and layout caches
+        tracemalloc.start()
+        try:
+            compute_imse(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * table_bytes, peak / table_bytes
+
     @staticmethod
     def assert_equals_per_draw_reference(config, reference=per_draw_moments):
         report = compute_imse(config)
