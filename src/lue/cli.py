@@ -194,6 +194,8 @@ def run_simulate(args) -> int:
     data = _load_json(args.config, "config")
     for section in ("network", "outcome"):
         _get(data, section, expect=dict)
+    if "master_seed" in data:
+        raise InputError("master_seed: each setting's seed is derived from --seed; remove the key")
     digest = payload_hash({"config": data, "seed": args.seed})
     lines = _header_lines(digest, args.seed)
     lines.append(CSV_HEADER)

@@ -142,6 +142,11 @@ def bernoulli_slot_pmf(degree: int, p_treat: float) -> np.ndarray:
     return table
 
 
+def slot_order(degree: int) -> np.ndarray:
+    """Each exposure (d, z) of in-degree ``degree``, in canonical order, as its slot 2d + z."""
+    return canonical_grid((degree, 1)) @ (2, 1)
+
+
 def bernoulli_exposure_prob(degree: int, e: Exposure, p_treat: float) -> float:
     """Probability of treated-degree exposure (d, z) for a unit with ``degree`` in-neighbors.
 
@@ -166,12 +171,10 @@ def bernoulli_exposure_distribution(degree: int, p_treat: float) -> ExposureDist
     if degree < 1:
         raise ValueError("degree-0 units have a collapsed exposure set; exclude them")
     spec = ExposureSpec((degree, 1))
-    d, z = canonical_grid(spec.levels).T
-    probs = bernoulli_slot_pmf(degree, p_treat)[d, z]
+    probs = bernoulli_slot_pmf(degree, p_treat).ravel()[slot_order(degree)]
     if not probs.all():
-        j = int(np.argmin(probs))
         raise ValueError(f"in-degree {degree} at p_treat {p_treat}: the mass of exposure "
-                         f"({d[j]}, {z[j]}) underflows float64")
+                         f"{enumerate_exposures(spec)[np.argmin(probs)]} underflows float64")
     return ExposureDistribution(spec, probs)
 
 
@@ -187,6 +190,5 @@ def exposure_distribution_exact(design: BernoulliDesign, kind: str, network, uni
         )
     mat, weights = allocation_matrix(design)
     slots = 2 * (mat @ network.adjacency[:, unit]) + mat[:, unit]
-    d, z = canonical_grid((degree, 1)).T
-    table = np.bincount(slots, weights, 2 * degree + 2).reshape(degree + 1, 2)
-    return ExposureDistribution(ExposureSpec((degree, 1)), table[d, z])
+    masses = np.bincount(slots, weights, 2 * degree + 2)
+    return ExposureDistribution(ExposureSpec((degree, 1)), masses[slot_order(degree)])

@@ -33,9 +33,10 @@ from .design import (
     allocation_matrix,
     bernoulli_exposure_distribution,
     bernoulli_slot_pmf,
+    slot_order,
 )
 from .estimators import LinearEstimator
-from .exposure import SPEC_CACHE_SIZE, ExposureSpec, canonical_grid
+from .exposure import SPEC_CACHE_SIZE, ExposureSpec
 from .mivlue import FactorPrior, solve_mivlue
 from .networks import Network, gen_erdos_renyi_directed, gen_k_regular_directed
 
@@ -63,7 +64,7 @@ class Parameters:
     ``alpha`` and ``direct`` hold one entry per unit.  ``interference`` lays
     the units' effects of exactly d = 1..d_i treated in-neighbors end to end:
     unit i owns entries ``offsets[i]:offsets[i + 1]``.  ``interaction`` has the
-    same layout and is absent exactly when additivity holds.
+    same layout and is absent exactly when additivity holds.  Each is a read-only copy.
     """
 
     alpha: np.ndarray
@@ -76,24 +77,13 @@ class Parameters:
         for name in ("alpha", "direct", "interference", "offsets", "interaction"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, _read_only(
-                    value, np.intp if name == "offsets" else np.float64))
+                value = np.array(value, dtype=np.intp if name == "offsets" else np.float64)
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
         if self.interaction is not None and self.interaction.shape != self.interference.shape:
             raise ValueError("interaction effects must match the interference length")
         if len(self.offsets) != len(self.alpha) + 1 or self.offsets[-1] != len(self.interference):
             raise ValueError("offsets must bound every unit's slice of the interference effects")
-
-
-def _read_only(value, dtype) -> np.ndarray:
-    """``value`` itself if it is a read-only array of ``dtype``, else a read-only copy.
-
-    A caller's writable array is copied, never frozen in place.
-    """
-    if type(value) is np.ndarray and value.dtype == dtype and not value.flags.writeable:
-        return value
-    value = np.array(value, dtype=dtype)
-    value.setflags(write=False)
-    return value
 
 
 @dataclass(frozen=True)
@@ -149,8 +139,8 @@ def sample_parameters(network: Network, model: OutcomeModel, seed) -> Parameters
     Each stream is drawn as one vector in unit order: (alpha, direct,
     interference_1..d_i) per unit from the common stream (alpha alone under
     dilation), interaction_1..d_i per unit from the interaction stream.
-    Where each entry sits is the network's cached :class:`_EntryLayout`,
-    ``offsets`` included; a draw only draws.
+    Where each entry sits is the network's cached :class:`_EntryLayout`; a
+    draw only draws, and its :class:`Parameters` holds copies.
     """
     n = network.n
     layout = _entry_layout(network.in_degrees.tobytes())
@@ -170,9 +160,6 @@ def sample_parameters(network: Network, model: OutcomeModel, seed) -> Parameters
         rng_inter = np.random.default_rng(
             np.random.SeedSequence([*words, _STREAM_INTERACTION]))
         interaction = layout.scale * model.delta1 + rng_inter.normal(size=len(layout.owner))
-    for value in (alpha, direct, interference, interaction):
-        if value is not None:
-            value.setflags(write=False)
     return Parameters(alpha, direct, interference, layout.offsets, interaction)
 
 
@@ -195,7 +182,8 @@ class _EntryLayout(NamedTuple):
 
 
 # Keyed on the raw int64 in-degree bytes, so every draw on one network shares one layout.
-@lru_cache(maxsize=8)
+# Every caller draws one network at a time, so only the network in use is kept.
+@lru_cache(maxsize=1)
 def _entry_layout(degree_bytes: bytes) -> _EntryLayout:
     degrees = np.frombuffer(degree_bytes, dtype=np.int64)
     n = len(degrees)
@@ -227,11 +215,6 @@ def unit_exposure_distribution(design, network: Network, unit: int) -> ExposureD
 def included_units(network: Network) -> list[int]:
     """Units whose interference estimand exists: positive in-degree."""
     return np.flatnonzero(network.in_degrees >= 1).tolist()
-
-
-def _slots(degree: int) -> np.ndarray:
-    """Slot 2d + z of each exposure (d, z) of in-degree ``degree``, in canonical order."""
-    return canonical_grid((degree, 1)) @ (2, 1)
 
 
 def clear_weight_memo() -> None:
@@ -290,7 +273,7 @@ def _weight_row(name: str, degree: int, p_treat: float, eta1: float | None) -> n
         else:  # MDil
             diagonal, u = OutcomeModel("dilated", eta1=eta1).covariance(degree)
             prior = FactorPrior(diagonal + MDIL_RIDGE, u)
-        row[_slots(degree)] = solve_mivlue(dist.spec, dist, prior).estimator.vector
+        row[slot_order(degree)] = solve_mivlue(dist.spec, dist, prior).estimator.vector
     row.setflags(write=False)
     return row
 
@@ -307,7 +290,7 @@ def build_estimator_family(name: str, network: Network, design,
     for unit in included_units(network):
         d_i = int(network.in_degrees[unit])
         if d_i not in vectors:
-            vectors[d_i] = family_weights((name,), d_i, design.p_treat, eta1)[0, _slots(d_i)]
+            vectors[d_i] = family_weights((name,), d_i, design.p_treat, eta1)[0, slot_order(d_i)]
         family[unit] = LinearEstimator(ExposureSpec((d_i, 1)), vectors[d_i],
                                        name=f"{name}[{unit}]")
     return family

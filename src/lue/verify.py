@@ -22,6 +22,7 @@ from .design import (
     allocation_matrix,
     bernoulli_exposure_distribution,
     probability_vector,
+    slot_order,
 )
 from .estimators import (
     UNBIASED_TOL,
@@ -37,7 +38,7 @@ from .estimators import (
     malue_count,
     zero_count,
 )
-from .exposure import ExposureSpec, canonical_grid, exposure_columns
+from .exposure import ExposureSpec, exposure_columns
 from .mivlue import SIX_TERM_EXPOSURES, PriorSpec, six_term_alpha_weights, solve_mivlue
 from .networks import gen_erdos_renyi_directed, gen_k_regular_directed
 from .simulation import (
@@ -155,7 +156,7 @@ def check_six_term_closed_form(alpha_fn=six_term_alpha_weights,
 
 
 def check_design_oracle() -> tuple[bool, str]:
-    """Unit and pairwise joint pmfs against whole-network enumeration (joint: exact at 0.5)."""
+    """Unit and pairwise joint pmfs against exact whole-network enumeration (exact at 0.5)."""
     graphs = []
     for n in (3, 5, 8, 10):
         graphs.append(gen_k_regular_directed(n, min(2, n - 1), seed=n))
@@ -164,34 +165,36 @@ def check_design_oracle() -> tuple[bool, str]:
         units = included_units(network)
         width = 2 * (int(network.in_degrees.max()) + 1)
         for p_treat in (0.5, 0.3):
-            alloc, probs = allocation_matrix(BernoulliDesign(network.n, p_treat))
+            alloc, _ = allocation_matrix(BernoulliDesign(network.n, p_treat))
             slots = (2 * (alloc @ network.adjacency) + alloc)[:, units]
-            for unit, unit_slots in zip(units, slots.T):
-                degree = int(network.in_degrees[unit])
-                d, z = canonical_grid((degree, 1)).T
-                exact = np.bincount(unit_slots, probs, 2 * degree + 2).reshape(degree + 1, 2)[d, z]
-                closed = bernoulli_exposure_distribution(degree, p_treat).vector
-                bad = np.flatnonzero(np.abs(closed - exact) > 1e-12)
-                if bad.size:
-                    j = bad[0]
-                    return False, (f"n={network.n} unit={unit} exposure=({d[j]}, {z[j]}): closed "
-                                   f"{float(closed[j])!r} vs exact {float(exact[j])!r}")
-            joint = joint_exposure_pmf(network, units, width, p_treat)
-            blocks = joint.reshape((len(units), width) * 2)
             # A cell's allocations, counted by number treated t, weigh p^t (1-p)^(n-t) in
             # exact integers over den^n, so each cell is rounded once.
             sizes, (num, den) = network.n + 1, p_treat.as_integer_ratio()
             masses = np.array([num**t * (den - num) ** (network.n - t) for t in range(sizes)],
                               dtype=object)
             treated = alloc.sum(axis=1)
+            exact = np.zeros((len(units), width, len(units), width))
             for a, b in np.ndindex(len(units), len(units)):
                 counts = np.bincount((slots[:, a] * width + slots[:, b]) * sizes + treated,
                                      minlength=width * width * sizes).reshape(-1, sizes)
-                exact = (counts @ masses / den**network.n).astype(float).reshape(width, width)
-                gap = np.abs(blocks[a, :, b] - exact).max()
-                if gap > (0.0 if p_treat == 0.5 else 1e-15):
-                    return False, (f"n={network.n} p_treat={p_treat} units ({units[a]}, "
-                                   f"{units[b]}): joint pmf off by {gap:.3e} vs exact enumeration")
+                exact[a, :, b] = (counts @ masses / den**network.n).reshape(width, width)
+            bound = 0.0 if p_treat == 0.5 else 1e-15
+            for a, unit in enumerate(units):
+                degree = int(network.in_degrees[unit])
+                order = slot_order(degree)
+                closed = bernoulli_exposure_distribution(degree, p_treat)
+                own = exact[a, order, a, order]
+                bad = np.flatnonzero(np.abs(closed.vector - own) > bound)
+                if bad.size:
+                    j = bad[0]
+                    return False, (f"n={network.n} unit={unit} exposure={list(closed)[j]}: closed "
+                                   f"{float(closed.vector[j])!r} vs exact {float(own[j])!r}")
+            blocks = joint_exposure_pmf(network, units, width, p_treat).reshape(exact.shape)
+            gaps = np.abs(blocks - exact).max(axis=(1, 3))
+            if (gaps > bound).any():
+                a, b = np.argwhere(gaps > bound)[0]
+                return False, (f"n={network.n} p_treat={p_treat} units ({units[a]}, {units[b]}): "
+                               f"joint pmf off by {gaps[a, b]:.3e} vs exact enumeration")
     return True, ""
 
 

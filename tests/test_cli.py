@@ -502,6 +502,9 @@ class TestSimulateCommand:
         ({"network": {"kind": "k_regular", "n": 8, "k": []},
           "outcome": {"kind": "independent", "mu1": 0}},
          "error: network.k: grid list is empty"),
+        ({"network": {"kind": "k_regular", "n": 6, "k": 2},
+          "outcome": {"kind": "independent"}, "master_seed": 12345},
+         "error: master_seed: each setting's seed is derived from --seed; remove the key"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, payload, message):
         path = write_json(tmp_path / "bad.json", payload)
@@ -569,6 +572,16 @@ def swapped_pmf(degree, p_treat):
     return ExposureDistribution(dist.spec, dist.vector[::-1])
 
 
+def nudged_pmf(degree, p_treat):
+    """The Bernoulli exposure pmf, with its first mass off by 1e-13 relative at p_treat 0.3."""
+    dist = bernoulli_exposure_distribution(degree, p_treat)
+    if p_treat != 0.3:
+        return dist
+    vector = dist.vector.copy()
+    vector[0] *= 1.0 + 1e-13
+    return ExposureDistribution(dist.spec, vector)
+
+
 class TestCheckInjection:
     def test_sign_flip_is_caught_and_named(self):
         """A corrupted four-term estimator fails the constraint check by name."""
@@ -610,6 +623,13 @@ class TestCheckInjection:
         ok, details = check_design_oracle()
         assert not ok
         assert details == "n=3 unit=0 exposure=(1, 1): closed 0.125 vs exact 0.25"
+
+    def test_pmf_off_by_1e_13_relative_fails_the_design_oracle(self, monkeypatch):
+        """Unit pmfs are held to exact cell masses, to 1e-15 at p_treat 0.3, not to 1e-12."""
+        monkeypatch.setattr(lue.verify, "bernoulli_exposure_distribution", nudged_pmf)
+        ok, details = check_design_oracle()
+        assert not ok
+        assert details == "n=3 unit=0 exposure=(1, 1): closed 0.1260000000000126 vs exact 0.126"
 
     def test_transposed_joint_block_fails_the_design_oracle(self, monkeypatch):
         """The design oracle reads every block of the joint pmf, and names the pair that is off."""

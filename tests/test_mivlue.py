@@ -13,6 +13,7 @@ from lue.design import (
     BernoulliDesign,
     ExposureDistribution,
     bernoulli_exposure_distribution,
+    slot_order,
     uniform_distribution,
 )
 from lue.estimators import (basis_weights, build_affine_basis, check_support_condition,
@@ -821,7 +822,7 @@ class TestExactWeights:
         for p_treat in (0.1, 0.3, 0.5, 0.7, 0.9):
             for degree in range(1, 31):
                 dist = bernoulli_exposure_distribution(degree, p_treat)
-                slots = canonical_grid((degree, 1)) @ (2, 1)
+                slots = slot_order(degree)
                 rows = [family_weights(("MInd",), degree, p_treat)[0]]
                 rows += [family_weights(("MDil",), degree, p_treat, eta1)[0]
                          for eta1 in np.arange(-6.0, 0.0, 0.5)]

@@ -215,12 +215,8 @@ def test_every_import_is_used():
     assert not unused
 
 
-def test_the_binomial_law_is_written_once():
-    """``math.comb`` and ``math.lgamma`` occur in one function of the package.
-
-    That function states the Bernoulli exposure law, and every pmf reads its table.
-    """
-    sites = set()
+def package_nodes():
+    """Every AST node of the package, as (file name, innermost enclosing function, node)."""
     for path in sorted(pathlib.Path(lue.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         owner = {}
@@ -229,13 +225,34 @@ def test_the_binomial_law_is_written_once():
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update((id(node), func.name) for node in ast.walk(func))
         for node in ast.walk(tree):
-            uses = (isinstance(node, ast.Attribute) and node.attr in ("comb", "lgamma")
-                    and isinstance(node.value, ast.Name) and node.value.id == "math")
-            imports = (isinstance(node, ast.ImportFrom) and node.module == "math"
-                       and {"comb", "lgamma"} & {alias.name for alias in node.names})
-            if uses or imports:
-                sites.add((path.name, owner.get(id(node), "<module>")))
+            yield path.name, owner.get(id(node), "<module>"), node
+
+
+def test_the_binomial_law_is_written_once():
+    """``math.comb`` and ``math.lgamma`` occur in one function of the package.
+
+    That function states the Bernoulli exposure law, and every pmf reads its table.
+    """
+    sites = set()
+    for name, owner, node in package_nodes():
+        uses = (isinstance(node, ast.Attribute) and node.attr in ("comb", "lgamma")
+                and isinstance(node.value, ast.Name) and node.value.id == "math")
+        imports = (isinstance(node, ast.ImportFrom) and node.module == "math"
+                   and {"comb", "lgamma"} & {alias.name for alias in node.names})
+        if uses or imports:
+            sites.add((name, owner))
     assert sites == {("design.py", "bernoulli_slot_pmf")}
+
+
+def test_the_slot_order_is_written_once():
+    """Outside ``exposure.py``, only ``design.slot_order`` calls ``canonical_grid``.
+
+    Every reader of a (d, 1) exposure in slot order goes through that function.
+    """
+    sites = {(name, owner) for name, owner, node in package_nodes()
+             if isinstance(node, ast.Call) and name != "exposure.py"
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "canonical_grid"}
+    assert sites == {("design.py", "slot_order")}
 
 
 def sequential_parameters(network, model, seed):
@@ -368,8 +385,8 @@ class TestSampleParameters:
         first, second = (sample_parameters(gen_k_regular_directed(10, 3, seed), model, 0)
                          for seed in (1, 2))
         other = sample_parameters(gen_erdos_renyi_directed(10, 0.3, seed=4), model, 0)
-        assert first.offsets is second.offsets
-        assert other.offsets is not first.offsets
+        np.testing.assert_array_equal(first.offsets, second.offsets)
+        assert not first.offsets.flags.writeable and not other.offsets.flags.writeable
         assert lue.simulation._entry_layout.cache_info().misses == 2
 
     def test_caller_arrays_are_copied_and_stay_writable(self):
@@ -382,15 +399,11 @@ class TestSampleParameters:
         given["alpha"][0] = 5.0
         assert params.alpha[0] == 0.0
 
-    def test_read_only_arrays_are_kept_unless_the_dtype_differs(self):
-        alpha, offsets, integers = np.zeros(2), np.array([0, 2, 3], dtype=np.intp), np.arange(3)
-        for array in (alpha, offsets, integers):
-            array.setflags(write=False)
-        params = Parameters(alpha, alpha, integers, offsets)
-        assert params.alpha is alpha and params.direct is alpha and params.offsets is offsets
+    def test_arrays_become_read_only_of_their_kind_dtype(self):
+        alpha, integers = np.zeros(2), np.arange(3)
+        params = Parameters(alpha, alpha, integers, np.array([0, 2, 3], dtype=np.int32))
         assert params.interference.dtype == float and not params.interference.flags.writeable
-        as_int32 = Parameters(alpha, alpha, alpha, np.array([0, 1, 2], dtype=np.int32)).offsets
-        assert as_int32.dtype == np.intp and not as_int32.flags.writeable
+        assert params.offsets.dtype == np.intp and not params.offsets.flags.writeable
 
     def test_inconsistent_layout_rejected(self):
         with pytest.raises(ValueError, match="match the interference"):
@@ -535,7 +548,7 @@ class TestJointExposurePmf:
         for row, unit in enumerate(units):
             degree = int(net.in_degrees[unit])
             expected = np.zeros(width)
-            expected[lue.simulation._slots(degree)] = (
+            expected[lue.design.slot_order(degree)] = (
                 lue.design.bernoulli_exposure_distribution(degree, p_treat).vector)
             assert own[row].tobytes() == expected.tobytes(), (unit, p_treat)
 
@@ -1057,8 +1070,17 @@ class TestComputeImse:
         assert len(drawn) == config.num_draws
         layouts = lue.simulation._entry_layout.cache_info()
         assert (layouts.misses, layouts.hits) == (1, 2 * config.num_draws - 1)
-        assert all(params.offsets is drawn[0].offsets for params in drawn)
-        assert not drawn[0].offsets.flags.writeable
+        for params in drawn:
+            np.testing.assert_array_equal(params.offsets, drawn[0].offsets)
+            assert not params.offsets.flags.writeable
+
+    def test_only_the_network_in_use_keeps_its_layout(self):
+        """Two settings of other in-degree vectors leave one cached layout: the last one's."""
+        lue.simulation._entry_layout.cache_clear()
+        for network in (NetworkConfig("k_regular", 8, k=2), NetworkConfig("k_regular", 8, k=3)):
+            compute_imse(self.small_config(network=network, num_draws=2))
+        layouts = lue.simulation._entry_layout.cache_info()
+        assert (layouts.misses, layouts.currsize) == (2, 1)
 
     @staticmethod
     def count_calls(monkeypatch):
@@ -1174,7 +1196,7 @@ class TestComputeImse:
         rows = family_weights(["MInd", "MDil"], degree, 0.5, -1.5)
         for row, cov in zip(rows, (eye, np.outer(u, u) + MDIL_RIDGE * eye)):
             dense = solve_mivlue(dist.spec, dist, PriorSpec(cov)).estimator.vector
-            np.testing.assert_array_equal(row[lue.simulation._slots(degree)], dense)
+            np.testing.assert_array_equal(row[lue.design.slot_order(degree)], dense)
 
     def test_cold_rows_factorise_no_prior(self, monkeypatch):
         """A cold MInd and MDil row builds, checks and factorises no P x P prior."""
