@@ -295,8 +295,31 @@ class TestSimulateCommand:
           "p_treat": 0.3, "num_draws": 3, "allocation_mode": "exhaustive",
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
          "d75db7c55b0a067c352571c7ef91fe74060e53d8c467413b7e05847a9e08c206"),
+        # 200 draws at n = 12, width 8: two draw blocks, of 136 and 64 draws.
+        ({"network": {"kind": "k_regular", "n": 12, "k": 3},
+          "outcome": {"kind": "interaction", "mu1": 1.0, "delta1": 2.0},
+          "num_draws": 200, "allocation_mode": "exhaustive",
+          "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
+         "2b083a222685462bd2e3414c2af81393acfe3850c5b48229a3a4ebd7ea2e0a2a"),
+        # The benchmark's three simulate workloads (bench/workloads.py), whole.
+        ({"network": {"kind": "k_regular", "n": 16, "k": 4},
+          "outcome": {"kind": "independent", "mu1": 0},
+          "num_draws": 40, "allocation_mode": "exhaustive",
+          "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
+         "80d3166a923cbbd090a6acfd6fba857fa202b199a39c2da963669d50532e6761"),
+        ({"network": {"kind": "k_regular", "n": 200, "k": 8},
+          "outcome": {"kind": "interaction", "mu1": 50, "delta1": 2},
+          "num_draws": 30, "allocation_mode": "sample", "allocation_count": 1500,
+          "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
+         "aba86ddfb0b244e85322f9e4b6f59e69bf011e19c97f110493f866073325271e"),
+        ({"network": {"kind": "erdos_renyi", "n": 150, "p_edge": 0.5},
+          "outcome": {"kind": "independent", "mu1": 0},
+          "num_draws": 4, "allocation_mode": "sample", "allocation_count": 1500,
+          "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
+         "291b75d9df8ca4a792d088026c5ddd726c0b8f99e4a795fdea9b2fb717f77029"),
     ], ids=["erdos_renyi_sample", "k_regular_dilated_exhaustive", "k_regular_interaction_sample",
-            "erdos_renyi_interaction_exhaustive_p03"])
+            "erdos_renyi_interaction_exhaustive_p03", "two_draw_blocks", "sim_exact", "sim_sample",
+            "dense_er"])
     def test_csv_bytes_are_pinned(self, tmp_path, capsys, config, digest):
         """Pins every digit of one setting's CSV, so a refactor cannot move them.
 
