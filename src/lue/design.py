@@ -178,9 +178,25 @@ def bernoulli_exposure_distribution(degree: int, p_treat: float) -> ExposureDist
     return ExposureDistribution(spec, probs)
 
 
+def exact_cell_masses(alloc: np.ndarray, cells: np.ndarray, size: int, p_treat: float
+                      ) -> np.ndarray:
+    """P(an allocation falls in cell c), c = 0..size-1, under Bernoulli(``p_treat``), exactly.
+
+    ``alloc`` holds every allocation as a 0/1 row (:func:`allocation_matrix`)
+    and ``cells[i]`` is row i's cell.  A cell's allocations, counted by number
+    treated t, weigh p^t (1-p)^(n-t) in exact integers over den^n, where
+    p = num/den exactly, so each mass is one correctly rounded quotient.
+    """
+    n = alloc.shape[1]
+    num, den = float(p_treat).as_integer_ratio()
+    weights = np.array([num**t * (den - num) ** (n - t) for t in range(n + 1)], dtype=object)
+    counts = np.bincount(cells * (n + 1) + alloc.sum(axis=1), minlength=size * (n + 1))
+    return (counts.reshape(size, n + 1) @ weights / den**n).astype(np.float64)
+
+
 def exposure_distribution_exact(design: BernoulliDesign, kind: str, network, unit: int
                                 ) -> ExposureDistribution:
-    """Brute-force exposure distribution: each allocation's mass, added in order into its slot."""
+    """Brute-force exposure distribution: every allocation counted into its slot, exactly."""
     if kind != "network_interference":
         raise ValueError(f"unknown exposure mapping kind {kind!r}")
     degree = int(network.in_degrees[unit])
@@ -188,7 +204,7 @@ def exposure_distribution_exact(design: BernoulliDesign, kind: str, network, uni
         raise ValueError(
             f"unit {unit} has in-degree 0; its interference exposure set is degenerate"
         )
-    mat, weights = allocation_matrix(design)
+    mat, _ = allocation_matrix(design)
     slots = 2 * (mat @ network.adjacency[:, unit]) + mat[:, unit]
-    masses = np.bincount(slots, weights, 2 * degree + 2)
+    masses = exact_cell_masses(mat, slots, 2 * degree + 2, design.p_treat)
     return ExposureDistribution(ExposureSpec((degree, 1)), masses[slot_order(degree)])

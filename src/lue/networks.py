@@ -22,7 +22,7 @@ class Network:
         a = np.asarray(self.adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        if not np.isin(a, (0, 1)).all():
+        if not ((a == 0) | (a == 1)).all():
             raise ValueError("adjacency entries must be 0 or 1")
         if np.diagonal(a).any():
             raise ValueError("self-loops are not allowed")

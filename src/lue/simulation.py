@@ -64,7 +64,9 @@ class Parameters:
     ``alpha`` and ``direct`` hold one entry per unit.  ``interference`` lays
     the units' effects of exactly d = 1..d_i treated in-neighbors end to end:
     unit i owns entries ``offsets[i]:offsets[i + 1]``.  ``interaction`` has the
-    same layout and is absent exactly when additivity holds.  Each is a read-only copy.
+    same layout and is absent exactly when additivity holds.  A block of draws
+    stacks every kind but ``offsets`` along a leading axis, one row per draw.
+    Each is a read-only copy.
     """
 
     alpha: np.ndarray
@@ -82,7 +84,8 @@ class Parameters:
                 object.__setattr__(self, name, value)
         if self.interaction is not None and self.interaction.shape != self.interference.shape:
             raise ValueError("interaction effects must match the interference length")
-        if len(self.offsets) != len(self.alpha) + 1 or self.offsets[-1] != len(self.interference):
+        if (len(self.offsets) != self.alpha.shape[-1] + 1
+                or self.offsets[-1] != self.interference.shape[-1]):
             raise ValueError("offsets must bound every unit's slice of the interference effects")
 
 
@@ -125,7 +128,7 @@ def _refuse_unread(config, names) -> None:
                              f"got {getattr(config, f.name)!r}")
 
 
-def sample_parameters(network: Network, model: OutcomeModel, seed) -> Parameters:
+def sample_parameters(network: Network, model: OutcomeModel, seed, draws=None) -> Parameters:
     """Draw parameters for every unit, mutually independent, deterministic in ``seed``.
 
     Independent: baseline and direct effect standard normal, interference
@@ -136,31 +139,55 @@ def sample_parameters(network: Network, model: OutcomeModel, seed) -> Parameters
     Interaction noise comes from a separate stream so the shared parameters
     are bit-identical across interaction levels.
 
-    Each stream is drawn as one vector in unit order: (alpha, direct,
-    interference_1..d_i) per unit from the common stream (alpha alone under
-    dilation), interaction_1..d_i per unit from the interaction stream.
-    Where each entry sits is the network's cached :class:`_EntryLayout`; a
-    draw only draws, and its :class:`Parameters` holds copies.
+    ``seed`` is a nonnegative int or a list of them.  Given ``draws``, a
+    sequence of draw indices, the result stacks one row per draw, and row r
+    is bit for bit the single draw at seed ``[*seed, draws[r]]``: every draw
+    seeds streams of its own.  Each stream is drawn as one vector in unit
+    order: (alpha, direct, interference_1..d_i) per unit from the common
+    stream (alpha alone under dilation), interaction_1..d_i per unit from the
+    interaction stream.  Where each entry sits is the network's cached
+    :class:`_EntryLayout`, gathered once for all rows.
     """
     n = network.n
     layout = _entry_layout(network.in_degrees.tobytes())
-    words = [int(s) for s in (seed if isinstance(seed, (list, tuple)) else [seed])]
-    rng_common = np.random.default_rng(np.random.SeedSequence([*words, _STREAM_COMMON]))
+    words = [word for value in (seed if isinstance(seed, (list, tuple)) else [seed])
+             for word in _words(value)]
+    rows = [words] if draws is None else [[*words, *_words(draw)] for draw in draws]
     if model.kind == "dilated":
-        alpha = rng_common.normal(size=n)
-        direct = alpha
-        interference = layout.scale * model.eta1 * alpha[layout.owner]
+        alpha = direct = _normals(rows, _STREAM_COMMON, n)
+        interference = layout.scale * model.eta1 * alpha[:, layout.owner]
     else:
-        draws = rng_common.normal(size=2 * n + len(layout.owner))
-        alpha = draws[layout.alpha_at]
-        direct = draws[layout.direct_at]
-        interference = layout.scale * model.mu1 + draws[layout.interference_at]
+        common = _normals(rows, _STREAM_COMMON, 2 * n + len(layout.owner))
+        alpha = common[:, layout.alpha_at]
+        direct = common[:, layout.direct_at]
+        interference = layout.scale * model.mu1 + common[:, layout.interference_at]
     interaction = None
     if model.kind == "interaction" and model.delta1 > 0:
-        rng_inter = np.random.default_rng(
-            np.random.SeedSequence([*words, _STREAM_INTERACTION]))
-        interaction = layout.scale * model.delta1 + rng_inter.normal(size=len(layout.owner))
-    return Parameters(alpha, direct, interference, layout.offsets, interaction)
+        interaction = layout.scale * model.delta1 + _normals(
+            rows, _STREAM_INTERACTION, len(layout.owner))
+    row = 0 if draws is None else slice(None)
+    return Parameters(alpha[row], direct[row], interference[row], layout.offsets,
+                      None if interaction is None else interaction[row])
+
+
+def _words(value) -> list[int]:
+    """A nonnegative int's 32-bit words, least significant first, as SeedSequence splits it."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"seeds must be nonnegative, got {value}")
+    return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _normals(rows, stream: int, size: int) -> np.ndarray:
+    """(row x size) standard normals, row r from the stream seeded by words ``[*rows[r], stream]``.
+
+    A uint32 entropy array gives SeedSequence the same words, and so the
+    same state, as the list of ints they split from, at less cost.
+    """
+    return np.array([
+        np.random.default_rng(np.random.SeedSequence(
+            np.array([*words, stream], dtype=np.uint32))).normal(size=size)
+        for words in rows])
 
 
 class _EntryLayout(NamedTuple):
@@ -296,13 +323,19 @@ def build_estimator_family(name: str, network: Network, design,
     return family
 
 
-def true_average_effect(network: Network, params: Parameters) -> float:
-    """Mean full-neighborhood interference effect over units with positive degree."""
+def true_average_effect(network: Network, params: Parameters):
+    """Mean full-neighborhood interference effect over units with positive degree.
+
+    A float for one draw; an array of one mean per row for a block of draws.
+    """
     tops = _entry_layout(network.in_degrees.tobytes()).tops
     if not len(tops):
         raise ValueError("every unit has in-degree 0; the average estimand is undefined")
-    # One 1-D sum over its length: the bits of np.mean, at less cost.
-    return float(params.interference[tops].sum() / len(tops))
+    effects = params.interference[..., tops]
+    # One 1-D sum per draw over its length: the bits of np.mean, at less cost.  A sum
+    # along the last axis of the 2-D block need not add in that order.
+    means = np.array([row.sum() for row in effects.reshape(-1, len(tops))]) / len(tops)
+    return float(means[0]) if effects.ndim == 1 else means
 
 
 @dataclass(frozen=True)
@@ -448,33 +481,33 @@ class ImseReport:
 CSV_HEADER = "estimator,n,k_or_p,distribution,mu1_or_eta1,delta1,imse,bias2,variance,se,seed"
 
 
-def _outcome_table(drawn, width):
+def _outcome_table(params, width):
     """(draw x unit x exposure-slot) potential outcomes of the units that own parameter entries.
 
-    ``drawn`` are parameter draws of one network, so they share one layout.
+    ``params`` stacks a block of draws, or holds one draw, read as a block of one.
     Those units are the ones of positive in-degree, in unit order.  Even slots
     hold z = 0 and odd slots z = 1, with d >= 1 from slot 2 on; each entry is
     summed in the order ((alpha + direct z) + interference_d) + interaction_d,
     that of the scalar reference ``potential_outcome`` in
     ``tests/test_simulation.py``, which it matches bit for bit.
     """
-    degrees = np.diff(drawn[0].offsets)
+    degrees = np.diff(params.offsets)
     owners = degrees > 0
-    alpha = np.array([params.alpha for params in drawn])[:, owners]
-    direct = np.array([params.direct for params in drawn])[:, owners]
+    alpha = np.atleast_2d(params.alpha)[:, owners]
+    direct = np.atleast_2d(params.direct)[:, owners]
     table = np.zeros((*alpha.shape, width))
     table[..., 0] = alpha + direct * 0
     table[..., 1] = alpha + direct * 1
     # True at (row, d - 1) for d = 1..d_i: row-major, the order the entries are drawn in.
     held = np.arange(1, width // 2) <= degrees[owners][:, None]
-    levels = np.zeros((len(drawn), *held.shape))
+    levels = np.zeros((len(alpha), *held.shape))
     # One mask over every draw: a slice before a mask takes numpy's slow mixed-index path.
     every_held = np.broadcast_to(held, levels.shape)
-    levels[every_held] = np.concatenate([params.interference for params in drawn])
+    levels[every_held] = params.interference.ravel()
     np.add(table[..., :1], levels, out=table[..., 2::2], where=held)
     np.add(table[..., 1:2], levels, out=table[..., 3::2], where=held)
-    if drawn[0].interaction is not None:
-        levels[every_held] = np.concatenate([params.interaction for params in drawn])
+    if params.interaction is not None:
+        levels[every_held] = params.interaction.ravel()
         table[..., 3::2] += levels
     return table
 
@@ -571,8 +604,10 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     Everything that does not change between draws is built once: the units,
     weights and slot coefficients before the draw loop, and the entry layout
     that :func:`sample_parameters` and :func:`true_average_effect` read on the
-    first draw.  Fully deterministic given the master seed, and independent
-    of the interaction level for families that never read treated outcomes.
+    first block.  One :func:`sample_parameters` call draws a whole block, each
+    draw from streams of its own, as stacked arrays.  Fully deterministic
+    given the master seed, and independent of the interaction level for
+    families that never read treated outcomes.
 
     ``metadata["stage_seconds"]`` times the setting-level stages (network,
     families, joint_pmf) and, summed over blocks, the per-draw ones: params,
@@ -643,17 +678,17 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     for first_draw in range(0, n_draws, block):
         draws = slice(first_draw, min(first_draw + block, n_draws))
         mark = time.perf_counter()
-        drawn = [sample_parameters(network, config.outcome, [config.master_seed, draw])
-                 for draw in range(draws.start, draws.stop)]
-        theta_bars[draws] = [true_average_effect(network, params) for params in drawn]
+        params = sample_parameters(network, config.outcome, config.master_seed,
+                                   range(draws.start, draws.stop))
+        theta_bars[draws] = true_average_effect(network, params)
         mark = lap("params", mark)
-        outcomes = _outcome_table(drawn, width)
-        values = value_tables[:len(drawn)]
+        outcomes = _outcome_table(params, width)
+        values = value_tables[:len(outcomes)]
         for row in range(n_families):
             np.multiply(tables[row][degree_rows], outcomes, out=values[:, row])
         mark = lap("outcome_table", mark)
         if exhaustive:
-            values = values.reshape(len(drawn), n_families, -1) / len(units)
+            values = values.reshape(len(outcomes), n_families, -1) / len(units)
             # A batched product with p, but one 2-D product with G over every (draw, family)
             # row: a 2-D product with p sums in another order, one with G keeps the bits.
             first_moment = values @ pmf

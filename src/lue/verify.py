@@ -21,6 +21,7 @@ from .design import (
     ExposureDistribution,
     allocation_matrix,
     bernoulli_exposure_distribution,
+    exact_cell_masses,
     probability_vector,
     slot_order,
 )
@@ -167,17 +168,10 @@ def check_design_oracle() -> tuple[bool, str]:
         for p_treat in (0.5, 0.3):
             alloc, _ = allocation_matrix(BernoulliDesign(network.n, p_treat))
             slots = (2 * (alloc @ network.adjacency) + alloc)[:, units]
-            # A cell's allocations, counted by number treated t, weigh p^t (1-p)^(n-t) in
-            # exact integers over den^n, so each cell is rounded once.
-            sizes, (num, den) = network.n + 1, p_treat.as_integer_ratio()
-            masses = np.array([num**t * (den - num) ** (network.n - t) for t in range(sizes)],
-                              dtype=object)
-            treated = alloc.sum(axis=1)
             exact = np.zeros((len(units), width, len(units), width))
             for a, b in np.ndindex(len(units), len(units)):
-                counts = np.bincount((slots[:, a] * width + slots[:, b]) * sizes + treated,
-                                     minlength=width * width * sizes).reshape(-1, sizes)
-                exact[a, :, b] = (counts @ masses / den**network.n).reshape(width, width)
+                exact[a, :, b] = exact_cell_masses(alloc, slots[:, a] * width + slots[:, b],
+                                                   width * width, p_treat).reshape(width, width)
             bound = 0.0 if p_treat == 0.5 else 1e-15
             for a, unit in enumerate(units):
                 degree = int(network.in_degrees[unit])
@@ -208,9 +202,9 @@ def check_enumeration_unbiasedness() -> tuple[bool, str]:
     )
     report = compute_imse(config)
     network = config.build_network()
-    for draw in range(config.num_draws):
-        params = sample_parameters(network, config.outcome, [config.master_seed, draw])
-        theta_bar = true_average_effect(network, params)
+    params = sample_parameters(network, config.outcome, config.master_seed,
+                               range(config.num_draws))
+    for draw, theta_bar in enumerate(true_average_effect(network, params)):
         for name, result in report.results.items():
             gap = abs(result.per_draw_mean[draw] - theta_bar)
             if gap > 1e-10:

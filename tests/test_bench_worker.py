@@ -59,7 +59,8 @@ def test_traced_simulate_op_and_bias_check(bench, tmp_path):
     assert record["error"] is None
     assert layers["mivlue.solves"] == 2  # MInd and MDil at the one in-degree, 3
     assert layers["mivlue.biased_solves"] == 0
-    assert layers["simulation.draws"] == CONFIG["num_draws"]
+    # One sampler call per block of draws: exhaustive mode fits the 3 draws in one.
+    assert layers["simulation.draws"] == 1
     checked, biased = worker.bias_counts(lue, CONFIG, record["master_seed"])
     assert (checked, biased) == (len(CONFIG["estimators"]) * CONFIG["network"]["n"], 0)
 

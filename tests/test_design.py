@@ -203,13 +203,19 @@ class TestExposureDistribution:
 
 
 def per_allocation_distribution(design, network, unit):
-    """Reference: each allocation row's mass, added in order into a dict by its mapped exposure."""
+    """Reference: each allocation row's exact mass, added into a dict by its mapped exposure.
+
+    The sums are fractions, each rounded once to a float at the end.
+    """
     acc = {}
-    mat, weights = allocation_matrix(design)
-    for z, p in zip(mat, weights):
+    p = Fraction(design.p_treat)
+    mat, _ = allocation_matrix(design)
+    for z in mat:
         e = apply_exposure_mapping(network, z, unit)
-        acc[e] = acc.get(e, 0.0) + p
-    return ExposureDistribution(ExposureSpec((int(network.in_degrees[unit]), 1)), acc)
+        treated = int(z.sum())
+        acc[e] = acc.get(e, 0) + p**treated * (1 - p) ** (design.n - treated)
+    return ExposureDistribution(ExposureSpec((int(network.in_degrees[unit]), 1)),
+                                {e: float(mass) for e, mass in acc.items()})
 
 
 class TestExactEnumeration:
@@ -254,6 +260,24 @@ class TestExactEnumeration:
         design = BernoulliDesign(2, 0.5)
         with pytest.raises(ValueError, match="in-degree 0"):
             exposure_distribution_exact(design, "network_interference", net, 0)
+
+    @pytest.mark.parametrize("p_treat, bound", [(0.5, 0.0), (0.3, 1e-15)])
+    def test_closed_form_is_the_exact_pmf(self, p_treat, bound):
+        """The closed form against exact enumeration: equal at p = 0.5, within 1e-15 at 0.3.
+
+        At p = 0.5 every mass is C(d, k) / 2^(d + 1), which a float holds exactly.
+        A closed form off by 1e-13 fails here, where criterion 10's 1e-12 lets it pass.
+        """
+        for n in range(2, 11):
+            for net in (gen_erdos_renyi_directed(n, 0.3, seed=n),
+                        gen_erdos_renyi_directed(n, 0.7, seed=n + 50),
+                        gen_k_regular_directed(n, min(2, n - 1), seed=n)):
+                design = BernoulliDesign(n, p_treat)
+                for unit in np.flatnonzero(net.in_degrees).tolist():
+                    exact = exposure_distribution_exact(design, "network_interference", net, unit)
+                    closed = bernoulli_exposure_distribution(int(net.in_degrees[unit]), p_treat)
+                    gap = np.abs(closed.vector - exact.vector).max()
+                    assert gap <= bound, (n, unit, gap)
 
     def test_closed_form_oracle_agreement(self):
         """Binomial closed form equals brute-force enumeration on sampled graphs."""

@@ -12,6 +12,7 @@ import pytest
 import lue.design
 import lue.mivlue
 import lue.simulation
+from lue.cli import _setting_seed
 from lue.design import BernoulliDesign, allocation_matrix
 from lue.estimators import LinearEstimator, constraint_residuals
 from lue.exposure import indicator_matrix
@@ -58,8 +59,8 @@ def three_cycle():
 
 
 def effects(params, unit, kind="interference"):
-    """One unit's d = 1..d_i effects of one kind."""
-    return getattr(params, kind)[params.offsets[unit]:params.offsets[unit + 1]]
+    """One unit's d = 1..d_i effects of one kind, of every draw of a block."""
+    return getattr(params, kind)[..., params.offsets[unit]:params.offsets[unit + 1]]
 
 
 def one_unit(alpha, direct, interference, interaction=None):
@@ -122,7 +123,7 @@ def per_draw_moments(config):
     for draw in range(config.num_draws):
         params = sample_parameters(network, config.outcome, [config.master_seed, draw])
         theta_bar = true_average_effect(network, params)
-        value_tables = weight_tables * _outcome_table([params], width)[0]
+        value_tables = weight_tables * _outcome_table(params, width)[0]
         values = value_tables.reshape(len(config.estimators), -1) / len(units)
         first_moment = values @ pmf
         second_moment = np.einsum("fa,fa->f", values @ joint, values)
@@ -149,7 +150,7 @@ def sampled_moments(config):
     for draw in range(config.num_draws):
         params = sample_parameters(network, config.outcome, [config.master_seed, draw])
         theta_bar = true_average_effect(network, params)
-        value_tables = weight_tables * _outcome_table([params], width)[0]
+        value_tables = weight_tables * _outcome_table(params, width)[0]
         rng = np.random.default_rng(np.random.SeedSequence(
             [config.master_seed, draw, lue.simulation._STREAM_ALLOCATIONS]))
         alloc = design.sample(rng, config.allocation_count).astype(np.float32)
@@ -308,6 +309,52 @@ class TestSampleParameters:
         assert not any(getattr(batched, kind).flags.writeable
                        for kind in ("alpha", "direct", "interference", "offsets"))
 
+    # 2**32 - 1 and 2**32 sit on either side of SeedSequence's split of an int into
+    # 32-bit words; 2**64 - 1 takes two words, and a _setting_seed value is what
+    # `lue simulate` passes.
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, _setting_seed(7, 0)],
+                             ids=["0", "2^32-1", "2^32", "2^64-1", "setting_seed"])
+    @pytest.mark.parametrize("model", [
+        OutcomeModel("independent", mu1=1.0),
+        OutcomeModel("dilated", eta1=1.5),
+        OutcomeModel("interaction", mu1=2.0, delta1=3.0),
+        OutcomeModel("interaction", mu1=2.0, delta1=0.0),
+    ], ids=["independent", "dilated", "interaction", "interaction_zero"])
+    # Blocks of 1, 3 and 81 draws; the last one's draw indices cross 2**32, so its
+    # rows' entropy words differ in length.
+    @pytest.mark.parametrize("draws", [range(7, 8), range(3), range(2**32 - 40, 2**32 + 41)],
+                             ids=["1", "3", "81"])
+    def test_each_row_of_a_block_is_its_single_draw(self, seed, model, draws):
+        """Row r of a block is the single draw at [seed, draws[r]] and the per-unit oracle's.
+
+        Its θ̄ is that draw's :func:`true_average_effect`, bit for bit.
+        """
+        network = gen_erdos_renyi_directed(12, 0.2, seed=0)  # in-degrees 0 to 4
+        block = sample_parameters(network, model, seed, draws)
+        thetas = true_average_effect(network, block)
+        assert block.alpha.shape == (len(draws), network.n) and thetas.shape == (len(draws),)
+        assert (block.interaction is None) == (model.kind != "interaction" or not model.delta1)
+        for row, draw in enumerate(draws):
+            single = sample_parameters(network, model, [seed, draw])
+            reference = sequential_parameters(network, model, [seed, draw])
+            for kind in ("alpha", "direct", "interference", "interaction"):
+                if getattr(single, kind) is not None:
+                    assert getattr(block, kind)[row].tobytes() == getattr(single, kind).tobytes()
+            assert block.alpha[row].tobytes() == np.array([q[0] for q in reference]).tobytes()
+            assert block.direct[row].tobytes() == np.array([q[1] for q in reference]).tobytes()
+            for unit, (_, _, interference, interaction) in enumerate(reference):
+                assert effects(block, unit)[row].tobytes() == interference.tobytes()
+                if interaction is not None:
+                    assert (effects(block, unit, "interaction")[row].tobytes()
+                            == interaction.tobytes())
+            assert thetas[row].tobytes() == np.float64(
+                true_average_effect(network, single)).tobytes()
+
+    def test_a_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_parameters(gen_k_regular_directed(5, 2, seed=0), OutcomeModel("independent"),
+                              [3, -1])
+
     def test_dilated_variance_and_correlation(self):
         """Under dilation the top interference effect tracks the baseline exactly."""
         net = gen_k_regular_directed(4, 2, seed=0)
@@ -447,7 +494,7 @@ class TestOutcomeTable:
         units = included_units(net)
         width = 2 * (int(net.in_degrees.max()) + 1)
         params = sample_parameters(net, model, [6, 1])
-        (table,) = _outcome_table([params], width)
+        (table,) = _outcome_table(params, width)
         for row, unit in enumerate(units):
             degree = int(net.in_degrees[unit])
             for d in range(degree + 1):
@@ -459,7 +506,7 @@ class TestOutcomeTable:
         """The lower-degree unit's slots past its own degree stay zero."""
         params = Parameters([0.5, -1.0], [1.25, 0.75], [2.0, 3.0, 5.0], [0, 2, 3],
                             [4.0, 8.0, 16.0])
-        (table,) = _outcome_table([params], 6)
+        (table,) = _outcome_table(params, 6)
         expected = [[potential_outcome(params, 0, (d, z)) for d in range(3) for z in (0, 1)],
                     [potential_outcome(params, 1, (d, z)) for d in range(2) for z in (0, 1)]
                     + [0.0, 0.0]]
@@ -469,11 +516,11 @@ class TestOutcomeTable:
     def test_stacked_draws_equal_each_draws_own_table(self, model):
         net = gen_erdos_renyi_directed(12, 0.15, seed=0)
         width = 2 * (int(net.in_degrees.max()) + 1)
-        drawn = [sample_parameters(net, model, [6, draw]) for draw in range(4)]
-        stacked = _outcome_table(drawn, width)
+        stacked = _outcome_table(sample_parameters(net, model, 6, range(4)), width)
         assert stacked.shape == (4, len(included_units(net)), width)
-        for draw, params in enumerate(drawn):
-            np.testing.assert_array_equal(stacked[draw], _outcome_table([params], width)[0])
+        for draw in range(4):
+            (table,) = _outcome_table(sample_parameters(net, model, [6, draw]), width)
+            np.testing.assert_array_equal(stacked[draw], table)
 
 
 class TestExposureSlots:
@@ -1050,28 +1097,36 @@ class TestComputeImse:
             for result in report.results.values():
                 assert np.isfinite(result.imse) and result.bias_squared < 1e-20
 
-    @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
-    def test_each_draw_calls_the_module_sampler_on_one_layout(self, monkeypatch, mode):
-        """One call of the module's ``sample_parameters`` per draw, all on one entry layout.
+    # Exhaustive mode draws blocks of 2**16 // (5 families * 8 units * 6 slots) = 273
+    # draws, so 600 draws take three calls; sample mode draws one draw per block.
+    @pytest.mark.parametrize("mode, num_draws, calls", [("exhaustive", 600, 3),
+                                                        ("sample", 7, 7)])
+    def test_each_draw_calls_the_module_sampler_on_one_layout(self, monkeypatch, mode,
+                                                              num_draws, calls):
+        """One call of the module's ``sample_parameters`` per block, all on one entry layout.
 
-        Each draw reads the layout twice: once to draw, once for its θ̄.
+        The blocks' draw indices cover every draw once, in order, and each block
+        reads the layout twice: once to draw, once for its θ̄.
         """
         drawn = []
         original = lue.simulation.sample_parameters
 
-        def recorded(*args, **kwargs):
-            drawn.append(original(*args, **kwargs))
-            return drawn[-1]
+        def recorded(network, model, seed, draws):
+            drawn.append((seed, draws, original(network, model, seed, draws)))
+            return drawn[-1][-1]
 
         monkeypatch.setattr(lue.simulation, "sample_parameters", recorded)
         lue.simulation._entry_layout.cache_clear()
-        config = self.small_config(allocation_mode=mode, allocation_count=20, num_draws=7)
+        config = self.small_config(allocation_mode=mode, allocation_count=20,
+                                   num_draws=num_draws)
         compute_imse(config)
-        assert len(drawn) == config.num_draws
+        assert len(drawn) == calls
+        assert [draw for _, draws, _ in drawn for draw in draws] == list(range(num_draws))
         layouts = lue.simulation._entry_layout.cache_info()
-        assert (layouts.misses, layouts.hits) == (1, 2 * config.num_draws - 1)
-        for params in drawn:
-            np.testing.assert_array_equal(params.offsets, drawn[0].offsets)
+        assert (layouts.misses, layouts.hits) == (1, 2 * calls - 1)
+        for seed, draws, params in drawn:
+            assert seed == config.master_seed and len(params.alpha) == len(draws)
+            np.testing.assert_array_equal(params.offsets, drawn[0][-1].offsets)
             assert not params.offsets.flags.writeable
 
     def test_only_the_network_in_use_keeps_its_layout(self):
