@@ -63,6 +63,6 @@ from .simulation import (
 )
 from .verify import run_verify
 
-__version__ = "0.1.2"
+__version__ = "0.2.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -200,8 +200,11 @@ def run_simulate(args) -> int:
     lines = _header_lines(digest, args.seed)
     lines.append(CSV_HEADER)
     failures = []
+    # Settings on one network grid point share a seed, so an outcome grid is paired.
+    points = {}
     for index, setting in enumerate(_expand_grid(data)):
-        setting["master_seed"] = _setting_seed(args.seed, index)
+        point = points.setdefault(json.dumps(setting["network"], sort_keys=True), len(points))
+        setting["master_seed"] = _setting_seed(args.seed, point)
         try:
             lines.extend(compute_imse(ExperimentConfig.from_dict(setting)).csv_rows())
         except Exception as exc:

@@ -200,9 +200,9 @@ class TestWeightsCommand:
                                    [0.0, 0.0, 1.5, 0.0], [0.0, 0.0, 0.0, 0.75]],
                     "dilation": 100.0,
                     "base_perturbation": (1e-3 * (np.eye(4) + 0.1 * np.ones((4, 4)))).tolist()}},
-         "782e55df030e49d9f95de4815037c9fa544374d40fb0bde6ddaf45597ad5083c"),
+         "fa1e3d7b63ccfe3e50db46a9a6a397bb375a7987fb456777131f07259f3d1fb7"),
         ({"spec": {"levels": [40, 1]}, "prior": {"covariance": np.eye(42).tolist()}},
-         "13e772dc97394517650737d4f27c71aa699d8fbf500c9a920c8e62060f400858"),
+         "0858ddc9f483e99783b73099a98441edba50d84591591f6310a9354257c0b8f6"),
     ], ids=["six_term_dilated", "identity_40"])
     def test_weights_bytes_are_pinned(self, tmp_path, capsys, payload, digest):
         """Pins every weight, variance and alpha digit, so a refactor cannot move them."""
@@ -237,12 +237,12 @@ class TestBasisCommand:
         assert message in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("levels, digest", [
-        ("1", "fdbf51b65c85e818"),
-        ("5", "2d31474dd53e798b"),
-        ("3,1", "3baea31a36661b2b"),
-        ("2,1,1", "91c45c81b3886664"),
-        ("3,2,1", "c0cd83b29a209b66"),
-        ("1,1,1,1", "b08d8326c809fce3"),
+        ("1", "7000f16efab63810"),
+        ("5", "d97fbac88eae8fe4"),
+        ("3,1", "60167f7ede275329"),
+        ("2,1,1", "47ef7d26b068d81e"),
+        ("3,2,1", "127f17200360ec2f"),
+        ("1,1,1,1", "b819fa1ffee2c941"),
     ])
     def test_listing_is_byte_identical(self, capsys, levels, digest):
         """Pins member names, member order and every weight's repr."""
@@ -278,48 +278,60 @@ class TestSimulateCommand:
           "outcome": {"kind": "independent", "mu1": 1.0},
           "num_draws": 3, "allocation_mode": "sample", "allocation_count": 200,
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
-         "fd4a9f6b24a62afa95bdd30ca5ac2c99735b9fbe0b2ecc3759b5a9606fa8af8b"),
+         "56542c23576c42c33f609803bfc135b7255cc725c4a96a9be5989f6ea07e0024"),
         ({"network": {"kind": "k_regular", "n": 10, "k": 3},
           "outcome": {"kind": "dilated", "eta1": 1.5},
           "num_draws": 3, "allocation_mode": "exhaustive",
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
-         "1e2c26fd263b62a60437878fe597b8908bd14b26c004bfc06a6b6336426d2b39"),
+         "0035fb859a4726249fbe5862ad1bbe1e581c61a98d08c4c95a4672bdab7e6fed"),
         ({"network": {"kind": "k_regular", "n": 30, "k": 4},
           "outcome": {"kind": "interaction", "mu1": 5, "delta1": 2},
           "num_draws": 3, "allocation_mode": "sample", "allocation_count": 200,
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
-         "f772330a53124bdd6c828797bc8e59671915caeb8beca7c5ce89fd1bc3f38ffa"),
+         "d343bb09d5a1b4bc139d5b9ac919fdd78e5de9146889956a2f332c29f9be1a8b"),
         # At seed 7 this graph has two degree-0 units and in-degrees 1 to 3.
         ({"network": {"kind": "erdos_renyi", "n": 12, "p_edge": 0.15},
           "outcome": {"kind": "interaction", "mu1": 1.0, "delta1": 2.0},
           "p_treat": 0.3, "num_draws": 3, "allocation_mode": "exhaustive",
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
-         "d75db7c55b0a067c352571c7ef91fe74060e53d8c467413b7e05847a9e08c206"),
+         "0a653c0e32ab34342b9c418e1077b19ae48be60736caf000c99de07c0125ff97"),
         # 200 draws at n = 12, width 8: two draw blocks, of 136 and 64 draws.
         ({"network": {"kind": "k_regular", "n": 12, "k": 3},
           "outcome": {"kind": "interaction", "mu1": 1.0, "delta1": 2.0},
           "num_draws": 200, "allocation_mode": "exhaustive",
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
-         "2b083a222685462bd2e3414c2af81393acfe3850c5b48229a3a4ebd7ea2e0a2a"),
+         "6865ee3903ac22c3850d2d60f30faea803c64bc283f2c9da684f70d83d317025"),
         # The benchmark's three simulate workloads (bench/workloads.py), whole.
         ({"network": {"kind": "k_regular", "n": 16, "k": 4},
           "outcome": {"kind": "independent", "mu1": 0},
           "num_draws": 40, "allocation_mode": "exhaustive",
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
-         "80d3166a923cbbd090a6acfd6fba857fa202b199a39c2da963669d50532e6761"),
+         "ad1771d36e33c90108e246705dabacc94d970f13b50b73244393a3404c51425c"),
         ({"network": {"kind": "k_regular", "n": 200, "k": 8},
           "outcome": {"kind": "interaction", "mu1": 50, "delta1": 2},
           "num_draws": 30, "allocation_mode": "sample", "allocation_count": 1500,
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
-         "aba86ddfb0b244e85322f9e4b6f59e69bf011e19c97f110493f866073325271e"),
+         "2a40b8dc062e01b2b898b07c41443489d5f8540280fa5b91df698c64dd9c69b7"),
         ({"network": {"kind": "erdos_renyi", "n": 150, "p_edge": 0.5},
           "outcome": {"kind": "independent", "mu1": 0},
           "num_draws": 4, "allocation_mode": "sample", "allocation_count": 1500,
           "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
-         "291b75d9df8ca4a792d088026c5ddd726c0b8f99e4a795fdea9b2fb717f77029"),
+         "a5bc4d6a4227985d9e0e0b904561dea970cc6fd57290976171c4ac84d44dfb22"),
+        # 300 draws cross the 256-draw chunk of the parameter streams: exhaustive blocks of
+        # 136, 136 and 28 draws, the second holding draw 256, and sample mode's one per block.
+        ({"network": {"kind": "k_regular", "n": 12, "k": 3},
+          "outcome": {"kind": "independent", "mu1": 1.0},
+          "num_draws": 300, "allocation_mode": "exhaustive",
+          "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
+         "37326b5c2336f2223e73b60abe4e1887a42be39972ef027e9208c1c2a61cbdf2"),
+        ({"network": {"kind": "k_regular", "n": 12, "k": 3},
+          "outcome": {"kind": "interaction", "mu1": 1.0, "delta1": 2.0},
+          "num_draws": 300, "allocation_mode": "sample", "allocation_count": 64,
+          "estimators": ["HT0", "HT1", "HTAvg", "MInd", "MDil"]},
+         "778fd1d83df06d1116ca98ba8ba632b730e0f6819746015754c8bb41f7f0cc39"),
     ], ids=["erdos_renyi_sample", "k_regular_dilated_exhaustive", "k_regular_interaction_sample",
             "erdos_renyi_interaction_exhaustive_p03", "two_draw_blocks", "sim_exact", "sim_sample",
-            "dense_er"])
+            "dense_er", "chunk_crossing_exhaustive", "chunk_crossing_sample"])
     def test_csv_bytes_are_pinned(self, tmp_path, capsys, config, digest):
         """Pins every digit of one setting's CSV, so a refactor cannot move them.
 
@@ -360,6 +372,33 @@ class TestSimulateCommand:
                 if l and not l.startswith(("#", "estimator"))]
         assert len(rows) == 12 * 2
         assert sum(",interaction," in row for row in rows) == 24
+
+    @pytest.mark.parametrize("mode", [{"allocation_mode": "exhaustive"},
+                                      {"allocation_mode": "sample", "allocation_count": 50}],
+                             ids=["exhaustive", "sample"])
+    def test_delta1_grid_is_paired(self, tmp_path, capsys, mode):
+        """Settings on one network grid point share the seed, so a delta1 grid is paired.
+
+        HT0 reads untreated outcomes only, which interaction never moves, so its
+        rows agree but for the delta1 column; HT1 reads treated ones.  The two
+        network grid points draw different networks and parameters.
+        """
+        config = write_json(tmp_path / "grid.json", {
+            "network": {"kind": "k_regular", "n": 10, "k": [2, 3]},
+            "outcome": {"kind": "interaction", "mu1": 50, "delta1": [0, 2, 4]},
+            "num_draws": 20, "estimators": ["HT0", "HT1"], **mode,
+        })
+        assert main(["simulate", "--config", config, "--out-dir", str(tmp_path),
+                     "--seed", "7"]) == 0
+        produced = capsys.readouterr().out.strip()
+        rows = [line.split(",") for line in open(produced).read().splitlines()
+                if line.startswith("HT")]
+        for k in ("2", "3"):
+            point = [row for row in rows if row[2] == k]
+            assert [row[5] for row in point if row[0] == "HT0"] == ["0", "2", "4"]
+            assert len({tuple(row[:5] + row[6:]) for row in point if row[0] == "HT0"}) == 1
+            assert len({row[6] for row in point if row[0] == "HT1"}) == 3
+        assert len({row[6] for row in rows if row[0] == "HT0"}) == 2
 
     def test_erdos_renyi_size_sweep(self, tmp_path, capsys):
         config = write_json(tmp_path / "er.json", {

@@ -256,14 +256,27 @@ def test_the_slot_order_is_written_once():
     assert sites == {("design.py", "slot_order")}
 
 
+# Draws per seeded parameter stream, the seeding contract of sample_parameters.
+CHUNK = 256
+
+
 def sequential_parameters(network, model, seed):
     """Reference: the per-unit draw loop, one RNG call per parameter block.
 
+    ``seed``'s last element is the draw r.  Each stream is seeded by the
+    ints ``[*prefix, r // CHUNK, label]``, label 4 (common) or 1
+    (interaction), and the r % CHUNK draws before r in that chunk are drawn
+    and dropped first.
     Returns one (alpha, direct, interference, interaction) tuple per unit.
     """
-    words = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    rng_common = np.random.default_rng(np.random.SeedSequence([*words, 0]))
-    rng_inter = np.random.default_rng(np.random.SeedSequence([*words, 1]))
+    *prefix, draw = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    chunk, skip = divmod(draw, CHUNK)
+    rng_common = np.random.default_rng(np.random.SeedSequence([*prefix, chunk, 4]))
+    rng_inter = np.random.default_rng(np.random.SeedSequence([*prefix, chunk, 1]))
+    entries = int(network.adjacency.sum())
+    row = network.n if model.kind == "dilated" else 2 * network.n + entries
+    rng_common.normal(size=skip * row)
+    rng_inter.normal(size=skip * entries)
     out = []
     for i in range(network.n):
         d_i = int(network.adjacency[:, i].sum())
@@ -320,14 +333,15 @@ class TestSampleParameters:
         OutcomeModel("interaction", mu1=2.0, delta1=3.0),
         OutcomeModel("interaction", mu1=2.0, delta1=0.0),
     ], ids=["independent", "dilated", "interaction", "interaction_zero"])
-    # Blocks of 1, 3 and 81 draws; the last one's draw indices cross 2**32, so its
-    # rows' entropy words differ in length.
-    @pytest.mark.parametrize("draws", [range(7, 8), range(3), range(2**32 - 40, 2**32 + 41)],
-                             ids=["1", "3", "81"])
+    # Blocks of 1, 3, 81 and 300 draws.  Draw 256 is the first of the second chunk,
+    # the 300 draws cross it, and the 81 cross 2**32, which is a chunk boundary too.
+    @pytest.mark.parametrize("draws", [range(7, 8), range(3), range(2**32 - 40, 2**32 + 41),
+                                       range(256, 257), range(100, 400)],
+                             ids=["1", "3", "81", "1_at_256", "300"])
     def test_each_row_of_a_block_is_its_single_draw(self, seed, model, draws):
         """Row r of a block is the single draw at [seed, draws[r]] and the per-unit oracle's.
 
-        Its θ̄ is that draw's :func:`true_average_effect`, bit for bit.
+        Its θ̄ is that draw's :func:`true_average_effect` and the oracle's np.mean, bit for bit.
         """
         network = gen_erdos_renyi_directed(12, 0.2, seed=0)  # in-degrees 0 to 4
         block = sample_parameters(network, model, seed, draws)
@@ -349,11 +363,94 @@ class TestSampleParameters:
                             == interaction.tobytes())
             assert thetas[row].tobytes() == np.float64(
                 true_average_effect(network, single)).tobytes()
+            tops = [interference[-1] for _, _, interference, _ in reference if len(interference)]
+            assert thetas[row].tobytes() == np.mean(tops).tobytes()
+
+    @pytest.mark.parametrize("model", [OutcomeModel("dilated", eta1=1.5),
+                                       OutcomeModel("interaction", mu1=2.0, delta1=3.0)],
+                             ids=["dilated", "interaction"])
+    @pytest.mark.parametrize("block", [1, 3, 81, 300])
+    def test_rows_do_not_depend_on_the_block_size(self, model, block):
+        """Draws 0..599 walked in blocks of any size are the one-block rows, across chunks."""
+        network = gen_erdos_renyi_directed(12, 0.2, seed=0)
+        whole = sample_parameters(network, model, 5, range(600))
+        parts = [sample_parameters(network, model, 5, range(first, min(first + block, 600)))
+                 for first in range(0, 600, block)]
+        for kind in ("alpha", "direct", "interference", "interaction"):
+            if getattr(whole, kind) is not None:
+                assert (np.concatenate([getattr(part, kind) for part in parts]).tobytes()
+                        == getattr(whole, kind).tobytes())
+
+    @pytest.mark.parametrize("model", [OutcomeModel("dilated", eta1=1.5),
+                                       OutcomeModel("interaction", mu1=2.0, delta1=3.0)],
+                             ids=["dilated", "interaction"])
+    def test_rows_do_not_depend_on_the_order_of_requests(self, model):
+        """Blocks asked out of order, twice, or after other draws of the seed give the same rows."""
+        network = gen_erdos_renyi_directed(12, 0.2, seed=0)
+        other = gen_k_regular_directed(9, 2, seed=1)
+        whole = sample_parameters(network, model, 5, range(600))
+        requests = [range(300, 600), range(0, 300), range(81, 162), range(81, 162),
+                    range(250, 260), range(200, 256), range(256, 257), range(255, 256),
+                    [300, 5, 6, 256, 255, 7], [599, 598, 0]]
+        for draws in requests:
+            if draws[0] % CHUNK:
+                # Leaves each stream where this request starts, but on rows of another size.
+                sample_parameters(other, model, 5, range(draws[0] - draws[0] % CHUNK, draws[0]))
+            for _ in range(2):
+                part = sample_parameters(network, model, 5, draws)
+                for kind in ("alpha", "direct", "interference", "interaction"):
+                    if getattr(whole, kind) is not None:
+                        assert (getattr(part, kind).tobytes()
+                                == getattr(whole, kind)[list(draws)].tobytes())
+            sample_parameters(network, model, 6, draws)
+
+    @pytest.mark.parametrize("master", [7, _setting_seed(7, 0)], ids=["one_word", "two_words"])
+    def test_no_parameter_stream_is_the_network_stream(self, master):
+        """Chunk 3's streams share no bits with the network's, seeded [master, 3].
+
+        SeedSequence pads entropy shorter than four words with zeros, so a
+        parameter stream labelled 0 would be that very stream.
+        """
+        network = gen_k_regular_directed(6, 2, seed=0)
+        model = OutcomeModel("interaction", mu1=0.0, delta1=1.0)
+        params = sample_parameters(network, model, [master, 3 * CHUNK])
+        entries = 2 * network.n + len(params.interference)
+        rng = np.random.default_rng(np.random.SeedSequence([master, 3]))
+        assert not np.isin(rng.standard_normal(entries), [
+            *params.alpha, *params.direct, *params.interference, *params.interaction]).any()
+
+    def test_streams_are_seeded_once_per_chunk(self, monkeypatch):
+        """1,000 exhaustive draws seed each parameter stream at most ceil(1000 / 256) times.
+
+        A count, not a timing, so it holds on any machine.  The network's seed
+        is the one other SeedSequence; seeding each draw's streams made 2,001.
+        """
+        made = []
+        seed_sequence = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(lue.simulation.np.random, "SeedSequence", counting)
+        config = ExperimentConfig(NetworkConfig("k_regular", 12, k=3),
+                                  OutcomeModel("interaction", mu1=1.0, delta1=2.0),
+                                  num_draws=1000, master_seed=11)
+        compute_imse(config)
+        assert 1 < len(made) <= 2 * -(-1000 // CHUNK) + 1
 
     def test_a_negative_seed_is_refused(self):
         with pytest.raises(ValueError, match="nonnegative"):
             sample_parameters(gen_k_regular_directed(5, 2, seed=0), OutcomeModel("independent"),
                               [3, -1])
+        with pytest.raises(ValueError, match="nonnegative, got -300"):
+            sample_parameters(gen_k_regular_directed(5, 2, seed=0), OutcomeModel("independent"),
+                              3, [0, 1, -300])
+
+    def test_a_single_draw_needs_its_index(self):
+        with pytest.raises(ValueError, match="draw index"):
+            sample_parameters(gen_k_regular_directed(5, 2, seed=0), OutcomeModel("independent"),
+                              [])
 
     def test_dilated_variance_and_correlation(self):
         """Under dilation the top interference effect tracks the baseline exactly."""
