@@ -14,7 +14,6 @@ from .estimators import (
     ConstraintMatrix,
     LinearEstimator,
     SupportCheck,
-    affine_rank,
     basis_count,
     build_affine_basis,
     build_malue_set,
@@ -29,9 +28,7 @@ from .estimators import (
 )
 from .exposure import (
     ExposureSpec,
-    apply_exposure_mapping,
     enumerate_exposures,
-    indicator_vector,
 )
 from .mivlue import (
     KktSystem,

@@ -42,7 +42,7 @@ class LinearEstimator:
 
     ``vector`` is the only storage: the read-only weights in canonical
     exposure order, which is the column order of :class:`ConstraintMatrix`
-    and :func:`basis_weights`.  The constructor takes that vector, or a
+    and of an :class:`EstimatorRows` array.  The constructor takes that vector, or a
     mapping from exposures to weights in which absent exposures weigh 0.
     """
 
@@ -260,12 +260,6 @@ def basis_identifiers(spec: ExposureSpec) -> tuple[np.ndarray, np.ndarray]:
     return ids[:atomic], ids[atomic:]
 
 
-def basis_weights(spec: ExposureSpec,
-                  probs: ExposureDistribution | None = None) -> np.ndarray:
-    """:func:`build_affine_basis` as a (members x exposures) array, columns in canonical order."""
-    return np.asarray(build_affine_basis(spec, probs))
-
-
 def _basis_rows(spec: ExposureSpec, start: int, stop: int, probs) -> EstimatorRows:
     """Basis members start..stop-1; each term weighs +-1/p, with uniform p if ``probs`` is None."""
     ids, _, rows, cols, signs = _layout(spec.levels)
@@ -317,13 +311,6 @@ def lue_dimension(spec: ExposureSpec) -> int:
     return spec.num_exposures - sum(spec.levels) - 1
 
 
-def affine_rank(basis) -> int:
-    """Rank of the weight rows (estimators, or an array) with a constant-1 column appended."""
-    weights = np.asarray(basis)
-    aug = np.hstack([weights, np.ones((len(weights), 1))])
-    return int(np.linalg.matrix_rank(aug, rtol=RANK_RTOL))
-
-
 def affine_rank_is_full(basis, spec: ExposureSpec | None = None) -> bool:
     """Exact full-rank certificate for a canonically ordered basis.
 
@@ -331,7 +318,8 @@ def affine_rank_is_full(basis, spec: ExposureSpec | None = None) -> bool:
     weight rows with their ``spec``, read as their nonzero weights.  Zero
     below a nonzero diagonal on the identifying exposures (each member is the
     last one whose support contains its identifier) certifies full affine
-    rank with no tolerance; any other pattern falls back to the SVD.
+    rank with no tolerance; any other pattern falls back to the SVD rank of
+    the weight rows with a constant-1 column appended.
     """
     spec = basis.spec if spec is None else spec
     rows, cols = basis.terms[:2] if isinstance(basis, EstimatorRows) else np.nonzero(basis)
@@ -345,7 +333,9 @@ def affine_rank_is_full(basis, spec: ExposureSpec | None = None) -> bool:
         np.minimum.at(first, rows, rank[cols])
         if (first == rank[ids]).all():
             return True
-    return affine_rank(basis) == len(basis)
+    weights = np.asarray(basis)
+    aug = np.hstack([weights, np.ones((len(weights), 1))])
+    return int(np.linalg.matrix_rank(aug, rtol=RANK_RTOL)) == len(basis)
 
 
 def decompose_in_basis(est: LinearEstimator, basis,

@@ -1,10 +1,10 @@
-"""Exposure sets, canonical orderings, the parameter layout, and exposure mappings.
+"""Exposure sets, canonical orderings, and the parameter layout.
 
 An exposure summarizes everything a unit's potential outcome can depend on.
 Exposures are integer vectors e = (e_1, ..., e_K) with 0 <= e_k <= m_k; the
 all-zeros vector is the baseline.  Under additivity the potential outcome is
 a sum of a baseline term and one effect term per nonzero component, which is
-what :func:`indicator_vector` encodes.
+what the columns of :func:`indicator_matrix` encode.
 """
 
 from __future__ import annotations
@@ -132,16 +132,6 @@ def enumerate_exposures(spec: ExposureSpec) -> list[Exposure]:
     return list(_canonical_exposures(spec.levels))
 
 
-def indicator_vector(spec: ExposureSpec, e) -> np.ndarray:
-    """0/1 vector v over the parameter set with v . theta = Y(e) under additivity.
-
-    The baseline entry is always 1; the entry for component k at level j is 1
-    exactly when e_k = j.  A writable copy of ``e``'s column of
-    :func:`indicator_matrix`.
-    """
-    return indicator_matrix(spec)[:, exposure_columns(spec, [e])[0]].copy()
-
-
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
 def active_parameters(spec: ExposureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the parameters active in each exposure, with a mask of the real ones.
@@ -164,21 +154,15 @@ def active_parameters(spec: ExposureSpec) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
 def indicator_matrix(spec: ExposureSpec) -> np.ndarray:
-    """Read-only stack of indicator vectors, one column per exposure (canonical order)."""
+    """Read-only stack of indicator vectors, one column per exposure (canonical order).
+
+    Column e is the 0/1 vector v over the parameter set with v . theta = Y(e)
+    under additivity: the baseline entry is always 1, and the entry for
+    component k at level j is 1 exactly when e_k = j.
+    """
     positions, mask = active_parameters(spec)
     mat = np.zeros((spec.num_parameters, len(positions)))
     columns, _ = np.nonzero(mask)
     mat[positions[mask], columns] = 1.0
     mat.setflags(write=False)
     return mat
-
-
-def apply_exposure_mapping(network, allocation, unit: int) -> Exposure:
-    """Exposure of ``unit`` for a full allocation: (treated in-degree, own treatment)."""
-    allocation = np.asarray(allocation)
-    n = allocation.shape[0]
-    if not 0 <= unit < n:
-        raise ValueError(f"unit {unit} out of range for {n} units")
-    if network.n != n:
-        raise ValueError(f"allocation length {n} != network size {network.n}")
-    return (int(network.adjacency[:, unit] @ allocation), int(allocation[unit]))

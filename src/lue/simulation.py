@@ -27,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .design import (
-    ENUMERATION_LIMIT,
     BernoulliDesign,
     ExposureDistribution,
     allocation_matrix,
@@ -44,6 +43,8 @@ ESTIMATOR_NAMES = ("HT0", "HT1", "HTAvg", "MInd", "MDil")
 # Own-treatment levels each two-term family contrasts, at full and zero treated degree.
 _OWN_TREATMENT_LEVELS = {"HT0": (0,), "HT1": (1,), "HTAvg": (0, 1)}
 MDIL_RIDGE = 1e-8
+# Entries of the dense joint exposure pmf G that exhaustive mode builds: 8 MB of float64.
+JOINT_PMF_LIMIT = 2**20
 
 # Sub-stream labels, the last seed word: (master_seed, chunk, label) for parameters,
 # (master_seed, draw, label) for allocations and (master_seed, label) for the network.
@@ -146,7 +147,7 @@ def sample_parameters(network: Network, model: OutcomeModel, seed, draws=None) -
     the draw index.  Given ``draws``, a sequence of draw indices, ``seed`` is
     the prefix instead and the result stacks one row per draw: row r is bit
     for bit the single draw at seed ``[*seed, draws[r]]``.  Draw r is row
-    r mod 256 of each stream seeded by the words ``[*prefix, r div 256,
+    r mod 256 of each stream seeded by the ints ``[*prefix, r div 256,
     stream]``: one stream serves a chunk of 256 draws, so a draw depends
     only on (seed, r, stream), whatever block it is drawn in.  Each row is
     one vector in unit order: (alpha, direct, interference_1..d_i) per unit
@@ -163,7 +164,7 @@ def sample_parameters(network: Network, model: OutcomeModel, seed, draws=None) -
             raise ValueError("a single draw's seed needs the draw index as its last element")
         *seed, draw = seed
         draws = [draw]
-    prefix = tuple(word for value in seed for word in _words(value))
+    prefix = tuple(_nonnegative_int(value, "a seed") for value in seed)
     if model.kind == "dilated":
         alpha = direct = _normals(prefix, draws, _STREAM_COMMON, n)
         interference = layout.scale * model.eta1 * alpha[:, layout.owner]
@@ -181,17 +182,16 @@ def sample_parameters(network: Network, model: OutcomeModel, seed, draws=None) -
                       None if interaction is None else interaction[row])
 
 
-def _words(value) -> list[int]:
-    """A nonnegative int's 32-bit words, least significant first, as SeedSequence splits it."""
-    value = int(value)
-    if value < 0:
-        raise ValueError(f"seeds must be nonnegative, got {value}")
-    return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
+def _nonnegative_int(value, what: str) -> int:
+    """``value`` as an int, numpy ints included; a bool, a negative or a non-integer is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{what} must be an int and nonnegative, got {value!r}")
+    return operator.index(value)
 
 
 # Draws per seeded stream.  Part of the seeding contract: changing it moves every draw.
 _CHUNK = 256
-# Per stream, the last chunk it drew from: ((prefix words, chunk, row size), its live
+# Per stream, the last chunk it drew from: ((prefix, chunk, row size), its live
 # Generator, the next row it gives).  compute_imse's in-order blocks carry on from it.
 _cursors: dict[int, tuple] = {}
 
@@ -199,29 +199,27 @@ _cursors: dict[int, tuple] = {}
 def _normals(prefix: tuple, draws, stream: int, size: int) -> np.ndarray:
     """(draw x size) standard normals; draw r is row r mod C of chunk r div C's stream.
 
-    That stream is seeded by the words ``[*prefix, r div C, stream]`` as a
-    uint32 entropy array, which gives SeedSequence the state of the list of
-    ints they split from, at less cost.  Its normals come out in sequence, so
-    a run of consecutive draws in one chunk is one call, and a row is the same
-    bytes whatever run it is drawn in.  A run behind its stream's cursor, or in
-    another chunk, opens the chunk; one ahead of it discards the rows between.
-    So results never depend on the cursor.
+    That stream is seeded by the ints ``[*prefix, r div C, stream]``.  Its
+    normals come out in sequence, so a run of consecutive draws in one chunk
+    is one call, and a row is the same bytes whatever run it is drawn in.  A
+    run behind its stream's cursor, or in another chunk, opens the chunk; one
+    ahead of it discards the rows between.  So results never depend on the
+    cursor.
     """
+    draws = [_nonnegative_int(draw, "a draw index") for draw in draws]
     out = np.empty((len(draws), size))
     # Where each run of consecutive draws within one chunk starts, and the end.
     bounds = [0, *(i for i in range(1, len(draws))
                    if draws[i] != draws[i - 1] + 1 or draws[i] % _CHUNK == 0), len(draws)]
     for start, stop in zip(bounds, bounds[1:]):
-        chunk, row = divmod(int(draws[start]), _CHUNK)
-        if chunk < 0:  # runs are cut at 0, so a negative draw starts its run
-            raise ValueError(f"draw indices must be nonnegative, got {draws[start]}")
+        chunk, row = divmod(draws[start], _CHUNK)
         key = (prefix, chunk, size)
         # Taken out while in use, so an interrupted draw leaves no cursor ahead of its row
         # and no two callers share a Generator.
         held, rng, at = _cursors.pop(stream, (None, None, 0))
         if held != key or at > row:
-            rng, at = np.random.default_rng(np.random.SeedSequence(
-                np.array([*prefix, *_words(chunk), stream], dtype=np.uint32))), 0
+            rng, at = np.random.default_rng(
+                np.random.SeedSequence([*prefix, chunk, stream])), 0
         for _ in range(at, row):  # one row at a time, so a discard holds one row
             rng.standard_normal(size)
         rng.standard_normal(out=out[start:stop])
@@ -443,12 +441,11 @@ class ExperimentConfig:
         if self.allocation_mode == "sample" and not _is_count(count):
             raise ValueError(
                 f"allocation_count must be a positive integer in sample mode, got {count!r}")
-        if self.allocation_mode == "exhaustive" and self.network.n > ENUMERATION_LIMIT:
-            raise ValueError(f"exhaustive allocation mode needs n <= {ENUMERATION_LIMIT}")
         if not _is_count(self.num_draws):
             raise ValueError(f"num_draws must be a positive integer, got {self.num_draws!r}")
         if not _is_finite(self.p_treat):
             raise ValueError(f"p_treat must be a finite number, got {self.p_treat!r}")
+        object.__setattr__(self, "master_seed", _nonnegative_int(self.master_seed, "master_seed"))
 
     def build_network(self) -> Network:
         """The setting's network, from its own sub-stream of the master seed."""
@@ -646,11 +643,11 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     first block.  One :func:`sample_parameters` call draws a whole block as
     stacked arrays.  Draw r is row r mod 256 of a stream seeded once per
     chunk of 256 draws, and the blocks walk the draws in order, so each
-    block carries on from where the last one left its stream: at the default
-    1,000 draws on the ``sim_exact`` config, ``params`` took 3.1 ms, against
-    17.2 ms when every draw seeded its own streams.  Fully deterministic given
-    the master seed, whatever the block size, and independent of the
-    interaction level for families that never read treated outcomes.
+    block carries on from where the last one left its stream.  Fully
+    deterministic given the master seed, whatever the block size, and
+    independent of the interaction level for families that never read
+    treated outcomes.  Exhaustive mode refuses a setting whose G would hold
+    more than ``JOINT_PMF_LIMIT`` entries, before any weight is solved.
 
     ``metadata["stage_seconds"]`` times the setting-level stages (network,
     families, joint_pmf) and, summed over blocks, the per-draw ones: params,
@@ -681,6 +678,10 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
             network.n - len(units),
         )
     width = 2 * (int(network.in_degrees.max()) + 1)
+    exhaustive = config.allocation_mode == "exhaustive"
+    if exhaustive and (len(units) * width) ** 2 > JOINT_PMF_LIMIT:
+        raise ValueError(f"exhaustive mode's joint exposure pmf would hold "
+                         f"{(len(units) * width) ** 2:,} entries, over {JOINT_PMF_LIMIT:,}")
     mark = lap("network", start)
 
     n_families = len(config.estimators)
@@ -696,7 +697,6 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     weight_rows = {"solved": after.misses - before.misses, "reused": after.hits - before.hits}
     mark = lap("families", mark)
 
-    exhaustive = config.allocation_mode == "exhaustive"
     if exhaustive:
         joint = joint_exposure_pmf(network, units, width, config.p_treat)
         pmf = joint.diagonal()

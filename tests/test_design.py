@@ -18,7 +18,7 @@ from lue.design import (
     exposure_distribution_exact,
     uniform_distribution,
 )
-from lue.exposure import ExposureSpec, apply_exposure_mapping, enumerate_exposures
+from lue.exposure import ExposureSpec, enumerate_exposures
 from lue.networks import Network, gen_erdos_renyi_directed, gen_k_regular_directed
 
 
@@ -205,13 +205,14 @@ class TestExposureDistribution:
 def per_allocation_distribution(design, network, unit):
     """Reference: each allocation row's exact mass, added into a dict by its mapped exposure.
 
-    The sums are fractions, each rounded once to a float at the end.
+    A row's exposure is (treated in-neighbours, own treatment), counted one
+    row at a time.  The sums are fractions, each rounded once to a float at the end.
     """
     acc = {}
     p = Fraction(design.p_treat)
     mat, _ = allocation_matrix(design)
     for z in mat:
-        e = apply_exposure_mapping(network, z, unit)
+        e = (int(network.adjacency[:, unit] @ z), int(z[unit]))
         treated = int(z.sum())
         acc[e] = acc.get(e, 0) + p**treated * (1 - p) ** (design.n - treated)
     return ExposureDistribution(ExposureSpec((int(network.in_degrees[unit]), 1)),

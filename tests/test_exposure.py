@@ -1,4 +1,4 @@
-"""Exposure sets, canonical ordering, the parameter layout, exposure mappings."""
+"""Exposure sets, canonical ordering, the parameter layout, exposure slots."""
 
 import ast
 import pathlib
@@ -15,16 +15,15 @@ from lue.exposure import (
     ExposureSpec,
     _canonical_exposures,
     active_parameters,
-    apply_exposure_mapping,
     enumerate_exposures,
     exposure_columns,
     exposure_positions,
     indicator_matrix,
-    indicator_vector,
     target_position,
 )
 from lue.mivlue import PriorSpec, outcome_variance, solve_mivlue_limit, support_null_prior
 from lue.networks import Network
+from lue.simulation import exposure_slots, slot_coefficients
 from lue.verify import specs_up_to
 
 
@@ -38,6 +37,29 @@ def reference_indicator_vector(spec, e):
             v[offset + value - 1] = 1.0
         offset += m
     return v
+
+
+def indicator_column(spec, e):
+    """``e``'s column of :func:`indicator_matrix`, looked up by value."""
+    return indicator_matrix(spec)[:, exposure_columns(spec, [e])[0]]
+
+
+def reference_exposure(network, allocation, unit):
+    """Reference: ``unit``'s (treated in-degree, own treatment) under a full allocation."""
+    return int(network.adjacency[:, unit] @ allocation), int(allocation[unit])
+
+
+def exposures(network, allocation):
+    """Every unit's exposure, decoded from the slot 2d + z that the simulation computes.
+
+    Each must equal the unit-by-unit reference.
+    """
+    allocation = np.asarray(allocation)
+    units = np.arange(network.n)
+    slots = exposure_slots(allocation[None, :], slot_coefficients(network, units))[0]
+    decoded = [(int(slot) // 2, int(slot) % 2) for slot in slots]
+    assert decoded == [reference_exposure(network, allocation, unit) for unit in units]
+    return decoded
 
 
 def three_cycle():
@@ -116,11 +138,11 @@ class TestExposureLookup:
                                     [(2, 0), (2.2, 0), (0, 0)]), "(2.2, 0)"),
         (lambda: support_null_prior(SPEC_2_1, [(0, 0), (1, 0.5)]), "(1, 0.5)"),
         (lambda: outcome_variance(PriorSpec(np.eye(4)), SPEC_2_1, (1.5, 0)), "(1.5, 0)"),
-        (lambda: indicator_vector(SPEC_2_1, (1, 1, 0)), "(1, 1, 0)"),
+        (lambda: exposure_columns(SPEC_2_1, [(1, 1, 0)]), "(1, 1, 0)"),
         (lambda: bernoulli_exposure_prob(3, (1.5, 0), 0.5), "(1.5, 0)"),
     ], ids=["validate", "estimator_mapping", "pmf_mapping", "pmf_item", "as_vector",
             "support_condition", "limit_support", "null_prior", "outcome_variance",
-            "indicator_vector", "bernoulli_prob"])
+            "columns", "bernoulli_prob"])
     def test_an_exposure_equal_to_no_member_is_refused_by_name(self, call, bad):
         """A fractional component is refused, never truncated to a neighbouring member."""
         with pytest.raises(ValueError, match=re.escape(f"exposure {bad} is outside the set")):
@@ -221,39 +243,35 @@ class TestParameterIndexing:
 class TestIndicatorVector:
     def test_baseline_only(self):
         spec = ExposureSpec((3, 1))
-        v = indicator_vector(spec, (0, 0))
+        v = indicator_column(spec, (0, 0))
         assert v[0] == 1.0 and v.sum() == 1.0
 
     def test_full_exposure(self):
         spec = ExposureSpec((3, 1))
-        v = indicator_vector(spec, (3, 1))
+        v = indicator_column(spec, (3, 1))
         expected = np.zeros(5)
         expected[[0, 3, 4]] = 1.0  # baseline, component 1 level 3, component 2 level 1
         np.testing.assert_array_equal(v, expected)
 
     def test_three_components(self):
         spec = ExposureSpec((1, 1, 1))
-        v = indicator_vector(spec, (0, 1, 1))
+        v = indicator_column(spec, (0, 1, 1))
         expected = np.zeros(4)
         expected[[0, 2, 3]] = 1.0
         np.testing.assert_array_equal(v, expected)
 
     def test_columns_of_indicator_matrix(self):
-        """The entry-by-entry reference checks the cached matrix, and each vector is its column."""
+        """The entry-by-entry reference checks the cached matrix, column by column."""
         for levels in specs_up_to(64):
             spec = ExposureSpec(levels)
-            exposures = enumerate_exposures(spec)
-            expected = np.array([reference_indicator_vector(spec, e) for e in exposures]).T
-            np.testing.assert_array_equal(indicator_matrix(spec), expected)
-            vectors = np.array([indicator_vector(spec, e) for e in exposures]).T
-            np.testing.assert_array_equal(vectors, expected)
+            expected = [reference_indicator_vector(spec, e) for e in enumerate_exposures(spec)]
+            np.testing.assert_array_equal(indicator_matrix(spec), np.array(expected).T)
 
-    def test_vector_is_a_writable_copy(self):
-        spec = ExposureSpec((3, 1))
-        v = indicator_vector(spec, (3, 1))
-        v[:] = 7.0
-        np.testing.assert_array_equal(indicator_vector(spec, (3, 1)),
-                                      reference_indicator_vector(spec, (3, 1)))
+    def test_matrix_is_read_only(self):
+        """The cached matrix is shared by every caller, so no caller may write to it."""
+        matrix = indicator_matrix(ExposureSpec((3, 1)))
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 7.0
 
     def test_number_of_ones(self):
         rng = np.random.default_rng(0)
@@ -261,7 +279,7 @@ class TestIndicatorVector:
             levels = tuple(rng.integers(1, 4, size=rng.integers(1, 5)))
             spec = ExposureSpec(levels)
             e = tuple(int(rng.integers(m + 1)) for m in levels)
-            ones = indicator_vector(spec, e).sum()
+            ones = indicator_column(spec, e).sum()
             assert ones == 1 + sum(1 for v in e if v != 0)
 
     def test_additivity_identity(self):
@@ -276,8 +294,8 @@ class TestIndicatorVector:
             # the identity needs matching nonzero levels to cancel exactly
             if any(b and a != b for a, b in zip(e, e_small)):
                 continue
-            lhs = indicator_vector(spec, e) - indicator_vector(spec, e_small)
-            rhs = indicator_vector(spec, diff) - indicator_vector(spec, (0,) * len(levels))
+            lhs = indicator_column(spec, e) - indicator_column(spec, e_small)
+            rhs = indicator_column(spec, diff) - indicator_column(spec, (0,) * len(levels))
             np.testing.assert_array_equal(lhs, rhs)
 
 
@@ -286,13 +304,7 @@ class TestExposureMappings:
         net = three_cycle()
         z = np.array([1, 1, 0])
         # unit 0's only in-neighbor is unit 2, untreated
-        assert apply_exposure_mapping(net, z, 0) == (0, 1)
-        assert apply_exposure_mapping(net, z, 1) == (1, 1)
-        assert apply_exposure_mapping(net, z, 2) == (1, 0)
-
-    def test_unit_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            apply_exposure_mapping(three_cycle(), (1, 0, 1), 5)
+        assert exposures(net, z) == [(0, 1), (1, 1), (1, 0)]
 
     def test_invariant_to_non_in_neighbors(self):
         """Treated-degree exposure only moves with the unit's in-neighborhood."""
@@ -310,8 +322,8 @@ class TestExposureMappings:
             z2 = z.copy()
             flip = rng.choice(non_neighbors)
             z2[flip] = 1 - z2[flip]
-            e1 = apply_exposure_mapping(net, z, unit)
-            e2 = apply_exposure_mapping(net, z2, unit)
+            e1 = exposures(net, z)[unit]
+            e2 = exposures(net, z2)[unit]
             if flip == unit:
                 continue
             assert e1 == e2

@@ -16,10 +16,10 @@ from lue.design import (
     slot_order,
     uniform_distribution,
 )
-from lue.estimators import (basis_weights, build_affine_basis, check_support_condition,
-                            constraint_matrix, constraint_residuals, decompose_in_basis)
+from lue.estimators import (build_affine_basis, check_support_condition, constraint_matrix,
+                            constraint_residuals, decompose_in_basis)
 from lue.exposure import (ExposureSpec, canonical_grid, enumerate_exposures, indicator_matrix,
-                          indicator_vector, target_position)
+                          target_position)
 from lue.mivlue import (
     PSD_TOL,
     FactorPrior,
@@ -418,7 +418,7 @@ class TestKktSystemViews:
         probs = bernoulli_exposure_distribution(3, 0.3)
         for call in (lambda: solve_mivlue(spec, probs, PriorSpec(np.eye(spec.num_parameters))),
                      lambda: constraint_matrix(spec, probs),
-                     lambda: basis_weights(spec, probs)):
+                     lambda: build_affine_basis(spec, probs)):
             with pytest.raises(ValueError, match=r"\(3, 1\).*\(1, 3\)"):
                 call()
 
@@ -493,14 +493,13 @@ class TestSolveMivlue:
             sol_zero.estimator.as_vector(), sol_again.estimator.as_vector())
         # estimator w(e) (Y(e) - mu_Y(e)) + mu_target is unbiased pointwise in theta
         mu = rng.normal(size=spec.num_parameters)
-        exposures = enumerate_exposures(spec)
         w = sol_zero.estimator.as_vector()
         p = probs.vector
         estimand = target_position(spec)
         for _ in range(10):
             theta = rng.normal(size=spec.num_parameters) + mu
-            outcome = np.array([indicator_vector(spec, e) @ theta for e in exposures])
-            mean_outcome = np.array([indicator_vector(spec, e) @ mu for e in exposures])
+            outcome = theta @ indicator_matrix(spec)
+            mean_outcome = mu @ indicator_matrix(spec)
             estimate = p @ (w * (outcome - mean_outcome)) + mu[estimand]
             assert estimate == pytest.approx(theta[estimand], abs=1e-9)
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from lue.exposure import apply_exposure_mapping
 from lue.networks import Network, gen_erdos_renyi_directed, gen_k_regular_directed
 from lue.simulation import exposure_slots, slot_coefficients
 
@@ -15,14 +14,14 @@ def three_cycle():
 
 
 def treated_degree(net, z):
-    """Treated in-neighbors of every unit, read from both places the program computes them.
+    """Treated in-neighbors of every unit, from the slots 2d + z the simulation computes.
 
-    The exposure mapping gives (d, z) for one unit; the simulation reads d from
-    the slot 2d + z of the whole allocation.  The two must agree.
+    A reference counts each unit's treated in-neighbors one at a time; the
+    slots of the whole allocation must agree with it.
     """
     z = np.asarray(z)
     units = np.arange(net.n)
-    mapped = np.array([apply_exposure_mapping(net, z, i)[0] for i in units])
+    mapped = np.array([sum(z[j] for j in range(net.n) if net.adjacency[j, i]) for i in units])
     slots = exposure_slots(z[None, :], slot_coefficients(net, units))[0]
     np.testing.assert_array_equal(slots % 2, z)
     np.testing.assert_array_equal(slots // 2, mapped)
@@ -149,7 +148,3 @@ class TestTreatedDegree:
         for _ in range(25):
             z = rng.integers(0, 2, size=12)
             assert (treated_degree(net, z) <= net.in_degrees).all()
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            treated_degree(three_cycle(), np.array([1, 0]))

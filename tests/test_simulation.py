@@ -3,6 +3,7 @@
 import ast
 import operator
 import pathlib
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -256,6 +257,76 @@ def test_the_slot_order_is_written_once():
     assert sites == {("design.py", "slot_order")}
 
 
+# Public definitions that no entry point reaches, each kept for its reason.
+UNREACHED_ON_PURPOSE = {
+    "solve_from_moments": "kept on purpose: tests scale one outcome variance through it",
+    "support_null_prior": "the reference prior that the limit solve is checked against",
+    "clear_weight_memo": "empties the weight memo for tests and for cold benchmark runs",
+}
+
+
+def test_every_public_definition_is_reached():
+    """Each public function or class of the package is reached from an entry point.
+
+    The entry points are ``cli.main``, ``verify.run_verify``, ``compute_imse``,
+    every module-level statement but an import (``ALL_CHECKS`` among them),
+    each name that ``bench/*.py`` reads or spells as a string, and each name
+    that ``tests/test_acceptance.py`` imports.  A definition reaches the names
+    its body reads, in its own module or through ``from .module import``, and
+    a class reaches every name its methods read.  Only the names in
+    ``UNREACHED_ON_PURPOSE`` may stay unreached, and each of them must.
+    """
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    scopes, reads = {}, {}
+    roots = {("cli", "main"), ("verify", "run_verify"), ("simulation", "compute_imse")}
+    for path in sorted(pathlib.Path(lue.__file__).parent.glob("*.py")):
+        module, tree = path.stem, ast.parse(path.read_text())
+        scope = scopes[module] = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                scope.update((alias.asname or alias.name, (node.module, alias.name))
+                             for alias in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope[node.name] = module, node.name
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            named = {scope[name.id] for name in ast.walk(node)
+                     if isinstance(name, ast.Name) and name.id in scope}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                reads[module, node.name] = named
+            else:
+                roots |= named
+    bench = set()
+    for path in sorted((repo / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                bench.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                bench.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                bench.add(node.value)
+    roots |= {key for key in reads if key[1] in bench}
+    for node in ast.walk(ast.parse((repo / "tests" / "test_acceptance.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("lue."):
+            roots |= {(node.module.removeprefix("lue."), alias.name) for alias in node.names}
+
+    def resolve(key):
+        """The definition that ``key``, a (module, name) pair, is or imports."""
+        while key not in reads and key[1] in scopes.get(key[0], {}):
+            key = scopes[key[0]][key[1]]
+        return key
+
+    reached, todo = set(), [resolve(key) for key in roots]
+    while todo:
+        key = todo.pop()
+        if key in reads and key not in reached:
+            reached.add(key)
+            todo.extend(resolve(read) for read in reads[key])
+    unreached = {name for _, name in reads.keys() - reached if not name.startswith("_")}
+    assert unreached == UNREACHED_ON_PURPOSE.keys()
+
+
 # Draws per seeded parameter stream, the seeding contract of sample_parameters.
 CHUNK = 256
 
@@ -446,6 +517,25 @@ class TestSampleParameters:
         with pytest.raises(ValueError, match="nonnegative, got -300"):
             sample_parameters(gen_k_regular_directed(5, 2, seed=0), OutcomeModel("independent"),
                               3, [0, 1, -300])
+
+    @pytest.mark.parametrize("seed, draws, bad", [
+        ([3.7, 1], None, "3.7"), ([True, 1], None, "True"), ([3, 1.0], None, "1.0"),
+        (3, [0, 1.5], "1.5"), (3, [0, True], "True"), ("7", [0], "'7'"),
+    ], ids=["float_seed", "bool_seed", "float_draw", "float_draws", "bool_draws", "str_seed"])
+    def test_a_seed_or_draw_that_is_not_an_int_is_refused(self, seed, draws, bad):
+        """Refused by value, never truncated to a neighbouring int or read as 0 and 1."""
+        with pytest.raises(ValueError, match=re.escape(f"nonnegative, got {bad}")):
+            sample_parameters(gen_k_regular_directed(5, 2, seed=0),
+                              OutcomeModel("interaction", mu1=1.0, delta1=2.0), seed, draws)
+
+    def test_numpy_ints_are_the_ints_they_hold(self):
+        network = gen_k_regular_directed(5, 2, seed=0)
+        model = OutcomeModel("interaction", mu1=1.0, delta1=2.0)
+        plain = sample_parameters(network, model, [3, 2**40], [254, 255, 256])
+        numpy = sample_parameters(network, model, [np.uint8(3), np.uint64(2**40)],
+                                  np.arange(254, 257))
+        for kind in ("alpha", "direct", "interference", "interaction"):
+            assert getattr(numpy, kind).tobytes() == getattr(plain, kind).tobytes()
 
     def test_a_single_draw_needs_its_index(self):
         with pytest.raises(ValueError, match="draw index"):
@@ -891,13 +981,38 @@ class TestEstimateAverageEffect:
 
 
 class TestExperimentConfig:
-    def test_exhaustive_budget(self):
-        with pytest.raises(ValueError, match="n <= 20"):
-            ExperimentConfig(
-                network=NetworkConfig("k_regular", 30, k=2),
-                outcome=OutcomeModel("independent"),
-                allocation_mode="exhaustive",
-            )
+    def test_exhaustive_budget(self, monkeypatch):
+        """Exhaustive mode is bounded by the entries of G, (units x width)^2, not by n.
+
+        n = 30, k = 2 gives (30 x 6)^2 entries and runs, and so does the largest G
+        at n <= 20, a complete graph's 800^2.  n = 200, k = 8 would give
+        (200 x 18)^2 = 12,960,000, over 2^20: refused by that count before any
+        weight is solved.
+        """
+        outcome = OutcomeModel("independent")
+        for network in (NetworkConfig("k_regular", 30, k=2),
+                        NetworkConfig("erdos_renyi", 20, p_edge=1.0)):
+            compute_imse(ExperimentConfig(network=network, outcome=outcome, num_draws=2))
+        solved = []
+        monkeypatch.setattr(lue.simulation, "family_weights", lambda *args: solved.append(args))
+        config = ExperimentConfig(network=NetworkConfig("k_regular", 200, k=8), outcome=outcome)
+        assert config.allocation_mode == "exhaustive"
+        with pytest.raises(ValueError, match="would hold 12,960,000 entries, over 1,048,576$"):
+            compute_imse(config)
+        assert solved == []
+
+    @pytest.mark.parametrize("seed", ["7", True, 3.5, -1], ids=["str", "bool", "float", "negative"])
+    def test_master_seed_must_be_a_nonnegative_int(self, seed):
+        with pytest.raises(ValueError, match=re.escape(
+                f"master_seed must be an int and nonnegative, got {seed!r}")):
+            ExperimentConfig(network=NetworkConfig("k_regular", 10, k=2),
+                             outcome=OutcomeModel("independent"), master_seed=seed)
+
+    def test_a_numpy_master_seed_is_kept_as_an_int(self):
+        network, outcome = NetworkConfig("k_regular", 10, k=2), OutcomeModel("independent")
+        config = ExperimentConfig(network=network, outcome=outcome, master_seed=np.int64(5))
+        assert type(config.master_seed) is int
+        assert config == ExperimentConfig(network=network, outcome=outcome, master_seed=5)
 
     def test_round_trip(self):
         config = ExperimentConfig(
@@ -991,6 +1106,22 @@ class TestComputeImse:
         report = compute_imse(self.small_config())
         for result in report.results.values():
             assert result.bias_squared < 1e-20
+
+    def test_criterion_9_network_runs_exhaustively_unbiased(self):
+        """Criterion 9's network, n = 40 and k = 4, in exhaustive mode and additive.
+
+        Each family's exact mean over allocations is every draw's true average effect.
+        """
+        config = ExperimentConfig(network=NetworkConfig("k_regular", 40, k=4),
+                                  outcome=OutcomeModel("interaction", mu1=50.0, delta1=0.0),
+                                  num_draws=200, master_seed=909)
+        report = compute_imse(config)
+        network = config.build_network()
+        theta = true_average_effect(network, sample_parameters(
+            network, config.outcome, config.master_seed, range(config.num_draws)))
+        for name, result in report.results.items():
+            np.testing.assert_allclose(result.per_draw_mean, theta, rtol=0, atol=1e-10,
+                                       err_msg=name)
 
     def test_decomposition_identity(self):
         report = compute_imse(self.small_config())
