@@ -1,8 +1,8 @@
 """Command-line entry point: weight solving, basis listing, simulation sweeps, self-checks.
 
 Inputs are JSON, tabular outputs are CSV, and every output file starts with a
-metadata header (config hash, seed, version) so runs are reproducible and
-diffable.  Identical config and seed produce byte-identical output.
+metadata header (config hash, seed, version).  Identical config and seed give
+byte-identical output on the pins' OpenBLAS kernel, SkylakeX (ROADMAP item 16).
 """
 
 from __future__ import annotations

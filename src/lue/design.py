@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exposure import (SPEC_CACHE_SIZE, Exposure, ExposureSpec, canonical_grid,
+from .exposure import (SPEC_CACHE_SIZE, Exposure, ExposureSpec, as_int, canonical_grid,
                        enumerate_exposures, exposure_columns, exposure_vector)
 
 PROB_SUM_TOL = 1e-10
@@ -79,8 +79,7 @@ class BernoulliDesign:
     p_treat: float = 0.5
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one unit")
+        object.__setattr__(self, "n", as_int(self.n, "n", 1))
         if not 0.0 < self.p_treat < 1.0:
             raise ValueError(f"p_treat must be in (0, 1), got {self.p_treat}")
 

@@ -9,6 +9,7 @@ what the columns of :func:`indicator_matrix` encode.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -16,6 +17,21 @@ from functools import lru_cache
 import numpy as np
 
 Exposure = tuple[int, ...]
+
+
+def as_int(value, what: str, least: int = 0) -> int:
+    """``value`` as a Python int; a bool, a non-integer or one below ``least`` (0 or 1) fails."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise ValueError(f"{what} must be a {kind} integer, got {value!r}")
+    return int(value)
+
+
+def as_real(value, what: str):
+    """A finite real ``value``, a numpy scalar as the Python number it holds; ints stay ints."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return value.item() if isinstance(value, np.generic) else value
 
 
 @dataclass(frozen=True)
@@ -31,12 +47,7 @@ class ExposureSpec:
     def __post_init__(self):
         if len(self.levels) < 1:
             raise ValueError("spec needs at least one exposure component")
-        for m in self.levels:
-            if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-                raise ValueError(f"every level must be an integer, got {m!r}")
-        if any(m < 1 for m in self.levels):
-            raise ValueError(f"every component needs at least one level, got {self.levels}")
-        object.__setattr__(self, "levels", tuple(int(m) for m in self.levels))
+        object.__setattr__(self, "levels", tuple(as_int(m, "every level", 1) for m in self.levels))
 
     @property
     def num_exposures(self) -> int:

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exposure import as_int
+
 
 @dataclass(frozen=True)
 class Network:
@@ -45,6 +47,7 @@ def gen_k_regular_directed(n: int, k: int, seed: int) -> Network:
     Each unit independently selects k distinct in-neighbors uniformly at
     random; out-degrees are left irregular.
     """
+    n, k = as_int(n, "n"), as_int(k, "k")
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
@@ -59,6 +62,7 @@ def gen_k_regular_directed(n: int, k: int, seed: int) -> Network:
 
 def gen_erdos_renyi_directed(n: int, p_edge: float, seed: int) -> Network:
     """Directed Erdos-Renyi graph: each ordered pair gets an edge independently."""
+    n = as_int(n, "n")
     if not 0 <= p_edge <= 1:
         raise ValueError(f"edge probability must be in [0, 1], got {p_edge}")
     rng = np.random.default_rng(seed)

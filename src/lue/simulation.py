@@ -17,8 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import numbers
-import operator
 import time
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
@@ -35,7 +33,7 @@ from .design import (
     slot_order,
 )
 from .estimators import LinearEstimator
-from .exposure import SPEC_CACHE_SIZE, ExposureSpec
+from .exposure import SPEC_CACHE_SIZE, ExposureSpec, as_int, as_real
 from .mivlue import FactorPrior, solve_mivlue
 from .networks import Network, gen_erdos_renyi_directed, gen_k_regular_directed
 
@@ -106,9 +104,7 @@ class OutcomeModel:
         if self.kind not in ("independent", "dilated", "interaction"):
             raise ValueError(f"unknown outcome model kind {self.kind!r}")
         for name in ("mu1", "eta1", "delta1"):
-            value = getattr(self, name)
-            if not _is_finite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
         if self.kind == "interaction" and self.delta1 < 0:
             raise ValueError("interaction level must be nonnegative")
         _refuse_unread(self, {"independent": ("eta1", "delta1"), "dilated": ("mu1", "delta1"),
@@ -144,7 +140,7 @@ def sample_parameters(network: Network, model: OutcomeModel, seed, draws=None) -
     are bit-identical across interaction levels.
 
     ``seed`` is a nonnegative int or a list of them, whose last element is
-    the draw index.  Given ``draws``, a sequence of draw indices, ``seed`` is
+    the draw index.  Given ``draws``, an iterable of draw indices, ``seed`` is
     the prefix instead and the result stacks one row per draw: row r is bit
     for bit the single draw at seed ``[*seed, draws[r]]``.  Draw r is row
     r mod 256 of each stream seeded by the ints ``[*prefix, r div 256,
@@ -162,9 +158,9 @@ def sample_parameters(network: Network, model: OutcomeModel, seed, draws=None) -
     if single:
         if not seed:
             raise ValueError("a single draw's seed needs the draw index as its last element")
-        *seed, draw = seed
-        draws = [draw]
-    prefix = tuple(_nonnegative_int(value, "a seed") for value in seed)
+        seed, draws = seed[:-1], seed[-1:]
+    prefix = tuple(as_int(value, "a seed") for value in seed)
+    draws = [as_int(draw, "a draw index") for draw in draws]
     if model.kind == "dilated":
         alpha = direct = _normals(prefix, draws, _STREAM_COMMON, n)
         interference = layout.scale * model.eta1 * alpha[:, layout.owner]
@@ -180,13 +176,6 @@ def sample_parameters(network: Network, model: OutcomeModel, seed, draws=None) -
     row = 0 if single else slice(None)
     return Parameters(alpha[row], direct[row], interference[row], layout.offsets,
                       None if interaction is None else interaction[row])
-
-
-def _nonnegative_int(value, what: str) -> int:
-    """``value`` as an int, numpy ints included; a bool, a negative or a non-integer is refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{what} must be an int and nonnegative, got {value!r}")
-    return operator.index(value)
 
 
 # Draws per seeded stream.  Part of the seeding contract: changing it moves every draw.
@@ -206,11 +195,10 @@ def _normals(prefix: tuple, draws, stream: int, size: int) -> np.ndarray:
     ahead of it discards the rows between.  So results never depend on the
     cursor.
     """
-    draws = [_nonnegative_int(draw, "a draw index") for draw in draws]
     out = np.empty((len(draws), size))
     # Where each run of consecutive draws within one chunk starts, and the end.
-    bounds = [0, *(i for i in range(1, len(draws))
-                   if draws[i] != draws[i - 1] + 1 or draws[i] % _CHUNK == 0), len(draws)]
+    bounds = [*(i for i in range(len(draws))
+                if not i or draws[i] != draws[i - 1] + 1 or draws[i] % _CHUNK == 0), len(draws)]
     for start, stop in zip(bounds, bounds[1:]):
         chunk, row = divmod(draws[start], _CHUNK)
         key = (prefix, chunk, size)
@@ -307,7 +295,7 @@ def family_weights(names, degree: int, p_treat: float, eta1: float = 1.0) -> np.
         if name not in ESTIMATOR_NAMES:
             raise ValueError(
                 f"unknown estimator family {name!r}; expected one of {ESTIMATOR_NAMES}")
-    degree, p_treat, eta1 = operator.index(degree), float(p_treat), float(eta1)
+    degree, p_treat, eta1 = as_int(degree, "degree"), float(p_treat), float(eta1)
     table = np.empty((len(names), 2 * degree + 2))
     for index, name in enumerate(names):
         table[index] = _weight_row(name, degree, p_treat, eta1 if name == "MDil" else None)
@@ -385,29 +373,17 @@ class NetworkConfig:
     def __post_init__(self):
         if self.kind not in ("k_regular", "erdos_renyi"):
             raise ValueError(f"unknown network kind {self.kind!r}")
-        if not _is_count(self.n):
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if self.kind == "k_regular" and not _is_count(self.k):
-            raise ValueError(f"k_regular networks need k, a positive integer, got {self.k!r}")
-        if self.kind == "erdos_renyi" and not _is_finite(self.p_edge):
-            raise ValueError(f"erdos_renyi networks need p_edge, a finite number, "
-                             f"got {self.p_edge!r}")
+        object.__setattr__(self, "n", as_int(self.n, "n", 1))
+        if self.kind == "k_regular":
+            object.__setattr__(self, "k", as_int(self.k, "k", 1))
+        else:
+            object.__setattr__(self, "p_edge", as_real(self.p_edge, "p_edge"))
         _refuse_unread(self, ("p_edge",) if self.kind == "k_regular" else ("k",))
 
     def build(self, seed) -> Network:
         if self.kind == "k_regular":
             return gen_k_regular_directed(self.n, self.k, seed)
         return gen_erdos_renyi_directed(self.n, self.p_edge, seed)
-
-
-def _is_count(value) -> bool:
-    """A positive int; JSON ``true`` is a bool, which Python counts as an int."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
-def _is_finite(value) -> bool:
-    """A finite real number other than a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and np.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -437,15 +413,11 @@ class ExperimentConfig:
                 raise ValueError(f"estimator family {name!r} is listed more than once")
         if self.allocation_mode not in ("exhaustive", "sample"):
             raise ValueError(f"unknown allocation mode {self.allocation_mode!r}")
-        count = self.allocation_count
-        if self.allocation_mode == "sample" and not _is_count(count):
-            raise ValueError(
-                f"allocation_count must be a positive integer in sample mode, got {count!r}")
-        if not _is_count(self.num_draws):
-            raise ValueError(f"num_draws must be a positive integer, got {self.num_draws!r}")
-        if not _is_finite(self.p_treat):
-            raise ValueError(f"p_treat must be a finite number, got {self.p_treat!r}")
-        object.__setattr__(self, "master_seed", _nonnegative_int(self.master_seed, "master_seed"))
+        sample = self.allocation_mode == "sample"  # exhaustive mode never reads the count
+        for name in ("num_draws", "allocation_count") if sample else ("num_draws",):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, 1))
+        object.__setattr__(self, "p_treat", as_real(self.p_treat, "p_treat"))
+        object.__setattr__(self, "master_seed", as_int(self.master_seed, "master_seed"))
 
     def build_network(self) -> Network:
         """The setting's network, from its own sub-stream of the master seed."""
@@ -733,7 +705,8 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
         if exhaustive:
             values = values.reshape(len(outcomes), n_families, -1) / len(units)
             # A batched product with p, but one 2-D product with G over every (draw, family)
-            # row: a 2-D product with p sums in another order, one with G keeps the bits.
+            # row: a 2-D product with p sums in another order, one with G keeps the bits on
+            # SkylakeX's dgemm, not on Haswell's (ROADMAP item 16).
             first_moment = values @ pmf
             rows = values.reshape(-1, values.shape[-1])
             second_moment = np.einsum("ra,ra->r", rows @ joint, rows).reshape(first_moment.shape)

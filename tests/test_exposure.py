@@ -87,7 +87,8 @@ class TestExposureSpec:
                                              ((np.float64(3.0),), "3.0")])
     def test_rejects_levels_that_are_not_integers(self, levels, bad):
         """A float or bool level is named, never truncated to an integer."""
-        with pytest.raises(ValueError, match=f"every level must be an integer, got .*{bad}"):
+        with pytest.raises(ValueError,
+                           match=f"every level must be a positive integer, got .*{bad}"):
             ExposureSpec(levels)
 
     def test_accepts_numpy_integer_levels(self):

@@ -257,6 +257,24 @@ def test_the_slot_order_is_written_once():
     assert sites == {("design.py", "slot_order")}
 
 
+def test_the_number_rules_are_written_once():
+    """``numbers.Integral``, ``numbers.Real`` and ``operator.index`` occur only in the two rules.
+
+    Every integer that enters the package goes through ``exposure.as_int`` and
+    every real through ``exposure.as_real``.  ``cli``'s JSON type checks use neither name.
+    """
+    names = {("numbers", "Integral"), ("numbers", "Real"), ("operator", "index")}
+    sites = set()
+    for name, owner, node in package_nodes():
+        uses = (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and (node.value.id, node.attr) in names)
+        imports = (isinstance(node, ast.ImportFrom) and node.module in ("numbers", "operator")
+                   and {alias.name for alias in node.names} & {"Integral", "Real", "index"})
+        if uses or imports:
+            sites.add((name, owner))
+    assert sites == {("exposure.py", "as_int"), ("exposure.py", "as_real")}
+
+
 # Public definitions that no entry point reaches, each kept for its reason.
 UNREACHED_ON_PURPOSE = {
     "solve_from_moments": "kept on purpose: tests scale one outcome variance through it",
@@ -514,7 +532,8 @@ class TestSampleParameters:
         with pytest.raises(ValueError, match="nonnegative"):
             sample_parameters(gen_k_regular_directed(5, 2, seed=0), OutcomeModel("independent"),
                               [3, -1])
-        with pytest.raises(ValueError, match="nonnegative, got -300"):
+        with pytest.raises(ValueError,
+                           match="a draw index must be a nonnegative integer, got -300"):
             sample_parameters(gen_k_regular_directed(5, 2, seed=0), OutcomeModel("independent"),
                               3, [0, 1, -300])
 
@@ -524,9 +543,28 @@ class TestSampleParameters:
     ], ids=["float_seed", "bool_seed", "float_draw", "float_draws", "bool_draws", "str_seed"])
     def test_a_seed_or_draw_that_is_not_an_int_is_refused(self, seed, draws, bad):
         """Refused by value, never truncated to a neighbouring int or read as 0 and 1."""
-        with pytest.raises(ValueError, match=re.escape(f"nonnegative, got {bad}")):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"must be a nonnegative integer, got {bad}")):
             sample_parameters(gen_k_regular_directed(5, 2, seed=0),
                               OutcomeModel("interaction", mu1=1.0, delta1=2.0), seed, draws)
+
+    def test_an_iterator_of_draws_feeds_every_stream(self):
+        """The draws are read once, so the interaction stream sees them as the common one does."""
+        network = gen_k_regular_directed(5, 2, seed=0)
+        model = OutcomeModel("interaction", mu1=1.0, delta1=2.0)
+        listed = sample_parameters(network, model, 3, [0, 1, 2])
+        once = sample_parameters(network, model, 3, iter(range(3)))
+        assert once.interaction.shape == (3, 10)
+        for kind in ("alpha", "direct", "interference", "interaction"):
+            assert getattr(once, kind).tobytes() == getattr(listed, kind).tobytes()
+
+    @pytest.mark.parametrize("model", OUTCOME_MODELS, ids=lambda model: model.kind)
+    def test_no_draws_give_an_empty_block(self, model):
+        network = gen_k_regular_directed(5, 2, seed=0)
+        params = sample_parameters(network, model, 3, [])
+        assert params.alpha.shape == (0, 5) and params.interference.shape == (0, 10)
+        effect = true_average_effect(network, params)
+        assert isinstance(effect, np.ndarray) and effect.shape == (0,)
 
     def test_numpy_ints_are_the_ints_they_hold(self):
         network = gen_k_regular_directed(5, 2, seed=0)
@@ -1004,15 +1042,24 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("seed", ["7", True, 3.5, -1], ids=["str", "bool", "float", "negative"])
     def test_master_seed_must_be_a_nonnegative_int(self, seed):
         with pytest.raises(ValueError, match=re.escape(
-                f"master_seed must be an int and nonnegative, got {seed!r}")):
+                f"master_seed must be a nonnegative integer, got {seed!r}")):
             ExperimentConfig(network=NetworkConfig("k_regular", 10, k=2),
                              outcome=OutcomeModel("independent"), master_seed=seed)
 
-    def test_a_numpy_master_seed_is_kept_as_an_int(self):
-        network, outcome = NetworkConfig("k_regular", 10, k=2), OutcomeModel("independent")
-        config = ExperimentConfig(network=network, outcome=outcome, master_seed=np.int64(5))
-        assert type(config.master_seed) is int
-        assert config == ExperimentConfig(network=network, outcome=outcome, master_seed=5)
+    def test_numpy_scalars_are_the_python_numbers_they_hold(self):
+        """Stored as Python numbers, so the rows and the config hash are those of Python input."""
+        def config(integer, real32, real64):
+            return ExperimentConfig(
+                network=NetworkConfig("k_regular", integer(10), k=integer(2)),
+                outcome=OutcomeModel("interaction", mu1=real32(1.0), delta1=real64(2.0)),
+                p_treat=real32(0.5), num_draws=integer(3), allocation_mode="sample",
+                allocation_count=integer(40), master_seed=integer(5))
+
+        plain, numpy = config(int, float, float), config(np.int64, np.float32, np.float64)
+        stored = [type(getattr(numpy, name)) for name in ("num_draws", "master_seed", "p_treat")]
+        assert stored == [int, int, float]
+        assert numpy == plain and config_hash(numpy) == config_hash(plain)
+        assert compute_imse(numpy).csv_rows() == compute_imse(plain).csv_rows()
 
     def test_round_trip(self):
         config = ExperimentConfig(
@@ -1042,9 +1089,9 @@ class TestExperimentConfig:
         np.testing.assert_array_equal(config.build_network().adjacency, expected.adjacency)
 
     def test_network_config_validation(self):
-        with pytest.raises(ValueError, match="need k"):
+        with pytest.raises(ValueError, match="^k must be a positive integer, got None$"):
             NetworkConfig("k_regular", 10)
-        with pytest.raises(ValueError, match="need p_edge"):
+        with pytest.raises(ValueError, match="^p_edge must be a finite number, got None$"):
             NetworkConfig("erdos_renyi", 10)
 
     def test_unknown_estimator_rejected(self):
@@ -1084,7 +1131,13 @@ class TestExperimentConfig:
     (lambda: compute_imse(ExperimentConfig(network=NetworkConfig("erdos_renyi", 5, p_edge=0.0),
                                            outcome=OutcomeModel("independent"), num_draws=1)),
      "^every unit has in-degree 0; the average estimand is undefined$"),
-], ids=["outcome_kind", "negative_delta1", "network_kind", "allocation_mode", "no_edges"])
+    (lambda: BernoulliDesign(2.5), "^n must be a positive integer, got 2.5$"),
+    (lambda: BernoulliDesign(True), "^n must be a positive integer, got True$"),
+    (lambda: gen_k_regular_directed(6, 2.0, 1), "^k must be a nonnegative integer, got 2.0$"),
+    (lambda: gen_erdos_renyi_directed(6.0, 0.5, 1), "^n must be a nonnegative integer, got 6.0$"),
+    (lambda: family_weights(["HT0"], 2.5, 0.5), "^degree must be a nonnegative integer, got 2.5$"),
+], ids=["outcome_kind", "negative_delta1", "network_kind", "allocation_mode", "no_edges",
+        "float_units", "bool_units", "float_k", "float_er_n", "float_degree"])
 def test_rejected_input_is_named(call, message):
     with pytest.raises(ValueError, match=message):
         call()
