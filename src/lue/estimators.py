@@ -12,7 +12,6 @@ units' exposures.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,6 +34,8 @@ from .exposure import (
 UNBIASED_TOL = 1e-10
 DECOMPOSE_TOL = 1e-8
 RANK_RTOL = 1e-10
+# Term signs of a four-term, two-term and zero member; two-term members use two.
+_SIGNS = np.array([(1.0, -1.0, 1.0, -1.0), (1.0, -1.0, 0.0, 0.0), (1.0, -1.0, -1.0, 1.0)])
 
 
 class LinearEstimator:
@@ -174,16 +175,18 @@ def constraint_residuals(spec: ExposureSpec, probabilities, weights, target=1.0)
     return (np.abs(numerator) / np.maximum(1.0, scale)).max(axis=1)
 
 
-@lru_cache(maxsize=4)
-def _layout(levels: tuple[int, ...]):
-    """Which exposures and signs make up each basis member, free of probabilities.
+def _layouts(levels_seq):
+    """Which exposures and signs make up each basis member, for many specs at once.
 
-    Returns (ids, atomic, rows, cols, signs): each member's identifier column,
-    atomic members first; their number; each term's member, column and sign,
-    grouped by member.  The member identified by e has the terms: two-term
-    (e_1 = m_1) +(m_1, tail) -(0, tail); four-term (0 < e_1 < m_1) +(m_1, tail)
-    -e +e' -(0, e'_tail), where e' zeroes the first nonzero tail component of e;
-    zero (e_1 = 0) +e -(that component alone) -e' +baseline.
+    Returns (ids, rows, cols, signs, atomic, offsets): the specs' layouts in
+    turn, each numbered within its spec; their atomic counts; and a (3, specs
+    + 1) array of each spec's first member, term and exposure, then totals.
+    A layout is each member's identifier column, atomic members first, and
+    each term's member, column and sign, grouped by member.  The member
+    identified by e has the terms: two-term (e_1 = m_1) +(m_1, tail) -(0,
+    tail); four-term (0 < e_1 < m_1) +(m_1, tail) -e +e' -(0, e'_tail), where
+    e' zeroes the first nonzero tail component of e; zero (e_1 = 0) +e
+    -(that component alone) -e' +baseline.
 
     Every column is index arithmetic on canonical positions, with no sort.
     There are N = (m_2+1)...(m_K+1) tails, and tail row r is the tail whose
@@ -192,72 +195,83 @@ def _layout(levels: tuple[int, ...]):
     at (m_1-1)N + r when e_1 = m_1 and at m_1 N + r when e_1 = 0.  If l_r is
     the value of tail r's first nonzero component alone, zeroing that
     component gives row r + l_r and keeping only it gives row N-1-l_r; the
-    tail has a second nonzero component iff r + l_r < N-1.  Read-only, and
-    cached because a build and its certificate share a spec.
+    tail has a second nonzero component iff r + l_r < N-1.
     """
-    m1, tails = levels[0], math.prod(m + 1 for m in levels[1:])
-    value = np.arange(tails - 1, -1, -1)
-    # lead[r] = l_r: the value modulo the smallest radix product that leaves
-    # it nonzero, since every digit below the first nonzero one is zero.
-    lead, radix = value.copy(), tails
-    for m in levels[:1:-1]:
-        radix //= m + 1
-        low = value % radix
-        np.copyto(lead, low, where=low != 0)
-    zero_rows = np.flatnonzero(lead < value)
-    # Four-term members are the intermediate rows with a nonzero tail: the
-    # first (m_1-1)(N-1) positions.  Every m_1-first row is a two-term member.
+    width = max(map(len, levels_seq))
+    # Each tail component's place value, e_2 least significant, padded with N.
+    places = np.array([[m + 1 for m in levels[1:]] + [1] * (width - len(levels) + 1)
+                       for levels in levels_seq]).cumprod(axis=1)
+    m1, tails = np.array([levels[0] for levels in levels_seq]), places[:, -1]
+
+    def segments(counts):
+        """Each element's spec and its place in that spec's segment of ``counts``."""
+        spec = np.arange(len(counts)).repeat(counts)
+        return spec, np.arange(len(spec)) - (counts.cumsum() - counts)[spec]
+
+    spec, r = segments(tails)
+    value = tails[spec] - 1 - r
+    # l_r is the value modulo the smallest place value that leaves it nonzero,
+    # since every digit below the first nonzero one is zero.
+    low = value[:, None] % places[spec]
+    lead = low[np.arange(len(low)), (low != 0).argmax(axis=1)]
+    second = lead < value
     four = (m1 - 1) * (tails - 1)
     atomic = four + tails
-    sizes = (four, tails, len(zero_rows))
-    ids = np.empty(sum(sizes), dtype=np.intp)
-    ids[:four] = np.arange(four)
-    ids[four:atomic] = np.arange((m1 - 1) * tails, m1 * tails)
-    ids[atomic:] = m1 * tails + zero_rows
-    # Terms are grouped by member, block by block; each block is a (members
-    # x terms) view of ``cols``, filled below.
-    patterns = ((1.0, -1.0, 1.0, -1.0), (1.0, -1.0), (1.0, -1.0, -1.0, 1.0))
-    total = sum(size * len(pattern) for size, pattern in zip(sizes, patterns))
-    rows = np.empty(total, dtype=np.intp)
-    cols = np.empty(total, dtype=np.intp)
-    signs = np.empty(total)
-    blocks, start, member = [], 0, 0
-    for size, pattern in zip(sizes, patterns):
-        stop = start + size * len(pattern)
-        rows[start:stop].reshape(size, len(pattern))[:] = np.arange(member, member + size)[:, None]
-        signs[start:stop].reshape(size, len(pattern))[:] = pattern
-        blocks.append(cols[start:stop].reshape(size, len(pattern)))
-        start, member = stop, member + size
-    four_cols, two_cols, zero_cols = blocks
-    baseline = (m1 + 1) * tails - 1
-    four_cols = four_cols.reshape(tails - 1, m1 - 1, 4)
-    own = ids[:four].reshape(tails - 1, m1 - 1)
-    r, step = np.arange(tails - 1)[:, None], lead[:-1, None]
-    four_cols[..., 0] = (m1 - 1) * tails + r  # (m_1, tail)
-    four_cols[..., 1] = own  # e
-    four_cols[..., 2] = own + (m1 - 1) * step  # e'
-    four_cols[..., 3] = m1 * tails + r + step  # (0, e'_tail)
-    two_cols[:, 0] = ids[four:atomic]  # (m_1, tail)
-    two_cols[:, 1] = two_cols[:, 0] + tails  # (0, tail)
-    step = lead[zero_rows]
-    zero_cols[:, 0] = ids[atomic:]  # e
-    zero_cols[:, 1] = baseline - step  # the first nonzero component alone
-    zero_cols[:, 2] = zero_cols[:, 0] + step  # e'
-    zero_cols[:, 3] = baseline
+    sizes = np.array([four, tails, np.bincount(spec[second], minlength=len(tails))])
+    # Each member's block (four-term, two-term, zero) and place in its spec.
+    block = (np.arange(sizes.size) % 3).repeat(sizes.T.ravel())
+    counts = sizes.sum(axis=0)
+    member = segments(counts)[1]
+    terms_of = 4 - 2 * (block == 1)
+    term_block = block.repeat(terms_of)
+    # Per tail: the columns of (m_1, tail) and (0, tail), and the baseline's.
+    top, bottom = ((m1 - 1) * tails)[spec] + r, (m1 * tails)[spec] + r
+    base = ((m1 + 1) * tails - 1)[spec]
+    # Four-term members are the intermediate rows with a nonzero tail: the
+    # first (m_1-1)(N-1) positions, e_1 fastest; t is each one's tail.
+    t = np.arange(len(spec)).repeat(np.where(value > 0, m1[spec] - 1, 0))
+    e = member[block == 0]
+    zero, step = bottom[second], lead[second]
+    blocks = (  # (identifier, term columns) of each block's members
+        (e, (top[t], e, e + (m1 - 1)[spec[t]] * lead[t], bottom[t] + lead[t])),
+        (top, (top, bottom)),
+        (zero, (zero, base[second] - step, zero + step, base[second])),
+    )
+    ids = np.empty(len(block), dtype=np.intp)
+    cols = np.empty(len(term_block), dtype=np.intp)
+    for b, (identifier, columns) in enumerate(blocks):
+        ids[block == b] = identifier
+        cols[term_block == b] = np.array(columns).T.ravel()
+    signs = _SIGNS[block].ravel()
+    signs = signs[signs != 0]
+    members = np.concatenate([[0], counts.cumsum()])
+    terms = np.concatenate([[0], (4 * counts - 2 * tails).cumsum()])
+    exposures = np.concatenate([[0], ((m1 + 1) * tails).cumsum()])
+    return ids, member.repeat(terms_of), cols, signs, atomic, np.array([members, terms, exposures])
+
+
+@lru_cache(maxsize=4)
+def _layout(levels: tuple[int, ...]):
+    """One spec's read-only (ids, atomic, rows, cols, signs); a build and its check share it."""
+    ids, rows, cols, signs, atomic, _ = _layouts([levels])
     for array in (ids, rows, cols, signs):
         array.setflags(write=False)
-    return ids, atomic, rows, cols, signs
+    return ids, int(atomic[0]), rows, cols, signs
 
 
-def basis_identifiers(spec: ExposureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical columns of the exposures identifying the basis members, as (atomic, zero).
+def _triangular(ids, rows, cols, offsets) -> np.ndarray:
+    """Per spec of a :func:`_layouts` result: zero below a nonzero diagonal on the identifiers?
 
-    Atomic: first component at its maximum, or intermediate with a nonzero tail.
-    Zero: first component 0 and at least two nonzero tail components.  Both are
-    read-only.
+    One pass over the specs' block-diagonal union, identifier columns ranked by
+    member: each member's first term must rank at its own position, not a repeat's.
     """
-    ids, atomic, *_ = _layout(spec.levels)
-    return ids[:atomic], ids[atomic:]
+    members, terms, exposures = offsets
+    spec = np.repeat(np.arange(len(members) - 1), np.diff(terms))
+    rank = np.full(exposures[-1], members[-1])
+    rank[ids + np.repeat(exposures[:-1], np.diff(members))] = np.arange(members[-1])
+    first = np.full(members[-1], members[-1])
+    np.minimum.at(first, rows + members[spec], rank[cols + exposures[spec]])
+    return np.logical_and.reduceat(first == np.arange(members[-1]), members[:-1])
 
 
 def _basis_rows(spec: ExposureSpec, start: int, stop: int, probs) -> EstimatorRows:
@@ -324,15 +338,9 @@ def affine_rank_is_full(basis, spec: ExposureSpec | None = None) -> bool:
     spec = basis.spec if spec is None else spec
     rows, cols = basis.terms[:2] if isinstance(basis, EstimatorRows) else np.nonzero(basis)
     ids = _layout(spec.levels)[0]
-    if len(ids) == len(basis):
-        # Rank identifier columns by member and other columns last: zero below a
-        # nonzero diagonal means that each member's lowest-ranked term is its own.
-        rank = np.full(spec.num_exposures, len(ids))
-        rank[ids] = np.arange(len(ids))
-        first = np.full(len(ids), len(ids))
-        np.minimum.at(first, rows, rank[cols])
-        if (first == rank[ids]).all():
-            return True
+    offsets = np.array([[0, len(ids)], [0, len(rows)], [0, spec.num_exposures]])
+    if len(ids) == len(basis) and _triangular(ids, rows, cols, offsets)[0]:
+        return True
     weights = np.asarray(basis)
     aug = np.hstack([weights, np.ones((len(weights), 1))])
     return int(np.linalg.matrix_rank(aug, rtol=RANK_RTOL)) == len(basis)

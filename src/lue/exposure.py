@@ -10,6 +10,7 @@ what the columns of :func:`indicator_matrix` encode.
 from __future__ import annotations
 
 import numbers
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -17,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 Exposure = tuple[int, ...]
+_FLOAT_MAX = sys.float_info.max
 
 
 def as_int(value, what: str, least: int = 0) -> int:
@@ -28,10 +30,11 @@ def as_int(value, what: str, least: int = 0) -> int:
 
 
 def as_real(value, what: str):
-    """A finite real ``value``, a numpy scalar as the Python number it holds; ints stay ints."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+    """A finite real ``value`` (no int beyond the largest float), a numpy scalar as its number."""
+    real = value.item() if isinstance(value, np.generic) else value
+    if isinstance(real, bool) or not isinstance(real, numbers.Real) or not abs(real) <= _FLOAT_MAX:
         raise ValueError(f"{what} must be a finite number, got {value!r}")
-    return value.item() if isinstance(value, np.generic) else value
+    return real
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ corrupted inputs and confirm the checks catch them.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -27,9 +28,10 @@ from .design import (
 )
 from .estimators import (
     UNBIASED_TOL,
+    _layouts,
+    _triangular,
     affine_rank_is_full,
     basis_count,
-    basis_identifiers,
     build_affine_basis,
     build_malue_set,
     build_zero_estimators,
@@ -56,6 +58,8 @@ from .simulation import (
 SIX_TERM_TOL = 1e-8
 # Random instances come from one fixed seed, so every run checks the same ones.
 CHECK_SEED = 0
+# Exposures per batch of the basis sweep, chosen by the sweep's peak memory.
+_BATCH_EXPOSURES = 2048
 
 PANEL_SPECS = ((1,), (3, 1), (2, 1), (1, 1, 1), (2, 2), (2, 1, 1), (4, 2), (1, 1, 1, 1))
 
@@ -110,21 +114,31 @@ def check_constraint_residuals() -> tuple[bool, str]:
 
 
 def check_basis_ranks() -> tuple[bool, str]:
-    for levels in specs_up_to(256):
-        spec = ExposureSpec(levels)
-        atomic, zeros = basis_identifiers(spec)
-        if len(atomic) != malue_count(spec) or len(zeros) != zero_count(spec):
-            return False, (
-                f"levels {levels}: enumerated sizes ({len(atomic)}, {len(zeros)}) "
-                f"!= closed forms ({malue_count(spec)}, {zero_count(spec)})"
-            )
-        basis = build_affine_basis(spec)
-        if len(basis) != basis_count(spec):
-            return False, f"levels {levels}: basis size mismatch"
-        if not affine_rank_is_full(basis, spec):
-            return False, f"levels {levels}: basis is affinely dependent"
-        if lue_dimension(spec) != basis_count(spec) - 1:
-            return False, f"levels {levels}: dimension identity fails"
+    """Basis sizes, rank and dimension of every spec with at most 256 exposures, by batches.
+
+    A batch holds the specs starting in one window of ``_BATCH_EXPOSURES``
+    exposures; a spec its triangular pass refuses is built and certified alone.
+    """
+    specs = specs_up_to(256)
+    starts = np.cumsum([0] + [math.prod(m + 1 for m in levels) for levels in specs])[:-1]
+    cuts = [0, *(np.flatnonzero(np.diff(starts // _BATCH_EXPOSURES)) + 1).tolist(), len(specs)]
+    for batch in (specs[start:stop] for start, stop in zip(cuts, cuts[1:])):
+        ids, rows, cols, _, atomic, offsets = _layouts(batch)
+        passed = _triangular(ids, rows, cols, offsets).tolist()
+        sizes = np.diff(offsets[0]).tolist()
+        for levels, n_atomic, n_basis, ok in zip(batch, atomic.tolist(), sizes, passed):
+            spec = ExposureSpec(levels)
+            if n_atomic != malue_count(spec) or n_basis - n_atomic != zero_count(spec):
+                return False, (
+                    f"levels {levels}: enumerated sizes ({n_atomic}, {n_basis - n_atomic}) "
+                    f"!= closed forms ({malue_count(spec)}, {zero_count(spec)})"
+                )
+            if n_basis != basis_count(spec):
+                return False, f"levels {levels}: basis size mismatch"
+            if not ok and not affine_rank_is_full(build_affine_basis(spec), spec):
+                return False, f"levels {levels}: basis is affinely dependent"
+            if lue_dimension(spec) != basis_count(spec) - 1:
+                return False, f"levels {levels}: dimension identity fails"
     return True, ""
 
 

@@ -610,6 +610,15 @@ class TestSimulateCommand:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    def test_int_too_large_for_a_float_fails_its_setting_by_name(self, tmp_path, capsys):
+        """JSON reads a 401-digit ``mu1`` as an int that no float can hold."""
+        config = {**self.sweep_config(), "network": {"kind": "k_regular", "n": 8, "k": 2},
+                  "outcome": {"kind": "independent", "mu1": 10**400}}
+        path = write_json(tmp_path / "huge.json", config)
+        assert main(["simulate", "--config", path, "--out-dir", str(tmp_path / "out")]) == 1
+        assert (f"setting 0 failed: ValueError: mu1 must be a finite number, got {10**400}\n"
+                in capsys.readouterr().err)
+
     def test_unread_grid_value_fails_its_setting_by_name(self, tmp_path, capsys):
         """A grid over delta1 under the independent model writes no row labelled delta1 5."""
         config = {"network": {"kind": "k_regular", "n": 8, "k": 2},

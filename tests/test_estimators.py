@@ -1,10 +1,14 @@
 """Constraint system, atomic constructions, affine basis, support condition."""
 
 import hashlib
+import itertools
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import lue.estimators
 import lue.verify
 from lue.design import ExposureDistribution, uniform_distribution
 from lue.estimators import (
@@ -12,9 +16,9 @@ from lue.estimators import (
     EstimatorRows,
     LinearEstimator,
     _layout,
+    _layouts,
     affine_rank_is_full,
     basis_count,
-    basis_identifiers,
     build_affine_basis,
     build_malue_set,
     build_zero_estimators,
@@ -48,7 +52,7 @@ def random_distribution(spec, rng):
 
 def member(spec, e, probs=None):
     """The basis member identified by exposure ``e``: its row of the basis, by position."""
-    ids = np.concatenate(basis_identifiers(spec))
+    ids = _layout(spec.levels)[0]
     position = int(np.flatnonzero(ids == enumerate_exposures(spec).index(e))[0])
     return build_affine_basis(spec, probs)[position]
 
@@ -117,6 +121,102 @@ def grid_layout(levels):
     rows, slot = np.nonzero(~two[:, None] | (np.arange(4) < 2))
     cols, signs = column[slots[rows, slot]], signs[rows, slot]
     return ids, np.count_nonzero(atomic), rows, cols, signs
+
+
+@pytest.fixture
+def sweep(monkeypatch):
+    """Spies on the basis sweep: what each batch's triangular pass certifies and refuses.
+
+    ``certified`` and ``refused`` list specs in sweep order, and ``fallbacks``
+    the specs sent to ``lue.verify.affine_rank_is_full``.  The batches come
+    from ``lue.estimators._layouts`` as bound when each is laid out.
+    """
+    record = SimpleNamespace(batches=[], certified=[], refused=[], fallbacks=[])
+    triangular = lue.verify._triangular
+
+    def layouts(levels_seq):
+        record.batches.append((list(levels_seq), lue.estimators._layouts(levels_seq)))
+        return record.batches[-1][1]
+
+    def certify(ids, rows, cols, offsets):
+        batch, layout = record.batches[-1]
+        # The pass reads the batch's own layout arrays.
+        for got, want in zip((ids, rows, cols, offsets), layout[:3] + layout[5:]):
+            assert got is want
+        passed = triangular(ids, rows, cols, offsets)
+        record.certified += batch
+        record.refused += [levels for levels, ok in zip(batch, passed) if not ok]
+        return passed
+
+    def fallback(basis, spec):
+        assert isinstance(basis, EstimatorRows)
+        record.fallbacks.append(spec.levels)
+        return affine_rank_is_full(basis, spec)
+
+    monkeypatch.setattr(lue.verify, "_layouts", layouts)
+    monkeypatch.setattr(lue.verify, "_triangular", certify)
+    monkeypatch.setattr(lue.verify, "affine_rank_is_full", fallback)
+    return record
+
+
+@pytest.fixture
+def inject(monkeypatch):
+    """``inject(target, change)`` lays out spec ``target`` as ``change`` edits it, everywhere.
+
+    ``change(ids, rows, cols, signs)`` takes the spec's own layout and returns
+    it edited, with as many members.  The sweep's batches and the one-spec
+    ``_layout`` behind every builder both read the edited layout.
+    """
+    layouts = lue.estimators._layouts
+
+    def edited(target, change, levels_seq):
+        ids, rows, cols, signs, atomic, offsets = layouts(levels_seq)
+        if target not in levels_seq:
+            return ids, rows, cols, signs, atomic, offsets
+        spec = levels_seq.index(target)
+        (m0, m1), (t0, t1) = offsets[:2, spec:spec + 2]
+        parts = change(ids[m0:m1], rows[t0:t1], cols[t0:t1], signs[t0:t1])
+        offsets = offsets.copy()
+        offsets[1, spec + 1:] += len(parts[1]) - (t1 - t0)
+        ids, rows, cols, signs = (np.concatenate([whole[:start], part, whole[stop:]])
+                                  for whole, part, (start, stop) in
+                                  zip((ids, rows, cols, signs), parts,
+                                      [(m0, m1)] + [(t0, t1)] * 3))
+        return ids, rows, cols, signs, atomic, offsets
+
+    def install(target, change):
+        _layout.cache_clear()
+        monkeypatch.setattr(lue.estimators, "_layouts",
+                            lambda levels_seq: edited(target, change, list(levels_seq)))
+
+    yield install
+    _layout.cache_clear()
+
+
+def drop_own_term(ids, rows, cols, signs):
+    """The middle member loses its term on its own identifier."""
+    j = len(ids) // 2
+    keep = (rows != j) | (cols != ids[j])
+    return ids, rows[keep], cols[keep], signs[keep]
+
+
+def duplicate_member(ids, rows, cols, signs):
+    """The last member becomes a copy of the one before it, identifier included."""
+    j = len(ids) - 1
+    first, last = np.searchsorted(rows, (j, j + 1))
+    lo, hi = np.searchsorted(rows, (j - 1, j))
+    pick = np.r_[0:first, lo:hi, last:len(rows)]
+    rows = rows[pick]
+    rows[first:] = j
+    ids = ids.copy()
+    ids[j] = ids[j - 1]
+    return ids, rows, cols[pick], signs[pick]
+
+
+def reverse_members(ids, rows, cols, signs):
+    """The members in reverse order, each with its terms: full rank, but not triangular."""
+    order = np.argsort(len(ids) - 1 - rows, kind="stable")
+    return ids[::-1].copy(), (len(ids) - 1 - rows)[order], cols[order], signs[order]
 
 
 class TestConstraintMatrix:
@@ -354,8 +454,8 @@ class TestAffineBasis:
                 reversed_mapping = dict(zip(enumerate_exposures(spec)[::-1], rows[-1][::-1]))
                 again = LinearEstimator(spec, reversed_mapping)
                 assert again.vector.tobytes() == rows[-1].tobytes(), levels
-                atomic, zero = basis_identifiers(spec)
-                assert (len(atomic), len(zero)) == (malue_count(spec), zero_count(spec))
+                ids, atomic, *_ = _layout(levels)
+                assert (atomic, len(ids) - atomic) == (malue_count(spec), zero_count(spec))
 
     def test_layout_matches_grid_oracle(self):
         """Byte-equal ids, rows, cols and signs, dtypes included, and the same atomic count."""
@@ -444,7 +544,7 @@ class TestRankCertificate:
         basis = [LinearEstimator(self.spec, dict(zip(enumerate_exposures(self.spec), row)))
                  for row in weights]
         rows, cols = np.nonzero(weights)
-        ids = np.concatenate(basis_identifiers(self.spec))
+        ids = _layout(self.spec.levels)[0]
         terms = EstimatorRows(self.spec, rows, cols, weights[rows, cols], ids)
         return (weights, self.spec), (basis, self.spec), (terms, self.spec)
 
@@ -482,7 +582,7 @@ class TestRankCertificate:
         term on its own identifier sends it to the SVD.
         """
         weights = np.asarray(build_affine_basis(self.spec))
-        ids = np.concatenate(basis_identifiers(self.spec))
+        ids = _layout(self.spec.levels)[0]
         assert ids[0] == 0
         outside = np.setdiff1d(np.arange(self.spec.num_exposures), ids)
         weights[0] = 0.0
@@ -495,7 +595,7 @@ class TestRankCertificate:
         """Row 5 becomes the affine combination 2 w_0 - w_1, nonzero on its diagonal."""
         weights = np.asarray(build_affine_basis(self.spec))
         weights[5] = 2 * weights[0] - weights[1]
-        ids = np.concatenate(basis_identifiers(self.spec))
+        ids = _layout(self.spec.levels)[0]
         assert np.diagonal(weights[:, ids]).all()
         for args in self.forms(weights):
             assert not affine_rank_is_full(*args)
@@ -507,30 +607,25 @@ class TestRankCertificate:
             assert affine_rank_is_full(*args)
         assert len(fallbacks) == 3
 
-    def test_verify_sweep_certifies_through_the_public_binding(self, monkeypatch):
-        calls = []
+    def test_verify_sweep_certifies_through_the_public_binding(self, sweep):
+        """Each spec is certified once, by its batch's triangular pass; none is refused.
 
-        def spy(weights, spec):
-            calls.append(spec.levels)
-            return affine_rank_is_full(weights, spec)
-
-        monkeypatch.setattr(lue.verify, "affine_rank_is_full", spy)
+        So ``lue.verify.affine_rank_is_full``, which certifies a refused spec
+        alone, is never called.
+        """
         assert check_basis_ranks() == (True, "")
-        assert calls == specs_up_to(256)
+        assert sweep.certified == specs_up_to(256)
+        assert sweep.refused == sweep.fallbacks == []
 
-    def test_sweep_and_joined_sets_certify_without_an_array(self, monkeypatch):
+    def test_sweep_and_joined_sets_certify_without_an_array(self, monkeypatch, sweep):
         """The sweep and ``malues + zeros`` are certified on their terms alone."""
 
         def no_array(self, dtype=None, copy=None):
             raise AssertionError("the certificate built a weight array")
 
-        def spy(basis, spec):
-            assert isinstance(basis, EstimatorRows)
-            return affine_rank_is_full(basis, spec)
-
         monkeypatch.setattr(EstimatorRows, "__array__", no_array)
-        monkeypatch.setattr(lue.verify, "affine_rank_is_full", spy)
         assert check_basis_ranks() == (True, "")
+        assert sweep.certified == specs_up_to(256) and sweep.fallbacks == []
         for levels in specs_up_to(64):
             spec = ExposureSpec(levels)
             assert affine_rank_is_full(build_malue_set(spec) + build_zero_estimators(spec))
@@ -540,6 +635,81 @@ class TestRankCertificate:
         basis = build_affine_basis(ExposureSpec((3, 2)))
         assert not affine_rank_is_full(basis + basis)
         assert fallbacks == [2 * len(basis)]
+
+
+class TestBatchedSweep:
+    """The sweep lays out and certifies specs a batch at a time, as strictly as one at a time."""
+
+    def test_batch_slices_are_the_one_spec_layouts(self):
+        """Byte-equal slices in one-spec batches and at the sweep's budget; rows, cols are terms."""
+        all_levels = specs_up_to(256) + [(d, 1) for d in range(1, 301)]
+        sizes = [ExposureSpec(levels).num_exposures for levels in all_levels]
+        for budget in (1, lue.verify._BATCH_EXPOSURES):
+            window = (np.cumsum([0] + sizes)[:-1] // budget).tolist()
+            for _, group in itertools.groupby(zip(window, all_levels), key=lambda pair: pair[0]):
+                batch = [levels for _, levels in group]
+                assert budget > 1 or len(batch) == 1
+                ids, rows, cols, signs, atomic, offsets = _layouts(batch)
+                members, terms, exposures = offsets
+                for i, levels in enumerate(batch):
+                    spec = ExposureSpec(levels)
+                    m, t = slice(*members[i:i + 2]), slice(*terms[i:i + 2])
+                    want_ids, want_atomic, *want = _layout(levels)
+                    assert atomic[i] == want_atomic, levels
+                    assert exposures[i + 1] - exposures[i] == spec.num_exposures, levels
+                    slices = ids[m], rows[t], cols[t], signs[t]
+                    for got, expected in zip(slices, [want_ids, *want]):
+                        assert got.dtype == expected.dtype, levels
+                        assert got.tobytes() == expected.tobytes(), levels
+                    for got, expected in zip(slices[1:3], build_affine_basis(spec).terms[:2]):
+                        assert got.tobytes() == expected.tobytes(), levels
+
+    @staticmethod
+    def middle_spec(sweep):
+        """A spec in the middle of one of the sweep's batches, laid out by an unedited run."""
+        assert check_basis_ranks() == (True, "")
+        batch = next(batch for batch, _ in sweep.batches if len(batch) >= 3)
+        assert sweep.refused == sweep.fallbacks == []
+        sweep.batches.clear()
+        sweep.certified.clear()
+        return batch[len(batch) // 2]
+
+    def test_duplicated_member_fails_naming_its_spec(self, sweep, inject):
+        target = self.middle_spec(sweep)
+        inject(target, duplicate_member)
+        assert check_basis_ranks() == (False, f"levels {target}: basis is affinely dependent")
+        assert sweep.refused == sweep.fallbacks == [target]
+
+    def test_dropped_own_term_goes_to_the_svd_alone(self, sweep, inject):
+        """The batch refuses only that spec, and the SVD decides it alone.
+
+        The SVD is right to pass it: with p the baseline row of the
+        constraints, p·w = 0 for every other member w but not for the edited
+        one, so the edited row lies outside the others' span and the rows
+        stay affinely independent.  Only an unbiasedness check can see it.
+        """
+        target = self.middle_spec(sweep)
+        inject(target, drop_own_term)
+        basis = build_affine_basis(ExposureSpec(target))
+        assert affine_rank(basis) == len(basis)
+        assert check_basis_ranks() == (True, "")
+        assert sweep.refused == sweep.fallbacks == [target]
+
+    def test_reversed_members_pass_through_the_svd(self, sweep, inject):
+        target = self.middle_spec(sweep)
+        inject(target, reverse_members)
+        assert check_basis_ranks() == (True, "")
+        assert sweep.refused == sweep.fallbacks == [target]
+
+    def test_sweep_traced_peak_stays_under_2_mb(self):
+        """The batch budget bounds the sweep's memory; a batch grown by accident fails here."""
+        tracemalloc.start()
+        try:
+            assert check_basis_ranks() == (True, "")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestLueDimension:

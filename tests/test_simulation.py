@@ -1088,6 +1088,15 @@ class TestExperimentConfig:
         expected = config.network.build(np.random.SeedSequence([5, 3]))
         np.testing.assert_array_equal(config.build_network().adjacency, expected.adjacency)
 
+    def test_int_too_large_for_a_float_is_refused_by_name(self):
+        """A 401-digit ``mu1`` is refused like an infinity; an int a float holds stays an int."""
+        with pytest.raises(ValueError, match=r"^mu1 must be a finite number, got 10{400}$"):
+            OutcomeModel("independent", mu1=10**400)
+        with pytest.raises(ValueError, match=r"^delta1 must be a finite number, got -10{400}$"):
+            OutcomeModel("interaction", delta1=-10**400)
+        for mu1 in (0, 10**300):
+            assert type(OutcomeModel("independent", mu1=mu1).mu1) is int
+
     def test_network_config_validation(self):
         with pytest.raises(ValueError, match="^k must be a positive integer, got None$"):
             NetworkConfig("k_regular", 10)
