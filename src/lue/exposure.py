@@ -9,10 +9,11 @@ what the columns of :func:`indicator_matrix` encode.
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -46,18 +47,13 @@ class ExposureSpec:
     """
 
     levels: tuple[int, ...]
+    num_exposures: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.levels) < 1:
             raise ValueError("spec needs at least one exposure component")
         object.__setattr__(self, "levels", tuple(as_int(m, "every level", 1) for m in self.levels))
-
-    @property
-    def num_exposures(self) -> int:
-        out = 1
-        for m in self.levels:
-            out *= m + 1
-        return out
+        object.__setattr__(self, "num_exposures", math.prod(m + 1 for m in self.levels))
 
     @property
     def num_parameters(self) -> int:

@@ -18,6 +18,7 @@ import hashlib
 import json
 import logging
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from typing import NamedTuple
@@ -587,6 +588,64 @@ def joint_exposure_pmf(network: Network, units, width: int, p_treat: float) -> n
     return joint
 
 
+# One setting's read-only inputs to its block loop; see compute_imse.  G and its diagonal,
+# ``joint`` and ``pmf``, are None in sample mode, the slot ``coefficients`` in exhaustive
+# mode; ``tables[f, degree_rows[u]]`` is family f's weights for unit u.
+_Setting = namedtuple("_Setting", "network design units width degrees degree_rows joint pmf "
+                      "coefficients tables", defaults=(None,))
+
+
+# A network point's setting without weights, and its network and joint_pmf stage seconds.
+@lru_cache(maxsize=1)
+def _network_point(network_config: NetworkConfig, master_seed: int, p_treat, exhaustive):
+    start = time.perf_counter()
+    network = network_config.build(np.random.SeedSequence([master_seed, _STREAM_NETWORK]))
+    design = BernoulliDesign(network.n, p_treat)
+    units = np.array(included_units(network), dtype=np.intp)
+    if not len(units):
+        raise ValueError("every unit has in-degree 0; the average estimand is undefined")
+    width = 2 * (int(network.in_degrees.max()) + 1)
+    if exhaustive and (len(units) * width) ** 2 > JOINT_PMF_LIMIT:
+        raise ValueError(f"exhaustive mode's joint exposure pmf would hold "
+                         f"{(len(units) * width) ** 2:,} entries, over {JOINT_PMF_LIMIT:,}")
+    degrees, degree_rows = np.unique(network.in_degrees[units], return_inverse=True)
+    built = time.perf_counter()
+    joint = joint_exposure_pmf(network, units, width, p_treat) if exhaustive else None
+    coefficients = None if exhaustive else slot_coefficients(network, units)
+    for array in (units, degrees, degree_rows, coefficients if joint is None else joint):
+        array.setflags(write=False)
+    setting = _Setting(network, design, units, width, degrees, degree_rows, joint,
+                       None if joint is None else joint.diagonal(), coefficients)
+    return setting, (built - start, time.perf_counter() - built)
+
+
+def _setup(config: ExperimentConfig) -> tuple[_Setting, dict]:
+    """The setting of ``config``, its weight tables read per setting, and its setup metadata."""
+    misses = _network_point.cache_info().misses
+    setting, seconds = _network_point(config.network, config.master_seed, config.p_treat,
+                                      config.allocation_mode == "exhaustive")
+    built = _network_point.cache_info().misses > misses
+    excluded = setting.network.n - len(setting.units)
+    if excluded:
+        logger.info("excluding %d degree-0 unit(s) from the average estimand", excluded)
+    start = time.perf_counter()
+    # MDil's prior is the dilated model itself, at the setting's eta1 when it is dilated.
+    eta1 = config.outcome.eta1 if config.outcome.kind == "dilated" else 1.0
+    tables = np.zeros((len(config.estimators), len(setting.degrees), setting.width))
+    before = _weight_row.cache_info()
+    for row, degree in enumerate(setting.degrees):
+        tables[:, row, :2 * degree + 2] = family_weights(
+            config.estimators, degree, config.p_treat, eta1)
+    after = _weight_row.cache_info()
+    tables.setflags(write=False)
+    network_s, joint_s = seconds if built else (0.0, 0.0)
+    return setting._replace(tables=tables), {
+        "stage_seconds": {"network": network_s, "families": time.perf_counter() - start,
+                          "joint_pmf": joint_s},
+        "weight_rows": {"solved": after.misses - before.misses, "reused": after.hits - before.hits},
+        "setting": "built" if built else "reused", "excluded_degree_zero_units": excluded}
+
+
 def compute_imse(config: ExperimentConfig) -> ImseReport:
     """Integrated MSE of each requested estimator family under one setting.
 
@@ -595,85 +654,40 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     average effect; draws are then averaged.  The average estimate is linear
     in a (unit, exposure-slot) value vector v, so in exhaustive mode its
     exact moments are v . p and v' G v, with G the closed form of
-    :func:`joint_exposure_pmf`, built once per setting without enumerating
-    any allocation, and p its diagonal.  Draws go in blocks of about 64k
-    value entries: one stacked outcome table, a batched product with p and
-    one 2-D product with G give every moment of a block.  Sample mode takes
-    one draw per block, and averages over a batch of allocations drawn per
-    draw and shared by every estimator.  The batch streams through row
-    blocks of about 64k allocation entries, each drawn straight into one
-    float32 buffer with the bits of a one-shot draw; one BLAS product gives
-    a block's (allocation, unit) slots, cast with each unit's offset into a
-    flat index of the (unit x slot) value table, and each family sums one
-    ``take`` of it over units.  Those buffers and the (family x allocation)
-    estimates are allocated once per setting, so memory does not grow with
-    ``allocation_count``; so is the (draw x family x unit x slot) value buffer
-    that each block, in either mode, fills in place from the weight tables.
-    Everything that does not change between draws is built once: the units,
-    weights and slot coefficients before the draw loop, and the entry layout
-    that :func:`sample_parameters` and :func:`true_average_effect` read on the
-    first block.  One :func:`sample_parameters` call draws a whole block as
-    stacked arrays.  Draw r is row r mod 256 of a stream seeded once per
-    chunk of 256 draws, and the blocks walk the draws in order, so each
-    block carries on from where the last one left its stream.  Fully
-    deterministic given the master seed, whatever the block size, and
-    independent of the interaction level for families that never read
-    treated outcomes.  Exhaustive mode refuses a setting whose G would hold
-    more than ``JOINT_PMF_LIMIT`` entries, before any weight is solved.
+    :func:`joint_exposure_pmf` and p its diagonal.  Sample mode averages over
+    a batch of allocations drawn per draw and shared by every estimator.
 
-    ``metadata["stage_seconds"]`` times the setting-level stages (network,
-    families, joint_pmf) and, summed over blocks, the per-draw ones: params,
-    outcome_table, allocations, slots, gather and moments (the sample-mode
-    allocations, slots and gather, also summed over row blocks, read 0 in
-    exhaustive mode).
-    ``metadata["weight_rows"]`` counts the setting's (family, in-degree)
-    weight rows that were ``solved`` and those ``reused`` from the memo of
-    :func:`family_weights`.
+    Once per network point (network config, master seed, ``p_treat``, mode),
+    and kept for the settings that follow on it: the network, units, width,
+    in-degree rows, and G or the slot coefficients.  Once per setting: the
+    weight tables, from the memo of :func:`family_weights`, and the buffers
+    that every block of draws fills in place.  Results are deterministic
+    given the master seed, whatever the block size, and independent of the
+    interaction level for families that never read treated outcomes.
+    Exhaustive mode refuses a setting whose G would hold more than
+    ``JOINT_PMF_LIMIT`` entries, every time, before any weight is solved.
+
+    ``metadata["stage_seconds"]`` times the setup stages (network, families,
+    joint_pmf; network and joint_pmf read 0 when ``metadata["setting"]`` is
+    ``reused``, not ``built``) and, summed over blocks, the per-draw ones:
+    params, outcome_table, allocations, slots, gather and moments (the middle
+    three read 0 in exhaustive mode).  ``metadata["weight_rows"]`` counts the
+    setting's (family, in-degree) weight rows ``solved`` and ``reused``.
     """
     start = time.perf_counter()
-    stages = dict.fromkeys(("network", "families", "joint_pmf", "params", "outcome_table",
-                            "allocations", "slots", "gather", "moments"), 0.0)
+    setting, observed = _setup(config)
+    network, design, units, width, _, degree_rows, joint, pmf, coefficients, tables = setting
+    stages = {**observed.pop("stage_seconds"), **dict.fromkeys(
+        ("params", "outcome_table", "allocations", "slots", "gather", "moments"), 0.0)}
 
     def lap(stage, since):
         now = time.perf_counter()
         stages[stage] += now - since
         return now
 
-    network = config.build_network()
-    design = BernoulliDesign(network.n, config.p_treat)
-    units = included_units(network)
-    if not units:
-        raise ValueError("every unit has in-degree 0; the average estimand is undefined")
-    if len(units) < network.n:
-        logger.info(
-            "excluding %d degree-0 unit(s) from the average estimand",
-            network.n - len(units),
-        )
-    width = 2 * (int(network.in_degrees.max()) + 1)
     exhaustive = config.allocation_mode == "exhaustive"
-    if exhaustive and (len(units) * width) ** 2 > JOINT_PMF_LIMIT:
-        raise ValueError(f"exhaustive mode's joint exposure pmf would hold "
-                         f"{(len(units) * width) ** 2:,} entries, over {JOINT_PMF_LIMIT:,}")
-    mark = lap("network", start)
-
     n_families = len(config.estimators)
-    # MDil's prior is the dilated model itself, at the setting's eta1 when it is dilated.
-    eta1 = config.outcome.eta1 if config.outcome.kind == "dilated" else 1.0
-    degrees, degree_rows = np.unique(network.in_degrees[units], return_inverse=True)
-    tables = np.zeros((n_families, len(degrees), width))
-    before = _weight_row.cache_info()
-    for row, degree in enumerate(degrees):
-        tables[:, row, :2 * degree + 2] = family_weights(
-            config.estimators, degree, config.p_treat, eta1)
-    after = _weight_row.cache_info()
-    weight_rows = {"solved": after.misses - before.misses, "reused": after.hits - before.hits}
-    mark = lap("families", mark)
-
-    if exhaustive:
-        joint = joint_exposure_pmf(network, units, width, config.p_treat)
-        pmf = joint.diagonal()
-    else:
-        coefficients = slot_coefficients(network, units)
+    if not exhaustive:
         # Start of each unit's row in a flattened (unit x slot) table.
         row_offsets = np.arange(len(units)) * width
         alloc_weights = np.full(config.allocation_count, 1.0 / config.allocation_count)
@@ -682,7 +696,6 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
         alloc = np.empty((block_rows, network.n), dtype=np.float32)
         slots = np.empty((block_rows, len(units)), dtype=np.intp)
         estimates = np.empty((n_families, config.allocation_count))
-    lap("joint_pmf", mark)
 
     n_draws = config.num_draws
     means = np.zeros((n_families, n_draws))
@@ -749,15 +762,15 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
             per_draw_mean=means[row],
         )
     digest = config_hash(config)
-    logger.info("setting %s stage seconds: %s; weight rows solved=%d reused=%d", digest,
-                " ".join(f"{stage}={seconds:.4f}" for stage, seconds in stages.items()),
-                weight_rows["solved"], weight_rows["reused"])
+    weight_rows = observed["weight_rows"]
+    logger.info("setting %s stage seconds: %s; weight rows solved=%d reused=%d; setting %s",
+                digest, " ".join(f"{stage}={seconds:.4f}" for stage, seconds in stages.items()),
+                weight_rows["solved"], weight_rows["reused"], observed["setting"])
     metadata = {
         "config_hash": digest,
         "seed": config.master_seed,
         "runtime_seconds": time.perf_counter() - start,
+        **observed,
         "stage_seconds": stages,
-        "weight_rows": weight_rows,
-        "excluded_degree_zero_units": network.n - len(units),
     }
     return ImseReport(config, results, metadata)

@@ -419,11 +419,13 @@ class TestSimulateCommand:
     def test_csv_bytes_are_pinned(self, tmp_path, capsys, config, digest):
         """Pins every digit of one setting's CSV, so a refactor cannot move them.
 
-        The first run solves every weight row and the second reuses them all
-        from the memo; both must write the pinned bytes.
+        The first run solves every weight row and builds its network point's
+        setting, and the second reuses both from their memos; both must write
+        the pinned bytes.
         """
         path = write_json(tmp_path / "setting.json", config)
         lue.simulation.clear_weight_memo()
+        lue.simulation._network_point.cache_clear()
         for _ in ("cold", "warm"):
             assert main(["simulate", "--config", path, "--out-dir", str(tmp_path),
                          "--seed", "7"]) == 0
@@ -669,7 +671,7 @@ class TestSimulateCommand:
         assert captured.out == "" and not out_dir.exists()
 
     def test_verbose_logs_stage_timings(self, tmp_path):
-        """-v logs each setting's stage timings and weight rows; without it nothing is logged."""
+        """-v logs each setting's stage timings, weight rows and build; without it, nothing."""
         config = write_json(tmp_path / "sweep.json", self.sweep_config())
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lue.__file__)))
         logs = {}
@@ -689,6 +691,9 @@ class TestSimulateCommand:
         rows = [re.search(r"weight rows solved=(\d+) reused=(\d+)", line).groups()
                 for line in timed]
         assert sorted(rows) == [("0", "5"), ("0", "5"), ("5", "0"), ("5", "0")]
+        # The mu1 axis runs inside each k, so the second setting of each k reuses its build.
+        assert [line.rsplit("; setting ", 1)[1] for line in timed] == [
+            "built", "reused", "built", "reused"]
 
 
 class TestVerifyCommand:

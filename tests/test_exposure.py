@@ -1,6 +1,7 @@
 """Exposure sets, canonical ordering, the parameter layout, exposure slots."""
 
 import ast
+import dataclasses
 import pathlib
 import re
 
@@ -329,3 +330,13 @@ class TestExposureMappings:
                 continue
             assert e1 == e2
 
+
+def test_num_exposures_is_kept_out_of_equality_hash_and_repr():
+    """Stored once per spec, the size leaves a spec compared, hashed and shown by its levels."""
+    spec = ExposureSpec((3, 1))
+    assert spec.num_exposures == 8 and ExposureSpec([3, 2]).num_exposures == 12
+    assert spec == ExposureSpec([3, 1]) and spec != ExposureSpec((3, 2))
+    assert hash(spec) == hash(ExposureSpec((3, 1))) == hash(((3, 1),))
+    assert repr(spec) == "ExposureSpec(levels=(3, 1))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.num_exposures = 9

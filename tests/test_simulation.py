@@ -1,6 +1,8 @@
 """Outcome models, estimator families, and integrated-MSE computation."""
 
 import ast
+import json
+import logging
 import operator
 import pathlib
 import re
@@ -10,10 +12,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lue.cli
 import lue.design
 import lue.mivlue
 import lue.simulation
-from lue.cli import _setting_seed
+from lue.cli import _setting_seed, main
 from lue.design import BernoulliDesign, allocation_matrix
 from lue.estimators import LinearEstimator, constraint_residuals
 from lue.exposure import indicator_matrix
@@ -273,6 +276,29 @@ def test_the_number_rules_are_written_once():
         if uses or imports:
             sites.add((name, owner))
     assert sites == {("exposure.py", "as_int"), ("exposure.py", "as_real")}
+
+
+def test_only_the_setup_builds_a_setting():
+    """``compute_imse`` reaches G, the slot coefficients and the weight tables only via its setup.
+
+    ``_network_point`` builds G and the slot coefficients once per network point,
+    and ``_setup`` reads the weight tables per setting.  The two other sites are
+    outside ``compute_imse``: ``verify``'s design oracle checks G against
+    enumeration, and ``build_estimator_family`` is the per-unit view the
+    benchmark reads.
+    """
+    names = {"joint_exposure_pmf", "slot_coefficients", "family_weights"}
+    sites = set()
+    for name, owner, node in package_nodes():
+        called = isinstance(node, ast.Call) and getattr(
+            node.func, "id", getattr(node.func, "attr", None))
+        if called in names:
+            sites.add((name, owner, called))
+    assert sites == {("simulation.py", "_network_point", "joint_exposure_pmf"),
+                     ("simulation.py", "_network_point", "slot_coefficients"),
+                     ("simulation.py", "_setup", "family_weights"),
+                     ("simulation.py", "build_estimator_family", "family_weights"),
+                     ("verify.py", "check_design_oracle", "joint_exposure_pmf")}
 
 
 # Public definitions that no entry point reaches, each kept for its reason.
@@ -1648,3 +1674,139 @@ class TestComputeImse:
             np.testing.assert_array_equal(a.results[name].per_draw_mse,
                                           b.results[name].per_draw_mse)
         assert a.csv_rows() == b.csv_rows()
+
+
+STAGE_NAMES = ["network", "families", "joint_pmf", "params", "outcome_table", "allocations",
+               "slots", "gather", "moments"]
+
+
+class TestNetworkPointMemo:
+    """Each network point's setting is built once and reused by the settings that follow."""
+
+    BASE = dict(network=NetworkConfig("k_regular", 8, k=2),
+                outcome=OutcomeModel("interaction", mu1=1.0, delta1=2.0),
+                num_draws=4, allocation_count=30, master_seed=5)
+    GRIDS = [
+        {"network": {"kind": "k_regular", "n": 10, "k": [2, 3]},
+         "outcome": {"kind": "interaction", "mu1": 50, "delta1": [0, 2, 4]},
+         "num_draws": 5, "allocation_mode": "exhaustive"},
+        {"network": {"kind": "erdos_renyi", "n": 12, "p_edge": [0.3, 0.5]},
+         "outcome": {"kind": "independent", "mu1": [0, 10, 20]},
+         "num_draws": 3, "allocation_mode": "sample", "allocation_count": 40},
+    ]
+
+    @staticmethod
+    def simulate(tmp_path, capsys, grid) -> bytes:
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path),
+                     "--seed", "7"]) == 0
+        return pathlib.Path(capsys.readouterr().out.strip()).read_bytes()
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["delta1-exhaustive", "mu1-sample"])
+    def test_a_grid_builds_each_network_point_once(self, tmp_path, capsys, monkeypatch, grid):
+        """Two network points of three settings each: two builds, and a cold run's bytes."""
+        built = []
+        build = NetworkConfig.build
+
+        def counted(network_config, seed):
+            built.append(network_config)
+            return build(network_config, seed)
+
+        monkeypatch.setattr(NetworkConfig, "build", counted)
+        lue.simulation._network_point.cache_clear()
+        memoised = self.simulate(tmp_path, capsys, grid)
+        assert len(built) == 2 and built[0] != built[1]
+        compute = lue.cli.compute_imse
+
+        def cold(config):
+            lue.simulation._network_point.cache_clear()
+            return compute(config)
+
+        monkeypatch.setattr(lue.cli, "compute_imse", cold)
+        assert self.simulate(tmp_path, capsys, grid) == memoised
+        assert len(built) == 2 + 6
+
+    @pytest.mark.parametrize("change", [
+        {"p_treat": 0.3}, {"allocation_mode": "sample"}, {"master_seed": 6},
+        {"network": NetworkConfig("k_regular", 9, k=2)},
+        {"network": NetworkConfig("k_regular", 8, k=3)},
+    ], ids=["p_treat", "mode", "seed", "n", "k"])
+    def test_another_key_gives_the_cold_result(self, change):
+        other = ExperimentConfig(**{**self.BASE, **change})
+        lue.simulation._network_point.cache_clear()
+        cold = compute_imse(other)
+        compute_imse(ExperimentConfig(**self.BASE))
+        warm = compute_imse(other)
+        again = compute_imse(other)
+        assert (warm.metadata["setting"], again.metadata["setting"]) == ("built", "reused")
+        for report in (warm, again):
+            assert report.csv_rows() == cold.csv_rows()
+            for name, result in cold.results.items():
+                np.testing.assert_array_equal(report.results[name].per_draw_mse,
+                                              result.per_draw_mse)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+    def test_the_kept_arrays_are_read_only(self, mode):
+        config = ExperimentConfig(**self.BASE, allocation_mode=mode)
+        compute_imse(config)
+        setting, _ = lue.simulation._network_point(config.network, config.master_seed,
+                                                   config.p_treat, mode == "exhaustive")
+        kept = [setting.network.adjacency, setting.units, setting.degrees, setting.degree_rows,
+                *((setting.joint, setting.pmf) if mode == "exhaustive"
+                  else (setting.coefficients,)),
+                lue.simulation._setup(config)[0].tables]
+        for array in kept:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1
+
+    def test_a_refused_point_raises_every_time_and_solves_no_row(self):
+        """Over JOINT_PMF_LIMIT, also after a sample-mode setting on the same network."""
+        network = NetworkConfig("k_regular", 200, k=8)
+        outcome = OutcomeModel("independent")
+        compute_imse(ExperimentConfig(network, outcome, num_draws=1, allocation_mode="sample",
+                                      allocation_count=10))
+        refused = ExperimentConfig(network, outcome)
+        rows = lue.simulation._weight_row.cache_info()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="would hold 12,960,000 entries"):
+                compute_imse(refused)
+        assert lue.simulation._weight_row.cache_info() == rows
+
+    def test_only_one_joint_pmf_is_kept(self):
+        """After exhaustive settings on two more networks, only the last network's G is held."""
+        configs = [ExperimentConfig(NetworkConfig("k_regular", 16, k=4),
+                                    OutcomeModel("independent"), num_draws=1, master_seed=seed)
+                   for seed in (1, 2, 3)]
+        compute_imse(configs[0])  # fills the weight memo and the pmf tables
+        joint_bytes = (16 * 10) ** 2 * 8
+        tracemalloc.start()
+        try:
+            compute_imse(configs[1])
+            one = tracemalloc.get_traced_memory()[0]
+            compute_imse(configs[2])
+            two = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert one >= joint_bytes
+        assert two - one < joint_bytes / 2
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+    def test_every_setting_reports_itself(self, caplog, mode):
+        """Excluded units are counted and logged per setting; a miss times G or the coefficients."""
+        reports = []
+        lue.simulation._network_point.cache_clear()
+        with caplog.at_level(logging.INFO, logger="lue.simulation"):
+            for mu1 in (0.0, 1.0):
+                reports.append(compute_imse(ExperimentConfig(
+                    NetworkConfig("erdos_renyi", 6, p_edge=0.15), OutcomeModel("independent", mu1),
+                    num_draws=2, allocation_mode=mode, allocation_count=20, master_seed=2)))
+        excluded = reports[0].metadata["excluded_degree_zero_units"]
+        assert excluded > 0 and reports[1].metadata["excluded_degree_zero_units"] == excluded
+        assert [r.metadata["setting"] for r in reports] == ["built", "reused"]
+        assert [r.getMessage() for r in caplog.records if "excluding" in r.getMessage()] == [
+            f"excluding {excluded} degree-0 unit(s) from the average estimand"] * 2
+        built, reused = (r.metadata["stage_seconds"] for r in reports)
+        assert list(built) == list(reused) == STAGE_NAMES
+        assert built["network"] > 0 and built["joint_pmf"] > 0
+        assert reused["network"] == reused["joint_pmf"] == 0.0
