@@ -83,11 +83,6 @@ class BernoulliDesign:
         if not 0.0 < self.p_treat < 1.0:
             raise ValueError(f"p_treat must be in (0, 1), got {self.p_treat}")
 
-    def allocation_probability(self, z):
-        """Probability of allocation ``z``, or of each row when ``z`` is a matrix."""
-        treated = np.asarray(z).sum(axis=-1)
-        return self.p_treat**treated * (1.0 - self.p_treat) ** (self.n - treated)
-
     def sample(self, rng: np.random.Generator, count: int, out=None) -> np.ndarray:
         """``count`` allocations as 0/1 rows: int64, or written straight into ``out`` and returned.
 
@@ -102,13 +97,12 @@ class BernoulliDesign:
 ENUMERATION_LIMIT = 20
 
 
-def allocation_matrix(design: BernoulliDesign) -> tuple[np.ndarray, np.ndarray]:
-    """Every allocation as rows in binary-counting order (n <= 20), with its exact probability."""
+def allocation_matrix(design: BernoulliDesign) -> np.ndarray:
+    """Every allocation as a 0/1 row, in binary-counting order (n <= 20)."""
     n = design.n
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"refusing to enumerate 2^{n} allocations (limit n={ENUMERATION_LIMIT})")
-    mat = np.indices((2,) * n).reshape(n, -1).T.astype(np.int64)
-    return mat, design.allocation_probability(mat)
+    return np.indices((2,) * n).reshape(n, -1).T.astype(np.int64)
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
@@ -203,7 +197,7 @@ def exposure_distribution_exact(design: BernoulliDesign, kind: str, network, uni
         raise ValueError(
             f"unit {unit} has in-degree 0; its interference exposure set is degenerate"
         )
-    mat, _ = allocation_matrix(design)
+    mat = allocation_matrix(design)
     slots = 2 * (mat @ network.adjacency[:, unit]) + mat[:, unit]
     masses = exact_cell_masses(mat, slots, 2 * degree + 2, design.p_treat)
     return ExposureDistribution(ExposureSpec((degree, 1)), masses[slot_order(degree)])

@@ -20,7 +20,7 @@ import logging
 import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -414,8 +414,7 @@ class ExperimentConfig:
                 raise ValueError(f"estimator family {name!r} is listed more than once")
         if self.allocation_mode not in ("exhaustive", "sample"):
             raise ValueError(f"unknown allocation mode {self.allocation_mode!r}")
-        sample = self.allocation_mode == "sample"  # exhaustive mode never reads the count
-        for name in ("num_draws", "allocation_count") if sample else ("num_draws",):
+        for name in ("num_draws", "allocation_count"):
             object.__setattr__(self, name, as_int(getattr(self, name), name, 1))
         object.__setattr__(self, "p_treat", as_real(self.p_treat, "p_treat"))
         object.__setattr__(self, "master_seed", as_int(self.master_seed, "master_seed"))
@@ -537,8 +536,8 @@ def exposure_slots(alloc: np.ndarray, coefficients: np.ndarray, offsets=0,
     slot itself, at most 2(n - 1) + 1.  That is below 2**24, up to which
     float32 holds every integer exactly, for any n under 8 million.  The
     product is cast to intp, exactly, and ``offsets`` added in one pass, into
-    ``out`` when given.  :func:`compute_imse` calls this once per row block
-    of allocations, with each unit's row offset into its flat value table.
+    ``out`` when given.  The sample kernel calls this once per row block of
+    allocations, with each unit's row offset into its flat value table.
     """
     return np.add(alloc @ coefficients, offsets, out=out, dtype=np.intp, casting="unsafe")
 
@@ -588,11 +587,68 @@ def joint_exposure_pmf(network: Network, units, width: int, p_treat: float) -> n
     return joint
 
 
-# One setting's read-only inputs to its block loop; see compute_imse.  G and its diagonal,
-# ``joint`` and ``pmf``, are None in sample mode, the slot ``coefficients`` in exhaustive
-# mode; ``tables[f, degree_rows[u]]`` is family f's weights for unit u.
-_Setting = namedtuple("_Setting", "network design units width degrees degree_rows joint pmf "
-                      "coefficients tables", defaults=(None,))
+def _exact_kernel(joint, config):
+    """Exhaustive mode's moment kernel: each (draw, family) row's moments, exact, from G.
+
+    The average estimate is linear in its (unit, exposure-slot) values v, so its exact moments
+    are v . p and v' G v, p being G's diagonal; ``config`` is unread: one G serves every setting.
+    """
+    def exact_moments(values, draws, lap):
+        values = values.reshape(*values.shape[:2], -1) / values.shape[2]
+        # A batched product with p, but one 2-D product with G over every (draw, family)
+        # row: a 2-D product with p sums in another order, one with G keeps the bits on
+        # SkylakeX's dgemm, not on Haswell's (ROADMAP item 16).
+        first_moment = values @ joint.diagonal()
+        rows = values.reshape(-1, values.shape[-1])
+        second_moment = np.einsum("ra,ra->r", rows @ joint, rows).reshape(first_moment.shape)
+        lap("moments")
+        return first_moment, second_moment
+    return exact_moments
+
+
+def _sample_kernel(coefficients, design, width, master_seed, config):
+    """Sample mode's moment kernel: each (draw, family)'s moments over its draw's allocations.
+
+    Draw r's allocations, shared by every family, come from [master_seed, r, _STREAM_ALLOCATIONS].
+    """
+    count, (n, units) = config.allocation_count, coefficients.shape
+    weights = np.full(count, 1.0 / count)
+    # Start of each unit's row in a flattened (unit x slot) table.
+    row_offsets = np.arange(units) * width
+    # Buffers made once per setting, of about 64k allocation entries: small and cache-resident.
+    block_rows = min(count, max(1, 2**16 // n))
+    alloc = np.empty((block_rows, n), dtype=np.float32)
+    slots = np.empty((block_rows, units), dtype=np.intp)
+    estimates = np.empty((len(config.estimators), count))
+
+    def sample_moments(values, draws, lap):
+        first_moment, second_moment = np.empty((2, len(draws), len(estimates)))
+        for row, draw in enumerate(draws):
+            rng = np.random.default_rng([master_seed, draw, _STREAM_ALLOCATIONS])
+            for first_row in range(0, count, block_rows):
+                size = min(block_rows, count - first_row)
+                design.sample(rng, size, out=alloc[:size])
+                lap("allocations")
+                exposure_slots(alloc[:size], coefficients, row_offsets, out=slots[:size])
+                lap("slots")
+                for family, value_table in enumerate(values[row]):
+                    np.add.reduce(value_table.take(slots[:size]), axis=1,
+                                  out=estimates[family, first_row:first_row + size])
+                lap("gather")
+            # The sums over units, then one division: the bits of take(...).mean(axis=1).
+            estimates[:] /= units
+            lap("gather")
+            # One dot per family: a matrix-vector product may sum in another order.
+            first_moment[row] = [weights @ e for e in estimates]
+            second_moment[row] = [weights @ (e * e) for e in estimates]
+            lap("moments")
+        return first_moment, second_moment
+    return sample_moments
+
+
+# One setting's read-only inputs to its block loop.  At a network point ``kernel`` makes each
+# setting's kernel and ``tables`` is None; ``tables[f, degree_rows[u]]`` is f's weights for u.
+_Setting = namedtuple("_Setting", "network units width degrees degree_rows kernel tables")
 
 
 # A network point's setting without weights, and its network and joint_pmf stage seconds.
@@ -600,7 +656,6 @@ _Setting = namedtuple("_Setting", "network design units width degrees degree_row
 def _network_point(network_config: NetworkConfig, master_seed: int, p_treat, exhaustive):
     start = time.perf_counter()
     network = network_config.build(np.random.SeedSequence([master_seed, _STREAM_NETWORK]))
-    design = BernoulliDesign(network.n, p_treat)
     units = np.array(included_units(network), dtype=np.intp)
     if not len(units):
         raise ValueError("every unit has in-degree 0; the average estimand is undefined")
@@ -610,17 +665,17 @@ def _network_point(network_config: NetworkConfig, master_seed: int, p_treat, exh
                          f"{(len(units) * width) ** 2:,} entries, over {JOINT_PMF_LIMIT:,}")
     degrees, degree_rows = np.unique(network.in_degrees[units], return_inverse=True)
     built = time.perf_counter()
-    joint = joint_exposure_pmf(network, units, width, p_treat) if exhaustive else None
-    coefficients = None if exhaustive else slot_coefficients(network, units)
-    for array in (units, degrees, degree_rows, coefficients if joint is None else joint):
+    kernel = (partial(_exact_kernel, joint_exposure_pmf(network, units, width, p_treat))
+              if exhaustive else partial(_sample_kernel, slot_coefficients(network, units),
+                                         BernoulliDesign(network.n, p_treat), width, master_seed))
+    for array in (units, degrees, degree_rows, kernel.args[0]):  # G or the coefficients
         array.setflags(write=False)
-    setting = _Setting(network, design, units, width, degrees, degree_rows, joint,
-                       None if joint is None else joint.diagonal(), coefficients)
+    setting = _Setting(network, units, width, degrees, degree_rows, kernel, None)
     return setting, (built - start, time.perf_counter() - built)
 
 
 def _setup(config: ExperimentConfig) -> tuple[_Setting, dict]:
-    """The setting of ``config``, its weight tables read per setting, and its setup metadata."""
+    """The setting of ``config`` with its weight tables and kernel, and its setup metadata."""
     misses = _network_point.cache_info().misses
     setting, seconds = _network_point(config.network, config.master_seed, config.p_treat,
                                       config.allocation_mode == "exhaustive")
@@ -639,7 +694,7 @@ def _setup(config: ExperimentConfig) -> tuple[_Setting, dict]:
     after = _weight_row.cache_info()
     tables.setflags(write=False)
     network_s, joint_s = seconds if built else (0.0, 0.0)
-    return setting._replace(tables=tables), {
+    return setting._replace(kernel=setting.kernel(config), tables=tables), {
         "stage_seconds": {"network": network_s, "families": time.perf_counter() - start,
                           "joint_pmf": joint_s},
         "weight_rows": {"solved": after.misses - before.misses, "reused": after.hits - before.hits},
@@ -649,23 +704,15 @@ def _setup(config: ExperimentConfig) -> tuple[_Setting, dict]:
 def compute_imse(config: ExperimentConfig) -> ImseReport:
     """Integrated MSE of each requested estimator family under one setting.
 
-    Per parameter draw, the estimator mean and second moment are taken over
-    allocations and the squared error is formed against that draw's true
-    average effect; draws are then averaged.  The average estimate is linear
-    in a (unit, exposure-slot) value vector v, so in exhaustive mode its
-    exact moments are v . p and v' G v, with G the closed form of
-    :func:`joint_exposure_pmf` and p its diagonal.  Sample mode averages over
-    a batch of allocations drawn per draw and shared by every estimator.
-
-    Once per network point (network config, master seed, ``p_treat``, mode),
-    and kept for the settings that follow on it: the network, units, width,
-    in-degree rows, and G or the slot coefficients.  Once per setting: the
-    weight tables, from the memo of :func:`family_weights`, and the buffers
-    that every block of draws fills in place.  Results are deterministic
-    given the master seed, whatever the block size, and independent of the
-    interaction level for families that never read treated outcomes.
-    Exhaustive mode refuses a setting whose G would hold more than
-    ``JOINT_PMF_LIMIT`` entries, every time, before any weight is solved.
+    Per parameter draw, the setting's kernel (:func:`_exact_kernel` or
+    :func:`_sample_kernel`) takes each family's mean and second moment over
+    allocations, the squared error is formed against that draw's true average
+    effect, and draws are then averaged.  Draws run in blocks of about 2**16
+    value-table entries.  Results are deterministic given the master seed,
+    whatever the block size, and independent of the interaction level for
+    families that never read treated outcomes.  Exhaustive mode refuses a
+    setting whose G would hold more than ``JOINT_PMF_LIMIT`` entries, every
+    time, before any weight is solved.
 
     ``metadata["stage_seconds"]`` times the setup stages (network, families,
     joint_pmf; network and joint_pmf read 0 when ``metadata["setting"]`` is
@@ -676,75 +723,34 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     """
     start = time.perf_counter()
     setting, observed = _setup(config)
-    network, design, units, width, _, degree_rows, joint, pmf, coefficients, tables = setting
+    network, units, width, _, degree_rows, kernel, tables = setting
     stages = {**observed.pop("stage_seconds"), **dict.fromkeys(
         ("params", "outcome_table", "allocations", "slots", "gather", "moments"), 0.0)}
 
-    def lap(stage, since):
+    def lap(stage):
+        nonlocal mark
         now = time.perf_counter()
-        stages[stage] += now - since
-        return now
+        stages[stage] += now - mark
+        mark = now
 
-    exhaustive = config.allocation_mode == "exhaustive"
     n_families = len(config.estimators)
-    if not exhaustive:
-        # Start of each unit's row in a flattened (unit x slot) table.
-        row_offsets = np.arange(len(units)) * width
-        alloc_weights = np.full(config.allocation_count, 1.0 / config.allocation_count)
-        # Rows of about 64k allocation entries, so every buffer stays small and cache-resident.
-        block_rows = min(config.allocation_count, max(1, 2**16 // network.n))
-        alloc = np.empty((block_rows, network.n), dtype=np.float32)
-        slots = np.empty((block_rows, len(units)), dtype=np.intp)
-        estimates = np.empty((n_families, config.allocation_count))
-
     n_draws = config.num_draws
-    means = np.zeros((n_families, n_draws))
-    second = np.zeros((n_families, n_draws))
+    means, second = np.zeros((2, n_families, n_draws))
     theta_bars = np.zeros(n_draws)
-    block = max(1, 2**16 // (n_families * len(units) * width)) if exhaustive else 1
+    block = max(1, 2**16 // (n_families * len(units) * width))
     value_tables = np.empty((min(block, n_draws), n_families, len(units), width))
+    mark = time.perf_counter()
     for first_draw in range(0, n_draws, block):
-        draws = slice(first_draw, min(first_draw + block, n_draws))
-        mark = time.perf_counter()
-        params = sample_parameters(network, config.outcome, config.master_seed,
-                                   range(draws.start, draws.stop))
+        draws = range(first_draw, min(first_draw + block, n_draws))
+        params = sample_parameters(network, config.outcome, config.master_seed, draws)
         theta_bars[draws] = true_average_effect(network, params)
-        mark = lap("params", mark)
+        lap("params")
         outcomes = _outcome_table(params, width)
         values = value_tables[:len(outcomes)]
         for row in range(n_families):
             np.multiply(tables[row][degree_rows], outcomes, out=values[:, row])
-        mark = lap("outcome_table", mark)
-        if exhaustive:
-            values = values.reshape(len(outcomes), n_families, -1) / len(units)
-            # A batched product with p, but one 2-D product with G over every (draw, family)
-            # row: a 2-D product with p sums in another order, one with G keeps the bits on
-            # SkylakeX's dgemm, not on Haswell's (ROADMAP item 16).
-            first_moment = values @ pmf
-            rows = values.reshape(-1, values.shape[-1])
-            second_moment = np.einsum("ra,ra->r", rows @ joint, rows).reshape(first_moment.shape)
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([config.master_seed, first_draw, _STREAM_ALLOCATIONS])
-            )
-            for first_row in range(0, config.allocation_count, block_rows):
-                size = min(block_rows, config.allocation_count - first_row)
-                design.sample(rng, size, out=alloc[:size])
-                mark = lap("allocations", mark)
-                exposure_slots(alloc[:size], coefficients, row_offsets, out=slots[:size])
-                mark = lap("slots", mark)
-                for row, value_table in enumerate(values[0]):
-                    np.add.reduce(value_table.take(slots[:size]), axis=1,
-                                  out=estimates[row, first_row:first_row + size])
-                mark = lap("gather", mark)
-            # The sums over units, then one division: the bits of take(...).mean(axis=1).
-            estimates /= len(units)
-            mark = lap("gather", mark)
-            # One dot per family: a matrix-vector product may sum in another order.
-            first_moment = np.array([[alloc_weights @ e for e in estimates]])
-            second_moment = np.array([[alloc_weights @ (e * e) for e in estimates]])
-        means[:, draws], second[:, draws] = first_moment.T, second_moment.T
-        lap("moments", mark)
+        lap("outcome_table")
+        means[:, draws], second[:, draws] = (moment.T for moment in kernel(values, draws, lap))
     mse = second - 2.0 * theta_bars * means + theta_bars**2
 
     results = {}

@@ -180,7 +180,7 @@ def check_design_oracle() -> tuple[bool, str]:
         units = included_units(network)
         width = 2 * (int(network.in_degrees.max()) + 1)
         for p_treat in (0.5, 0.3):
-            alloc, _ = allocation_matrix(BernoulliDesign(network.n, p_treat))
+            alloc = allocation_matrix(BernoulliDesign(network.n, p_treat))
             slots = (2 * (alloc @ network.adjacency) + alloc)[:, units]
             exact = np.zeros((len(units), width, len(units), width))
             for a, b in np.ndindex(len(units), len(units)):

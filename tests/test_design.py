@@ -210,7 +210,7 @@ def per_allocation_distribution(design, network, unit):
     """
     acc = {}
     p = Fraction(design.p_treat)
-    mat, _ = allocation_matrix(design)
+    mat = allocation_matrix(design)
     for z in mat:
         e = (int(network.adjacency[:, unit] @ z), int(z[unit]))
         treated = int(z.sum())
@@ -298,15 +298,12 @@ class TestExactEnumeration:
 
 
 class TestAllocations:
-    def test_exhaustive_uniform(self):
-        mat, weights = allocation_matrix(BernoulliDesign(2, 0.5))
-        assert mat.shape == (4, 2) and len(weights) == 4
-        assert all(w == pytest.approx(0.25) for w in weights)
-
-    def test_exhaustive_normalization(self):
-        _, weights = allocation_matrix(BernoulliDesign(10, 0.37))
-        assert len(weights) == 1024
-        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
+    def test_exhaustive_rows_count_in_binary(self):
+        """Every allocation once, as int64 0/1 rows in binary-counting order, unit 0 the top bit."""
+        mat = allocation_matrix(BernoulliDesign(3, 0.25))
+        assert mat.shape == (8, 3) and mat.dtype == np.int64
+        np.testing.assert_array_equal(mat @ (4, 2, 1), np.arange(8))
+        assert allocation_matrix(BernoulliDesign(10, 0.37)).shape == (1024, 10)
 
     def test_enumeration_budget(self):
         with pytest.raises(ValueError, match="refusing to enumerate"):
@@ -319,12 +316,6 @@ class TestDesigns:
             BernoulliDesign(3, 0.0)
         with pytest.raises(ValueError):
             BernoulliDesign(0, 0.5)
-
-    def test_bernoulli_allocation_probability(self):
-        design = BernoulliDesign(3, 0.25)
-        assert design.allocation_probability((1, 0, 0)) == pytest.approx(0.25 * 0.75**2)
-        mat, weights = allocation_matrix(design)
-        np.testing.assert_array_equal(weights, [design.allocation_probability(z) for z in mat])
 
     def test_positivity_under_bernoulli(self):
         """Every exposure of every unit gets positive mass when 0 < p < 1."""

@@ -104,6 +104,16 @@ def estimate_average_effect(family, network, allocation, params):
     return total / len(units)
 
 
+def enumerated_allocations(design):
+    """Reference: every allocation (n <= 20) and its Bernoulli mass p^t (1 - p)^(n - t).
+
+    t is the number of units the row treats.
+    """
+    alloc = allocation_matrix(design)
+    treated = alloc.sum(axis=1)
+    return alloc, design.p_treat**treated * (1.0 - design.p_treat) ** (design.n - treated)
+
+
 def weight_tables_of(config, network, units, width):
     """Reference: the (family x unit x slot) weights of a setting, one unit at a time."""
     eta1 = config.outcome.eta1 if config.outcome.kind == "dilated" else 1.0
@@ -176,6 +186,7 @@ def sampled_moments(config):
     ("design", "ExplicitDesign"),
     ("design", "Design"),
     ("design", "TABLE_SUM_TOL"),
+    ("design.BernoulliDesign", "allocation_probability"),
     ("exposure", "remap_exposures"),
     ("exposure", "parameter_position"),
     ("exposure.ExposureSpec", "num_components"),
@@ -299,6 +310,36 @@ def test_only_the_setup_builds_a_setting():
                      ("simulation.py", "_setup", "family_weights"),
                      ("simulation.py", "build_estimator_family", "family_weights"),
                      ("verify.py", "check_design_oracle", "joint_exposure_pmf")}
+
+
+def test_only_the_kernels_reduce_over_allocations():
+    """Each mode's allocation moments are its kernel's, and only the setup reads the mode.
+
+    In ``simulation.py``, ``exposure_slots``, ``.sample(`` and ``_STREAM_ALLOCATIONS``
+    occur only in the sample kernel and a product with G only in the exhaustive one;
+    ``compute_imse`` takes no product at all.  ``allocation_mode`` is read by the
+    config's own check and by ``_setup``, which hands ``_network_point`` the mode.
+    """
+    tree = ast.parse(pathlib.Path(lue.simulation.__file__).read_text())
+    sites = {"sampling": set(), "G": set(), "products": set(), "mode": set()}
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if name in ("exposure_slots", "_STREAM_ALLOCATIONS") and isinstance(node.ctx, ast.Load):
+                sites["sampling"].add(owner)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "sample":
+                sites["sampling"].add(owner)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                sites["products"].add(owner)
+                if any(getattr(leaf, "id", None) == "joint" for leaf in ast.walk(node)):
+                    sites["G"].add(owner)
+            if name == "allocation_mode" and isinstance(node, ast.Attribute):
+                sites["mode"].add(owner)
+    assert sites["sampling"] == {"_sample_kernel"}
+    assert sites["G"] == {"_exact_kernel"}
+    assert "compute_imse" not in sites["products"]
+    assert sites["mode"] == {"ExperimentConfig", "_setup"}
 
 
 # Public definitions that no entry point reaches, each kept for its reason.
@@ -803,7 +844,7 @@ class TestExposureSlots:
 class TestJointExposurePmf:
     @staticmethod
     def global_enumeration(net, units, width, p_treat):
-        alloc, probs = allocation_matrix(BernoulliDesign(net.n, p_treat))
+        alloc, probs = enumerated_allocations(BernoulliDesign(net.n, p_treat))
         slots = (2 * (alloc @ net.adjacency) + alloc)[:, units]
         joint = np.zeros((len(units) * width,) * 2)
         for a in range(len(units)):
@@ -882,7 +923,7 @@ class TestJointExposurePmf:
         """
         members = np.flatnonzero(net.adjacency[:, i] | net.adjacency[:, j])
         members = np.union1d(members, [i, j])
-        alloc, _ = allocation_matrix(BernoulliDesign(len(members)))
+        alloc = allocation_matrix(BernoulliDesign(len(members)))
         own = np.searchsorted(members, [i, j])  # the columns of i and j among the members
         slots = 2 * (alloc @ net.adjacency[members][:, [i, j]]) + alloc[:, own]
         cells, counts = np.unique(np.column_stack([slots, alloc.sum(axis=1)]), axis=0,
@@ -1017,7 +1058,7 @@ class TestEstimateAverageEffect:
         design = BernoulliDesign(3, 0.5)
         family = build_estimator_family("HT0", net, design)
         params = sample_parameters(net, OutcomeModel("independent"), 13)
-        allocs, probs = allocation_matrix(design)
+        allocs, probs = enumerated_allocations(design)
         expectation = sum(
             p * estimate_average_effect(family, net, z, params)
             for z, p in zip(allocs, probs)
@@ -1145,15 +1186,16 @@ class TestExperimentConfig:
                 estimators=[],
             )
 
-    @pytest.mark.parametrize("count", [0, -3, 2.5])
+    @pytest.mark.parametrize("count", [0, -3, 2.5, "abc", True, [1, 2], float("nan")])
     def test_sample_mode_needs_positive_integer_count(self, count):
         network, outcome = NetworkConfig("k_regular", 30, k=2), OutcomeModel("independent")
         with pytest.raises(ValueError, match="allocation_count must be a positive integer"):
             ExperimentConfig(network=network, outcome=outcome, allocation_mode="sample",
                              allocation_count=count)
-        # Exhaustive mode never reads the count.
-        small = NetworkConfig("k_regular", 10, k=2)
-        ExperimentConfig(network=small, outcome=outcome, allocation_count=count)
+        # Exhaustive mode never reads the count, but the count rule is the same in both modes.
+        with pytest.raises(ValueError, match="allocation_count must be a positive integer"):
+            ExperimentConfig(network=NetworkConfig("k_regular", 10, k=2), outcome=outcome,
+                             allocation_count=count)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -1266,7 +1308,7 @@ class TestComputeImse:
                                  np.r_[0, np.cumsum(net.in_degrees[perm])])
         family = build_estimator_family("HTAvg", net, design)
         family_perm = build_estimator_family("HTAvg", permuted, design)
-        allocs, probs = allocation_matrix(design)
+        allocs, probs = enumerated_allocations(design)
         first = sum(p * estimate_average_effect(family, net, z, params) ** 2
                     for z, p in zip(allocs, probs))
         second = sum(p * estimate_average_effect(family_perm, permuted, z[perm], params_perm) ** 2
@@ -1301,7 +1343,7 @@ class TestComputeImse:
         report = compute_imse(config)
         net = network.build(np.random.SeedSequence([seed, 3]))
         design = BernoulliDesign(net.n, p_treat)
-        allocs, probs = allocation_matrix(design)
+        allocs, probs = enumerated_allocations(design)
         eta1 = model.eta1 if model.kind == "dilated" else 1.0
         for name in ESTIMATOR_NAMES:
             family = build_estimator_family(name, net, design, eta1)
@@ -1338,6 +1380,43 @@ class TestComputeImse:
         block = 2**16 // (len(ESTIMATOR_NAMES) * len(units) * 2 * (net.in_degrees.max() + 1))
         assert config.num_draws > 2 * block and config.num_draws % block
         self.assert_equals_per_draw_reference(config)
+
+    @pytest.mark.parametrize("network,seed", DENSE_NETWORKS)
+    def test_several_sampled_draw_blocks_equal_the_per_draw_reference(self, network, seed):
+        """Sample mode's blocks of draws, three or more, the last one partial, draw by draw."""
+        config = self.small_config(network=network, master_seed=seed, p_treat=0.3, num_draws=100,
+                                   outcome=OutcomeModel("interaction", mu1=2.0, delta1=3.0),
+                                   allocation_mode="sample", allocation_count=40)
+        net = config.build_network()
+        units = included_units(net)
+        block = 2**16 // (len(ESTIMATOR_NAMES) * len(units) * 2 * (net.in_degrees.max() + 1))
+        assert config.num_draws > 2 * block and config.num_draws % block
+        self.assert_equals_per_draw_reference(config, sampled_moments)
+
+    def test_the_kernels_agree_on_one_value_table(self):
+        """The sample kernel's means land within 4 standard errors of the exhaustive kernel's.
+
+        Both kernels read the same seeded block of value tables.  The standard
+        error of a mean over A allocations is sqrt(Var / A), with Var the
+        exhaustive kernel's own second moment less its squared mean.
+        """
+        count = 20000
+        base = dict(network=NetworkConfig("erdos_renyi", 14, p_edge=0.25), num_draws=4,
+                    outcome=OutcomeModel("interaction", mu1=1.0, delta1=2.0), master_seed=3,
+                    p_treat=0.4, allocation_count=count)
+        exact, _ = lue.simulation._setup(ExperimentConfig(**base, allocation_mode="exhaustive"))
+        sample, _ = lue.simulation._setup(ExperimentConfig(**base, allocation_mode="sample"))
+        draws = range(base["num_draws"])
+        params = sample_parameters(exact.network, base["outcome"], base["master_seed"], draws)
+        outcomes = _outcome_table(params, exact.width)
+        values = np.stack([table[exact.degree_rows] * outcomes for table in exact.tables], axis=1)
+        ignore = lambda stage: None  # noqa: E731
+        first, second = exact.kernel(values, draws, ignore)
+        sampled_first, _ = sample.kernel(values, draws, ignore)
+        variance = second - first**2
+        assert first.shape == sampled_first.shape == (len(draws), len(ESTIMATOR_NAMES))
+        assert (variance > 0).all()
+        assert (np.abs(sampled_first - first) <= 4 * np.sqrt(variance / count)).all()
 
     def test_allocation_blocks_equal_the_one_shot_reference(self):
         """Row blocks of sampled allocations: three or more, the last one partial.
@@ -1413,17 +1492,18 @@ class TestComputeImse:
             for result in report.results.values():
                 assert np.isfinite(result.imse) and result.bias_squared < 1e-20
 
-    # Exhaustive mode draws blocks of 2**16 // (5 families * 8 units * 6 slots) = 273
-    # draws, so 600 draws take three calls; sample mode draws one draw per block.
-    @pytest.mark.parametrize("mode, num_draws, calls", [("exhaustive", 600, 3),
-                                                        ("sample", 7, 7)])
+    # Both modes draw blocks of 2**16 // (5 families * 8 units * 6 slots) = 273 draws,
+    # so 600 draws take three calls and 7 draws one.
+    @pytest.mark.parametrize("mode, num_draws", [("exhaustive", 600), ("sample", 7)])
     def test_each_draw_calls_the_module_sampler_on_one_layout(self, monkeypatch, mode,
-                                                              num_draws, calls):
+                                                              num_draws):
         """One call of the module's ``sample_parameters`` per block, all on one entry layout.
 
         The blocks' draw indices cover every draw once, in order, and each block
         reads the layout twice: once to draw, once for its θ̄.
         """
+        block = max(1, 2**16 // (len(ESTIMATOR_NAMES) * 8 * 6))
+        calls = -(-num_draws // block)
         drawn = []
         original = lue.simulation.sample_parameters
 
@@ -1650,7 +1730,7 @@ class TestComputeImse:
         report = compute_imse(config)
         net = config.network.build(np.random.SeedSequence([config.master_seed, 3]))
         design = BernoulliDesign(net.n, config.p_treat)
-        allocs, probs = allocation_matrix(design)
+        allocs, probs = enumerated_allocations(design)
         family = build_estimator_family("MDil", net, design, eta1)
         for draw in range(config.num_draws):
             params = sample_parameters(net, model, [config.master_seed, draw])
@@ -1752,10 +1832,11 @@ class TestNetworkPointMemo:
         compute_imse(config)
         setting, _ = lue.simulation._network_point(config.network, config.master_seed,
                                                    config.p_treat, mode == "exhaustive")
+        # The kernel's first argument is G in exhaustive mode, the slot coefficients in sample.
         kept = [setting.network.adjacency, setting.units, setting.degrees, setting.degree_rows,
-                *((setting.joint, setting.pmf) if mode == "exhaustive"
-                  else (setting.coefficients,)),
-                lue.simulation._setup(config)[0].tables]
+                setting.kernel.args[0], lue.simulation._setup(config)[0].tables]
+        assert setting.kernel.func is {"exhaustive": lue.simulation._exact_kernel,
+                                       "sample": lue.simulation._sample_kernel}[mode]
         for array in kept:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1
