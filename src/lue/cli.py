@@ -26,7 +26,7 @@ from .estimators import (
     malue_count,
     zero_count,
 )
-from .exposure import ExposureSpec, exposure_columns
+from .exposure import ExposureSpec, as_real, exposure_columns
 from .mivlue import SIX_TERM_EXPOSURES, PriorSpec, six_term_alpha_weights, solve_mivlue
 from .simulation import CSV_HEADER, ExperimentConfig, compute_imse, payload_hash
 from .verify import run_verify
@@ -103,9 +103,10 @@ def _parse_weights_input(data: dict):
                 e = tuple(int(v) for v in key.split(","))
             except ValueError:
                 raise InputError(f"probabilities.{key}: key must be comma-separated integers")
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise InputError(f"probabilities.{key}: expected a number")
-            table[e] = float(value)
+            try:
+                table[e] = float(as_real(value, f"probabilities.{key}"))
+            except ValueError as exc:
+                raise InputError(exc)
         try:
             probs = ExposureDistribution(spec, table)
         except ValueError as exc:
@@ -119,7 +120,7 @@ def _parse_weights_input(data: dict):
             base_perturbation=None if base is None else np.array(base, dtype=float),
             dilation=None if dilation is None else float(dilation),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"prior: {exc}")
     return spec, probs, prior
 

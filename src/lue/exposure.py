@@ -81,11 +81,8 @@ def canonical_grid(levels: tuple[int, ...]) -> np.ndarray:
     return grid[np.lexsort(np.vstack([-grid.T, group]))]
 
 
-# Per-spec caches keep this many specs.  Every cached call for a spec comes
-# in a run of consecutive calls (one in-degree's weight solves, one spec of a
-# sweep), and a dense_er setting solves about 36 distinct in-degrees, so 64
-# never recomputes within a setting while a sweep over thousands of specs
-# holds only the last 64.
+# Per-spec caches keep this many specs.  A spec's cached calls come in one run (an in-degree's
+# weight solves, a spec of a sweep), so the bound recomputes nothing within a run.
 SPEC_CACHE_SIZE = 64
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import sys
 import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
@@ -34,7 +35,7 @@ from .design import (
     slot_order,
 )
 from .estimators import LinearEstimator
-from .exposure import SPEC_CACHE_SIZE, ExposureSpec, as_int, as_real
+from .exposure import ExposureSpec, as_int, as_real
 from .mivlue import FactorPrior, solve_mivlue
 from .networks import Network, gen_erdos_renyi_directed, gen_k_regular_directed
 
@@ -270,9 +271,12 @@ def included_units(network: Network) -> list[int]:
     return np.flatnonzero(network.in_degrees >= 1).tolist()
 
 
-def clear_weight_memo() -> None:
-    """Forget every memoized :func:`family_weights` row, and zero the cache counts."""
-    _weight_row.cache_clear()
+def clear_memos() -> None:
+    """Empty every ``functools`` memo of ``lue`` and every stream cursor, as in a fresh process."""
+    for module in [sys.modules[name] for name in list(sys.modules) if name.startswith("lue.")]:
+        for memo in vars(module).values():
+            getattr(memo, "cache_clear", lambda: None)()
+    _cursors.clear()
 
 
 def family_weights(names, degree: int, p_treat: float, eta1: float = 1.0) -> np.ndarray:
@@ -289,7 +293,7 @@ def family_weights(names, degree: int, p_treat: float, eta1: float = 1.0) -> np.
     outcome variance positive.  :func:`compute_imse` passes the setting's
     eta1 under the dilated outcome model and 1 otherwise.
 
-    Rows are memoized per process, and the returned table is read-only.
+    Each call solves every row afresh on one exposure pmf; the table is read-only.
     """
     names = tuple(names)
     for name in names:
@@ -297,23 +301,16 @@ def family_weights(names, degree: int, p_treat: float, eta1: float = 1.0) -> np.
             raise ValueError(
                 f"unknown estimator family {name!r}; expected one of {ESTIMATOR_NAMES}")
     degree, p_treat, eta1 = as_int(degree, "degree"), float(p_treat), float(eta1)
-    table = np.empty((len(names), 2 * degree + 2))
-    for index, name in enumerate(names):
-        table[index] = _weight_row(name, degree, p_treat, eta1 if name == "MDil" else None)
+    dist = bernoulli_exposure_distribution(degree, p_treat)
+    table = np.zeros((len(names), 2 * degree + 2))
+    for row, name in zip(table, names):
+        _weight_row(row, name, degree, dist, eta1)
     table.setflags(write=False)
     return table
 
 
-# A row is a pure function of its key (family, in-degree, p_treat, and eta1
-# for MDil only), so it is solved once per process; the cache holds
-# SPEC_CACHE_SIZE in-degrees' worth of every family.  A failed solve raises
-# and is not cached.  The exposure pmf is cached per in-degree too, so a cold
-# in-degree builds it once for all its families.
-@lru_cache(maxsize=len(ESTIMATOR_NAMES) * SPEC_CACHE_SIZE)
-def _weight_row(name: str, degree: int, p_treat: float, eta1: float | None) -> np.ndarray:
-    """One :func:`family_weights` row, by slot, as a read-only array."""
-    dist = bernoulli_exposure_distribution(degree, p_treat)
-    row = np.zeros(2 * degree + 2)
+def _weight_row(row: np.ndarray, name: str, degree: int, dist, eta1: float) -> None:
+    """Write family ``name``'s weights on ``dist``, the exposure pmf of ``degree``, into ``row``."""
     if name in _OWN_TREATMENT_LEVELS:
         levels = _OWN_TREATMENT_LEVELS[name]
         share = 1.0 / len(levels)
@@ -327,15 +324,13 @@ def _weight_row(name: str, degree: int, p_treat: float, eta1: float | None) -> n
             diagonal, u = OutcomeModel("dilated", eta1=eta1).covariance(degree)
             prior = FactorPrior(diagonal + MDIL_RIDGE, u)
         row[slot_order(degree)] = solve_mivlue(dist.spec, dist, prior).estimator.vector
-    row.setflags(write=False)
-    return row
 
 
 def build_estimator_family(name: str, network: Network, design,
                            eta1: float = 1.0) -> dict[int, LinearEstimator]:
     """Per-unit estimators for one family; degree-0 units are excluded.
 
-    The weights are :func:`family_weights` rows, looked up once per distinct
+    The weights are :func:`family_weights` rows, solved once per distinct
     in-degree and read in canonical exposure order.
     """
     vectors = {}
@@ -647,11 +642,12 @@ def _sample_kernel(coefficients, design, width, master_seed, config):
 
 
 # One setting's read-only inputs to its block loop.  At a network point ``kernel`` makes each
-# setting's kernel and ``tables`` is None; ``tables[f, degree_rows[u]]`` is f's weights for u.
+# setting's kernel and ``tables`` maps (family, MDil's eta1 or None) to the read-only (degree x
+# slot) table solved there; in a setting ``tables[f][degree_rows[u]]`` is f's weights for u.
 _Setting = namedtuple("_Setting", "network units width degrees degree_rows kernel tables")
 
 
-# A network point's setting without weights, and its network and joint_pmf stage seconds.
+# A network point's setting with no table solved yet, and its network and joint_pmf seconds.
 @lru_cache(maxsize=1)
 def _network_point(network_config: NetworkConfig, master_seed: int, p_treat, exhaustive):
     start = time.perf_counter()
@@ -670,7 +666,7 @@ def _network_point(network_config: NetworkConfig, master_seed: int, p_treat, exh
                                          BernoulliDesign(network.n, p_treat), width, master_seed))
     for array in (units, degrees, degree_rows, kernel.args[0]):  # G or the coefficients
         array.setflags(write=False)
-    setting = _Setting(network, units, width, degrees, degree_rows, kernel, None)
+    setting = _Setting(network, units, width, degrees, degree_rows, kernel, {})
     return setting, (built - start, time.perf_counter() - built)
 
 
@@ -686,18 +682,22 @@ def _setup(config: ExperimentConfig) -> tuple[_Setting, dict]:
     start = time.perf_counter()
     # MDil's prior is the dilated model itself, at the setting's eta1 when it is dilated.
     eta1 = config.outcome.eta1 if config.outcome.kind == "dilated" else 1.0
-    tables = np.zeros((len(config.estimators), len(setting.degrees), setting.width))
-    before = _weight_row.cache_info()
-    for row, degree in enumerate(setting.degrees):
-        tables[:, row, :2 * degree + 2] = family_weights(
-            config.estimators, degree, config.p_treat, eta1)
-    after = _weight_row.cache_info()
-    tables.setflags(write=False)
+    keys = [(name, eta1 if name == "MDil" else None) for name in config.estimators]
+    missing = [key for key in keys if key not in setting.tables]
+    if missing:
+        solved = np.zeros((len(missing), len(setting.degrees), setting.width))
+        for row, degree in enumerate(setting.degrees):
+            solved[:, row, :2 * degree + 2] = family_weights(
+                [name for name, _ in missing], degree, config.p_treat, eta1)
+        solved.setflags(write=False)
+        setting.tables.update(zip(missing, solved))  # only once every in-degree has solved
+    tables = tuple(setting.tables[key] for key in keys)
     network_s, joint_s = seconds if built else (0.0, 0.0)
     return setting._replace(kernel=setting.kernel(config), tables=tables), {
         "stage_seconds": {"network": network_s, "families": time.perf_counter() - start,
                           "joint_pmf": joint_s},
-        "weight_rows": {"solved": after.misses - before.misses, "reused": after.hits - before.hits},
+        "weight_rows": {"solved": len(missing) * len(setting.degrees),
+                        "reused": (len(keys) - len(missing)) * len(setting.degrees)},
         "setting": "built" if built else "reused", "excluded_degree_zero_units": excluded}
 
 

@@ -52,7 +52,7 @@ def test_traced_simulate_op_and_bias_check(bench, tmp_path):
     worker, workload = bench
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(CONFIG))
-    lue.simulation.clear_weight_memo()  # the solve count below needs a cold memo
+    lue.simulation.clear_memos()  # the solve count below needs cold memos
     layers, record = traced(worker, lambda tracer: worker.simulate_op(
         lue, workload("guard", warm=False, config=CONFIG), str(config_path),
         str(tmp_path / "out"), 7, tracer))

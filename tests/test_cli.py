@@ -274,10 +274,23 @@ class TestWeightsCommand:
          "prior.dilation: expected int/float, got bool"),
         ({"spec": {"levels": [1]}, "probabilities": {"0": True, "1": 0.0},
           "prior": {"covariance": np.eye(2).tolist()}},
-         "probabilities.0: expected a number"),
-    ], ids=["float_level", "bool_level", "bool_dilation", "bool_probability"])
+         "probabilities.0 must be a finite number, got True"),
+        # An integer too large for a float: JSON has no bound on the digits.
+        ({"spec": {"levels": [1]}, "probabilities": {"0": 10**400, "1": 0.5},
+          "prior": {"covariance": np.eye(2).tolist()}},
+         f"probabilities.0 must be a finite number, got {10**400}"),
+        ({"spec": {"levels": [1]}, "prior": {"covariance": [[10**400, 0], [0, 1]]}},
+         "prior: int too large to convert to float"),
+        ({"spec": {"levels": [1]}, "prior": {"covariance": np.eye(2).tolist(), "dilation": 1,
+                                             "base_perturbation": [[10**400, 0], [0, 1]]}},
+         "prior: int too large to convert to float"),
+        ({"spec": {"levels": [1]}, "prior": {"covariance": np.eye(2).tolist(),
+                                             "dilation": 10**400}},
+         "prior: int too large to convert to float"),
+    ], ids=["float_level", "bool_level", "bool_dilation", "bool_probability", "huge_probability",
+            "huge_covariance", "huge_base_perturbation", "huge_dilation"])
     def test_mistyped_number_exits_2_naming_the_field(self, tmp_path, capsys, payload, message):
-        """A float or a JSON true where an integer or number belongs is refused, not coerced."""
+        """A float, a JSON true or an integer too large for a float is refused, not coerced."""
         path = write_json(tmp_path / "in.json", payload)
         out_path = tmp_path / "never.csv"
         assert main(["weights", "--input", path, "--output", str(out_path)]) == 2
@@ -424,8 +437,7 @@ class TestSimulateCommand:
         the pinned bytes.
         """
         path = write_json(tmp_path / "setting.json", config)
-        lue.simulation.clear_weight_memo()
-        lue.simulation._network_point.cache_clear()
+        lue.simulation.clear_memos()
         for _ in ("cold", "warm"):
             assert main(["simulate", "--config", path, "--out-dir", str(tmp_path),
                          "--seed", "7"]) == 0
@@ -522,7 +534,7 @@ class TestSimulateCommand:
             "network": {"kind": "k_regular", "n": 6, "k": 2},
             "outcome": {"kind": "dilated", "eta1": -2}, "num_draws": 50,
             "allocation_mode": "exhaustive"})
-        lue.simulation.clear_weight_memo()
+        lue.simulation.clear_memos()
         assert main(["simulate", "--config", path, "--out-dir", str(tmp_path), "--seed", "7"]) == 0
         rows = open(capsys.readouterr().out.strip()).read().splitlines()
         assert any(row.startswith("MDil,6,2,dilated,-2,") for row in rows)
@@ -811,6 +823,7 @@ class TestCheckInjection:
     def test_biased_weight_row_fails_enumeration_unbiasedness(self, monkeypatch, capsys):
         """A weight row off by one part in a thousand moves the exact mean off the truth."""
         original = lue.simulation.family_weights
+        lue.simulation.clear_memos()  # a held network point would never call the patch
 
         def biased(names, degree, p_treat, eta1=1.0):
             rows = original(names, degree, p_treat, eta1).copy()

@@ -2,7 +2,9 @@
 
 import ast
 import dataclasses
+import importlib
 import pathlib
+import pkgutil
 import re
 
 import numpy as np
@@ -11,20 +13,19 @@ import pytest
 import lue
 from lue.design import (ExposureDistribution, bernoulli_exposure_distribution,
                         bernoulli_exposure_prob, uniform_distribution)
-from lue.estimators import LinearEstimator, check_support_condition
+from lue.estimators import LinearEstimator, build_affine_basis, check_support_condition
 from lue.exposure import (
     ExposureSpec,
-    _canonical_exposures,
     active_parameters,
     enumerate_exposures,
     exposure_columns,
-    exposure_positions,
     indicator_matrix,
     target_position,
 )
 from lue.mivlue import PriorSpec, outcome_variance, solve_mivlue_limit, support_null_prior
 from lue.networks import Network
-from lue.simulation import exposure_slots, slot_coefficients
+from lue.simulation import (ExperimentConfig, NetworkConfig, OutcomeModel, clear_memos,
+                            compute_imse, exposure_slots, slot_coefficients)
 from lue.verify import specs_up_to
 
 
@@ -211,10 +212,31 @@ class TestEnumerateExposures:
 
 
 def test_per_spec_caches_are_bounded():
-    """A sweep over thousands of specs keeps a bounded number of them cached."""
-    for cached in (_canonical_exposures, exposure_positions, indicator_matrix,
-                   uniform_distribution):
+    """A sweep over thousands of specs keeps a bounded number of them cached.
+
+    Every ``functools`` memo of ``lue`` is found by its ``cache_info`` in each
+    module of the package, so a new one is checked too.  Each is bounded, and
+    once all are filled, ``clear_memos`` empties each one and the stream cursors.
+    """
+    modules = [lue, *(importlib.import_module(f"lue.{info.name}")
+                      for info in pkgutil.iter_modules(lue.__path__))]
+    memos = list({id(value): value for module in modules for value in vars(module).values()
+                  if hasattr(value, "cache_info")}.values())
+    assert sorted(memo.__name__ for memo in memos) == sorted([
+        "_network_point", "_entry_layout", "bernoulli_slot_pmf", "bernoulli_exposure_distribution",
+        "uniform_distribution", "_layout", "_canonical_exposures", "exposure_positions",
+        "active_parameters", "indicator_matrix"])
+    for cached in memos:
         assert cached.cache_info().maxsize is not None, cached.__name__
+    spec = ExposureSpec((2, 1))
+    build_affine_basis(spec, uniform_distribution(spec))
+    indicator_matrix(spec)
+    compute_imse(ExperimentConfig(NetworkConfig("k_regular", 6, k=2), OutcomeModel("independent"),
+                                  num_draws=1))
+    assert all(cached.cache_info().currsize for cached in memos) and lue.simulation._cursors
+    clear_memos()
+    assert not any(cached.cache_info().currsize for cached in memos)
+    assert not lue.simulation._cursors
 
 
 class TestParameterIndexing:

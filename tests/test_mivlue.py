@@ -36,7 +36,7 @@ from lue.mivlue import (
     support_null_prior,
 )
 from lue.networks import Network
-from lue.simulation import (MDIL_RIDGE, OutcomeModel, build_estimator_family, clear_weight_memo,
+from lue.simulation import (MDIL_RIDGE, OutcomeModel, build_estimator_family, clear_memos,
                             family_weights)
 
 SIX_ORDER = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
@@ -617,8 +617,8 @@ class TestUnbiasedAtHighDegree:
 
     def test_cold_pair_at_degree_1000_is_linear_in_memory(self):
         """The solve sums groups in O(E) memory: no (m1 + 1) x E matrix, which is 16 MB here."""
+        clear_memos()
         bernoulli_exposure_distribution(1000, 0.5)
-        clear_weight_memo()
         tracemalloc.start()
         try:
             family_weights(("MInd", "MDil"), 1000, 0.5)

@@ -293,10 +293,10 @@ def test_only_the_setup_builds_a_setting():
     """``compute_imse`` reaches G, the slot coefficients and the weight tables only via its setup.
 
     ``_network_point`` builds G and the slot coefficients once per network point,
-    and ``_setup`` reads the weight tables per setting.  The two other sites are
-    outside ``compute_imse``: ``verify``'s design oracle checks G against
-    enumeration, and ``build_estimator_family`` is the per-unit view the
-    benchmark reads.
+    and ``_setup`` solves the weight tables that the point does not hold yet.
+    The two other sites are outside ``compute_imse``: ``verify``'s design oracle
+    checks G against enumeration, and ``build_estimator_family`` is the per-unit
+    view the benchmark reads.
     """
     names = {"joint_exposure_pmf", "slot_coefficients", "family_weights"}
     sites = set()
@@ -346,7 +346,7 @@ def test_only_the_kernels_reduce_over_allocations():
 UNREACHED_ON_PURPOSE = {
     "solve_from_moments": "kept on purpose: tests scale one outcome variance through it",
     "support_null_prior": "the reference prior that the limit solve is checked against",
-    "clear_weight_memo": "empties the weight memo for tests and for cold benchmark runs",
+    "clear_memos": "empties every memo for tests and for cold benchmark runs",
 }
 
 
@@ -1540,9 +1540,8 @@ class TestComputeImse:
         Returns a function giving the counts so far; a pmf is built on a miss
         of its cache.
         """
-        lue.simulation.clear_weight_memo()
+        lue.simulation.clear_memos()
         pmfs = lue.simulation.bernoulli_exposure_distribution
-        pmfs.cache_clear()
         solves = []
         original = lue.simulation.solve_mivlue
 
@@ -1592,19 +1591,19 @@ class TestComputeImse:
         assert second.metadata["weight_rows"] == {"solved": 0, "reused": rows}
         assert second.csv_rows() == first.csv_rows()
 
-    def test_another_network_solves_only_its_new_degrees(self, monkeypatch):
+    def test_another_network_point_solves_all_its_degrees(self, monkeypatch):
+        """Tables live with their network point: shared in-degrees reuse only their pmfs."""
         first, second = self.er_config(master_seed=17), self.er_config(master_seed=18)
         new = self.distinct_degrees(second) - self.distinct_degrees(first)
-        shared = self.distinct_degrees(second) & self.distinct_degrees(first)
-        assert new and shared
+        every = self.distinct_degrees(second)
+        assert new and every - new
         calls = self.count_calls(monkeypatch)
         compute_imse(first)
         before = calls()
         report = compute_imse(second)
-        assert self.minus(calls(), before) == {"solve_mivlue": 2 * len(new),
+        assert self.minus(calls(), before) == {"solve_mivlue": 2 * len(every),
                                                "bernoulli_exposure_distribution": len(new)}
-        assert report.metadata["weight_rows"] == {"solved": 5 * len(new),
-                                                  "reused": 5 * len(shared)}
+        assert report.metadata["weight_rows"] == {"solved": 5 * len(every), "reused": 0}
 
     def test_dilated_grid_shares_every_row_but_mdil(self, monkeypatch):
         """Only MDil's prior reads eta1, so a second eta1 solves MDil alone."""
@@ -1620,27 +1619,21 @@ class TestComputeImse:
         assert report.metadata["weight_rows"] == {"solved": distinct, "reused": 4 * distinct}
 
     def test_weight_tables_are_read_only(self):
-        lue.simulation.clear_weight_memo()
         table = lue.simulation.family_weights(ESTIMATOR_NAMES, 4, 0.5)
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 1.0
-        rows = lue.simulation._weight_row
-        for name in ESTIMATOR_NAMES:
-            assert not rows(name, 4, 0.5, 1.0 if name == "MDil" else None).flags.writeable
-        assert rows.cache_info()[:2] == (len(ESTIMATOR_NAMES), len(ESTIMATOR_NAMES))
 
     def test_cold_solves_keep_no_indicator_matrix(self):
         """A weight solve builds only its tail columns: no P x E matrix stays cached."""
-        lue.simulation.clear_weight_memo()
-        indicator_matrix.cache_clear()
+        lue.simulation.clear_memos()
         lue.simulation.family_weights(["MInd", "MDil"], 1000, 0.5)
         assert indicator_matrix.cache_info().currsize == 0
 
     @pytest.mark.parametrize("degree", [100, 500, 1000])
     def test_rows_are_the_dense_prior_solves(self, degree):
         """MInd and MDil, solved from the factored covariance, equal the dense PriorSpec solves."""
-        lue.simulation.clear_weight_memo()
+        lue.simulation.clear_memos()
         dist = lue.design.bernoulli_exposure_distribution(degree, 0.5)
         u = np.concatenate([[1.0], np.arange(1, degree + 1) / degree * -1.5, [1.0]])
         eye = np.eye(degree + 2)
@@ -1655,8 +1648,7 @@ class TestComputeImse:
             raise AssertionError("a dense prior was checked")
 
         monkeypatch.setattr(lue.mivlue, "_check_psd", failing)
-        lue.simulation.clear_weight_memo()
-        lue.simulation.bernoulli_exposure_distribution.cache_clear()
+        lue.simulation.clear_memos()
         tracemalloc.start()
         try:
             lue.simulation.family_weights(["MInd", "MDil"], 1000, 0.5)
@@ -1665,45 +1657,54 @@ class TestComputeImse:
             tracemalloc.stop()
         assert peak < 20e6
 
-    def test_memo_key_is_normalized(self, monkeypatch):
-        calls = self.count_calls(monkeypatch)
-        first = lue.simulation.family_weights(["MInd"], np.int64(75), 0.5)
-        second = lue.simulation.family_weights(("MInd",), 75, np.float64(0.5))
-        assert calls() == {"solve_mivlue": 1, "bernoulli_exposure_distribution": 1}
-        assert lue.simulation._weight_row.cache_info().currsize == 1
-        assert first.tobytes() == second.tobytes()
+    @staticmethod
+    def held_tables(config) -> dict:
+        """The (family, MDil's eta1 or None) -> table dict that ``config``'s network point holds."""
+        return lue.simulation._network_point(config.network, config.master_seed, config.p_treat,
+                                             config.allocation_mode == "exhaustive")[0].tables
 
-    def test_memo_evicts_the_least_recently_used_row(self):
-        """Overflowing the cache by one row drops the row read longest ago."""
-        lue.simulation.clear_weight_memo()
-        rows = lue.simulation._weight_row
-        size = rows.cache_info().maxsize
-        assert size == len(ESTIMATOR_NAMES) * lue.simulation.SPEC_CACHE_SIZE
-        p_treats = np.linspace(0.1, 0.9, size + 1).tolist()
-        for p_treat in p_treats[:size]:
-            lue.simulation.family_weights(["HT0"], 1, p_treat)
-        lue.simulation.family_weights(["HT0"], 1, p_treats[0])  # now the most recently used
-        lue.simulation.family_weights(["HT0"], 1, p_treats[size])  # evicts p_treats[1]
-        assert rows.cache_info()[:4] == (1, size + 1, size, size)  # hits, misses, maxsize, size
-        lue.simulation.family_weights(["HT0"], 1, p_treats[0])
-        assert rows.cache_info()[:2] == (2, size + 1)
-        lue.simulation.family_weights(["HT0"], 1, p_treats[1])  # evicted, so computed again
-        assert rows.cache_info()[:2] == (2, size + 2)
+    def test_a_point_holds_one_read_only_table_per_family_and_eta1(self):
+        """Each held table is the family's rows by in-degree, bit for bit, and refuses writes."""
+        configs = [self.er_config(outcome=OutcomeModel("dilated", eta1=eta1))
+                   for eta1 in (0.5, 2.0)]
+        lue.simulation.clear_memos()
+        for config in configs:
+            compute_imse(config)
+        held = self.held_tables(configs[0])
+        assert held.keys() == {("HT0", None), ("HT1", None), ("HTAvg", None), ("MInd", None),
+                               ("MDil", 0.5), ("MDil", 2.0)}
+        setting, _ = lue.simulation._setup(configs[1])
+        assert setting.tables[4] is held["MDil", 2.0]
+        for (name, eta1), table in held.items():
+            assert table.shape == (len(setting.degrees), setting.width)
+            eta1 = 1.0 if eta1 is None else eta1
+            for row, degree in enumerate(setting.degrees):
+                rows = family_weights([name], np.int64(degree), np.float64(0.5), eta1)
+                assert table[row, :2 * degree + 2].tobytes() == rows[0].tobytes()
+                assert not table[row, 2 * degree + 2:].any()
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
 
-    def test_failed_solves_are_not_memoized(self, monkeypatch):
+    def test_a_failed_solve_keeps_no_table(self, monkeypatch):
+        """A solve failing after some in-degrees have solved leaves the point holding nothing."""
+        config = self.er_config()
+        distinct = len(self.distinct_degrees(config))
         calls = self.count_calls(monkeypatch)
         counted = lue.simulation.solve_mivlue
 
         def failing(*args, **kwargs):
-            raise SingularSystemError("no solution")
+            if calls()["solve_mivlue"] == distinct:  # MInd and MDil at half the in-degrees
+                raise SingularSystemError("no solution")
+            return counted(*args, **kwargs)
 
         monkeypatch.setattr(lue.simulation, "solve_mivlue", failing)
         with pytest.raises(SingularSystemError):
-            lue.simulation.family_weights(["MInd"], 5, 0.5)
-        assert lue.simulation._weight_row.cache_info().currsize == 0
+            compute_imse(config)
+        assert self.held_tables(config) == {}
         monkeypatch.setattr(lue.simulation, "solve_mivlue", counted)
-        lue.simulation.family_weights(["MInd"], 5, 0.5)
-        assert calls()["solve_mivlue"] == 1
+        report = compute_imse(config)
+        assert report.metadata["weight_rows"] == {"solved": 5 * distinct, "reused": 0}
+        assert calls()["solve_mivlue"] == 3 * distinct
 
     @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
     def test_metadata_times_every_stage(self, mode):
@@ -1834,25 +1835,27 @@ class TestNetworkPointMemo:
                                                    config.p_treat, mode == "exhaustive")
         # The kernel's first argument is G in exhaustive mode, the slot coefficients in sample.
         kept = [setting.network.adjacency, setting.units, setting.degrees, setting.degree_rows,
-                setting.kernel.args[0], lue.simulation._setup(config)[0].tables]
+                setting.kernel.args[0], *lue.simulation._setup(config)[0].tables,
+                *setting.tables.values()]
         assert setting.kernel.func is {"exhaustive": lue.simulation._exact_kernel,
                                        "sample": lue.simulation._sample_kernel}[mode]
         for array in kept:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1
 
-    def test_a_refused_point_raises_every_time_and_solves_no_row(self):
+    def test_a_refused_point_raises_every_time_and_solves_no_row(self, monkeypatch):
         """Over JOINT_PMF_LIMIT, also after a sample-mode setting on the same network."""
         network = NetworkConfig("k_regular", 200, k=8)
         outcome = OutcomeModel("independent")
         compute_imse(ExperimentConfig(network, outcome, num_draws=1, allocation_mode="sample",
                                       allocation_count=10))
         refused = ExperimentConfig(network, outcome)
-        rows = lue.simulation._weight_row.cache_info()
+        solved = []
+        monkeypatch.setattr(lue.simulation, "family_weights", lambda *args: solved.append(args))
         for _ in range(3):
             with pytest.raises(ValueError, match="would hold 12,960,000 entries"):
                 compute_imse(refused)
-        assert lue.simulation._weight_row.cache_info() == rows
+        assert solved == []
 
     def test_only_one_joint_pmf_is_kept(self):
         """After exhaustive settings on two more networks, only the last network's G is held."""
@@ -1891,3 +1894,45 @@ class TestNetworkPointMemo:
         assert list(built) == list(reused) == STAGE_NAMES
         assert built["network"] > 0 and built["joint_pmf"] > 0
         assert reused["network"] == reused["joint_pmf"] == 0.0
+
+
+# Memos must never move bytes.  Configs 0 and 1 share a network point of 77 distinct
+# in-degrees, more than the 64 specs a per-spec cache keeps; configs 2 and 4 share one
+# whose MDil prior differs; config 2 crosses a 256-draw parameter chunk.
+ORDER_CONFIGS = [
+    ExperimentConfig(NetworkConfig("erdos_renyi", 800, p_edge=0.5), OutcomeModel("independent"),
+                     num_draws=1, allocation_mode="sample", allocation_count=20, master_seed=5),
+    ExperimentConfig(NetworkConfig("erdos_renyi", 800, p_edge=0.5),
+                     OutcomeModel("independent", mu1=10.0), num_draws=1,
+                     allocation_mode="sample", allocation_count=20, master_seed=5),
+    ExperimentConfig(NetworkConfig("k_regular", 8, k=2), OutcomeModel("dilated", eta1=1.5),
+                     num_draws=300, master_seed=3),
+    ExperimentConfig(NetworkConfig("erdos_renyi", 12, p_edge=0.4),
+                     OutcomeModel("interaction", mu1=1.0, delta1=2.0), num_draws=5,
+                     allocation_mode="sample", allocation_count=30, master_seed=4),
+    ExperimentConfig(NetworkConfig("k_regular", 8, k=2),
+                     OutcomeModel("interaction", mu1=2.0, delta1=3.0), num_draws=3, master_seed=3),
+]
+
+
+def test_configs_give_the_same_bytes_in_any_order():
+    """Two orders in one process give each config's per-draw bytes when run alone, cold."""
+    def draw_bytes(report):
+        return [(result.per_draw_mean.tobytes(), result.per_draw_mse.tobytes())
+                for result in report.results.values()]
+
+    network = ORDER_CONFIGS[0].build_network()
+    assert len(set(network.in_degrees[included_units(network)].tolist())) > 64
+    alone = []
+    for config in ORDER_CONFIGS:
+        lue.simulation.clear_memos()
+        alone.append(draw_bytes(compute_imse(config)))
+    for order in ([0, 1, 2, 3, 4], [2, 4, 1, 0, 3]):
+        lue.simulation.clear_memos()
+        reports = {index: compute_imse(ORDER_CONFIGS[index]) for index in order}
+        assert [draw_bytes(reports[index]) for index in range(5)] == alone, order
+        # The second config reuses the first's point and solves only the rows it lacks:
+        # none after config 0, MDil's one row at a new eta1 after config 2.
+        second = reports[order[1]].metadata
+        assert second["setting"] == "reused"
+        assert second["weight_rows"]["solved"] == (0 if order[0] == 0 else 1)
