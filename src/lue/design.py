@@ -2,8 +2,8 @@
 
 The design is Bernoulli: each unit is treated independently with one
 probability.  Exposure probabilities follow by pushing the design through a
-unit's exposure mapping; under the treated-degree mapping there is a closed
-binomial form, and an exhaustive-enumeration oracle double-checks it.
+unit's exposure mapping, here the slot 2d + z of :func:`exposure_slots`; it has a
+closed binomial form, and exhaustive enumeration through the map double-checks it.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 
 from .exposure import (SPEC_CACHE_SIZE, Exposure, ExposureSpec, as_int, canonical_grid,
                        enumerate_exposures, exposure_columns, exposure_vector)
+from .networks import Network
 
 PROB_SUM_TOL = 1e-10
 # Binomial masses underflow float64 well before this point, so switch the
@@ -140,6 +141,28 @@ def slot_order(degree: int) -> np.ndarray:
     return canonical_grid((degree, 1)) @ (2, 1)
 
 
+def slot_coefficients(network: Network, units) -> np.ndarray:
+    """(n x units) float32 matrix C = (2A + I)[:, units], so that z @ C gives every slot 2d + z."""
+    coefficients = 2 * network.adjacency.astype(np.float32)[:, units]
+    coefficients[units, np.arange(len(units))] += 1
+    return coefficients
+
+
+def exposure_slots(alloc: np.ndarray, coefficients: np.ndarray, offsets=0,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Exposure slot of every (allocation, unit) pair plus ``offsets``, as intp integers.
+
+    The float product goes through BLAS and is exact, in float32 too: every
+    term is 0, 1 or 2, so every partial sum is an integer no larger than the
+    slot itself, at most 2(n - 1) + 1.  That is below 2**24, up to which
+    float32 holds every integer exactly, for any n under 8 million.  The
+    product is cast to intp, exactly, and ``offsets`` added in one pass, into
+    ``out`` when given.  The sample kernel calls it once per row block, with each
+    unit's row offset into its flat value table; the oracles, on every allocation.
+    """
+    return np.add(alloc @ coefficients, offsets, out=out, dtype=np.intp, casting="unsafe")
+
+
 def bernoulli_exposure_prob(degree: int, e: Exposure, p_treat: float) -> float:
     """Probability of treated-degree exposure (d, z) for a unit with ``degree`` in-neighbors.
 
@@ -198,6 +221,6 @@ def exposure_distribution_exact(design: BernoulliDesign, kind: str, network, uni
             f"unit {unit} has in-degree 0; its interference exposure set is degenerate"
         )
     mat = allocation_matrix(design)
-    slots = 2 * (mat @ network.adjacency[:, unit]) + mat[:, unit]
+    slots = exposure_slots(mat, slot_coefficients(network, [unit]))[:, 0]
     masses = exact_cell_masses(mat, slots, 2 * degree + 2, design.p_treat)
     return ExposureDistribution(ExposureSpec((degree, 1)), masses[slot_order(degree)])

@@ -328,16 +328,17 @@ def lue_dimension(spec: ExposureSpec) -> int:
 def affine_rank_is_full(basis, spec: ExposureSpec | None = None) -> bool:
     """Exact full-rank certificate for a canonically ordered basis.
 
-    ``basis`` is :class:`EstimatorRows`, read as its terms, or estimators or
-    weight rows with their ``spec``, read as their nonzero weights.  Zero
-    below a nonzero diagonal on the identifying exposures (each member is the
-    last one whose support contains its identifier) certifies full affine
-    rank with no tolerance; any other pattern falls back to the SVD rank of
-    the weight rows with a constant-1 column appended.
+    ``basis`` is :class:`EstimatorRows`, read as its terms and its own
+    identifiers, or estimators or weight rows with their ``spec``, read as
+    their nonzero weights against the spec's layout.  Zero below a nonzero
+    diagonal on the identifying exposures (each member is the last one whose
+    support contains its identifier) certifies full affine rank with no
+    tolerance; any other pattern falls back to the SVD rank of the weight
+    rows with a constant-1 column appended.
     """
     spec = basis.spec if spec is None else spec
     rows, cols = basis.terms[:2] if isinstance(basis, EstimatorRows) else np.nonzero(basis)
-    ids = _layout(spec.levels)[0]
+    ids = basis._ids if isinstance(basis, EstimatorRows) else _layout(spec.levels)[0]
     offsets = np.array([[0, len(ids)], [0, len(rows)], [0, spec.num_exposures]])
     if len(ids) == len(basis) and _triangular(ids, rows, cols, offsets)[0]:
         return True

@@ -20,6 +20,9 @@ import numpy as np
 
 Exposure = tuple[int, ...]
 _FLOAT_MAX = sys.float_info.max
+# Most exposures a spec may have: every table over a spec's exposures is sized by this count,
+# and the largest spec the harness builds, in-degree 1,073 at p = 0.5, has 2,148.
+EXPOSURE_LIMIT = 2**20
 
 
 def as_int(value, what: str, least: int = 0) -> int:
@@ -54,6 +57,8 @@ class ExposureSpec:
             raise ValueError("spec needs at least one exposure component")
         object.__setattr__(self, "levels", tuple(as_int(m, "every level", 1) for m in self.levels))
         object.__setattr__(self, "num_exposures", math.prod(m + 1 for m in self.levels))
+        if self.num_exposures > EXPOSURE_LIMIT:
+            raise ValueError(f"the levels give more than {EXPOSURE_LIMIT:,} exposures")
 
     @property
     def num_parameters(self) -> int:

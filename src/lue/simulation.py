@@ -21,7 +21,7 @@ import sys
 import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +32,8 @@ from .design import (
     allocation_matrix,
     bernoulli_exposure_distribution,
     bernoulli_slot_pmf,
+    exposure_slots,
+    slot_coefficients,
     slot_order,
 )
 from .estimators import LinearEstimator
@@ -515,28 +517,6 @@ def _outcome_table(params, width):
     return table
 
 
-def slot_coefficients(network: Network, units) -> np.ndarray:
-    """(n x units) float32 matrix C = (2A + I)[:, units], so that z @ C gives every slot 2d + z."""
-    coefficients = 2 * network.adjacency.astype(np.float32)[:, units]
-    coefficients[units, np.arange(len(units))] += 1
-    return coefficients
-
-
-def exposure_slots(alloc: np.ndarray, coefficients: np.ndarray, offsets=0,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Exposure slot of every (allocation, unit) pair plus ``offsets``, as intp integers.
-
-    The float product goes through BLAS and is exact, in float32 too: every
-    term is 0, 1 or 2, so every partial sum is an integer no larger than the
-    slot itself, at most 2(n - 1) + 1.  That is below 2**24, up to which
-    float32 holds every integer exactly, for any n under 8 million.  The
-    product is cast to intp, exactly, and ``offsets`` added in one pass, into
-    ``out`` when given.  The sample kernel calls this once per row block of
-    allocations, with each unit's row offset into its flat value table.
-    """
-    return np.add(alloc @ coefficients, offsets, out=out, dtype=np.intp, casting="unsafe")
-
-
 def joint_exposure_pmf(network: Network, units, width: int, p_treat: float) -> np.ndarray:
     """Pairwise joint pmf of the units' exposure slots under a Bernoulli design, in closed form.
 
@@ -582,11 +562,11 @@ def joint_exposure_pmf(network: Network, units, width: int, p_treat: float) -> n
     return joint
 
 
-def _exact_kernel(joint, config):
+def _exact_kernel(joint):
     """Exhaustive mode's moment kernel: each (draw, family) row's moments, exact, from G.
 
     The average estimate is linear in its (unit, exposure-slot) values v, so its exact moments
-    are v . p and v' G v, p being G's diagonal; ``config`` is unread: one G serves every setting.
+    are v . p and v' G v, p being G's diagonal; one G serves every setting of a network point.
     """
     def exact_moments(values, draws, lap):
         values = values.reshape(*values.shape[:2], -1) / values.shape[2]
@@ -601,12 +581,13 @@ def _exact_kernel(joint, config):
     return exact_moments
 
 
-def _sample_kernel(coefficients, design, width, master_seed, config):
+def _sample_kernel(coefficients, width, config):
     """Sample mode's moment kernel: each (draw, family)'s moments over its draw's allocations.
 
     Draw r's allocations, shared by every family, come from [master_seed, r, _STREAM_ALLOCATIONS].
     """
     count, (n, units) = config.allocation_count, coefficients.shape
+    design, master_seed = BernoulliDesign(n, config.p_treat), config.master_seed
     weights = np.full(count, 1.0 / count)
     # Start of each unit's row in a flattened (unit x slot) table.
     row_offsets = np.arange(units) * width
@@ -641,13 +622,12 @@ def _sample_kernel(coefficients, design, width, master_seed, config):
     return sample_moments
 
 
-# One setting's read-only inputs to its block loop.  At a network point ``kernel`` makes each
-# setting's kernel and ``tables`` maps (family, MDil's eta1 or None) to the read-only (degree x
-# slot) table solved there; in a setting ``tables[f][degree_rows[u]]`` is f's weights for u.
-_Setting = namedtuple("_Setting", "network units width degrees degree_rows kernel tables")
+# A network point's read-only inputs to its settings' block loops: ``operator`` is G (exhaustive
+# mode) or the slot coefficients (sample); ``tables`` maps (family, MDil's eta1 or None) to its
+# (degree x slot) table, row ``degree_rows[u]`` for unit u; ``seconds`` times network, joint_pmf.
+_Point = namedtuple("_Point", "network units width degrees degree_rows operator tables seconds")
 
 
-# A network point's setting with no table solved yet, and its network and joint_pmf seconds.
 @lru_cache(maxsize=1)
 def _network_point(network_config: NetworkConfig, master_seed: int, p_treat, exhaustive):
     start = time.perf_counter()
@@ -661,43 +641,44 @@ def _network_point(network_config: NetworkConfig, master_seed: int, p_treat, exh
                          f"{(len(units) * width) ** 2:,} entries, over {JOINT_PMF_LIMIT:,}")
     degrees, degree_rows = np.unique(network.in_degrees[units], return_inverse=True)
     built = time.perf_counter()
-    kernel = (partial(_exact_kernel, joint_exposure_pmf(network, units, width, p_treat))
-              if exhaustive else partial(_sample_kernel, slot_coefficients(network, units),
-                                         BernoulliDesign(network.n, p_treat), width, master_seed))
-    for array in (units, degrees, degree_rows, kernel.args[0]):  # G or the coefficients
+    operator = (joint_exposure_pmf(network, units, width, p_treat) if exhaustive
+                else slot_coefficients(network, units))
+    for array in (units, degrees, degree_rows, operator):
         array.setflags(write=False)
-    setting = _Setting(network, units, width, degrees, degree_rows, kernel, {})
-    return setting, (built - start, time.perf_counter() - built)
+    return _Point(network, units, width, degrees, degree_rows, operator, {},
+                  (built - start, time.perf_counter() - built))
 
 
-def _setup(config: ExperimentConfig) -> tuple[_Setting, dict]:
-    """The setting of ``config`` with its weight tables and kernel, and its setup metadata."""
+def _setup(config: ExperimentConfig) -> tuple[_Point, object, tuple, dict]:
+    """``config``'s network point and kernel, its families' tables in order, and setup metadata."""
+    exhaustive = config.allocation_mode == "exhaustive"
     misses = _network_point.cache_info().misses
-    setting, seconds = _network_point(config.network, config.master_seed, config.p_treat,
-                                      config.allocation_mode == "exhaustive")
+    point = _network_point(config.network, config.master_seed, config.p_treat, exhaustive)
     built = _network_point.cache_info().misses > misses
-    excluded = setting.network.n - len(setting.units)
+    excluded = point.network.n - len(point.units)
     if excluded:
         logger.info("excluding %d degree-0 unit(s) from the average estimand", excluded)
     start = time.perf_counter()
     # MDil's prior is the dilated model itself, at the setting's eta1 when it is dilated.
     eta1 = config.outcome.eta1 if config.outcome.kind == "dilated" else 1.0
     keys = [(name, eta1 if name == "MDil" else None) for name in config.estimators]
-    missing = [key for key in keys if key not in setting.tables]
+    missing = [key for key in keys if key not in point.tables]
     if missing:
-        solved = np.zeros((len(missing), len(setting.degrees), setting.width))
-        for row, degree in enumerate(setting.degrees):
+        solved = np.zeros((len(missing), len(point.degrees), point.width))
+        for row, degree in enumerate(point.degrees):
             solved[:, row, :2 * degree + 2] = family_weights(
                 [name for name, _ in missing], degree, config.p_treat, eta1)
         solved.setflags(write=False)
-        setting.tables.update(zip(missing, solved))  # only once every in-degree has solved
-    tables = tuple(setting.tables[key] for key in keys)
-    network_s, joint_s = seconds if built else (0.0, 0.0)
-    return setting._replace(kernel=setting.kernel(config), tables=tables), {
+        point.tables.update(zip(missing, solved))  # only once every in-degree has solved
+    tables = tuple(point.tables[key] for key in keys)
+    network_s, joint_s = point.seconds if built else (0.0, 0.0)
+    kernel = (_exact_kernel(point.operator) if exhaustive
+              else _sample_kernel(point.operator, point.width, config))
+    return point, kernel, tables, {
         "stage_seconds": {"network": network_s, "families": time.perf_counter() - start,
                           "joint_pmf": joint_s},
-        "weight_rows": {"solved": len(missing) * len(setting.degrees),
-                        "reused": (len(keys) - len(missing)) * len(setting.degrees)},
+        "weight_rows": {"solved": len(missing) * len(point.degrees),
+                        "reused": (len(keys) - len(missing)) * len(point.degrees)},
         "setting": "built" if built else "reused", "excluded_degree_zero_units": excluded}
 
 
@@ -722,8 +703,7 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     setting's (family, in-degree) weight rows ``solved`` and ``reused``.
     """
     start = time.perf_counter()
-    setting, observed = _setup(config)
-    network, units, width, _, degree_rows, kernel, tables = setting
+    point, kernel, tables, observed = _setup(config)
     stages = {**observed.pop("stage_seconds"), **dict.fromkeys(
         ("params", "outcome_table", "allocations", "slots", "gather", "moments"), 0.0)}
 
@@ -737,18 +717,18 @@ def compute_imse(config: ExperimentConfig) -> ImseReport:
     n_draws = config.num_draws
     means, second = np.zeros((2, n_families, n_draws))
     theta_bars = np.zeros(n_draws)
-    block = max(1, 2**16 // (n_families * len(units) * width))
-    value_tables = np.empty((min(block, n_draws), n_families, len(units), width))
+    block = max(1, 2**16 // (n_families * len(point.units) * point.width))
+    value_tables = np.empty((min(block, n_draws), n_families, len(point.units), point.width))
     mark = time.perf_counter()
     for first_draw in range(0, n_draws, block):
         draws = range(first_draw, min(first_draw + block, n_draws))
-        params = sample_parameters(network, config.outcome, config.master_seed, draws)
-        theta_bars[draws] = true_average_effect(network, params)
+        params = sample_parameters(point.network, config.outcome, config.master_seed, draws)
+        theta_bars[draws] = true_average_effect(point.network, params)
         lap("params")
-        outcomes = _outcome_table(params, width)
+        outcomes = _outcome_table(params, point.width)
         values = value_tables[:len(outcomes)]
         for row in range(n_families):
-            np.multiply(tables[row][degree_rows], outcomes, out=values[:, row])
+            np.multiply(tables[row][point.degree_rows], outcomes, out=values[:, row])
         lap("outcome_table")
         means[:, draws], second[:, draws] = (moment.T for moment in kernel(values, draws, lap))
     mse = second - 2.0 * theta_bars * means + theta_bars**2

@@ -23,7 +23,9 @@ from .design import (
     allocation_matrix,
     bernoulli_exposure_distribution,
     exact_cell_masses,
+    exposure_slots,
     probability_vector,
+    slot_coefficients,
     slot_order,
 )
 from .estimators import (
@@ -171,7 +173,7 @@ def check_six_term_closed_form(alpha_fn=six_term_alpha_weights,
 
 
 def check_design_oracle() -> tuple[bool, str]:
-    """Unit and pairwise joint pmfs against exact whole-network enumeration (exact at 0.5)."""
+    """Unit and pairwise joint pmfs against exact enumeration via the slot map (exact at 0.5)."""
     graphs = []
     for n in (3, 5, 8, 10):
         graphs.append(gen_k_regular_directed(n, min(2, n - 1), seed=n))
@@ -181,7 +183,7 @@ def check_design_oracle() -> tuple[bool, str]:
         width = 2 * (int(network.in_degrees.max()) + 1)
         for p_treat in (0.5, 0.3):
             alloc = allocation_matrix(BernoulliDesign(network.n, p_treat))
-            slots = (2 * (alloc @ network.adjacency) + alloc)[:, units]
+            slots = exposure_slots(alloc, slot_coefficients(network, units))
             exact = np.zeros((len(units), width, len(units), width))
             for a, b in np.ndindex(len(units), len(units)):
                 exact[a, :, b] = exact_cell_masses(alloc, slots[:, a] * width + slots[:, b],

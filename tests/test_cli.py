@@ -20,13 +20,16 @@ import lue.design
 import lue.simulation
 import lue.verify
 from lue.cli import _setting_seed, build_parser, main
-from lue.design import (ExposureDistribution, allocation_matrix, bernoulli_exposure_distribution,
+from lue.design import (BernoulliDesign, ExposureDistribution, allocation_matrix,
+                        bernoulli_exposure_distribution, exposure_distribution_exact,
                         uniform_distribution)
 from lue.estimators import LinearEstimator, build_malue_set
 from lue.exposure import ExposureSpec, enumerate_exposures
-from lue.mivlue import max_alpha3
+from lue.mivlue import max_alpha3, six_term_alpha_weights
+from lue.networks import gen_k_regular_directed
 from lue.simulation import ExperimentConfig
-from lue.verify import check_design_oracle, check_six_term_closed_form, verify_estimator_set
+from lue.verify import (check_basis_ranks, check_constraint_residuals, check_design_oracle,
+                        check_six_term_closed_form, verify_estimator_set)
 
 SIX_ORDER = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
 
@@ -104,6 +107,24 @@ PINNED_CSV = {
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+# ``lue`` with its address space capped at 1 GiB, so an oversized allocation fails in the child.
+CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from lue.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_capped(*argv):
+    """(exit code, stderr) of ``lue *argv`` in a child process under a 1 GiB memory cap."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lue.__file__)),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    return proc.returncode, proc.stderr
 
 
 def openblas_corename():
@@ -366,6 +387,14 @@ class TestWeightsCommand:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_a_level_too_large_for_any_table_exits_2(self, tmp_path):
+        """A 401-digit level is refused by its exposure count, before any table is sized."""
+        path = write_json(tmp_path / "in.json", {"spec": {"levels": [10**400]},
+                                                 "prior": {"covariance": [[1.0]]}})
+        code, err = run_capped("weights", "--input", path)
+        assert (code, err) == (2, "error: spec.levels: the levels give more than "
+                                  "1,048,576 exposures\n")
+
 
 class TestBasisCommand:
     def test_header_counts(self, capsys):
@@ -390,6 +419,13 @@ class TestBasisCommand:
         assert main(["basis", "--m", levels]) == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("levels", [str(10**400), str(2**40), str(2**27)],
+                             ids=["401_digits", "2**40", "2**27"])
+    def test_levels_over_the_exposure_limit_exit_2(self, levels):
+        """Refused by exposure count before any table is sized, under a 1 GiB memory cap."""
+        code, err = run_capped("basis", "--m", levels)
+        assert (code, err) == (2, "error: --m: the levels give more than 1,048,576 exposures\n")
 
     @pytest.mark.parametrize("levels, digest", [
         ("1", "7000f16efab63810"),
@@ -753,7 +789,65 @@ def nudged_pmf(degree, p_treat):
     return ExposureDistribution(dist.spec, vector)
 
 
+def no_own_treatment(network, units):
+    """The slot map without its own-treatment term: every slot is 2d, never 2d + 1."""
+    return 2 * network.adjacency.astype(np.float32)[:, units]
+
+
 class TestCheckInjection:
+    def test_a_slot_map_without_own_treatment_fails_both_oracles(self, monkeypatch):
+        """Both enumeration oracles push every allocation through the slot map that runs.
+
+        With no own-treatment term, no allocation reaches a treated exposure: the design
+        oracle finds its mass 0, and the exact unit pmf refuses the zero mass.
+        """
+        for module in (lue.design, lue.verify):
+            monkeypatch.setattr(module, "slot_coefficients", no_own_treatment)
+        assert check_design_oracle() == (
+            False, "n=3 unit=0 exposure=(1, 1): closed 0.25 vs exact 0.0")
+        network = gen_k_regular_directed(5, 2, seed=5)
+        with pytest.raises(ValueError, match=r"exposure \(1, 1\) needs .* got 0.0"):
+            exposure_distribution_exact(BernoulliDesign(5, 0.5), "network_interference",
+                                        network, 0)
+
+    def test_a_biased_atomic_set_fails_constraint_residuals_naming_its_spec(self, monkeypatch):
+        """Doubled weights miss the estimand by 1 on a scale of 2, at levels (2, 1) only."""
+        original = lue.verify.build_malue_set
+
+        def doubled(spec, probs):
+            members = original(spec, probs)
+            if spec.levels != (2, 1):
+                return members
+            return [LinearEstimator(spec, 2 * member.vector, member.name) for member in members]
+
+        monkeypatch.setattr(lue.verify, "build_malue_set", doubled)
+        assert check_constraint_residuals() == (False, (
+            "levels (2, 1): estimator four_term(1, 1) violates constraints "
+            "(relative residual 5.000e-01)"))
+
+    @pytest.mark.parametrize("name, message", [
+        ("malue_count", "enumerated sizes (4, 0) != closed forms (5, 0)"),
+        ("basis_count", "basis size mismatch"),
+        ("lue_dimension", "dimension identity fails"),
+    ])
+    def test_a_wrong_closed_form_fails_basis_ranks_naming_its_spec(self, monkeypatch, name,
+                                                                    message):
+        """Each closed form one too large at levels (1, 3), partway through the sweep."""
+        closed_form = getattr(lue.verify, name)
+        monkeypatch.setattr(lue.verify, name,
+                            lambda spec: closed_form(spec) + (spec.levels == (1, 3)))
+        assert check_basis_ranks() == (False, f"levels (1, 3): {message}")
+
+    def test_coefficients_off_their_sum_fail_by_trial(self):
+        """1e-10 off per coefficient is within the solve's tolerance, not the sum's 1e-12."""
+
+        def drifted(probs, variances):
+            return tuple(a + 1e-10 for a in six_term_alpha_weights(probs, variances))
+
+        ok, details = check_six_term_closed_form(alpha_fn=drifted, trials=3)
+        assert not ok
+        assert details.startswith("trial 0: coefficients sum to 1.00000000030")
+
     def test_sign_flip_is_caught_and_named(self):
         """A corrupted four-term estimator fails the constraint check by name."""
         spec = ExposureSpec((3, 1))

@@ -630,6 +630,17 @@ class TestRankCertificate:
             spec = ExposureSpec(levels)
             assert affine_rank_is_full(build_malue_set(spec) + build_zero_estimators(spec))
 
+    def test_a_built_basis_is_certified_on_its_own_identifiers(self, fallbacks):
+        """Certifying reads the basis' identifiers: no layout is laid out again, no SVD runs."""
+        spec = ExposureSpec((3, 2, 1))
+        sets = [build_affine_basis(spec), build_malue_set(spec), build_zero_estimators(spec),
+                build_malue_set(spec) + build_zero_estimators(spec)]
+        _layout.cache_clear()
+        for basis in sets:
+            assert affine_rank_is_full(basis)
+        assert _layout.cache_info().misses == 0
+        assert fallbacks == []
+
     def test_joined_copies_of_a_basis_are_rejected(self, fallbacks):
         """Each identifier appears twice; only the SVD can decide, and it refuses."""
         basis = build_affine_basis(ExposureSpec((3, 2)))

@@ -15,6 +15,7 @@ from lue.design import (ExposureDistribution, bernoulli_exposure_distribution,
                         bernoulli_exposure_prob, uniform_distribution)
 from lue.estimators import LinearEstimator, build_affine_basis, check_support_condition
 from lue.exposure import (
+    EXPOSURE_LIMIT,
     ExposureSpec,
     active_parameters,
     enumerate_exposures,
@@ -92,6 +93,15 @@ class TestExposureSpec:
         with pytest.raises(ValueError,
                            match=f"every level must be a positive integer, got .*{bad}"):
             ExposureSpec(levels)
+
+    def test_refuses_more_exposures_than_the_limit(self):
+        """The bound is on the exposure count: 2**20 exposures pass, one more level does not."""
+        assert EXPOSURE_LIMIT == 2**20
+        for levels in [(2**20 - 1,), (1,) * 20, (1023, 1023)]:
+            assert ExposureSpec(levels).num_exposures == EXPOSURE_LIMIT
+        for levels in [(2**20,), (1,) * 21, (1023, 1024), (10**400, 1)]:
+            with pytest.raises(ValueError, match="the levels give more than 1,048,576 exposures"):
+                ExposureSpec(levels)
 
     def test_accepts_numpy_integer_levels(self):
         spec = ExposureSpec((np.int64(3), np.int32(1)))

@@ -294,9 +294,10 @@ def test_only_the_setup_builds_a_setting():
 
     ``_network_point`` builds G and the slot coefficients once per network point,
     and ``_setup`` solves the weight tables that the point does not hold yet.
-    The two other sites are outside ``compute_imse``: ``verify``'s design oracle
-    checks G against enumeration, and ``build_estimator_family`` is the per-unit
-    view the benchmark reads.
+    The other sites are outside ``compute_imse``: the two enumeration oracles
+    push every allocation through the slot map that the sample kernel runs,
+    ``verify``'s design oracle checks G against that enumeration, and
+    ``build_estimator_family`` is the per-unit view the benchmark reads.
     """
     names = {"joint_exposure_pmf", "slot_coefficients", "family_weights"}
     sites = set()
@@ -309,6 +310,8 @@ def test_only_the_setup_builds_a_setting():
                      ("simulation.py", "_network_point", "slot_coefficients"),
                      ("simulation.py", "_setup", "family_weights"),
                      ("simulation.py", "build_estimator_family", "family_weights"),
+                     ("design.py", "exposure_distribution_exact", "slot_coefficients"),
+                     ("verify.py", "check_design_oracle", "slot_coefficients"),
                      ("verify.py", "check_design_oracle", "joint_exposure_pmf")}
 
 
@@ -1404,15 +1407,16 @@ class TestComputeImse:
         base = dict(network=NetworkConfig("erdos_renyi", 14, p_edge=0.25), num_draws=4,
                     outcome=OutcomeModel("interaction", mu1=1.0, delta1=2.0), master_seed=3,
                     p_treat=0.4, allocation_count=count)
-        exact, _ = lue.simulation._setup(ExperimentConfig(**base, allocation_mode="exhaustive"))
-        sample, _ = lue.simulation._setup(ExperimentConfig(**base, allocation_mode="sample"))
+        point, exact, tables, _ = lue.simulation._setup(
+            ExperimentConfig(**base, allocation_mode="exhaustive"))
+        _, sample, _, _ = lue.simulation._setup(ExperimentConfig(**base, allocation_mode="sample"))
         draws = range(base["num_draws"])
-        params = sample_parameters(exact.network, base["outcome"], base["master_seed"], draws)
-        outcomes = _outcome_table(params, exact.width)
-        values = np.stack([table[exact.degree_rows] * outcomes for table in exact.tables], axis=1)
+        params = sample_parameters(point.network, base["outcome"], base["master_seed"], draws)
+        outcomes = _outcome_table(params, point.width)
+        values = np.stack([table[point.degree_rows] * outcomes for table in tables], axis=1)
         ignore = lambda stage: None  # noqa: E731
-        first, second = exact.kernel(values, draws, ignore)
-        sampled_first, _ = sample.kernel(values, draws, ignore)
+        first, second = exact(values, draws, ignore)
+        sampled_first, _ = sample(values, draws, ignore)
         variance = second - first**2
         assert first.shape == sampled_first.shape == (len(draws), len(ESTIMATOR_NAMES))
         assert (variance > 0).all()
@@ -1661,7 +1665,7 @@ class TestComputeImse:
     def held_tables(config) -> dict:
         """The (family, MDil's eta1 or None) -> table dict that ``config``'s network point holds."""
         return lue.simulation._network_point(config.network, config.master_seed, config.p_treat,
-                                             config.allocation_mode == "exhaustive")[0].tables
+                                             config.allocation_mode == "exhaustive").tables
 
     def test_a_point_holds_one_read_only_table_per_family_and_eta1(self):
         """Each held table is the family's rows by in-degree, bit for bit, and refuses writes."""
@@ -1673,12 +1677,12 @@ class TestComputeImse:
         held = self.held_tables(configs[0])
         assert held.keys() == {("HT0", None), ("HT1", None), ("HTAvg", None), ("MInd", None),
                                ("MDil", 0.5), ("MDil", 2.0)}
-        setting, _ = lue.simulation._setup(configs[1])
-        assert setting.tables[4] is held["MDil", 2.0]
+        point, _, tables, _ = lue.simulation._setup(configs[1])
+        assert tables[4] is held["MDil", 2.0]
         for (name, eta1), table in held.items():
-            assert table.shape == (len(setting.degrees), setting.width)
+            assert table.shape == (len(point.degrees), point.width)
             eta1 = 1.0 if eta1 is None else eta1
-            for row, degree in enumerate(setting.degrees):
+            for row, degree in enumerate(point.degrees):
                 rows = family_weights([name], np.int64(degree), np.float64(0.5), eta1)
                 assert table[row, :2 * degree + 2].tobytes() == rows[0].tobytes()
                 assert not table[row, 2 * degree + 2:].any()
@@ -1831,14 +1835,17 @@ class TestNetworkPointMemo:
     def test_the_kept_arrays_are_read_only(self, mode):
         config = ExperimentConfig(**self.BASE, allocation_mode=mode)
         compute_imse(config)
-        setting, _ = lue.simulation._network_point(config.network, config.master_seed,
-                                                   config.p_treat, mode == "exhaustive")
-        # The kernel's first argument is G in exhaustive mode, the slot coefficients in sample.
-        kept = [setting.network.adjacency, setting.units, setting.degrees, setting.degree_rows,
-                setting.kernel.args[0], *lue.simulation._setup(config)[0].tables,
-                *setting.tables.values()]
-        assert setting.kernel.func is {"exhaustive": lue.simulation._exact_kernel,
-                                       "sample": lue.simulation._sample_kernel}[mode]
+        point = lue.simulation._network_point(config.network, config.master_seed,
+                                              config.p_treat, mode == "exhaustive")
+        _, kernel, tables, _ = lue.simulation._setup(config)
+        kept = [point.network.adjacency, point.units, point.degrees, point.degree_rows,
+                point.operator, *tables, *point.tables.values()]
+        # The operator is G in exhaustive mode and the slot coefficients in sample mode.
+        want = (joint_exposure_pmf(point.network, point.units, point.width, config.p_treat)
+                if mode == "exhaustive" else slot_coefficients(point.network, point.units))
+        assert point.operator.tobytes() == want.tobytes() and point.operator.dtype == want.dtype
+        assert kernel.__qualname__.startswith({"exhaustive": "_exact_kernel.",
+                                               "sample": "_sample_kernel."}[mode])
         for array in kept:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1
